@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal, NamedTuple, Union
 
 import numpy as np
@@ -199,136 +200,239 @@ def rho_turn(pair: PairState, params: SafetyParams) -> float:
     return math.sqrt(rad) - params.ds
 
 
-def _straight_relative(pair: PairState, m: StraightManeuver):
-    """Relative planar position p0 and relative planar velocity dv under the
-    straight maneuver."""
-    p0x = pair.a.px - pair.b.px
-    p0y = pair.a.py - pair.b.py
-    dvx = m.v1 * math.cos(pair.a.heading) - m.v2 * math.cos(pair.b.heading)
-    dvy = m.v1 * math.sin(pair.a.heading) - m.v2 * math.sin(pair.b.heading)
-    return p0x, p0y, dvx, dvy
+# ---------------------------------------------------------------------------
+# closed forms over arrays of pairs
+#
+# Vehicles enter as complex phasor rows [z, e, conj(e), (1 - i)*conj(e)]
+# (components first): position z = px + i*py, heading phasor e = cos(th) +
+# i*sin(th); one weighted difference of two vehicles' rows then yields every
+# row a pass reads (see pair_rows).  g, shape (2, 4, P), holds the rows of
+# every pair's first (g[0]) and second (g[1]) vehicle.  The scalar functions
+# further down wrap the same code with P = 1.
 
 
-def h_straight(pair: PairState, m: StraightManeuver, ds: float) -> BarrierValue:
-    """Closed-form straight-maneuver barrier via closest point of approach.
-
-    tau* = max(0, -p0 . dv / |dv|^2), value = |p0 + tau* dv| - ds.
-    """
-    p0x, p0y, dvx, dvy = _straight_relative(pair, m)
-    dv2 = dvx * dvx + dvy * dvy
-    if dv2 == 0.0:
-        raise ValueError("relative velocity vanishes (maneuver precondition violated)")
-    tau = max(0.0, -(p0x * dvx + p0y * dvy) / dv2)
-    return BarrierValue(math.hypot(p0x + tau * dvx, p0y + tau * dvy) - ds, tau)
+def phasor_rows(states) -> np.ndarray:
+    """Phasor rows (4, N) of vehicle states."""
+    rows = []
+    for s in states:
+        c, sn = math.cos(s.heading), math.sin(s.heading)
+        rows.append((s.px, s.py, c, sn, c, -sn, c - sn, -(sn + c)))
+    return np.array(rows, dtype=float).reshape(len(rows), 8).view(complex).T
 
 
-def _turn_phasor(pair: PairState, m: TurnManeuver, params: SafetyParams):
-    """Coefficients (A, P, Q) with  radicand(tau) = A + P*cos(w tau) + Q*sin(w tau).
-
-    Writing each turn circle's center as c_i = p_i + r_i*(-sin th_i, cos th_i),
-    the relative position is  dc + R(w tau) w  with the constant vector
-    w = r1*(sin th1, -cos th1) - r2*(sin th2, -cos th2), and the heading terms
-    of the safety function contribute their own same-frequency sinusoid.
-    """
-    th1, th2 = pair.a.heading, pair.b.heading
-    r1, r2 = m.r1, m.r2
-    s1, c1 = math.sin(th1), math.cos(th1)
-    s2, c2 = math.sin(th2), math.cos(th2)
-    wx = r1 * s1 - r2 * s2
-    wy = -r1 * c1 + r2 * c2
-    dcx = (pair.a.px - r1 * s1) - (pair.b.px - r2 * s2)
-    dcy = (pair.a.py + r1 * c1) - (pair.b.py + r2 * c2)
-    de = params.delta
-    A = dcx * dcx + dcy * dcy + wx * wx + wy * wy - 2.0 * de
-    P = 2.0 * (dcx * wx + dcy * wy) + de * (s1 - c1)
-    Q = 2.0 * (wx * dcy - wy * dcx) + de * (c1 + s1)
-    return A, P, Q
+@lru_cache(maxsize=None)
+def _role_weights(config: BarrierConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-role weights of the phasor rows; see pair_rows."""
+    man = config.maneuver
+    if isinstance(man, TurnManeuver):
+        de = config.safety.delta
+        return (
+            np.array([[1.0], [1j * man.r1], [2j * man.r1], [de]]),
+            np.array([[1.0], [1j * man.r2], [2j * man.r2], [0.0]]),
+        )
+    return np.array([[1.0], [man.v1]]), np.array([[1.0], [man.v2]])
 
 
-def h_turn(pair: PairState, m: TurnManeuver, params: SafetyParams) -> BarrierValue:
-    """Closed-form synchronized-turn barrier via phasor reduction.
+def pair_rows(g, config: BarrierConfig) -> np.ndarray:
+    """The rows y the closed forms read, from pair phasor rows g: for the turn
+    [dz, i*v, 2i*conj(v), delta*(1 - i)*conj(e1)] with v = r1*e1 - r2*e2, for
+    the straight kind [dz, dv] with dv = v1*e1 - v2*e2."""
+    wa, wb = _role_weights(config)
+    return np.subtract(g[0, : len(wa)] * wa, g[1, : len(wb)] * wb, order="C")
 
-    The radicand is A + M*cos(w tau - phi) with M = hypot(P, Q); its infimum
-    over tau >= 0 is A - M, attained first at tau* = ((phi + pi) mod 2pi)/w.
-    """
-    A, P, Q = _turn_phasor(pair, m, params)
-    M = math.hypot(P, Q)
-    rad = A - M
-    if rad < 0.0:
-        raise DomainError(f"negative radicand {rad} in turn barrier")
-    if M == 0.0:
-        tau = 0.0
+
+def flat_pair_rows(pair_arrays, config: BarrierConfig) -> np.ndarray:
+    """pair_rows computed from pair_arrays = (apx, apy, ath, bpx, bpy, bth) row
+    by row: the same values, with less memory traffic than the phasor rows
+    on large batches."""
+    apx, apy, ath, bpx, bpy, bth = pair_arrays
+    c1, s1, c2, s2 = np.cos(ath), np.sin(ath), np.cos(bth), np.sin(bth)
+    man = config.maneuver
+    y = np.empty((4 if isinstance(man, TurnManeuver) else 2, len(c1)), complex)
+    y[0].real, y[0].imag = apx - bpx, apy - bpy
+    if isinstance(man, TurnManeuver):
+        de = config.safety.delta
+        y[1].real, y[1].imag = man.r2 * s2 - man.r1 * s1, man.r1 * c1 - man.r2 * c2
+        np.multiply(y[1].conj(), -2.0, out=y[2])  # 2i*conj(v) = -2*conj(i*v)
+        y[3].real, y[3].imag = (c1 - s1) * de, -(s1 + c1) * de
     else:
-        tau = math.atan2(Q, P) + math.pi
-        tau = tau % (2.0 * math.pi) / m.turn_rate
-    return BarrierValue(math.sqrt(rad) - params.ds, tau)
+        y[1].real, y[1].imag = man.v1 * c1 - man.v2 * c2, man.v1 * s1 - man.v2 * s2
+    return y
 
 
-def h_value(pair: PairState, config: BarrierConfig) -> BarrierValue:
-    """Dispatch to h_turn / h_straight according to the configured maneuver."""
+class TurnPass(NamedTuple):
+    """Turn barrier per pair: d2 = |dz|^2, distance term s = sqrt(rad) (h = s - ds;
+    NaN where the radicand's infimum rad is negative), the pair rows y, and
+    the phasor pq with modulus M."""
+
+    d2: np.ndarray
+    s: np.ndarray
+    rad: np.ndarray
+    y: np.ndarray
+    pq: np.ndarray
+    M: np.ndarray
+
+
+class StraightPass(NamedTuple):
+    """Straight barrier per pair: d2 = |dz|^2, distance term s = |d| (h = s - ds),
+    relative position d at the closest-approach time tau, and p0 . dv."""
+
+    d2: np.ndarray
+    s: np.ndarray
+    d: np.ndarray
+    tau: np.ndarray
+    proj: np.ndarray
+
+
+def _turn_phasor(y, delta: float) -> TurnPass:
+    """radicand(tau) = A + Re(conj(pq) * exp(i*w*tau)), infimum A - M, M = |pq|.
+
+    Each turn circle's center is c_k = p_k + i*r_k*e_k; along the maneuver
+    the relative position is  dc - i*exp(i*w*tau)*v  with dc = c1 - c2 and
+    v = r1*e1 - r2*e2, so A = |dc|^2 + |v|^2 - 2*delta and the cross term is
+    2*Re(conj(dc)*(-i)*v*exp(i*w*tau)); the heading terms of the safety
+    function add delta*Re(-(1 + i)*e1*exp(i*w*tau)).  In real form
+    pq = P + iQ with radicand = A + P*cos(w tau) + Q*sin(w tau).
+    """
+    sq = np.square(y[:2].view(float))
+    d2, v2 = sq[:, 0::2] + sq[:, 1::2]  # |dz|^2, |v|^2
+    dc = y[0] + y[1]
+    dcq = np.square(dc.view(float))
+    A = dcq[0::2] + dcq[1::2] + v2 - 2.0 * delta
+    pq = dc * y[2] - y[3]
+    M = np.abs(pq)
+    rad = A - M
+    s = np.sqrt(np.where(rad >= 0.0, rad, np.nan))
+    return TurnPass(d2, s, rad, y, pq, M)
+
+
+def _straight_relative(y) -> StraightPass:
+    """Closest approach of the constant-velocity pair:
+    tau* = max(0, -p0 . dv / |dv|^2)."""
+    dz, dv = y
+    proj = dz.real * dv.real + dz.imag * dv.imag
+    tau = np.maximum(0.0, -proj / (dv.real**2 + dv.imag**2))
+    d = dz + tau * dv
+    return StraightPass(dz.real**2 + dz.imag**2, np.abs(d), d, tau, proj)
+
+
+def barrier_pass(y, config: BarrierConfig) -> TurnPass | StraightPass:
+    """The closed-form barrier of every pair from its rows y (see pair_rows):
+    no minimizing time, no gradient."""
     if isinstance(config.maneuver, TurnManeuver):
-        return h_turn(pair, config.maneuver, config.safety)
-    return h_straight(pair, config.maneuver, config.safety.ds)
+        return _turn_phasor(y, config.safety.delta)
+    return _straight_relative(y)
+
+
+def minimizer_tau(p: TurnPass | StraightPass, config: BarrierConfig) -> np.ndarray:
+    """Smallest nonnegative minimizing time: for the turn the radicand's
+    minimum is first reached at tau* = ((arg(pq) + pi) mod 2pi)/w (0 when M = 0)."""
+    if isinstance(p, StraightPass):
+        return p.tau
+    w = config.maneuver.turn_rate
+    return np.where(p.M == 0.0, 0.0, np.mod(np.angle(p.pq) + np.pi, 2.0 * np.pi) / w)
+
+
+def lie_rows(p: TurnPass | StraightPass, e, config: BarrierConfig):
+    """(n, L_g h) of the pairs of a pass: n is the unit relative position at
+    the minimizing time (complex), so dh/dp1 = (n.real, n.imag) = -dh/dp2,
+    and L_g h is (P, 6) over the stacked control (v1, w1, zeta1, v2, w2, zeta2).
+
+    With the driftless factorization x_dot = g(x) u, L_f h = 0 and
+    L_g h = grad_h . g(x); the zeta columns vanish because the safety
+    functions are planar.  By the envelope theorem the minimizing time tau*
+    is stationary (interior minimizer) or locally constant (tau* = 0 with the
+    distance diverging), so the gradient equals that of rho(x_hat(tau*)) with
+    tau* held fixed.  Rows with s = 0 or NaN have no gradient (NaN entries).
+    """
+    man = config.maneuver
+    lg = np.zeros((len(e), 6))  # e: (P, 2) heading phasors e1, e2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if isinstance(p, StraightPass):
+            n = p.d / p.s
+            w = n.conj()[:, None] * e
+            lg[:, [1, 4]] = w.imag * (p.tau[:, None] * [-man.v1, man.v2])
+        else:
+            # exp(i*w*tau*) - 1, from the minimizer condition exp(i*w*tau*) = -pq/M
+            qm1 = -(p.pq + p.M) / np.maximum(p.M, 5e-324)  # 0 where M = 0 (pq = 0)
+            n = (p.y[0] - qm1 * p.y[1]) / p.s
+            w = n.conj()[:, None] * e
+            wq = (w * qm1[:, None]).real
+            lg[:, 1], lg[:, 4] = man.r1 * wq[:, 0], -man.r2 * wq[:, 1]
+            # heading term of rho_turn: delta*(cos + sin)(th1 + w tau*) / (2 s)
+            e1q = e[:, 0] + e[:, 0] * qm1
+            lg[:, 1] += (0.5 * config.safety.delta) * ((1 - 1j) * e1q).real / p.s
+    lg[:, 0], lg[:, 3] = w[:, 0].real, -w[:, 1].real
+    return n, lg
+
+
+def domain_errors(
+    p: TurnPass | StraightPass, config: BarrierConfig, need_grad
+) -> list[tuple[int, str]]:
+    """(row, message) per pair whose barrier is undefined (negative radicand)
+    or, where need_grad is set, whose gradient is undefined (s == 0)."""
+    undefined = np.isnan(p.s)
+    rows = np.flatnonzero(undefined | (need_grad & (p.s == 0.0)))
+    if config.kind == "turn":
+        no_gradient = "gradient undefined at the domain boundary"
+    else:
+        no_gradient = "coincident closest approach; gradient undefined"
+    return [
+        (k, f"negative radicand {float(p.rad[k])} in turn barrier" if undefined[k] else no_gradient)
+        for k in rows.tolist()
+    ]
 
 
 # ---------------------------------------------------------------------------
-# batch evaluation (used by the simulator and the compatibility sampler)
+# scalar wrappers
 
 
-def h_turn_batch(
-    apx: np.ndarray,
-    apy: np.ndarray,
-    ath: np.ndarray,
-    bpx: np.ndarray,
-    bpy: np.ndarray,
-    bth: np.ndarray,
-    m: TurnManeuver,
-    params: SafetyParams,
-) -> np.ndarray:
-    """Vectorized h_turn over arrays of pair states.
+def _pair_pass(pair: PairState, config: BarrierConfig, need_grad: bool):
+    """barrier_pass of one pair, and its heading phasors; raises DomainError."""
+    g = phasor_rows([pair.a, pair.b]).T.reshape(2, 4, 1)
+    p = barrier_pass(pair_rows(g, config), config)
+    if not p.s[0] > 0.0:
+        for _, msg in domain_errors(p, config, need_grad):
+            raise DomainError(msg)
+    return p, g[:, 1].T
 
-    Returns NaN where the radicand is negative instead of raising.
+
+def h_value(pair: PairState, config: BarrierConfig) -> BarrierValue:
+    """Closed-form barrier value and minimizing time of one pair.
+
+    Raises DomainError when the pair lies outside the barrier domain.
     """
-    r1, r2, de = m.r1, m.r2, params.delta
-    s1, c1 = np.sin(ath), np.cos(ath)
-    s2, c2 = np.sin(bth), np.cos(bth)
-    wx = r1 * s1 - r2 * s2
-    wy = -r1 * c1 + r2 * c2
-    dcx = (apx - r1 * s1) - (bpx - r2 * s2)
-    dcy = (apy + r1 * c1) - (bpy + r2 * c2)
-    A = dcx * dcx + dcy * dcy + wx * wx + wy * wy - 2.0 * de
-    P = 2.0 * (dcx * wx + dcy * wy) + de * (s1 - c1)
-    Q = 2.0 * (wx * dcy - wy * dcx) + de * (c1 + s1)
-    rad = A - np.hypot(P, Q)
-    with np.errstate(invalid="ignore"):
-        return np.where(rad < 0.0, np.nan, np.sqrt(np.maximum(rad, 0.0))) - params.ds
+    p, _ = _pair_pass(pair, config, need_grad=False)
+    return BarrierValue(float(p.s[0]) - config.safety.ds, float(minimizer_tau(p, config)[0]))
 
 
-def h_straight_batch(
-    apx: np.ndarray,
-    apy: np.ndarray,
-    ath: np.ndarray,
-    bpx: np.ndarray,
-    bpy: np.ndarray,
-    bth: np.ndarray,
-    m: StraightManeuver,
-    ds: float,
-) -> np.ndarray:
-    """Vectorized h_straight over arrays of pair states."""
-    p0x = apx - bpx
-    p0y = apy - bpy
-    dvx = m.v1 * np.cos(ath) - m.v2 * np.cos(bth)
-    dvy = m.v1 * np.sin(ath) - m.v2 * np.sin(bth)
-    dv2 = dvx * dvx + dvy * dvy
-    tau = np.maximum(0.0, -(p0x * dvx + p0y * dvy) / dv2)
-    return np.hypot(p0x + tau * dvx, p0y + tau * dvy) - ds
+def h_turn(pair: PairState, m: TurnManeuver, params: SafetyParams) -> BarrierValue:
+    """Synchronized-turn barrier via phasor reduction (see _turn_phasor)."""
+    return h_value(pair, BarrierConfig(m, params))
+
+
+def h_straight(pair: PairState, m: StraightManeuver, ds: float) -> BarrierValue:
+    """Straight-maneuver barrier via closest point of approach:
+    value = |p0 + tau* dv| - ds (see _straight_relative)."""
+    return h_value(pair, BarrierConfig(m, SafetyParams(delta=1.0, ds=ds)))  # delta is unused
+
+
+# pairs per barrier pass in h_batch: the (4, 2048) complex rows take 128 KiB,
+# glibc's default threshold for mapping fresh pages per allocation, so the
+# pass's temporaries stay cache resident and are reused between chunks
+H_BATCH_CHUNK = 2048
 
 
 def h_batch(pair_arrays, config: BarrierConfig) -> np.ndarray:
-    """Batch dispatch; pair_arrays = (apx, apy, ath, bpx, bpy, bth)."""
-    if isinstance(config.maneuver, TurnManeuver):
-        return h_turn_batch(*pair_arrays, config.maneuver, config.safety)
-    return h_straight_batch(*pair_arrays, config.maneuver, config.safety.ds)
+    """Barrier values over arrays of pair states, pair_arrays =
+    (apx, apy, ath, bpx, bpy, bth); NaN where the radicand is negative
+    instead of raising."""
+    arrays = [np.asarray(a, dtype=float) for a in pair_arrays]
+    h = np.empty(arrays[0].shape)
+    for i in range(0, h.size, H_BATCH_CHUNK):
+        chunk = [a[i : i + H_BATCH_CHUNK] for a in arrays]
+        h[i : i + H_BATCH_CHUNK] = barrier_pass(flat_pair_rows(chunk, config), config).s
+    return h - config.safety.ds
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +458,12 @@ def default_horizon(pair: PairState, config: BarrierConfig) -> float:
     man = config.maneuver
     if isinstance(man, TurnManeuver):
         return 2.0 * math.pi / man.turn_rate
-    p0x, p0y, dvx, dvy = _straight_relative(pair, man)
+    dvx = man.v1 * math.cos(pair.a.heading) - man.v2 * math.cos(pair.b.heading)
+    dvy = man.v1 * math.sin(pair.a.heading) - man.v2 * math.sin(pair.b.heading)
     speed = math.hypot(dvx, dvy)
     if speed == 0.0:
         raise ValueError("relative velocity vanishes (maneuver precondition violated)")
-    return 2.0 * (math.hypot(p0x, p0y) / speed + 1.0)
+    return 2.0 * (math.hypot(pair.a.px - pair.b.px, pair.a.py - pair.b.py) / speed + 1.0)
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -435,85 +540,19 @@ def h_oracle(
 
 
 def grad_h(pair: PairState, config: BarrierConfig) -> BarrierGradient:
-    """Analytic barrier gradient over the stacked pair state (8-vector).
-
-    Envelope theorem: the minimizing time tau* is stationary (interior
-    minimizer) or locally constant (tau* = 0 with the distance diverging), so
-    the gradient equals that of rho(x_hat(tau*)) with tau* held fixed.
-    """
-    man = config.maneuver
-    ds = config.safety.ds
-    g = np.zeros(8)
-    if isinstance(man, StraightManeuver):
-        p0x, p0y, dvx, dvy = _straight_relative(pair, man)
-        dv2 = dvx * dvx + dvy * dvy
-        if dv2 == 0.0:
-            raise ValueError("relative velocity vanishes (maneuver precondition violated)")
-        proj = p0x * dvx + p0y * dvy
-        at_kink = proj == 0.0
-        tau = max(0.0, -proj / dv2)
-        dx = p0x + tau * dvx
-        dy = p0y + tau * dvy
-        dist = math.hypot(dx, dy)
-        if dist == 0.0:
-            raise DomainError("coincident closest approach; gradient undefined")
-        nx, ny = dx / dist, dy / dist
-        th1, th2 = pair.a.heading, pair.b.heading
-        g[0], g[1] = nx, ny
-        g[2] = tau * man.v1 * (-nx * math.sin(th1) + ny * math.cos(th1))
-        g[4], g[5] = -nx, -ny
-        g[6] = -tau * man.v2 * (-nx * math.sin(th2) + ny * math.cos(th2))
-        return BarrierGradient(g, at_kink)
-
-    val = h_turn(pair, man, config.safety)
-    tau = val.minimizer_tau
-    w = man.turn_rate
-    v1, v2 = man.sigma * man.speed, man.speed
-    th1, th2 = pair.a.heading, pair.b.heading
-    th1p, th2p = th1 + w * tau, th2 + w * tau
-    a1 = propagate_turn(pair.a, v1, w, tau)
-    b1 = propagate_turn(pair.b, v2, w, tau)
-    dx, dy = a1.px - b1.px, a1.py - b1.py
-    de = config.safety.delta
-    rad = dx * dx + dy * dy - 2.0 * de + de * math.sin(th1p) - de * math.cos(th1p)
-    if rad <= 0.0:
-        raise DomainError("gradient undefined at the domain boundary")
-    s = math.sqrt(rad)
-    nx, ny = dx / s, dy / s
-    g[0], g[1] = nx, ny
-    g[2] = (
-        nx * (v1 / w) * (math.cos(th1p) - math.cos(th1))
-        + ny * (v1 / w) * (math.sin(th1p) - math.sin(th1))
-        + de * (math.cos(th1p) + math.sin(th1p)) / (2.0 * s)
-    )
-    g[4], g[5] = -nx, -ny
-    g[6] = -(
-        nx * (v2 / w) * (math.cos(th2p) - math.cos(th2))
-        + ny * (v2 / w) * (math.sin(th2p) - math.sin(th2))
-    )
-    return BarrierGradient(g, False)
+    """Analytic barrier gradient over the stacked pair state (8-vector); see
+    lie_rows.  Raises DomainError where it is undefined."""
+    p, e = _pair_pass(pair, config, need_grad=True)
+    n, lg = lie_rows(p, e, config)
+    nx, ny = float(n.real[0]), float(n.imag[0])
+    at_kink = isinstance(p, StraightPass) and bool(p.proj[0] == 0.0)
+    return BarrierGradient(np.array([nx, ny, lg[0, 1], 0.0, -nx, -ny, lg[0, 4], 0.0]), at_kink)
 
 
 def lie_derivatives(pair: PairState, config: BarrierConfig) -> tuple[float, np.ndarray]:
-    """(L_f h, L_g h) for the control-affine form of the pair dynamics.
-
-    With the driftless factorization x_dot = g(x) u over the stacked control
-    u = (v1, w1, zeta1, v2, w2, zeta2), L_f h = 0 and L_g h = grad_h . g(x).
-    The zeta columns vanish because the safety functions are planar.
-    """
-    gr = grad_h(pair, config).grad
-    th1, th2 = pair.a.heading, pair.b.heading
-    lg = np.array(
-        [
-            gr[0] * math.cos(th1) + gr[1] * math.sin(th1),
-            gr[2],
-            gr[3],
-            gr[4] * math.cos(th2) + gr[5] * math.sin(th2),
-            gr[6],
-            gr[7],
-        ]
-    )
-    return 0.0, lg
+    """(L_f h, L_g h) of one pair; see lie_rows."""
+    p, e = _pair_pass(pair, config, need_grad=True)
+    return 0.0, lie_rows(p, e, config)[1][0]
 
 
 def maneuver_control_vector(man: Maneuver) -> np.ndarray:

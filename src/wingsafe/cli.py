@@ -25,8 +25,8 @@ import csv
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -101,9 +101,11 @@ class RunManifest:
 
 
 def _atomic_write(path: Path, write_fn) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.  The temp
+    file is created with mode 0o666 filtered by the umask, as open() would."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             write_fn(fh)
@@ -123,31 +125,28 @@ TRACE_COLUMNS = [
 
 
 def write_outputs(out_dir: Path, cfg: ScenarioConfig, trace, metrics) -> None:
-    n = trace.states.shape[1] if trace.n_steps else len(cfg.vehicles)
-    pair_index = [[] for _ in range(n)]
-    for k, (i, j) in enumerate(trace.pairs):
-        pair_index[i].append(k)
-        pair_index[j].append(k)
-
     def write_trace(fh):
         w = csv.writer(fh)
         w.writerow(TRACE_COLUMNS)
-        for s in range(trace.n_steps):
-            for v in range(n):
-                ks = pair_index[v]
-                if ks:
-                    vals = trace.pair_h_shaped[s, ks]
-                    vals = vals[np.isfinite(vals)]
-                    min_h = repr(float(vals.min())) if vals.size else ""
-                else:
-                    min_h = ""
-                w.writerow(
-                    [repr(float(trace.times[s])), v]
-                    + [repr(float(x)) for x in trace.states[s, v]]
-                    + [repr(float(x)) for x in trace.nominal[s, v]]
-                    + [repr(float(x)) for x in trace.filtered[s, v]]
-                    + [min_h]
-                )
+        if not trace.n_steps:
+            return
+        # per step and vehicle: the minimum shaped barrier over its pairs
+        vehicles = range(trace.states.shape[1])
+        pairs = np.array(trace.pairs, dtype=int).reshape(-1, 2)
+        min_h = np.stack([
+            np.fmin.reduce(trace.pair_h_shaped[:, (pairs == v).any(axis=1)], axis=1, initial=np.nan)
+            for v in vehicles
+        ], axis=1)
+        for s0 in range(0, trace.n_steps, 64):  # 64 steps of rows formatted at once
+            block = slice(s0, s0 + 64)
+            columns = np.concatenate(
+                (trace.states[block], trace.nominal[block], trace.filtered[block]), axis=2
+            ).tolist()
+            w.writerows(
+                [repr(t), v, *map(repr, columns[b][v]), repr(h) if h == h else ""]
+                for b, (t, hs) in enumerate(zip(trace.times[block].tolist(), min_h[block].tolist()))
+                for v, h in zip(vehicles, hs)
+            )
 
     _atomic_write(out_dir / "trace.csv", write_trace)
 
@@ -181,7 +180,11 @@ def cmd_run(manifest: RunManifest) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    write_outputs(manifest.out_dir, cfg, trace, metrics)
+    try:
+        write_outputs(manifest.out_dir, cfg, trace, metrics)
+    except OSError as err:
+        print(f"error: cannot write outputs: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     print(
         f"run complete: steps={metrics.n_steps} min_distance={metrics.min_distance!r} "
         f"min_h_tilde={metrics.min_h_shaped!r} events={metrics.n_events}"
@@ -226,11 +229,6 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float], workers: int | None = 
 
     if workers is None:
         workers = min(4, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, jobs))
-    else:
-        results = [_sweep_one(j) for j in jobs]
 
     def write_sweep(fh):
         w = csv.writer(fh)
@@ -240,7 +238,16 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float], workers: int | None = 
                 [repr(row["R"]), repr(row["min_distance"]), repr(row["min_h_tilde"]), repr(rmin)]
             )
 
-    _atomic_write(manifest.out_dir / "sweep.csv", write_sweep)
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_sweep_one, jobs))
+        else:
+            results = [_sweep_one(j) for j in jobs]
+        _atomic_write(manifest.out_dir / "sweep.csv", write_sweep)
+    except OSError as err:
+        print(f"error: cannot write outputs: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     for row in results:
         print(
             f"R={row['R']!r}: min_distance={row['min_distance']!r} "

@@ -39,9 +39,8 @@ class VehicleState:
     pz: float = 0.0
 
     def __post_init__(self):
-        for name in ("px", "py", "heading", "pz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite state field {name!r}")
+        if not all(map(math.isfinite, (self.px, self.py, self.heading, self.pz))):
+            raise ValueError(f"non-finite state field in {self!r}")
         object.__setattr__(self, "heading", wrap_angle(self.heading))
 
 
@@ -54,9 +53,8 @@ class ControlInput:
     climb_rate: float = 0.0
 
     def __post_init__(self):
-        for name in ("speed", "turn_rate", "climb_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite control field {name!r}")
+        if not all(map(math.isfinite, (self.speed, self.turn_rate, self.climb_rate))):
+            raise ValueError(f"non-finite control field in {self!r}")
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,9 @@ def propagate_straight(state: VehicleState, speed: float, climb_rate: float, tau
 
 
 def clamp_input(u: ControlInput, limits: ActuatorLimits) -> ControlInput:
-    """Componentwise projection of a control onto the actuator box."""
+    """Componentwise projection of a control onto the actuator box (u if inside)."""
+    if limits.contains(u):
+        return u
     return ControlInput(
         min(max(u.speed, limits.v_min), limits.v_max),
         min(max(u.turn_rate, -limits.omega_max), limits.omega_max),

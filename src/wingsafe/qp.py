@@ -48,7 +48,7 @@ class ConstraintRow:
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
         object.__setattr__(self, "coeffs", c)
-        if not (np.all(np.isfinite(c)) and math.isfinite(self.offset)):
+        if not (np.isfinite(c).all() and math.isfinite(self.offset)):
             raise ValueError("non-finite constraint row")
         if not c.any() and self.offset < 0.0:
             raise ValueError("zero row with negative offset is infeasible by construction")
@@ -71,32 +71,19 @@ class QPProblem:
         n = self.u_hat.size
         self.lower = np.full(n, -np.inf) if self.lower is None else np.asarray(self.lower, float)
         self.upper = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, float)
-        if np.any(self.lower > self.upper):
+        if (self.lower > self.upper).any():
             raise ValueError("empty box (lower > upper)")
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All constraints as A u >= b: barrier rows first, then finite box
         faces (lower, then upper), preserving index order."""
         n = self.u_hat.size
-        mats, rhs = [], []
-        for r in self.rows:
-            mats.append(r.coeffs)
-            rhs.append(-r.offset)
-        for i in range(n):
-            if np.isfinite(self.lower[i]):
-                e = np.zeros(n)
-                e[i] = 1.0
-                mats.append(e)
-                rhs.append(self.lower[i])
-        for i in range(n):
-            if np.isfinite(self.upper[i]):
-                e = np.zeros(n)
-                e[i] = -1.0
-                mats.append(e)
-                rhs.append(-self.upper[i])
-        if mats:
-            return np.vstack(mats), np.array(rhs)
-        return np.zeros((0, n)), np.zeros(0)
+        eye = np.eye(n)
+        lo, hi = np.isfinite(self.lower), np.isfinite(self.upper)
+        rows = np.array([r.coeffs for r in self.rows], dtype=float).reshape(-1, n)
+        A = np.vstack([rows, eye[lo], 0.0 - eye[hi]])  # 0.0 - x: no negative zeros
+        b = np.concatenate([[-r.offset for r in self.rows], self.lower[lo], -self.upper[hi]])
+        return A, b
 
 
 def solve_qp(problem: QPProblem, tol: float = 1e-11, max_iter: int | None = None):
@@ -111,7 +98,7 @@ def solve_qp(problem: QPProblem, tol: float = 1e-11, max_iter: int | None = None
     u = problem.u_hat.copy()
     if m == 0:
         return u, np.zeros(0)
-    norms = np.maximum(np.linalg.norm(A, axis=1), 1.0)
+    norms = np.maximum(np.sqrt(np.add.reduce(A * A, axis=1)), 1.0)  # row 2-norms
     if max_iter is None:
         max_iter = 50 * (m + n)
 

@@ -11,6 +11,11 @@ barrier every control is admissible there, so no constraint needs to be
 evaluated - which is the whole point, since h could not be computed without
 sensing anyway.
 
+All pairs (i < j) are evaluated in one array pass in lexicographic order;
+gradients are computed only for the rows that can bind (sensed, barrier
+defined, and below the shaping threshold - or every such row of the raw
+barrier).
+
 Modes:
 
 * centralized: one QP over all vehicles' stacked controls with one row per
@@ -30,8 +35,9 @@ event is reported, never raised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,13 +46,18 @@ from .barrier import (
     DomainError,
     LinearGain,
     PairState,
-    h_value,
-    lie_derivatives,
+    StraightPass,
+    TurnPass,
+    barrier_pass,
+    domain_errors,
+    lie_rows,
     maneuver_control_vector,
+    pair_rows,
+    phasor_rows,
 )
 from .dynamics import ActuatorLimits, ControlInput, VehicleState, clamp_input
 from .qp import ConstraintRow, QPInfeasibleError, QPProblem, solve_qp
-from .shaping import SensorModel, ShapingParams, in_sensor_set, shape_grad, shape_h
+from .shaping import SensorModel, ShapingParams, psi_deriv_batch, shape_h_batch
 
 
 @dataclass(frozen=True)
@@ -71,65 +82,88 @@ class FilterConfig:
 
 
 @dataclass
-class PairDiagnostics:
-    """Per-pair record produced while filtering one step."""
-
-    in_sensor: bool
-    h: float = math.nan
-    h_shaped: float = math.nan
-    margin: float = math.nan  # pair-row margin of the filtered control
-
-
-@dataclass
 class FilterResult:
+    """Filtered controls plus one entry per pair (i < j), in the order of
+    pair_index: raw barrier h and shaped barrier h_shaped (NaN outside the
+    barrier domain), the pair-row margin under the final controls (NaN where
+    the pair constrains nothing: unsensed, undefined, or mode off), and
+    whether the pair is in the sensor set."""
+
     controls: list[ControlInput]
-    pair_data: dict[tuple[int, int], PairDiagnostics] = field(default_factory=dict)
+    h: np.ndarray
+    h_shaped: np.ndarray
+    margin: np.ndarray
+    in_sensor: np.ndarray
     events: list[str] = field(default_factory=list)
     fallback: set[int] = field(default_factory=set)
 
 
-def _shaped_row(pair: PairState, config: FilterConfig):
-    """(h, h_shaped, lg_shaped, offset) of the pair constraint."""
-    h = h_value(pair, config.barrier).value
+@lru_cache(maxsize=None)
+def pair_index(n: int) -> np.ndarray:
+    """Vehicle indices of all pairs i < j in lexicographic order, as the
+    (2, P) array [i, j]."""
+    idx = np.array(np.triu_indices(n, 1)).reshape(2, -1)
+    idx.flags.writeable = False
+    return idx
+
+
+class PairPass(NamedTuple):
+    """The array pass over all pairs (see pair_index), and which rows carry a
+    gradient if sensed: below the shaping threshold, or every defined row of
+    the raw barrier."""
+
+    g: np.ndarray
+    barrier: TurnPass | StraightPass
+    in_sensor: np.ndarray
+    h: np.ndarray
+    h_shaped: np.ndarray
+    lie: np.ndarray
+
+
+def pair_pass(world: list[VehicleState], config: FilterConfig) -> PairPass:
+    g = phasor_rows(world).take(pair_index(len(world)), 1).transpose(1, 0, 2)
+    b = barrier_pass(pair_rows(g, config.barrier), config.barrier)
+    h = b.s - config.barrier.safety.ds
     if config.shaping is None:
-        _, lg = lie_derivatives(pair, config.barrier)
-        return h, h, lg, config.gain(h)
-    sh = shape_h(h, config.shaping)
-    if h >= config.shaping.xi:
-        lg = np.zeros(6)
+        h_shaped, lie = h, b.s >= 0.0
     else:
-        _, lg = lie_derivatives(pair, config.barrier)
-        lg = shape_grad(h, lg, config.shaping)
-    return h, sh, lg, config.gain(sh)
+        h_shaped, lie = shape_h_batch(h, config.shaping), h < config.shaping.xi
+    r2 = config.sensor.range_m * config.sensor.range_m
+    return PairPass(g, b, b.d2 <= r2, h, h_shaped, lie)
+
+
+def _shaped_rows(p: PairPass, rows, config: FilterConfig) -> np.ndarray:
+    """Constraint coefficients psi'(h) * L_g h of the given rows, all of which
+    lie below the shaping threshold."""
+    e = p.g[:, 1].take(rows, 1).T  # heading phasors e1, e2 of the rows
+    b = type(p.barrier)(*(a.take(rows, -1) for a in p.barrier))  # the pass at the rows
+    _, lg = lie_rows(b, e, config.barrier)
+    if config.shaping is not None:
+        lg *= psi_deriv_batch(p.h.take(rows), config.shaping)[:, None]
+    return lg
 
 
 def assemble_pair_constraint(pair: PairState, config: FilterConfig) -> ConstraintRow | None:
     """Barrier constraint row over the pair's stacked control
     (v1, w1, zeta1, v2, w2, zeta2), or None when the pair is outside the
     sensor set.  Barrier domain errors propagate to the caller."""
-    if not in_sensor_set(pair, config.sensor):
+    p = pair_pass([pair.a, pair.b], config)
+    if not p.in_sensor[0]:
         return None
-    _, _, lg, offset = _shaped_row(pair, config)
-    return ConstraintRow(lg, offset)
+    for _, msg in domain_errors(p.barrier, config.barrier, p.lie):
+        raise DomainError(msg)
+    lg = _shaped_rows(p, [0], config)[0] if p.lie[0] else np.zeros(6)
+    return ConstraintRow(lg, config.gain(p.h_shaped[0]))
 
 
 def _box(limits: ActuatorLimits, n_vehicles: int):
-    lo = np.tile([limits.v_min, -limits.omega_max, -limits.zeta_max], n_vehicles)
-    hi = np.tile([limits.v_max, limits.omega_max, limits.zeta_max], n_vehicles)
+    lo = np.array([limits.v_min, -limits.omega_max, -limits.zeta_max] * n_vehicles)
+    hi = np.array([limits.v_max, limits.omega_max, limits.zeta_max] * n_vehicles)
     return lo, hi
 
 
-def _pair_gamma(config: FilterConfig) -> np.ndarray:
-    return maneuver_control_vector(config.barrier.maneuver)
-
-
-def _fallback_control(i: int, pairs_of, config: FilterConfig) -> ControlInput:
-    """Evading control for vehicle i: its role in the lowest-indexed sensed
-    pair containing it (role 1 when it is the pair's first vehicle)."""
-    u1, u2 = config.barrier.maneuver.controls()
-    first = next(((a, b) for (a, b) in pairs_of if i in (a, b)), None)
-    u = u1 if (first is not None and first[0] == i) else u2
-    return clamp_input(ControlInput(*u), config.limits)
+def _control_array(controls: list[ControlInput]) -> np.ndarray:
+    return np.array([(c.speed, c.turn_rate, c.climb_rate) for c in controls], dtype=float)
 
 
 def filter_controls(
@@ -140,93 +174,104 @@ def filter_controls(
 ) -> FilterResult:
     """Filter nominal controls through the barrier QP.
 
-    Pair constraints are assembled in lexicographic (i < j) order; barrier
-    values are recorded for every pair (the simulator is omniscient even
-    where the vehicles are not), but only sensed pairs constrain the QP.
+    Barrier values are recorded for every pair (the simulator is omniscient
+    even where the vehicles are not), but only sensed pairs constrain the QP.
     """
     if mode not in ("centralized", "split", "off"):
         raise ValueError(f"unknown filter mode {mode!r}")
     n = len(world)
     if len(nominal) != n:
         raise ValueError("one nominal control per vehicle required")
-    result = FilterResult(controls=[clamp_input(u, config.limits) for u in nominal])
-    if n == 0:
-        return result
+    controls = [clamp_input(u, config.limits) for u in nominal]
+    p = pair_pass(world, config)
+    in_sensor, lie = p.in_sensor, p.lie
+    need = in_sensor & lie  # rows that can bind; sensed plateau rows are vacuous
+    defined = p.barrier.s.min(initial=np.inf) > 0.0  # False on NaN
+    if defined and not np.count_nonzero(need):
+        # no row can bind: the nominal stands
+        if mode == "off":
+            margin = np.full(p.h.shape, np.nan)
+        else:
+            margin = np.where(in_sensor, config.gain(p.h_shaped), np.nan)
+        return FilterResult(controls, p.h, p.h_shaped, margin, in_sensor)
 
-    pairs: list[tuple[int, int]] = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rows: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
-    failed_pairs: list[tuple[int, int]] = []
-    for i, j in pairs:
-        pair = PairState(world[i], world[j])
-        diag = PairDiagnostics(in_sensor=in_sensor_set(pair, config.sensor))
-        result.pair_data[(i, j)] = diag
-        try:
-            h, sh, lg, offset = _shaped_row(pair, config)
-        except DomainError as err:
-            result.events.append(f"domain-error pair=({i},{j}) {err}")
-            if diag.in_sensor:
-                failed_pairs.append((i, j))
-            continue
-        diag.h, diag.h_shaped = h, sh
-        if diag.in_sensor:
-            rows[(i, j)] = (lg, offset)
-
+    result = FilterResult(controls, p.h, p.h_shaped, None, in_sensor)  # margin set below
+    ii, jj = idx = pair_index(n)
+    ok = in_sensor  # sensed rows whose constraint can be evaluated
+    failed_rows = np.zeros(0, int)
+    if not defined:
+        failed = np.zeros(p.h.shape, bool)
+        for k, msg in domain_errors(p.barrier, config.barrier, lie):
+            result.events.append(f"domain-error pair=({ii[k]},{jj[k]}) {msg}")
+            failed[k] = True
+        ok = in_sensor & ~failed
+        need = ok & lie
+        failed_rows = np.flatnonzero(in_sensor & failed)
     if mode == "off":
+        result.margin = np.full(p.h.shape, np.nan)
         return result
-
-    sensed = sorted(rows)
-    for i, j in failed_pairs:
+    for k in failed_rows:
         # cannot evaluate the constraint: treat both vehicles as conflicted
-        result.fallback.update((i, j))
+        result.fallback.update((int(ii[k]), int(jj[k])))
 
-    if mode == "centralized":
-        _filter_centralized(world, config, result, sensed, rows, n)
-    else:
-        _filter_split(world, config, result, sensed, rows, n)
+    rows = np.flatnonzero(need)
+    lg = _shaped_rows(p, rows, config)
+    offset = config.gain(p.h_shaped)
+    pairs, row_offset = idx.take(rows, 1), offset.take(rows)  # pairs: (2, rows) vehicles
+    margin = _row_margins(lg, row_offset, result.controls, pairs)
+    if mode == "split" or failed_rows.size or np.count_nonzero(margin < 0.0):
+        # the clamped nominal violates a pair row; otherwise the centralized
+        # QP would return it unchanged (split mode divides the rows, and a
+        # half-row can be violated while its pair row holds)
+        solve = _filter_centralized if mode == "centralized" else _filter_split
+        solve(config, result, pairs, lg, row_offset, n)
+        u1, u2 = config.barrier.maneuver.controls()
+        for v in sorted(result.fallback):
+            # role in the lowest-indexed sensed pair containing v, else in the
+            # lowest-indexed pair whose constraint could not be evaluated
+            candidates = np.concatenate([np.flatnonzero(ok), failed_rows])
+            first = next((k for k in candidates if v in (ii[k], jj[k])), None)
+            u = u1 if (first is not None and ii[first] == v) else u2
+            result.controls[v] = clamp_input(ControlInput(*u), config.limits)
+        margin = _row_margins(lg, row_offset, result.controls, pairs)
 
-    for i in sorted(result.fallback):
-        pairs_of = [p for p in sensed if i in p] or [p for p in failed_pairs if i in p]
-        result.controls[i] = _fallback_control(i, pairs_of, config)
-
-    # record achieved pair margins under the final controls
-    u_final = np.concatenate(
-        [[c.speed, c.turn_rate, c.climb_rate] for c in result.controls]
-    )
-    for (i, j), (lg, offset) in rows.items():
-        upair = np.concatenate([u_final[3 * i : 3 * i + 3], u_final[3 * j : 3 * j + 3]])
-        result.pair_data[(i, j)].margin = float(lg @ upair) + offset
+    # achieved pair margins under the final controls
+    result.margin = np.where(ok, offset, np.nan)
+    result.margin[rows] = margin
     return result
 
 
-def _filter_centralized(world, config, result, sensed, rows, n):
-    # drop plateau rows: zero coefficients with positive offset never bind
-    binding = [(i, j) for (i, j) in sensed if rows[(i, j)][0].any()]
-    if not binding:
+def _row_margins(lg, offset, controls: list[ControlInput], pairs) -> np.ndarray:
+    """lg . (u_i, u_j) + offset of each row under the given controls."""
+    u_pairs = _control_array(controls).take(pairs.T, 0)  # (rows, 2, 3)
+    return (lg.reshape(-1, 2, 3) * u_pairs).sum(axis=(1, 2)) + offset
+
+
+def _filter_centralized(config, result, pairs, lg, offset, n):
+    binding = lg.any(axis=1)
+    if not binding.all():
+        # zero rows (plateau-like): with a positive offset they never bind
+        pairs, lg, offset = pairs[:, binding], lg[binding], offset[binding]
+    k = len(offset)
+    if not k:
         return
-    u_hat = np.concatenate(
-        [[c.speed, c.turn_rate, c.climb_rate] for c in result.controls]
-    )
+    coeffs = np.zeros((k, n, 3))
+    coeffs[np.arange(k), pairs] = lg.reshape(k, 2, 3).transpose(1, 0, 2)
     lo, hi = _box(config.limits, n)
-    stacked_rows = []
-    for i, j in binding:
-        lg, offset = rows[(i, j)]
-        coeffs = np.zeros(3 * n)
-        coeffs[3 * i : 3 * i + 3] = lg[:3]
-        coeffs[3 * j : 3 * j + 3] = lg[3:]
-        stacked_rows.append(ConstraintRow(coeffs, offset))
-    problem = QPProblem(u_hat, stacked_rows, lo, hi)
+    rows = [ConstraintRow(c, o) for c, o in zip(coeffs.reshape(k, 3 * n), offset.tolist())]
+    problem = QPProblem(_control_array(result.controls).ravel(), rows, lo, hi)
     try:
         u_star, _ = solve_qp(problem)
     except QPInfeasibleError as err:
         result.events.append(f"qp-infeasible mode=centralized {err}")
-        involved = {v for (i, j) in binding for v in (i, j)}
-        result.fallback.update(involved)
+        result.fallback.update(pairs.ravel().tolist())
         return
-    for i in range(n):
-        result.controls[i] = ControlInput(*u_star[3 * i : 3 * i + 3])
+    # the solver meets the box to its tolerance; clamp into it exactly
+    u_star = np.clip(u_star, lo, hi).reshape(n, 3)
+    result.controls = [ControlInput(*u) for u in u_star.tolist()]
 
 
-def _filter_split(world, config, result, sensed, rows, n):
+def _filter_split(config, result, pairs, lg, offset, n):
     """Per-vehicle QPs with the pair rows divided half-and-half.
 
     For pair (i, j) with full row  lg_i . u_i + lg_j . u_j + off >= 0,
@@ -239,19 +284,18 @@ def _filter_split(world, config, result, sensed, rows, n):
     the vehicle's own evading control equals (lg . g + off)/2 >= 0 whenever
     the pair is safe, so the halves are individually satisfiable.
     """
-    gamma = _pair_gamma(config)
+    gamma = maneuver_control_vector(config.barrier.maneuver)
     lo, hi = _box(config.limits, 1)
+    ri, rj = pairs
     for v in range(n):
         my_rows = []
         stuck = False
-        for i, j in sensed:
-            if v not in (i, j):
-                continue
-            lg, offset = rows[(i, j)]
-            mine, theirs = (lg[:3], lg[3:]) if v == i else (lg[3:], lg[:3])
-            g_mine, g_theirs = (gamma[:3], gamma[3:]) if v == i else (gamma[3:], gamma[:3])
+        for k in np.flatnonzero((ri == v) | (rj == v)):
+            first = ri[k] == v
+            mine, theirs = (lg[k, :3], lg[k, 3:]) if first else (lg[k, 3:], lg[k, :3])
+            g_mine, g_theirs = (gamma[:3], gamma[3:]) if first else (gamma[3:], gamma[:3])
             corr = 0.5 * (float(theirs @ g_theirs) - float(mine @ g_mine))
-            half = 0.5 * offset + corr
+            half = 0.5 * float(offset[k]) + corr
             if mine.any():
                 my_rows.append(ConstraintRow(mine, half))
             elif half < 0.0:
@@ -266,7 +310,8 @@ def _filter_split(world, config, result, sensed, rows, n):
         problem = QPProblem(np.array([c.speed, c.turn_rate, c.climb_rate]), my_rows, lo, hi)
         try:
             u_star, _ = solve_qp(problem)
-            result.controls[v] = ControlInput(*u_star)
         except QPInfeasibleError as err:
             result.events.append(f"qp-infeasible mode=split vehicle={v} {err}")
             result.fallback.add(v)
+        else:
+            result.controls[v] = ControlInput(*np.clip(u_star, lo, hi).tolist())

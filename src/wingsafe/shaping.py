@@ -104,16 +104,12 @@ def psi_eval(eta: float, params: ShapingParams) -> float:
 
 def psi_deriv(eta: float, params: ShapingParams) -> float:
     """Interpolant slope: 1 up to beta*xi, 2*c1*eta + c2 beyond."""
-    if eta <= params.beta * params.xi:
-        return 1.0
-    return 2.0 * params.c1 * eta + params.c2
+    return float(psi_deriv_batch(eta, params))
 
 
 def shape_h(h: float, params: ShapingParams) -> float:
     """Shaped barrier value: h, psi(h), or the plateau psi(xi)."""
-    if h >= params.xi:
-        return psi_eval(params.xi, params)
-    return psi_eval(h, params)
+    return float(shape_h_batch(h, params))
 
 
 def shape_h_batch(h: np.ndarray, params: ShapingParams) -> np.ndarray:
@@ -130,6 +126,11 @@ def shape_grad(h: float, grad: np.ndarray, params: ShapingParams) -> np.ndarray:
     if h >= params.xi:
         return np.zeros_like(grad)
     return psi_deriv(h, params) * grad
+
+
+def psi_deriv_batch(eta: np.ndarray, params: ShapingParams) -> np.ndarray:
+    """Vectorized psi_deriv."""
+    return np.where(eta <= params.beta * params.xi, 1.0, 2.0 * params.c1 * eta + params.c2)
 
 
 def min_sensing_range(m: TurnManeuver, params: SafetyParams) -> float:

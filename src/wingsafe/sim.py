@@ -1,10 +1,11 @@
 """Deterministic multi-vehicle closed-loop simulation.
 
 Each step: evaluate every vehicle's nominal controller, filter the stacked
-controls through the barrier QP, clamp into the actuator box, and integrate
-every vehicle one RK4 step.  All pair barrier values are recorded every step
-(the trace is omniscient; the *filter* only uses sensed pairs), so metrics
-like the minimum shaped-barrier value over a run are exact.
+controls through the barrier QP (which clamps them into the actuator box),
+and integrate every vehicle one RK4 step.  All pair barrier values are
+recorded every step (the trace is omniscient; the *filter* only uses sensed
+pairs), so metrics like the minimum shaped-barrier value over a run are
+exact.
 
 Everything is pure floating-point arithmetic in a fixed evaluation order:
 identical configurations produce bitwise-identical traces.
@@ -13,6 +14,7 @@ identical configurations produce bitwise-identical traces.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -26,7 +28,7 @@ from .dynamics import (
     step_rk4,
     wrap_angle,
 )
-from .safety_filter import FilterConfig, filter_controls
+from .safety_filter import FilterConfig, filter_controls, pair_index
 
 
 class Controller(Protocol):
@@ -99,34 +101,6 @@ class GoalController:
         return clamp_input(ControlInput(speed, turn, climb), limits)
 
 
-def nominal_circle_controller(
-    state: VehicleState,
-    center: tuple[float, float],
-    radius: float,
-    direction: int,
-    speed: float,
-    limits: ActuatorLimits,
-) -> ControlInput:
-    """One-shot form of CircleController for a single state."""
-    return CircleController(center[0], center[1], radius, direction, speed).control(
-        state, 0.0, limits
-    )
-
-
-def nominal_goal_controller(
-    state: VehicleState,
-    goal: tuple[float, float, float],
-    limits: ActuatorLimits,
-    t: float = 0.0,
-    arrival_time: float | None = None,
-    cruise_speed: float = 20.0,
-) -> ControlInput:
-    """One-shot form of GoalController for a single state."""
-    return GoalController(
-        goal[0], goal[1], goal[2], cruise_speed=cruise_speed, arrival_time=arrival_time
-    ).control(state, t, limits)
-
-
 @dataclass
 class SimTrace:
     """Per-step records of one run; arrays are built by finalize()."""
@@ -162,106 +136,59 @@ class Metrics:
     n_events: int
 
 
-@dataclass
-class World:
-    """Mutable closed-loop state: time plus all vehicle states."""
-
-    t: float
-    states: list[VehicleState]
-
-
-def _pairwise_distances(states: list[VehicleState], pairs) -> np.ndarray:
-    return np.array(
-        [math.hypot(states[i].px - states[j].px, states[i].py - states[j].py) for i, j in pairs]
-    )
-
-
-def step_world(
-    world: World,
-    controllers: list[Controller],
-    fconfig: FilterConfig,
-    mode: str,
-    dt: float,
-    recorder: dict | None = None,
-) -> World:
-    """Advance the world one step: nominal -> filter -> clamp -> RK4.
-
-    Filter and barrier failures never abort the step; they surface as events
-    on the filter result with the evading-maneuver fallback applied (see
-    safety_filter).  When a recorder dict is passed it receives the nominal
-    controls, the applied controls, and the full FilterResult.
-    """
-    nominal = [c.control(s, world.t, fconfig.limits) for c, s in zip(controllers, world.states)]
-    res = filter_controls(world.states, nominal, fconfig, mode=mode)
-    applied = [clamp_input(u, fconfig.limits) for u in res.controls]
-    new_states = [step_rk4(s, u, dt) for s, u in zip(world.states, applied)]
-    if recorder is not None:
-        recorder["nominal"] = nominal
-        recorder["applied"] = applied
-        recorder["result"] = res
-    return World(world.t + dt, new_states)
-
-
 class Simulation:
-    """Step-by-step runner that accumulates the trace."""
+    """Step-by-step runner that accumulates the trace.
+
+    Filter and barrier failures never abort a step; they surface as events
+    with the evading-maneuver fallback applied (see safety_filter).
+    """
 
     def __init__(self, states, controllers, fconfig: FilterConfig, mode: str, dt: float):
-        self.world = World(0.0, list(states))
+        self.t = 0.0
+        self.states: list[VehicleState] = list(states)
         self.controllers = list(controllers)
         self.fconfig = fconfig
         self.mode = mode
         self.dt = dt
-        n = len(self.world.states)
-        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        self._rows: list[dict] = []
+        self.pairs = list(zip(*pair_index(len(self.states)).tolist()))
+        self._times: list[float] = []
+        self._vehicles = array("d")  # per step and vehicle: state, nominal, filtered
+        self._pair_rows: list[tuple[np.ndarray, ...]] = []  # (h, h_shaped, margin, in_sensor)
         self._events: list[tuple[int, str]] = []
-        self._step = 0
 
     def step(self):
-        rec: dict = {}
-        new_world = step_world(
-            self.world, self.controllers, self.fconfig, self.mode, self.dt, recorder=rec
-        )
-        res = rec["result"]
-        self._rows.append(
-            {
-                "t": self.world.t,
-                "states": np.array(
-                    [[s.px, s.py, s.heading, s.pz] for s in self.world.states]
-                ),
-                "nominal": np.array(
-                    [[u.speed, u.turn_rate, u.climb_rate] for u in rec["nominal"]]
-                ),
-                "filtered": np.array(
-                    [[u.speed, u.turn_rate, u.climb_rate] for u in rec["applied"]]
-                ),
-                "h": np.array([res.pair_data[p].h for p in self.pairs]),
-                "hs": np.array([res.pair_data[p].h_shaped for p in self.pairs]),
-                "margin": np.array([res.pair_data[p].margin for p in self.pairs]),
-                "in_s": np.array([res.pair_data[p].in_sensor for p in self.pairs], bool),
-            }
-        )
-        self._events.extend((self._step, e) for e in res.events)
-        self._step += 1
-        self.world = new_world
+        states, t = self.states, self.t
+        limits = self.fconfig.limits
+        nominal = [c.control(s, t, limits) for c, s in zip(self.controllers, states)]
+        res = filter_controls(states, nominal, self.fconfig, mode=self.mode)
+        self.states = [step_rk4(s, u, self.dt) for s, u in zip(states, res.controls)]
+        self._vehicles.extend([
+            x
+            for s, u, f in zip(states, nominal, res.controls)
+            for x in (s.px, s.py, s.heading, s.pz, u.speed, u.turn_rate, u.climb_rate,
+                      f.speed, f.turn_rate, f.climb_rate)
+        ])
+        self._pair_rows.append((res.h, res.h_shaped, res.margin, res.in_sensor))
+        self._events.extend((len(self._times), e) for e in res.events)
+        self._times.append(t)
+        self.t = t + self.dt
 
     def finalize(self) -> SimTrace:
         trace = SimTrace(pairs=self.pairs)
-        if self._rows:
-            trace.times = np.array([r["t"] for r in self._rows])
-            for name, key in (
-                ("states", "states"),
-                ("nominal", "nominal"),
-                ("filtered", "filtered"),
-                ("pair_h", "h"),
-                ("pair_h_shaped", "hs"),
-                ("pair_margin", "margin"),
-                ("pair_in_sensor", "in_s"),
-            ):
-                setattr(trace, name, np.stack([r[key] for r in self._rows]))
+        if self._times:
+            trace.times = np.array(self._times)
+            per_vehicle = np.array(self._vehicles).reshape(
+                len(self._times), len(self.states), 10
+            )
+            trace.states = per_vehicle[:, :, 0:4]
+            trace.nominal = per_vehicle[:, :, 4:7]
+            trace.filtered = per_vehicle[:, :, 7:10]
+            trace.pair_h, trace.pair_h_shaped, trace.pair_margin, trace.pair_in_sensor = (
+                np.stack(column) for column in zip(*self._pair_rows)
+            )
         trace.events = self._events
         trace.final_states = np.array(
-            [[s.px, s.py, s.heading, s.pz] for s in self.world.states]
+            [[s.px, s.py, s.heading, s.pz] for s in self.states]
         )
         return trace
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wingsafe.barrier import (
     BarrierConfig,
@@ -11,6 +13,7 @@ from wingsafe.barrier import (
     SafetyParams,
     StraightManeuver,
     TurnManeuver,
+    barrier_pass,
     constraint_margin,
     grad_h,
     h_batch,
@@ -19,7 +22,12 @@ from wingsafe.barrier import (
     h_turn,
     h_value,
     lie_derivatives,
+    lie_rows,
     maneuver_control_vector,
+    minimizer_tau,
+    flat_pair_rows,
+    pair_rows,
+    phasor_rows,
     rho_straight,
     rho_turn,
     squared_planar_distance,
@@ -226,19 +234,20 @@ def smooth_pair(rng, cfg, span):
 
     while True:
         pair = random_valid_pair(rng, cfg, span=span)
+        y = pair_rows(phasor_rows([pair.a, pair.b]).T.reshape(2, 4, 1), cfg)
         if isinstance(cfg.maneuver, StraightManeuver):
-            p0x, p0y, dvx, dvy = _straight_relative(pair, cfg.maneuver)
-            proj = p0x * dvx + p0y * dvy
-            scale = math.hypot(p0x, p0y) * math.hypot(dvx, dvy)
-            if abs(proj) < 1e-3 * scale:
+            p = _straight_relative(y)
+            scale = math.sqrt(float(p.d2[0])) * abs(complex(y[1, 0]))
+            if abs(float(p.proj[0])) < 1e-3 * scale:
                 continue
             if h_value(pair, cfg).value < -cfg.safety.ds * 0.9:
                 continue  # close-to-coincident CPA has a steep, ill-conditioned gradient
         else:
-            A, P, Q = _turn_phasor(pair, cfg.maneuver, cfg.safety)
-            if math.hypot(P, Q) < 1e-3 * (1.0 + abs(A)):
+            p = _turn_phasor(y, cfg.safety.delta)
+            M, rad = float(p.M[0]), float(p.rad[0])  # rad = A - M
+            if M < 1e-3 * (1.0 + abs(rad + M)):
                 continue
-            if A - math.hypot(P, Q) < 1.0:
+            if rad < 1.0:
                 continue  # keep away from the domain boundary for FD probing
         return pair
 
@@ -387,3 +396,75 @@ class TestConstraintMargin:
         alpha = LinearGain(1.0)
         u = np.array([25, 0.23, 5, 25, 0.23, 5])
         assert constraint_margin(pair, u, turn_config, alpha) > 0.0
+
+
+def barrier_configs():
+    turn = st.builds(
+        lambda sigma, speed, rate, delta, ds: BarrierConfig(
+            TurnManeuver(sigma, speed, rate), SafetyParams(delta, ds)
+        ),
+        st.floats(0.2, 1.0), st.floats(2.0, 25.0), st.floats(0.05, 1.0),
+        st.floats(1e-4, 0.1), st.floats(1.0, 10.0),
+    )
+    straight = st.builds(
+        lambda v1, dv, ds: BarrierConfig(StraightManeuver(v1, v1 + dv), SafetyParams(0.01, ds)),
+        st.floats(2.0, 25.0), st.floats(0.5, 10.0) | st.floats(-1.9, -0.5), st.floats(1.0, 10.0),
+    )
+    return turn | straight
+
+
+states = st.builds(
+    lambda x, y, th: VehicleState(x, y, th, 0.0),
+    st.floats(-300.0, 300.0), st.floats(-300.0, 300.0), st.floats(-math.pi, math.pi),
+)
+
+
+class TestArrayPassAgreement:
+    """The scalar wrappers are the array pass with one row: identical values,
+    and a DomainError exactly where the pass gives NaN."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(barrier_configs(), st.lists(st.tuples(states, states), min_size=1, max_size=12))
+    def test_wrappers_match_array_pass(self, cfg, pairs):
+        pairs = [PairState(a, b) for a, b in pairs]
+        g = np.stack([phasor_rows([p.a for p in pairs]), phasor_rows([p.b for p in pairs])])
+        pair_arrays = np.array(
+            [(p.a.px, p.a.py, p.a.heading, p.b.px, p.b.py, p.b.heading) for p in pairs]
+        ).T
+        p = barrier_pass(pair_rows(g, cfg), cfg)
+        tau = minimizer_tau(p, cfg)
+        _, lg = lie_rows(p, g[:, 1].T, cfg)
+        h = h_batch(pair_arrays, cfg)
+        np.testing.assert_array_equal(flat_pair_rows(pair_arrays, cfg), pair_rows(g, cfg))
+        np.testing.assert_array_equal(h, p.s - cfg.safety.ds)
+        for k, pair in enumerate(pairs):
+            if np.isnan(p.s[k]):
+                with pytest.raises(DomainError):
+                    h_value(pair, cfg)
+                continue
+            val = h_value(pair, cfg)
+            assert val.value == h[k] and val.minimizer_tau == tau[k]
+            if p.s[k] > 0.0:
+                np.testing.assert_array_equal(lie_derivatives(pair, cfg)[1], lg[k])
+            else:
+                with pytest.raises(DomainError):
+                    lie_derivatives(pair, cfg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(barrier_configs(), st.lists(states, min_size=2, max_size=7))
+    def test_filter_pass_matches_wrappers(self, cfg, world):
+        from wingsafe.safety_filter import FilterConfig, filter_controls
+        from wingsafe.dynamics import ActuatorLimits, ControlInput
+        from wingsafe.shaping import SensorModel
+
+        limits = ActuatorLimits(0.1, 50.0, 1.5, 5.0)  # contains every drawn maneuver
+        fc = FilterConfig(cfg, SensorModel(150.0), limits)
+        res = filter_controls(world, [ControlInput(10.0, 0.0)] * len(world), fc, mode="off")
+        want = []
+        for i in range(len(world)):
+            for j in range(i + 1, len(world)):
+                try:
+                    want.append(h_value(PairState(world[i], world[j]), cfg).value)
+                except DomainError:
+                    want.append(math.nan)
+        np.testing.assert_array_equal(res.h, want)

@@ -1,15 +1,22 @@
 import csv
+import io
 import json
+import os
+import stat
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from wingsafe.cli import main
+from wingsafe.cli import TRACE_COLUMNS, main, write_outputs
 from wingsafe.scenarios import (
     builtin_scenarios,
     config_from_dict,
     config_to_dict,
     load_config,
+    run_scenario,
     save_config,
+    scenario_circle20,
     scenario_sweep,
 )
 
@@ -73,8 +80,6 @@ class TestCmdRun:
         run_cli("run", "--scenario", "sweep", "--range", "350", "--out", str(out),
                 "--dt", "0.05")
         cfg = load_config(out / "config.json")
-        from wingsafe.scenarios import run_scenario
-
         trace, metrics = run_scenario(cfg)
         with open(out / "trace.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -160,3 +165,67 @@ class TestCmdCheck:
         assert code == 3
         out = capsys.readouterr().out
         assert "no positive xi exists" in out or "not satisfied" in out
+
+
+def row_by_row_trace(trace) -> bytes:
+    """trace.csv as formatted one row at a time (the reference format)."""
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(TRACE_COLUMNS)
+    n = trace.states.shape[1]
+    for s in range(trace.n_steps):
+        for v in range(n):
+            ks = [k for k, (i, j) in enumerate(trace.pairs) if v in (i, j)]
+            vals = trace.pair_h_shaped[s, ks]
+            vals = vals[np.isfinite(vals)]
+            w.writerow(
+                [repr(float(trace.times[s])), v]
+                + [repr(float(x)) for x in trace.states[s, v]]
+                + [repr(float(x)) for x in trace.nominal[s, v]]
+                + [repr(float(x)) for x in trace.filtered[s, v]]
+                + [repr(float(vals.min())) if vals.size else ""]
+            )
+    return fh.getvalue().encode()
+
+
+class TestOutputs:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            replace(scenario_sweep(350.0), duration=6.0, dt=0.05),
+            replace(scenario_circle20(), vehicles=scenario_circle20().vehicles[:3],
+                    duration=1.0, dt=0.05),
+            replace(scenario_sweep(350.0), vehicles=scenario_sweep().vehicles[:1], duration=0.5),
+        ],
+        ids=["sweep", "three-vehicles", "one-vehicle"],
+    )
+    def test_bulk_trace_matches_row_by_row(self, cfg, tmp_path):
+        trace, metrics = run_scenario(cfg)
+        write_outputs(tmp_path, cfg, trace, metrics)
+        assert (tmp_path / "trace.csv").read_bytes() == row_by_row_trace(trace)
+
+    def test_outputs_follow_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            assert run_cli("run", "--scenario", "sweep", "--out", str(tmp_path / "out"),
+                           "--dt", "0.05") == 0
+        finally:
+            os.umask(old)
+        for name in ("trace.csv", "metrics.json", "events.log", "config.json"):
+            assert stat.S_IMODE((tmp_path / "out" / name).stat().st_mode) == 0o644
+
+    def test_run_unwritable_out_exit_one(self, tmp_path, capsys):
+        blocker = tmp_path / "out"
+        blocker.write_text("not a directory")
+        code = run_cli("run", "--scenario", "sweep", "--out", str(blocker), "--dt", "0.05")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_sweep_unwritable_out_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "R_330").write_text("not a directory")
+        code = run_cli("sweep", "--scenario", "sweep", "--range", "330,350", "--out", str(out),
+                       "--dt", "0.05", "--workers", "1")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -114,9 +114,8 @@ class TestFilterControls:
             res = filter_controls(world, nominal, fconfig)
             if res.fallback:
                 continue  # infeasible step resolved by evading maneuver
-            for diag in res.pair_data.values():
-                if diag.in_sensor and math.isfinite(diag.margin):
-                    assert diag.margin >= -1e-8
+            margins = res.margin[res.in_sensor]
+            assert np.all(margins[np.isfinite(margins)] >= -1e-8)
 
     def test_symmetric_head_on_turn_rates_equal(self, limits):
         # point-symmetric head-on: swapping the vehicles maps the problem to
@@ -152,9 +151,8 @@ class TestFilterControls:
             res = filter_controls(world, nominal, fconfig, mode="split")
             if res.fallback:
                 continue
-            for diag in res.pair_data.values():
-                if diag.in_sensor and math.isfinite(diag.margin):
-                    assert diag.margin >= -1e-8
+            margins = res.margin[res.in_sensor]
+            assert np.all(margins[np.isfinite(margins)] >= -1e-8)
 
     def test_off_mode_passthrough(self, fconfig):
         world = [vehicle(0, 0, 0), vehicle(30, 0, math.pi)]

@@ -16,7 +16,7 @@ from wingsafe.scenarios import (
     scenario_example2,
     scenario_sweep,
 )
-from wingsafe.sim import CircleController, GoalController, World, step_world
+from wingsafe.sim import CircleController, GoalController, Simulation
 
 from conftest import DS, EVADE_RATE
 
@@ -70,20 +70,22 @@ class TestStepWorld:
     def test_filter_off_straight_advance(self):
         cfg = replace(scenario_sweep(350.0), mode="off")
         fc = cfg.filter_config()
-        world = World(0.0, [VehicleState(0, 0, 0, 0)])
         ctrl = [GoalController(1000.0, 0.0, cruise_speed=20.0)]
-        w2 = step_world(world, ctrl, fc, "off", 0.5)
-        assert w2.states[0].px == pytest.approx(10.0, abs=1e-12)
-        assert w2.states[0].py == 0.0
-        assert w2.t == 0.5
+        sim = Simulation([VehicleState(0, 0, 0, 0)], ctrl, fc, "off", 0.5)
+        sim.step()
+        assert sim.states[0].px == pytest.approx(10.0, abs=1e-12)
+        assert sim.states[0].py == 0.0
+        assert sim.t == 0.5
 
     def test_single_vehicle_filter_identity(self):
         cfg = scenario_sweep(350.0)
         fc = cfg.filter_config()
-        world = World(0.0, [VehicleState(0, 0, 0, 0)])
-        rec = {}
-        step_world(world, [GoalController(1000.0, 0.0)], fc, "centralized", 0.01, recorder=rec)
-        assert rec["applied"] == rec["nominal"]
+        sim = Simulation(
+            [VehicleState(0, 0, 0, 0)], [GoalController(1000.0, 0.0)], fc, "centralized", 0.01
+        )
+        sim.step()
+        trace = sim.finalize()
+        assert np.array_equal(trace.filtered, trace.nominal)
 
 
 class TestDeterminism:
