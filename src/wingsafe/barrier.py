@@ -70,9 +70,9 @@ class TurnManeuver:
     def __post_init__(self):
         if not (0.0 < self.sigma <= 1.0):
             raise ValueError("require 0 < sigma <= 1")
-        if self.turn_rate <= 0.0:
+        if not self.turn_rate > 0.0:  # also rejects NaN
             raise ValueError("require turn_rate > 0")
-        if self.speed <= 0.0:
+        if not self.speed > 0.0:
             raise ValueError("require speed > 0")
 
     @property
@@ -121,9 +121,9 @@ class SafetyParams:
     ds: float
 
     def __post_init__(self):
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:  # also rejects NaN
             raise ValueError("require delta > 0")
-        if self.ds <= 0.0:
+        if not self.ds > 0.0:
             raise ValueError("require ds > 0")
 
 
@@ -138,7 +138,7 @@ class LinearGain:
     slope: float = 1.0
 
     def __post_init__(self):
-        if self.slope <= 0.0:
+        if not self.slope > 0.0:  # also rejects NaN
             raise ValueError("require slope > 0")
 
     def __call__(self, value: float) -> float:

@@ -4,7 +4,7 @@ sensor compatibility.
 Subcommands and exit codes:
 
 * run:   0 clean run, 2 when a safety violation (pairwise distance below ds)
-         was recorded, 1 on configuration errors.
+         was recorded, 1 on configuration or usage errors.
          Writes trace.csv, metrics.json, events.log into --out.
 * sweep: runs the two-vehicle scenario once per sensing range in --range and
          writes sweep.csv (R, min_distance, min_h_tilde, r_min) plus per-R
@@ -12,7 +12,7 @@ Subcommands and exit codes:
 * check: prints the minimum sensing range, the shaping threshold and
          interpolant coefficients, and the sampled sensor-compatibility
          report; exit 0 iff compatible, 3 with a witness otherwise, 1 on
-         configuration errors.
+         configuration or usage errors.
 
 All floating-point output uses repr-exact formatting ('.' decimal
 separator), so CSV/JSON values parse back bit-identically.
@@ -128,8 +128,6 @@ def write_outputs(out_dir: Path, cfg: ScenarioConfig, trace, metrics) -> None:
     def write_trace(fh):
         w = csv.writer(fh)
         w.writerow(TRACE_COLUMNS)
-        if not trace.n_steps:
-            return
         # per step and vehicle: the minimum shaped barrier over its pairs
         vehicles = range(trace.states.shape[1])
         pairs = np.array(trace.pairs, dtype=int).reshape(-1, 2)
@@ -193,14 +191,11 @@ def cmd_run(manifest: RunManifest) -> int:
 
 
 def _sweep_one(args) -> dict:
-    cfg_dict, out_dir, R = args
-    from .scenarios import config_from_dict  # local for pickling clarity
-
-    cfg = replace(config_from_dict(cfg_dict), sensor_range=R)
+    cfg, out_dir = args
     trace, metrics = run_scenario(cfg)
     write_outputs(Path(out_dir), cfg, trace, metrics)
     return {
-        "R": R,
+        "R": cfg.sensor_range,
         "min_distance": metrics.min_distance,
         "min_h_tilde": metrics.min_h_shaped,
         "violation": metrics.violation,
@@ -222,7 +217,7 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float], workers: int | None = 
         for R in ranges:
             cfg = replace(base, sensor_range=R)
             cfg.resolve_shaping()  # fail fast (e.g. auto shaping below R_min)
-            jobs.append((config_to_dict(cfg), str(manifest.out_dir / f"R_{R:g}"), R))
+            jobs.append((cfg, str(manifest.out_dir / f"R_{R:g}")))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -259,11 +254,13 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float], workers: int | None = 
 
 def cmd_check(manifest: RunManifest, samples: int = 100_000) -> int:
     try:
-        cfg = manifest.load()
+        return _check(manifest.load(), samples)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
+
+def _check(cfg: ScenarioConfig, samples: int) -> int:
     seed = cfg.seed
     print(f"barrier kind: {cfg.barrier.kind}")
     print(f"sensor range R: {cfg.sensor_range!r}")
@@ -313,6 +310,8 @@ def cmd_check(manifest: RunManifest, samples: int = 100_000) -> int:
 
 def _manifest_from_args(args) -> RunManifest:
     ranges = _parse_ranges(args.range) if args.range else None
+    if ranges and len(ranges) > 1 and args.command != "sweep":
+        raise ValueError(f"--range takes a single value for {args.command}, got {args.range!r}")
     return RunManifest(
         scenario=args.scenario,
         config_path=args.config,
@@ -331,8 +330,16 @@ def _parse_ranges(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_CONFIG on usage errors (argparse's 2 is EXIT_VIOLATION)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wingsafe",
         description="Barrier-function collision avoidance under limited-range sensing",
     )
@@ -371,10 +378,7 @@ def main(argv=None) -> int:
     if args.command == "run":
         return cmd_run(manifest)
     if args.command == "sweep":
-        if not args.range:
-            print("error: sweep requires --range", file=sys.stderr)
-            return EXIT_CONFIG
-        return cmd_sweep(manifest, _parse_ranges(args.range), args.workers)
+        return cmd_sweep(manifest, _parse_ranges(args.range or ""), args.workers)
     if args.command == "check":
         return cmd_check(manifest, args.samples)
     raise AssertionError(f"unhandled command {args.command}")

@@ -70,9 +70,9 @@ class ActuatorLimits:
     def __post_init__(self):
         if not (0.0 < self.v_min <= self.v_max):
             raise ValueError("require 0 < v_min <= v_max")
-        if self.omega_max <= 0.0:
+        if not self.omega_max > 0.0:  # also rejects NaN
             raise ValueError("require omega_max > 0")
-        if self.zeta_max < 0.0:
+        if not self.zeta_max >= 0.0:
             raise ValueError("require zeta_max >= 0")
 
     def contains(self, u: ControlInput, tol: float = 0.0) -> bool:

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 
 class QPInfeasibleError(RuntimeError):
@@ -187,6 +186,7 @@ def kkt_residual(problem: QPProblem, u: np.ndarray, active_tol: float = 1e-6) ->
     cone of near-active normals, dual feasibility (guaranteed by NNLS), and
     complementary slackness of the reconstructed multipliers.
     """
+    from scipy.optimize import nnls  # the only scipy use; kept off the run path
     u = np.asarray(u, dtype=float)
     A, b = problem.stacked()
     if A.shape[0] == 0:

@@ -29,8 +29,8 @@ Modes:
 * off: nominal controls pass through (clamped).
 
 On QP infeasibility (or a barrier domain error) the affected vehicles fall
-back to their evading-maneuver control, clamped into the actuator box; the
-event is reported, never raised.
+back to their evading-maneuver control, which FilterConfig checks lies in
+the actuator box; the event is reported, never raised.
 """
 
 from __future__ import annotations
@@ -184,59 +184,51 @@ def filter_controls(
         raise ValueError("one nominal control per vehicle required")
     controls = [clamp_input(u, config.limits) for u in nominal]
     p = pair_pass(world, config)
-    in_sensor, lie = p.in_sensor, p.lie
-    need = in_sensor & lie  # rows that can bind; sensed plateau rows are vacuous
-    defined = p.barrier.s.min(initial=np.inf) > 0.0  # False on NaN
-    if defined and not np.count_nonzero(need):
-        # no row can bind: the nominal stands
-        if mode == "off":
-            margin = np.full(p.h.shape, np.nan)
-        else:
-            margin = np.where(in_sensor, config.gain(p.h_shaped), np.nan)
-        return FilterResult(controls, p.h, p.h_shaped, margin, in_sensor)
-
-    result = FilterResult(controls, p.h, p.h_shaped, None, in_sensor)  # margin set below
-    ii, jj = idx = pair_index(n)
-    ok = in_sensor  # sensed rows whose constraint can be evaluated
-    failed_rows = np.zeros(0, int)
-    if not defined:
+    result = FilterResult(controls, p.h, p.h_shaped, None, p.in_sensor)  # margin set below
+    ok = p.in_sensor  # sensed rows whose constraint can be evaluated
+    failed_rows = []  # sensed rows whose constraint cannot be evaluated
+    if not p.barrier.s.min(initial=np.inf) > 0.0:  # some barrier may be undefined (NaN)
+        ii, jj = pair_index(n)
         failed = np.zeros(p.h.shape, bool)
-        for k, msg in domain_errors(p.barrier, config.barrier, lie):
+        for k, msg in domain_errors(p.barrier, config.barrier, p.lie):
             result.events.append(f"domain-error pair=({ii[k]},{jj[k]}) {msg}")
             failed[k] = True
-        ok = in_sensor & ~failed
-        need = ok & lie
-        failed_rows = np.flatnonzero(in_sensor & failed)
+        ok = ok & ~failed
+        failed_rows = np.flatnonzero(p.in_sensor & failed).tolist()
     if mode == "off":
         result.margin = np.full(p.h.shape, np.nan)
         return result
+    offset = config.gain(p.h_shaped)
+    result.margin = np.where(ok, offset, np.nan)
+    need = ok & p.lie  # rows that can bind; sensed plateau rows are vacuous
+    if not np.count_nonzero(need) and not failed_rows:
+        return result  # no row can bind: the nominal stands
+
+    ii, jj = idx = pair_index(n)
     for k in failed_rows:
         # cannot evaluate the constraint: treat both vehicles as conflicted
         result.fallback.update((int(ii[k]), int(jj[k])))
-
     rows = np.flatnonzero(need)
     lg = _shaped_rows(p, rows, config)
-    offset = config.gain(p.h_shaped)
     pairs, row_offset = idx.take(rows, 1), offset.take(rows)  # pairs: (2, rows) vehicles
     margin = _row_margins(lg, row_offset, result.controls, pairs)
-    if mode == "split" or failed_rows.size or np.count_nonzero(margin < 0.0):
+    if mode == "split" or failed_rows or np.count_nonzero(margin < 0.0):
         # the clamped nominal violates a pair row; otherwise the centralized
         # QP would return it unchanged (split mode divides the rows, and a
         # half-row can be violated while its pair row holds)
         solve = _filter_centralized if mode == "centralized" else _filter_split
         solve(config, result, pairs, lg, row_offset, n)
-        u1, u2 = config.barrier.maneuver.controls()
-        for v in sorted(result.fallback):
-            # role in the lowest-indexed sensed pair containing v, else in the
-            # lowest-indexed pair whose constraint could not be evaluated
-            candidates = np.concatenate([np.flatnonzero(ok), failed_rows])
-            first = next((k for k in candidates if v in (ii[k], jj[k])), None)
-            u = u1 if (first is not None and ii[first] == v) else u2
-            result.controls[v] = clamp_input(ControlInput(*u), config.limits)
+        if result.fallback:
+            # each vehicle's role in the lowest-indexed sensed pair containing
+            # it, else in the lowest-indexed pair that could not be evaluated
+            order = np.flatnonzero(ok).tolist() + failed_rows
+            u1, u2 = config.barrier.maneuver.controls()
+            for v in sorted(result.fallback):
+                first = next(k for k in order if v in (ii[k], jj[k]))
+                result.controls[v] = ControlInput(*(u1 if ii[first] == v else u2))
         margin = _row_margins(lg, row_offset, result.controls, pairs)
 
     # achieved pair margins under the final controls
-    result.margin = np.where(ok, offset, np.nan)
     result.margin[rows] = margin
     return result
 

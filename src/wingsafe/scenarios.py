@@ -86,9 +86,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if not self.vehicles:
             raise ValueError("at least one vehicle required")
-        if self.dt <= 0:
+        if not self.dt > 0:  # also rejects NaN
             raise ValueError("dt must be > 0")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("duration must be > 0")
         if self.mode not in ("centralized", "split", "off"):
             raise ValueError(f"unknown filter mode {self.mode!r}")
@@ -106,7 +106,7 @@ class ScenarioConfig:
             xi = xi_from_range(self.sensor_range, self.barrier.maneuver, self.barrier.safety)
         else:
             xi = float(self.shaping_xi)
-            if xi <= 0:
+            if not xi > 0:
                 raise ValueError("shaping xi must be > 0")
         return make_quadratic_psi(xi, self.shaping_beta)
 

@@ -58,7 +58,7 @@ class SensorModel:
     range_m: float
 
     def __post_init__(self):
-        if self.range_m <= 0.0:
+        if not self.range_m > 0.0:  # also rejects NaN
             raise ValueError("require range_m > 0")
 
 
@@ -84,7 +84,7 @@ class ShapingParams:
 def make_quadratic_psi(xi: float, beta: float) -> ShapingParams:
     """Quadratic interpolant satisfying the blending constraints at beta*xi
     and xi (see module docstring)."""
-    if xi <= 0.0:
+    if not xi > 0.0:
         raise ValueError("require xi > 0")
     if not (0.0 < beta < 1.0):
         raise ValueError("require 0 < beta < 1")

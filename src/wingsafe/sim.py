@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -103,19 +103,21 @@ class GoalController:
 
 @dataclass
 class SimTrace:
-    """Per-step records of one run; arrays are built by finalize()."""
+    """Per-step records of a run of T steps (built by Simulation.finalize):
+    times (T,), states (T, N, 4), nominal/filtered (T, N, 3), pair_* (T, P) in
+    pairs order, events as (step, message), and state and time after the run."""
 
     pairs: list[tuple[int, int]]
-    times: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    states: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 4)))
-    nominal: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 3)))
-    filtered: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 3)))
-    pair_h: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    pair_h_shaped: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    pair_margin: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    pair_in_sensor: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), bool))
-    events: list[tuple[int, str]] = field(default_factory=list)
-    final_states: np.ndarray | None = None
+    times: np.ndarray
+    states: np.ndarray
+    nominal: np.ndarray
+    filtered: np.ndarray
+    pair_h: np.ndarray
+    pair_h_shaped: np.ndarray
+    pair_in_sensor: np.ndarray
+    events: list[tuple[int, str]]
+    final_states: np.ndarray
+    final_time: float
 
     @property
     def n_steps(self) -> int:
@@ -153,7 +155,7 @@ class Simulation:
         self.pairs = list(zip(*pair_index(len(self.states)).tolist()))
         self._times: list[float] = []
         self._vehicles = array("d")  # per step and vehicle: state, nominal, filtered
-        self._pair_rows: list[tuple[np.ndarray, ...]] = []  # (h, h_shaped, margin, in_sensor)
+        self._pair_rows: list[tuple[np.ndarray, ...]] = []  # (h, h_shaped, in_sensor)
         self._events: list[tuple[int, str]] = []
 
     def step(self):
@@ -168,78 +170,50 @@ class Simulation:
             for x in (s.px, s.py, s.heading, s.pz, u.speed, u.turn_rate, u.climb_rate,
                       f.speed, f.turn_rate, f.climb_rate)
         ])
-        self._pair_rows.append((res.h, res.h_shaped, res.margin, res.in_sensor))
+        self._pair_rows.append((res.h, res.h_shaped, res.in_sensor))
         self._events.extend((len(self._times), e) for e in res.events)
         self._times.append(t)
         self.t = t + self.dt
 
     def finalize(self) -> SimTrace:
-        trace = SimTrace(pairs=self.pairs)
-        if self._times:
-            trace.times = np.array(self._times)
-            per_vehicle = np.array(self._vehicles).reshape(
-                len(self._times), len(self.states), 10
-            )
-            trace.states = per_vehicle[:, :, 0:4]
-            trace.nominal = per_vehicle[:, :, 4:7]
-            trace.filtered = per_vehicle[:, :, 7:10]
-            trace.pair_h, trace.pair_h_shaped, trace.pair_margin, trace.pair_in_sensor = (
-                np.stack(column) for column in zip(*self._pair_rows)
-            )
-        trace.events = self._events
-        trace.final_states = np.array(
-            [[s.px, s.py, s.heading, s.pz] for s in self.states]
+        n_steps, n_pairs = len(self._times), len(self.pairs)
+        per_vehicle = np.array(self._vehicles).reshape(n_steps, len(self.states), 10)
+        h, h_shaped, in_sensor = (
+            np.array([r[c] for r in self._pair_rows], dtype).reshape(n_steps, n_pairs)
+            for c, dtype in enumerate((float, float, bool))
         )
-        return trace
+        return SimTrace(
+            pairs=self.pairs,
+            times=np.array(self._times, float),
+            states=per_vehicle[:, :, 0:4],
+            nominal=per_vehicle[:, :, 4:7],
+            filtered=per_vehicle[:, :, 7:10],
+            pair_h=h,
+            pair_h_shaped=h_shaped,
+            pair_in_sensor=in_sensor,
+            events=self._events,
+            final_states=np.array([[s.px, s.py, s.heading, s.pz] for s in self.states]),
+            final_time=self.t,
+        )
 
 
 def compute_metrics(trace: SimTrace, ds: float) -> Metrics:
     """Metrics over all recorded states plus the final state."""
-    pairs = trace.pairs
-    if not pairs:
-        jumps = (
-            tuple(
-                float(np.max(np.linalg.norm(np.diff(trace.filtered[:, v], axis=0), axis=1)))
-                if trace.n_steps > 1
-                else 0.0
-                for v in range(trace.filtered.shape[1])
-            )
-            if trace.n_steps
-            else ()
-        )
-        return Metrics(math.inf, math.inf, jumps, {}, False, trace.n_steps, len(trace.events))
-
     all_states = np.concatenate([trace.states, trace.final_states[None]], axis=0)
-    ii = np.array([p[0] for p in pairs])
-    jj = np.array([p[1] for p in pairs])
-    dx = all_states[:, ii, 0] - all_states[:, jj, 0]
-    dy = all_states[:, ii, 1] - all_states[:, jj, 1]
+    ii, jj = np.array(trace.pairs, int).reshape(-1, 2).T
+    dx, dy = (all_states[:, ii, :2] - all_states[:, jj, :2]).transpose(2, 0, 1)
     dist = np.hypot(dx, dy)  # (T+1, P)
-    min_distance = float(dist.min())
-
-    finite = trace.pair_h_shaped[np.isfinite(trace.pair_h_shaped)]
-    min_h_shaped = float(finite.min()) if finite.size else math.inf
-
-    n_vehicles = trace.states.shape[1]
-    jumps = tuple(
-        float(np.max(np.linalg.norm(np.diff(trace.filtered[:, v], axis=0), axis=1)))
-        if trace.n_steps > 1
-        else 0.0
-        for v in range(n_vehicles)
-    )
-
-    closest: dict[str, tuple[float, float]] = {}
-    times = np.concatenate([trace.times, [trace.times[-1] + (trace.times[1] - trace.times[0])]]) \
-        if trace.n_steps > 1 else np.concatenate([trace.times, trace.times])
-    for k, (i, j) in enumerate(pairs):
-        step = int(np.argmin(dist[:, k]))
-        closest[f"{i}-{j}"] = (float(times[step]), float(dist[step, k]))
-
+    min_distance = float(dist.min(initial=math.inf))
+    min_h_shaped = float(np.fmin.reduce(trace.pair_h_shaped, axis=None, initial=math.inf))
+    jumps = np.linalg.norm(np.diff(trace.filtered, axis=0), axis=2).max(axis=0, initial=0.0)
+    steps = dist.argmin(axis=0)  # each pair's closest step, the first on ties
+    times = np.append(trace.times, trace.final_time)[steps].tolist()
+    d_min = dist[steps, np.arange(len(trace.pairs))].tolist()
     return Metrics(
         min_distance=min_distance,
         min_h_shaped=min_h_shaped,
-        max_control_jump=jumps,
-        closest_approach=closest,
+        max_control_jump=tuple(jumps.tolist()),
+        closest_approach={f"{i}-{j}": (t, d) for (i, j), t, d in zip(trace.pairs, times, d_min)},
         violation=min_distance < ds,
         n_steps=trace.n_steps,
         n_events=len(trace.events),

@@ -1,14 +1,21 @@
 import csv
 import io
 import json
+import math
 import os
 import stat
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wingsafe
+from wingsafe.barrier import LinearGain, SafetyParams, TurnManeuver
 from wingsafe.cli import TRACE_COLUMNS, main, write_outputs
+from wingsafe.dynamics import ActuatorLimits
 from wingsafe.scenarios import (
     builtin_scenarios,
     config_from_dict,
@@ -19,6 +26,7 @@ from wingsafe.scenarios import (
     scenario_circle20,
     scenario_sweep,
 )
+from wingsafe.shaping import SensorModel, make_quadratic_psi
 
 
 class TestConfigRoundTrip:
@@ -94,6 +102,11 @@ class TestCmdRun:
         assert metrics_json["min_distance"] == metrics.min_distance
         assert metrics_json["min_h_tilde"] == metrics.min_h_shaped
 
+    def test_zero_steps_header_only_trace(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", "sweep", "--out", str(out), "--dt", "100") == 0
+        assert (out / "trace.csv").read_text().splitlines() == [",".join(TRACE_COLUMNS)]
+
     def test_config_file_input(self, tmp_path):
         cfg = scenario_sweep(400.0)
         path = tmp_path / "scenario.json"
@@ -123,6 +136,16 @@ class TestCmdSweep:
         m330 = json.loads((out / "R_330" / "metrics.json").read_text())
         assert float(rows[0]["min_distance"]) == m330["min_distance"]
         assert float(rows[0]["min_h_tilde"]) == m330["min_h_tilde"]
+
+    def test_workers_do_not_change_outputs(self, tmp_path):
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert run_cli("sweep", "--scenario", "sweep", "--range", "330,400", "--out", str(out),
+                           "--dt", "0.05", "--workers", workers) == 0
+            outputs.append({p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
+        assert outputs[0] == outputs[1]
 
     def test_empty_range_exit_one(self, tmp_path):
         assert run_cli("sweep", "--scenario", "sweep", "--out", str(tmp_path / "o")) == 1
@@ -229,3 +252,69 @@ class TestOutputs:
                        "--dt", "0.05", "--workers", "1")
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+NAN = math.nan
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: SensorModel(NAN), id="SensorModel.range_m"),
+        pytest.param(lambda: make_quadratic_psi(NAN, 0.9), id="make_quadratic_psi.xi"),
+        pytest.param(lambda: replace(scenario_sweep(), dt=NAN), id="ScenarioConfig.dt"),
+        pytest.param(lambda: replace(scenario_sweep(), duration=NAN), id="ScenarioConfig.duration"),
+        pytest.param(lambda: replace(scenario_sweep(), shaping_xi=NAN).resolve_shaping(),
+                     id="ScenarioConfig.shaping_xi"),
+        pytest.param(lambda: SafetyParams(delta=NAN, ds=5.0), id="SafetyParams.delta"),
+        pytest.param(lambda: SafetyParams(delta=0.01, ds=NAN), id="SafetyParams.ds"),
+        pytest.param(lambda: TurnManeuver(sigma=1.0, speed=NAN, turn_rate=0.2),
+                     id="TurnManeuver.speed"),
+        pytest.param(lambda: TurnManeuver(sigma=1.0, speed=16.0, turn_rate=NAN),
+                     id="TurnManeuver.turn_rate"),
+        pytest.param(lambda: LinearGain(NAN), id="LinearGain.slope"),
+        pytest.param(lambda: ActuatorLimits(15.0, 25.0, NAN, 5.0), id="ActuatorLimits.omega_max"),
+        pytest.param(lambda: ActuatorLimits(15.0, 25.0, 0.2, NAN), id="ActuatorLimits.zeta_max"),
+    ])
+    def test_nan_parameter_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize("flag", ["--range", "--xi", "--alpha"])
+    def test_nan_override_exit_one(self, flag, tmp_path, capsys):
+        code = run_cli("run", "--scenario", "sweep", flag, "nan", "--out", str(tmp_path / "o"),
+                       "--dt", "0.05")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["run", "--scenario", "sweep", "--bogus"], id="unknown-flag"),
+        pytest.param(["run", "--scenario", "sweep", "--dt", "abc"], id="bad-float"),
+    ])
+    def test_usage_error_exit_one(self, argv, capsys):
+        # exit 2 is reserved for a recorded safety violation
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_range_list_outside_sweep_exit_one(self, command, tmp_path, capsys):
+        code = run_cli(command, "--scenario", "sweep", "--range", "330,350",
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "--range" in capsys.readouterr().err
+
+    def test_check_zero_samples_exit_one(self, tmp_path, capsys):
+        code = run_cli("check", "--scenario", "sweep", "--samples", "0",
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "error: " in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy serves only qp.kkt_residual, which no run path calls
+    env = {**os.environ, "PYTHONPATH": str(Path(wingsafe.__file__).resolve().parents[1])}
+    probe = "import sys, wingsafe.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -12,7 +12,7 @@ from wingsafe.barrier import (
     h_value,
     lie_derivatives,
 )
-from wingsafe.dynamics import ControlInput, VehicleState
+from wingsafe.dynamics import ControlInput, VehicleState, clamp_input
 from wingsafe.safety_filter import (
     FilterConfig,
     assemble_pair_constraint,
@@ -182,3 +182,37 @@ class TestFilterControls:
         assert res.controls[0].turn_rate == pytest.approx(man.turn_rate)
         assert res.controls[0].speed == pytest.approx(man.sigma * man.speed)
         assert res.controls[1].speed == pytest.approx(man.speed)
+
+
+class TestDomainErrors:
+    # 0.05 m apart the turn barrier's radicand is negative: h is undefined
+    WORLD = [vehicle(0, 0, 0), vehicle(0.05, 0, math.pi)]
+    NOMINAL = [ControlInput(30, 0.5, 0), ControlInput(10, -1, 2)]
+
+    def test_undefined_pair_falls_back_to_maneuver(self, fconfig):
+        res = filter_controls(self.WORLD, self.NOMINAL, fconfig)
+        assert len(res.events) == 1
+        assert res.events[0].startswith("domain-error pair=(0,1) negative radicand ")
+        assert res.fallback == {0, 1}
+        u1, u2 = fconfig.barrier.maneuver.controls()
+        assert res.controls == [ControlInput(*u1), ControlInput(*u2)]
+        assert np.isnan(res.margin).all()
+
+    def test_off_mode_reports_without_fallback(self, fconfig, limits):
+        res = filter_controls(self.WORLD, self.NOMINAL, fconfig, mode="off")
+        assert res.events == filter_controls(self.WORLD, self.NOMINAL, fconfig).events
+        assert res.fallback == set()
+        assert res.controls == [clamp_input(u, limits) for u in self.NOMINAL]
+        assert np.isnan(res.margin).all()
+
+    def test_role_from_evaluable_pair_first(self, fconfig, limits):
+        # vehicle 1 is the first vehicle of the undefined pair (1, 2) but the
+        # second of the evaluable pair (0, 1), which fixes its role
+        man = TurnManeuver(sigma=0.9, speed=17.78, turn_rate=fconfig.barrier.maneuver.turn_rate)
+        fc = FilterConfig(BarrierConfig(man, fconfig.barrier.safety), SensorModel(350.0),
+                          limits, LinearGain(1.0), shaping=None)
+        world = [vehicle(-30, 0, 0), vehicle(0, 0, 0), vehicle(0.05, 0, math.pi)]
+        res = filter_controls(world, [ControlInput(20, 0, 0)] * 3, fc)
+        assert res.events[0].startswith("domain-error pair=(1,2) negative radicand ")
+        assert {1, 2} <= res.fallback
+        assert res.controls[1] == ControlInput(17.78, man.turn_rate, 0.0)

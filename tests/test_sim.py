@@ -236,3 +236,28 @@ class TestMetrics:
         t_min, d_min = m.closest_approach["0-1"]
         assert d_min >= m.min_distance
         assert 0 <= t_min <= 2.0 + trace.times[1]
+
+    def test_zero_steps(self):
+        trace, m = run_scenario(replace(scenario_sweep(), dt=100.0))
+        assert m.n_steps == trace.n_steps == 0
+        assert trace.states.shape == (0, 2, 4)
+        assert trace.filtered.shape == (0, 2, 3)
+        assert trace.pair_h_shaped.shape == trace.pair_in_sensor.shape == (0, 1)
+        assert m.min_distance == 400.0
+        assert m.closest_approach == {"0-1": (0.0, 400.0)}
+        assert m.max_control_jump == (0.0, 0.0)
+
+    def test_one_step_closest_approach_at_final_state(self):
+        trace, m = run_scenario(replace(scenario_sweep(), dt=10.0, duration=10.0, mode="off"))
+        assert m.n_steps == 1
+        t_min, d_min = m.closest_approach["0-1"]
+        assert t_min == 10.0
+        assert d_min == m.min_distance < 400.0
+
+    def test_one_vehicle(self):
+        cfg = replace(scenario_sweep(), vehicles=scenario_sweep().vehicles[:1], duration=1.0)
+        trace, m = run_scenario(cfg)
+        assert m.min_distance == m.min_h_shaped == math.inf
+        assert m.closest_approach == {}
+        assert not m.violation
+        assert len(m.max_control_jump) == 1
