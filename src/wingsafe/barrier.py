@@ -102,6 +102,9 @@ class StraightManeuver:
     zeta2: float = 0.0
 
     def __post_init__(self):
+        for name in ("v1", "v2", "zeta1", "zeta2"):
+            if not abs(getattr(self, name)) < math.inf:  # also rejects NaN
+                raise ValueError(f"require finite {name}")
         if self.v1 == self.v2:
             raise ValueError("require v1 != v2")
 

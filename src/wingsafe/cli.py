@@ -206,6 +206,14 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float], workers: int | None = 
     if not ranges:
         print("error: --range list must be nonempty", file=sys.stderr)
         return EXIT_CONFIG
+    out_dirs: dict[str, float] = {}  # per-range output directory -> its range
+    for R in ranges:
+        name = f"R_{R:g}"
+        if name in out_dirs:
+            print(f"error: --range values {out_dirs[name]!r} and {R!r} share the output "
+                  f"directory {name}", file=sys.stderr)
+            return EXIT_CONFIG
+        out_dirs[name] = R
     try:
         base = manifest.load()
         rmin = (
@@ -214,10 +222,10 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float], workers: int | None = 
             else math.nan
         )
         jobs = []
-        for R in ranges:
+        for name, R in out_dirs.items():
             cfg = replace(base, sensor_range=R)
             cfg.resolve_shaping()  # fail fast (e.g. auto shaping below R_min)
-            jobs.append((cfg, str(manifest.out_dir / f"R_{R:g}")))
+            jobs.append((cfg, str(manifest.out_dir / name)))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,6 +15,11 @@ iteration in the style of Goldfarb-Idnani).  Each equality subproblem needs
 construction, so a Cholesky factorization always applies.  Tie-breaking is
 by lowest constraint index, which makes the solver fully deterministic.
 
+A caller that solves a sequence of nearby problems can pass the previous
+optimum's active set as a guess: one linear solve gives the KKT point of
+that set, which is returned only if it passes the loop's own optimality
+tests; otherwise the loop runs as without a guess.
+
 Infeasibility is detected exactly: when a violated normal is linearly
 dependent on the active set with no positive combination coefficient, the
 constraints admit no common point and QPInfeasibleError is raised.
@@ -28,7 +33,9 @@ violation.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,7 +56,7 @@ class ConstraintRow:
         object.__setattr__(self, "coeffs", c)
         if not (np.isfinite(c).all() and math.isfinite(self.offset)):
             raise ValueError("non-finite constraint row")
-        if not c.any() and self.offset < 0.0:
+        if self.offset < 0.0 and not c.any():
             raise ValueError("zero row with negative offset is infeasible by construction")
 
     def margin(self, u: np.ndarray) -> float:
@@ -77,20 +84,29 @@ class QPProblem:
         """All constraints as A u >= b: barrier rows first, then finite box
         faces (lower, then upper), preserving index order."""
         n = self.u_hat.size
-        eye = np.eye(n)
+        eye = _identity(n)
         lo, hi = np.isfinite(self.lower), np.isfinite(self.upper)
         rows = np.array([r.coeffs for r in self.rows], dtype=float).reshape(-1, n)
-        A = np.vstack([rows, eye[lo], 0.0 - eye[hi]])  # 0.0 - x: no negative zeros
+        A = np.concatenate([rows, eye[lo], 0.0 - eye[hi]])  # 0.0 - x: no negative zeros
         b = np.concatenate([[-r.offset for r in self.rows], self.lower[lo], -self.upper[hi]])
         return A, b
 
 
-def solve_qp(problem: QPProblem, tol: float = 1e-11, max_iter: int | None = None):
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def solve_qp(problem: QPProblem, tol: float = 1e-11, max_iter: int | None = None,
+             guess: Sequence[int] = ()):
     """Exact minimizer of 1/2||u - u_hat||^2 over the rows and box.
 
     Returns (u, multipliers) with multipliers aligned to the stacked
     constraint order of QPProblem.stacked().  Raises QPInfeasibleError when
-    the feasible region is empty.
+    the feasible region is empty.  guess, stacked indices of constraints
+    expected to be active, changes only how the optimum is found.
     """
     A, b = problem.stacked()
     m, n = A.shape
@@ -98,6 +114,10 @@ def solve_qp(problem: QPProblem, tol: float = 1e-11, max_iter: int | None = None
     if m == 0:
         return u, np.zeros(0)
     norms = np.maximum(np.sqrt(np.add.reduce(A * A, axis=1)), 1.0)  # row 2-norms
+    if 0 < len(guess) <= n:  # more than n rows cannot be independent
+        warm = _active_set_optimum(A, b, norms, u, guess, tol)
+        if warm is not None:
+            return warm
     if max_iter is None:
         max_iter = 50 * (m + n)
 
@@ -177,6 +197,31 @@ def solve_qp(problem: QPProblem, tol: float = 1e-11, max_iter: int | None = None
         else:
             raise RuntimeError("active-set inner loop failed to terminate")
     raise RuntimeError("active-set iteration limit exceeded")
+
+
+def _active_set_optimum(A, b, norms, u_hat, W, tol):
+    """(u, multipliers) of the equality problem on the rows W, or None
+    unless that is the optimum to tol.
+
+    u = u_hat + N^T lam with N = A[W] and (N N^T) lam = b_W - N u_hat, so
+    stationarity holds by construction.  The point is accepted when lam >= 0
+    and, by the normalized test the active-set loop stops on, no constraint
+    is violated by more than tol and no row of W is slack by more than tol.
+    """
+    N = A[W]
+    try:
+        lam = np.linalg.solve(N @ N.T, b[W] - N @ u_hat)
+    except np.linalg.LinAlgError:  # dependent rows
+        return None
+    if not lam.min() >= 0.0:
+        return None
+    u = u_hat + lam @ N
+    viol = (b - A @ u) / norms
+    if not (viol.max() <= tol and viol[W].min() >= -tol):
+        return None
+    mult = np.zeros(len(b))
+    mult[W] = lam
+    return u, mult
 
 
 def kkt_residual(problem: QPProblem, u: np.ndarray, active_tol: float = 1e-6) -> float:

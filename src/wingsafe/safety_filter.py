@@ -19,7 +19,8 @@ barrier).
 Modes:
 
 * centralized: one QP over all vehicles' stacked controls with one row per
-  sensed pair.
+  sensed pair, warm-started from a hint of its active set (the previous
+  step's, see FilterResult.active).
 * split: per-vehicle QPs.  A pair row is divided between its two vehicles:
   each enforces its own Lie-derivative share plus half the class-K offset,
   with a symmetrization term that charges the neighbor's contribution at the
@@ -35,6 +36,7 @@ the actuator box; the event is reported, never raised.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -87,7 +89,13 @@ class FilterResult:
     pair_index: raw barrier h and shaped barrier h_shaped (NaN outside the
     barrier domain), the pair-row margin under the final controls (NaN where
     the pair constrains nothing: unsensed, undefined, or mode off), and
-    whether the pair is in the sensor set."""
+    whether the pair is in the sensor set.
+
+    active lists the constraints with a positive multiplier at the
+    centralized QP optimum, as stable ids: the pair number for a pair row,
+    P + the stacked face index for an actuator box face (P pairs).  It is
+    empty when no centralized QP ran or it was infeasible.  Passed as the
+    next step's hint, it warm-starts that step's QP."""
 
     controls: list[ControlInput]
     h: np.ndarray
@@ -96,6 +104,7 @@ class FilterResult:
     in_sensor: np.ndarray
     events: list[str] = field(default_factory=list)
     fallback: set[int] = field(default_factory=set)
+    active: list[int] = field(default_factory=list)
 
 
 @lru_cache(maxsize=None)
@@ -156,10 +165,14 @@ def assemble_pair_constraint(pair: PairState, config: FilterConfig) -> Constrain
     return ConstraintRow(lg, config.gain(p.h_shaped[0]))
 
 
+@lru_cache(maxsize=None)
 def _box(limits: ActuatorLimits, n_vehicles: int):
+    """Read-only bounds of the stacked control, and the number of finite
+    faces (the box rows of the QP)."""
     lo = np.array([limits.v_min, -limits.omega_max, -limits.zeta_max] * n_vehicles)
     hi = np.array([limits.v_max, limits.omega_max, limits.zeta_max] * n_vehicles)
-    return lo, hi
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi, int(np.isfinite(lo).sum() + np.isfinite(hi).sum())
 
 
 def _control_array(controls: list[ControlInput]) -> np.ndarray:
@@ -171,11 +184,16 @@ def filter_controls(
     nominal: list[ControlInput],
     config: FilterConfig,
     mode: str = "centralized",
+    hint: Sequence[int] = (),
 ) -> FilterResult:
     """Filter nominal controls through the barrier QP.
 
     Barrier values are recorded for every pair (the simulator is omniscient
     even where the vehicles are not), but only sensed pairs constrain the QP.
+    hint, in the ids of FilterResult.active (usually the previous step's),
+    is the centralized QP's guess of its active set; it does not change the
+    result beyond the solver's tolerance.  Ids naming no constraint of this
+    step are ignored.
     """
     if mode not in ("centralized", "split", "off"):
         raise ValueError(f"unknown filter mode {mode!r}")
@@ -216,8 +234,10 @@ def filter_controls(
         # the clamped nominal violates a pair row; otherwise the centralized
         # QP would return it unchanged (split mode divides the rows, and a
         # half-row can be violated while its pair row holds)
-        solve = _filter_centralized if mode == "centralized" else _filter_split
-        solve(config, result, pairs, lg, row_offset, n)
+        if mode == "centralized":
+            _filter_centralized(config, result, rows, pairs, lg, row_offset, n, hint)
+        else:
+            _filter_split(config, result, pairs, lg, row_offset, n)
         if result.fallback:
             # each vehicle's role in the lowest-indexed sensed pair containing
             # it, else in the lowest-indexed pair that could not be evaluated
@@ -239,25 +259,37 @@ def _row_margins(lg, offset, controls: list[ControlInput], pairs) -> np.ndarray:
     return (lg.reshape(-1, 2, 3) * u_pairs).sum(axis=(1, 2)) + offset
 
 
-def _filter_centralized(config, result, pairs, lg, offset, n):
+def _filter_centralized(config, result, rows, pairs, lg, offset, n, hint):
     binding = lg.any(axis=1)
     if not binding.all():
         # zero rows (plateau-like): with a positive offset they never bind
-        pairs, lg, offset = pairs[:, binding], lg[binding], offset[binding]
+        rows, pairs, lg, offset = rows[binding], pairs[:, binding], lg[binding], offset[binding]
     k = len(offset)
     if not k:
         return
     coeffs = np.zeros((k, n, 3))
     coeffs[np.arange(k), pairs] = lg.reshape(k, 2, 3).transpose(1, 0, 2)
-    lo, hi = _box(config.limits, n)
-    rows = [ConstraintRow(c, o) for c, o in zip(coeffs.reshape(k, 3 * n), offset.tolist())]
-    problem = QPProblem(_control_array(result.controls).ravel(), rows, lo, hi)
+    lo, hi, n_faces = _box(config.limits, n)
+    qp_rows = [ConstraintRow(c, o) for c, o in zip(coeffs.reshape(k, 3 * n), offset.tolist())]
+    problem = QPProblem(_control_array(result.controls).ravel(), qp_rows, lo, hi)
+    # stable ids of the stacked constraints: the pair number of row s < k,
+    # P + s - k of box face s >= k
+    n_pairs, pair_ids = len(result.h), rows.tolist()
+    slot = {i: s for s, i in enumerate(pair_ids)}
+    guess = [
+        slot[i] if i < n_pairs else k + i - n_pairs
+        for i in hint
+        if i in slot or n_pairs <= i < n_pairs + n_faces
+    ]
     try:
-        u_star, _ = solve_qp(problem)
+        u_star, mult = solve_qp(problem, guess=guess)
     except QPInfeasibleError as err:
         result.events.append(f"qp-infeasible mode=centralized {err}")
         result.fallback.update(pairs.ravel().tolist())
         return
+    result.active = [
+        pair_ids[s] if s < k else n_pairs + s - k for s in np.flatnonzero(mult > 0.0).tolist()
+    ]
     # the solver meets the box to its tolerance; clamp into it exactly
     u_star = np.clip(u_star, lo, hi).reshape(n, 3)
     result.controls = [ControlInput(*u) for u in u_star.tolist()]
@@ -277,7 +309,7 @@ def _filter_split(config, result, pairs, lg, offset, n):
     the pair is safe, so the halves are individually satisfiable.
     """
     gamma = maneuver_control_vector(config.barrier.maneuver)
-    lo, hi = _box(config.limits, 1)
+    lo, hi, _ = _box(config.limits, 1)
     ri, rj = pairs
     for v in range(n):
         my_rows = []

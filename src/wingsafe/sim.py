@@ -157,12 +157,14 @@ class Simulation:
         self._vehicles = array("d")  # per step and vehicle: state, nominal, filtered
         self._pair_rows: list[tuple[np.ndarray, ...]] = []  # (h, h_shaped, in_sensor)
         self._events: list[tuple[int, str]] = []
+        self._active: list[int] = []  # the last step's QP active set, warm-starts the next
 
     def step(self):
         states, t = self.states, self.t
         limits = self.fconfig.limits
         nominal = [c.control(s, t, limits) for c, s in zip(self.controllers, states)]
-        res = filter_controls(states, nominal, self.fconfig, mode=self.mode)
+        res = filter_controls(states, nominal, self.fconfig, mode=self.mode, hint=self._active)
+        self._active = res.active
         self.states = [step_rk4(s, u, self.dt) for s, u in zip(states, res.controls)]
         self._vehicles.extend([
             x

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import wingsafe
-from wingsafe.barrier import LinearGain, SafetyParams, TurnManeuver
+from wingsafe.barrier import LinearGain, SafetyParams, StraightManeuver, TurnManeuver
 from wingsafe.cli import TRACE_COLUMNS, main, write_outputs
 from wingsafe.dynamics import ActuatorLimits
 from wingsafe.scenarios import (
@@ -150,6 +150,21 @@ class TestCmdSweep:
     def test_empty_range_exit_one(self, tmp_path):
         assert run_cli("sweep", "--scenario", "sweep", "--out", str(tmp_path / "o")) == 1
 
+    @pytest.mark.parametrize("ranges, values", [
+        ("350.0001,350.0002", ("350.0001", "350.0002")),
+        ("330,400,330", ("330.0", "330.0")),
+    ], ids=["same-6-digits", "repeated"])
+    def test_colliding_output_dirs_exit_one(self, ranges, values, tmp_path, capsys):
+        # R_{R:g} keeps 6 significant digits: two such ranges would share
+        # one directory and the later run would overwrite the earlier one
+        out = tmp_path / "o"
+        code = run_cli("sweep", "--scenario", "sweep", "--range", ranges, "--out", str(out),
+                       "--dt", "0.05", "--workers", "1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(v in err for v in values)
+        assert not out.exists()  # rejected before any run
+
     def test_below_rmin_exit_one(self, tmp_path):
         code = run_cli(
             "sweep", "--scenario", "sweep", "--range", "300,350",
@@ -274,6 +289,11 @@ class TestInputValidation:
         pytest.param(lambda: LinearGain(NAN), id="LinearGain.slope"),
         pytest.param(lambda: ActuatorLimits(15.0, 25.0, NAN, 5.0), id="ActuatorLimits.omega_max"),
         pytest.param(lambda: ActuatorLimits(15.0, 25.0, 0.2, NAN), id="ActuatorLimits.zeta_max"),
+        pytest.param(lambda: StraightManeuver(v1=NAN, v2=20.0), id="StraightManeuver.v1"),
+        pytest.param(lambda: StraightManeuver(v1=20.0, v2=NAN), id="StraightManeuver.v2"),
+        pytest.param(lambda: StraightManeuver(20.0, 25.0, zeta1=NAN), id="StraightManeuver.zeta1"),
+        pytest.param(lambda: StraightManeuver(20.0, 25.0, zeta2=math.inf),
+                     id="StraightManeuver.zeta2"),
     ])
     def test_nan_parameter_rejected(self, build):
         with pytest.raises(ValueError):
@@ -285,6 +305,16 @@ class TestInputValidation:
                        "--dt", "0.05")
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nan_straight_speed_in_config_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        save_config(builtin_scenarios()["example1"], path)
+        d = json.loads(path.read_text())
+        d["barrier"]["v1"] = NAN
+        path.write_text(json.dumps(d))  # NaN is written as the token NaN
+        code = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "require finite v1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["run", "--scenario", "sweep", "--bogus"], id="unknown-flag"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wingsafe.qp import ConstraintRow, QPInfeasibleError, QPProblem, kkt_residual, solve_qp
 
@@ -158,3 +160,82 @@ class TestKKTResidual:
             best = brute_force_best(p, 10_000, rng)
             if best is not None:
                 assert objective(u, p.u_hat) <= best + 1e-9
+
+
+def _guess(kind, problem, rng):
+    """A guess of stacked constraint indices of the given kind."""
+    A, _ = problem.stacked()
+    m = A.shape[0]
+    if kind == "empty":
+        return []
+    if kind == "all":
+        return list(range(m))
+    if kind == "subset":
+        return sorted(rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False).tolist())
+    _, mult = solve_qp(problem)
+    return np.flatnonzero(mult > 0.0).tolist()
+
+
+GUESS_KINDS = st.sampled_from(["empty", "all", "subset", "active"])
+
+
+class TestWarmStart:
+    """A guessed active set changes how the optimum is found, not what it is."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), GUESS_KINDS)
+    def test_any_guess_gives_the_cold_optimum(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        p = random_feasible_problem(rng)
+        guess = _guess(kind, p, rng)
+        u_cold, _ = solve_qp(p)
+        u, mult = solve_qp(p, guess=guess)
+        np.testing.assert_allclose(u, u_cold, rtol=0, atol=1e-9)
+        assert kkt_residual(p, u) <= 1e-8
+        A, b = p.stacked()
+        assert np.all(mult >= 0)
+        np.testing.assert_allclose(u - p.u_hat, A.T @ mult, rtol=0, atol=1e-9)
+        assert np.all(A @ u - b >= -1e-9)
+
+    def test_true_active_set_skips_the_loop(self):
+        # with no iterations allowed the cold loop raises, so only an
+        # accepted guess can return
+        rng = np.random.default_rng(35)
+        warm = 0
+        for _ in range(200):
+            p = random_feasible_problem(rng)
+            u_cold, mult = solve_qp(p)
+            active = np.flatnonzero(mult > 0.0).tolist()
+            if not active:
+                continue
+            u, _ = solve_qp(p, guess=active, max_iter=0)
+            np.testing.assert_allclose(u, u_cold, rtol=0, atol=1e-9)
+            warm += 1
+        assert warm >= 150
+
+    def test_wrong_guess_falls_back_to_the_loop(self):
+        # u1 >= 1 is the only active constraint; guessing the upper face of
+        # u2 instead gives a negative multiplier, so the loop must run
+        rows = [ConstraintRow(np.array([1.0, 0.0]), -1.0)]
+        p = QPProblem(np.zeros(2), rows, np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+        with pytest.raises(RuntimeError, match="iteration limit"):
+            solve_qp(p, guess=[4], max_iter=0)
+        u, _ = solve_qp(p, guess=[4])
+        np.testing.assert_allclose(u, [1.0, 0.0], atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), GUESS_KINDS)
+    def test_infeasible_problem_raises_with_any_guess(self, seed, kind):
+        # a feasible problem plus one more row that no point of the box
+        # meets: a . u >= (max of a . u over the box) + 1
+        rng = np.random.default_rng(seed)
+        p = random_feasible_problem(rng)
+        m = len(p.rows)
+        # the feasible part's active set and the new row, in the new order
+        active = [g if g < m else g + 1 for g in _guess("active", p, rng)] + [m]
+        a = rng.normal(size=p.u_hat.size)
+        top = float(np.maximum(a * p.lower, a * p.upper).sum())
+        p.rows.append(ConstraintRow(a, -(top + 1.0)))
+        guess = active if kind == "active" else _guess(kind, p, rng)
+        with pytest.raises(QPInfeasibleError):
+            solve_qp(p, guess=guess)

@@ -184,6 +184,69 @@ class TestFilterControls:
         assert res.controls[1].speed == pytest.approx(man.speed)
 
 
+def _array(controls):
+    return np.array([(c.speed, c.turn_rate, c.climb_rate) for c in controls])
+
+
+class TestWarmStartHint:
+    """The previous step's active set only warm-starts the centralized QP."""
+
+    @staticmethod
+    def worlds(seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            yield [
+                VehicleState(rng.uniform(-120, 120), rng.uniform(-120, 120),
+                             rng.uniform(-math.pi, math.pi), 0)
+                for _ in range(4)
+            ]
+
+    def test_hinted_call_agrees_with_unhinted(self, fconfig):
+        nominal = [ControlInput(25, 0, 0)] * 4
+        hinted = 0
+        for world in self.worlds(44, 40):
+            cold = filter_controls(world, nominal, fconfig)
+            if not cold.active:
+                continue
+            # the exact active set, a stale one and ids naming nothing
+            for hint in (cold.active, cold.active[:1], [-1, 10**6] + cold.active):
+                warm = filter_controls(world, nominal, fconfig, hint=hint)
+                np.testing.assert_allclose(_array(warm.controls), _array(cold.controls),
+                                           rtol=0, atol=1e-9)
+                np.testing.assert_allclose(warm.margin, cold.margin, rtol=0, atol=1e-9)
+                assert warm.active == cold.active
+                assert warm.events == cold.events and warm.fallback == cold.fallback
+            hinted += 1
+        assert hinted >= 10
+
+    def test_active_ids_name_tight_constraints(self, fconfig, limits):
+        nominal = [ControlInput(25, 0, 0)] * 4
+        lo = [limits.v_min, -limits.omega_max, -limits.zeta_max] * 4
+        hi = [limits.v_max, limits.omega_max, limits.zeta_max] * 4
+        faces = lo + hi  # stacked box faces: lower, then upper
+        n_pairs = 6
+        for world in self.worlds(45, 40):
+            res = filter_controls(world, nominal, fconfig)
+            if res.fallback:
+                continue  # the margins are those of the evading maneuver
+            u = _array(res.controls).ravel()
+            for i in res.active:
+                if i < n_pairs:
+                    assert res.margin[i] == pytest.approx(0.0, abs=1e-8)
+                else:
+                    face = i - n_pairs
+                    assert u[face % 12] == pytest.approx(faces[face], abs=1e-9)
+
+    def test_no_active_set_without_centralized_qp(self, fconfig):
+        nominal = [ControlInput(25, 0, 0)] * 4
+        for world in self.worlds(46, 20):
+            hint = filter_controls(world, nominal, fconfig).active
+            for mode in ("split", "off"):
+                assert filter_controls(world, nominal, fconfig, mode, hint).active == []
+        far = [vehicle(0, 0, 0), vehicle(1000, 0, math.pi)]
+        assert filter_controls(far, nominal[:2], fconfig, hint=[0]).active == []
+
+
 class TestDomainErrors:
     # 0.05 m apart the turn barrier's radicand is negative: h is undefined
     WORLD = [vehicle(0, 0, 0), vehicle(0.05, 0, math.pi)]

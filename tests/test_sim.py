@@ -99,6 +99,17 @@ class TestDeterminism:
         assert np.array_equal(t1.pair_h, t2.pair_h, equal_nan=True)
         assert m1 == m2
 
+    def test_identical_warm_started_runs_bitwise(self):
+        # twenty vehicles meet within 8 s; each QP step that follows a QP
+        # step is warm-started from that step's active set
+        cfg = replace(scenario_circle20(start_radius=150.0), duration=8.0)
+        (t1, m1), (t2, m2) = run_scenario(cfg), run_scenario(cfg)
+        assert not np.array_equal(t1.filtered, t1.nominal)  # the QP ran
+        for name in ("states", "filtered", "pair_h", "pair_h_shaped", "pair_in_sensor",
+                     "final_states"):
+            np.testing.assert_array_equal(getattr(t1, name), getattr(t2, name), err_msg=name)
+        assert t1.events == t2.events and m1 == m2
+
     def test_trace_shape_and_timestamps(self):
         cfg = replace(scenario_sweep(330.0), duration=2.0)
         trace, m = run_scenario(cfg)
