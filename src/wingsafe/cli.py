@@ -124,27 +124,37 @@ TRACE_COLUMNS = [
 ]
 
 
+TRACE_BLOCK_ROWS = 4096  # trace.csv rows formatted at once
+
+
 def write_outputs(out_dir: Path, cfg: ScenarioConfig, trace, metrics) -> None:
     def write_trace(fh):
-        w = csv.writer(fh)
-        w.writerow(TRACE_COLUMNS)
-        # per step and vehicle: the minimum shaped barrier over its pairs
-        vehicles = range(trace.states.shape[1])
+        # No field (float repr, vehicle number or "") needs quoting, so rows
+        # are joined directly, ended as csv's excel dialect ends them.
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        n = trace.states.shape[1]
+        rows = trace.n_steps * n
         pairs = np.array(trace.pairs, dtype=int).reshape(-1, 2)
+        # per step and vehicle: the minimum shaped barrier over its pairs
         min_h = np.stack([
             np.fmin.reduce(trace.pair_h_shaped[:, (pairs == v).any(axis=1)], axis=1, initial=np.nan)
-            for v in vehicles
+            for v in range(n)
         ], axis=1)
-        for s0 in range(0, trace.n_steps, 64):  # 64 steps of rows formatted at once
-            block = slice(s0, s0 + 64)
-            columns = np.concatenate(
-                (trace.states[block], trace.nominal[block], trace.filtered[block]), axis=2
-            ).tolist()
-            w.writerows(
-                [repr(t), v, *map(repr, columns[b][v]), repr(h) if h == h else ""]
-                for b, (t, hs) in enumerate(zip(trace.times[block].tolist(), min_h[block].tolist()))
-                for v, h in zip(vehicles, hs)
-            )
+        per_row = [
+            a.reshape(rows, a.shape[2])
+            for a in (trace.states, trace.nominal, trace.filtered, min_h[:, :, None])
+        ]
+        vehicles = [str(v) for v in range(n)]
+        for r0 in range(0, rows, TRACE_BLOCK_ROWS):
+            r = np.arange(r0, min(r0 + TRACE_BLOCK_ROWS, rows))
+            block = np.concatenate([trace.times[r // n, None], *(a[r] for a in per_row)], axis=1)
+            # repr once per distinct bit pattern (so -0.0 stays apart from 0.0); NaN is ""
+            distinct, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+            text = [repr(x) if x == x else "" for x in distinct.view(np.float64).tolist()]
+            # column 1 is the vehicle number, its text stored after the distinct values
+            index = np.insert(inverse.reshape(block.shape), 1, len(text) + r % n, axis=1)
+            lines = map(",".join, np.array(text + vehicles, dtype=object)[index].tolist())
+            fh.write("".join(f"{line}\r\n" for line in lines))
 
     _atomic_write(out_dir / "trace.csv", write_trace)
 
@@ -160,9 +170,8 @@ def write_outputs(out_dir: Path, cfg: ScenarioConfig, trace, metrics) -> None:
     _atomic_write(out_dir / "metrics.json", lambda fh: json.dump(payload, fh, indent=2))
 
     def write_events(fh):
-        dt = cfg.dt
         for step, msg in trace.events:
-            fh.write(f"step={step} t={repr(step * dt)} {msg}\n")
+            fh.write(f"step={step} t={repr(float(trace.times[step]))} {msg}\n")
 
     _atomic_write(out_dir / "events.log", write_events)
     _atomic_write(

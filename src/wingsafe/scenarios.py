@@ -412,4 +412,5 @@ def run_scenario(config: ScenarioConfig) -> tuple[SimTrace, Metrics]:
     for _ in range(config.n_steps):
         sim.step()
     trace = sim.finalize()
+    del sim  # release its per-step buffers before the metrics allocate theirs
     return trace, compute_metrics(trace, config.barrier.safety.ds)

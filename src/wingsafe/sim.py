@@ -203,8 +203,12 @@ def compute_metrics(trace: SimTrace, ds: float) -> Metrics:
     """Metrics over all recorded states plus the final state."""
     all_states = np.concatenate([trace.states, trace.final_states[None]], axis=0)
     ii, jj = np.array(trace.pairs, int).reshape(-1, 2).T
-    dx, dy = (all_states[:, ii, :2] - all_states[:, jj, :2]).transpose(2, 0, 1)
-    dist = np.hypot(dx, dy)  # (T+1, P)
+    px, py = all_states[:, :, 0], all_states[:, :, 1]
+    dx = px[:, ii]
+    dx -= px[:, jj]
+    dy = py[:, ii]
+    dy -= py[:, jj]
+    dist = np.hypot(dx, dy, out=dx)  # (T+1, P), built in place: this sets a run's peak memory
     min_distance = float(dist.min(initial=math.inf))
     min_h_shaped = float(np.fmin.reduce(trace.pair_h_shaped, axis=None, initial=math.inf))
     jumps = np.linalg.norm(np.diff(trace.filtered, axis=0), axis=2).max(axis=0, initial=0.0)

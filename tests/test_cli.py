@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -11,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wingsafe
 from wingsafe.barrier import LinearGain, SafetyParams, StraightManeuver, TurnManeuver
-from wingsafe.cli import TRACE_COLUMNS, main, write_outputs
+from wingsafe.cli import TRACE_BLOCK_ROWS, TRACE_COLUMNS, main, write_outputs
 from wingsafe.dynamics import ActuatorLimits
 from wingsafe.scenarios import (
     builtin_scenarios,
@@ -27,6 +30,7 @@ from wingsafe.scenarios import (
     scenario_sweep,
 )
 from wingsafe.shaping import SensorModel, make_quadratic_psi
+from wingsafe.sim import Metrics, SimTrace
 
 
 class TestConfigRoundTrip:
@@ -106,6 +110,19 @@ class TestCmdRun:
         out = tmp_path / "out"
         assert run_cli("run", "--scenario", "sweep", "--out", str(out), "--dt", "100") == 0
         assert (out / "trace.csv").read_text().splitlines() == [",".join(TRACE_COLUMNS)]
+
+    def test_event_times_match_trace_rows(self, tmp_path):
+        out = tmp_path / "out"
+        run_cli("run", "--scenario", "example2", "--mode", "off", "--out", str(out))
+        n = len(json.loads((out / "config.json").read_text())["vehicles"])
+        with open(out / "trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        events = (out / "events.log").read_text().splitlines()
+        assert events
+        for line in events:
+            step, t = re.match(r"step=(\d+) t=(\S+) ", line).groups()
+            step_rows = rows[int(step) * n:(int(step) + 1) * n]
+            assert [r["t"] for r in step_rows] == [t] * n, line
 
     def test_config_file_input(self, tmp_path):
         cfg = scenario_sweep(400.0)
@@ -241,6 +258,51 @@ class TestOutputs:
         trace, metrics = run_scenario(cfg)
         write_outputs(tmp_path, cfg, trace, metrics)
         assert (tmp_path / "trace.csv").read_bytes() == row_by_row_trace(trace)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_block_writer_matches_row_by_row(self, data, tmp_path_factory):
+        n = data.draw(st.sampled_from([1, 2, 3, 7]), label="vehicles")
+        # step counts whose row count T*N falls on, across and off block boundaries
+        b = TRACE_BLOCK_ROWS
+        n_steps = data.draw(st.sampled_from(
+            sorted({0, 1, 3, b // n, b // n + 1, 2 * b // n, 2 * b // n + 1})), label="steps")
+        pool = np.array(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.0, -1.5, 0.1, 1e300]
+            + data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6))
+        )
+        nan_share = data.draw(st.sampled_from([0.0, 0.5, 0.95, 1.0]), label="nan share")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        def values(*shape):
+            fresh = rng.normal(scale=100.0, size=shape)  # mostly distinct values
+            return np.where(rng.random(shape) < 0.5, rng.choice(pool, size=shape), fresh)
+
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        # quiet NaNs, the only kind arithmetic makes (np.fmin does not skip signalling ones)
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                         0x7FFC00000000ABCD, 0xFFFFFFFFFFFFFFFF], np.uint64).view(np.float64)
+        # +0.0 is added so that no zero is -0.0: the minimum of 0.0 and -0.0 may be either
+        h_shaped = np.where(rng.random((n_steps, len(pairs))) < nan_share,
+                            rng.choice(nans, size=(n_steps, len(pairs))),
+                            values(n_steps, len(pairs)) + 0.0)
+        trace = SimTrace(
+            pairs=pairs,
+            times=values(n_steps),
+            states=values(n_steps, n, 4),
+            nominal=values(n_steps, n, 3),
+            filtered=values(n_steps, n, 3),
+            pair_h=values(n_steps, len(pairs)),
+            pair_h_shaped=h_shaped,
+            pair_in_sensor=np.ones((n_steps, len(pairs)), bool),
+            events=[],
+            final_states=values(n, 4),
+            final_time=0.0,
+        )
+        metrics = Metrics(0.0, 0.0, (), {}, False, n_steps, 0)
+        out = tmp_path_factory.mktemp("trace")
+        write_outputs(out, scenario_sweep(), trace, metrics)
+        assert (out / "trace.csv").read_bytes() == row_by_row_trace(trace)
 
     def test_outputs_follow_umask(self, tmp_path):
         old = os.umask(0o022)
