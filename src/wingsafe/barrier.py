@@ -141,8 +141,8 @@ class LinearGain:
     slope: float = 1.0
 
     def __post_init__(self):
-        if not self.slope > 0.0:  # also rejects NaN
-            raise ValueError("require slope > 0")
+        if not 0.0 < self.slope < math.inf:  # also rejects NaN
+            raise ValueError("require 0 < slope < inf")
 
     def __call__(self, value: float) -> float:
         return self.slope * value

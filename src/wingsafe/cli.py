@@ -257,6 +257,9 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float], workers: int | None = 
         else:
             results = [_sweep_one(j) for j in jobs]
         _atomic_write(manifest.out_dir / "sweep.csv", write_sweep)
+    except ValueError as err:  # e.g. a step count too large to record
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as err:
         print(f"error: cannot write outputs: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -86,10 +86,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if not self.vehicles:
             raise ValueError("at least one vehicle required")
-        if not self.dt > 0:  # also rejects NaN
-            raise ValueError("dt must be > 0")
-        if not self.duration > 0:
-            raise ValueError("duration must be > 0")
+        if not 0 < self.dt < math.inf:  # also rejects NaN
+            raise ValueError("dt must be finite and > 0")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be finite and > 0")
         if self.mode not in ("centralized", "split", "off"):
             raise ValueError(f"unknown filter mode {self.mode!r}")
         if isinstance(self.shaping_xi, str) and self.shaping_xi != "auto":
@@ -106,8 +106,6 @@ class ScenarioConfig:
             xi = xi_from_range(self.sensor_range, self.barrier.maneuver, self.barrier.safety)
         else:
             xi = float(self.shaping_xi)
-            if not xi > 0:
-                raise ValueError("shaping xi must be > 0")
         return make_quadratic_psi(xi, self.shaping_beta)
 
     def filter_config(self) -> FilterConfig:
@@ -399,8 +397,8 @@ def builtin_scenarios(sweep_range: float = 350.0) -> dict[str, ScenarioConfig]:
 def run_scenario(config: ScenarioConfig) -> tuple[SimTrace, Metrics]:
     """Run duration/dt closed-loop steps and summarize.
 
-    Invalid configurations (including infeasible "auto" shaping) raise
-    ValueError here, before any stepping.
+    Invalid configurations (including infeasible "auto" shaping and step
+    counts too large to record) raise ValueError here, before any stepping.
     """
     sim = Simulation(
         states=[v.state for v in config.vehicles],
@@ -408,9 +406,9 @@ def run_scenario(config: ScenarioConfig) -> tuple[SimTrace, Metrics]:
         fconfig=config.filter_config(),
         mode=config.mode,
         dt=config.dt,
+        n_steps=config.n_steps,
     )
     for _ in range(config.n_steps):
         sim.step()
     trace = sim.finalize()
-    del sim  # release its per-step buffers before the metrics allocate theirs
     return trace, compute_metrics(trace, config.barrier.safety.ds)

@@ -84,8 +84,8 @@ class ShapingParams:
 def make_quadratic_psi(xi: float, beta: float) -> ShapingParams:
     """Quadratic interpolant satisfying the blending constraints at beta*xi
     and xi (see module docstring)."""
-    if not xi > 0.0:
-        raise ValueError("require xi > 0")
+    if not 0.0 < xi < math.inf:  # also rejects NaN
+        raise ValueError("require 0 < xi < inf")
     if not (0.0 < beta < 1.0):
         raise ValueError("require 0 < beta < 1")
     c1 = -1.0 / (2.0 * xi * (1.0 - beta))

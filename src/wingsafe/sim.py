@@ -14,7 +14,6 @@ identical configurations produce bitwise-identical traces.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -139,13 +138,15 @@ class Metrics:
 
 
 class Simulation:
-    """Step-by-step runner that accumulates the trace.
+    """Step-by-step runner that records each step into arrays sized once, at
+    construction, for the run's n_steps steps.
 
     Filter and barrier failures never abort a step; they surface as events
     with the evading-maneuver fallback applied (see safety_filter).
     """
 
-    def __init__(self, states, controllers, fconfig: FilterConfig, mode: str, dt: float):
+    def __init__(self, states, controllers, fconfig: FilterConfig, mode: str, dt: float,
+                 n_steps: int):
         self.t = 0.0
         self.states: list[VehicleState] = list(states)
         self.controllers = list(controllers)
@@ -153,68 +154,98 @@ class Simulation:
         self.mode = mode
         self.dt = dt
         self.pairs = list(zip(*pair_index(len(self.states)).tolist()))
-        self._times: list[float] = []
-        self._vehicles = array("d")  # per step and vehicle: state, nominal, filtered
-        self._pair_rows: list[tuple[np.ndarray, ...]] = []  # (h, h_shaped, in_sensor)
+        n_pairs = len(self.pairs)
+        try:
+            self._times = np.empty(n_steps)
+            # per step and vehicle: state, nominal, filtered (10 values)
+            self._vehicles = np.empty((n_steps, len(self.states) * 10))
+            self._h = np.empty((n_steps, n_pairs))
+            self._h_shaped = np.empty((n_steps, n_pairs))
+            self._in_sensor = np.empty((n_steps, n_pairs), bool)
+        except (ValueError, MemoryError) as err:
+            raise ValueError(f"cannot record a run of {n_steps:.6g} steps: {err}") from None
+        self._step = 0  # steps recorded so far
         self._events: list[tuple[int, str]] = []
         self._active: list[int] = []  # the last step's QP active set, warm-starts the next
 
     def step(self):
-        states, t = self.states, self.t
+        k, states, t = self._step, self.states, self.t
+        if k == len(self._times):
+            raise IndexError(f"all {k} steps of this run are recorded")
         limits = self.fconfig.limits
         nominal = [c.control(s, t, limits) for c, s in zip(self.controllers, states)]
         res = filter_controls(states, nominal, self.fconfig, mode=self.mode, hint=self._active)
         self._active = res.active
         self.states = [step_rk4(s, u, self.dt) for s, u in zip(states, res.controls)]
-        self._vehicles.extend([
+        self._vehicles[k] = [
             x
             for s, u, f in zip(states, nominal, res.controls)
             for x in (s.px, s.py, s.heading, s.pz, u.speed, u.turn_rate, u.climb_rate,
                       f.speed, f.turn_rate, f.climb_rate)
-        ])
-        self._pair_rows.append((res.h, res.h_shaped, res.in_sensor))
-        self._events.extend((len(self._times), e) for e in res.events)
-        self._times.append(t)
+        ]
+        self._h[k], self._h_shaped[k], self._in_sensor[k] = res.h, res.h_shaped, res.in_sensor
+        self._events.extend((k, e) for e in res.events)
+        self._times[k] = t
+        self._step = k + 1
         self.t = t + self.dt
 
     def finalize(self) -> SimTrace:
-        n_steps, n_pairs = len(self._times), len(self.pairs)
-        per_vehicle = np.array(self._vehicles).reshape(n_steps, len(self.states), 10)
-        h, h_shaped, in_sensor = (
-            np.array([r[c] for r in self._pair_rows], dtype).reshape(n_steps, n_pairs)
-            for c, dtype in enumerate((float, float, bool))
-        )
+        """The steps recorded so far, as views of the recording arrays."""
+        k = self._step
+        per_vehicle = self._vehicles[:k].reshape(k, len(self.states), 10)
         return SimTrace(
             pairs=self.pairs,
-            times=np.array(self._times, float),
+            times=self._times[:k],
             states=per_vehicle[:, :, 0:4],
             nominal=per_vehicle[:, :, 4:7],
             filtered=per_vehicle[:, :, 7:10],
-            pair_h=h,
-            pair_h_shaped=h_shaped,
-            pair_in_sensor=in_sensor,
+            pair_h=self._h[:k],
+            pair_h_shaped=self._h_shaped[:k],
+            pair_in_sensor=self._in_sensor[:k],
             events=self._events,
             final_states=np.array([[s.px, s.py, s.heading, s.pz] for s in self.states]),
             final_time=self.t,
         )
 
 
+METRIC_BLOCK_STEPS = 1024  # steps whose pair distances compute_metrics holds at once
+
+
 def compute_metrics(trace: SimTrace, ds: float) -> Metrics:
-    """Metrics over all recorded states plus the final state."""
-    all_states = np.concatenate([trace.states, trace.final_states[None]], axis=0)
+    """Metrics over all recorded states plus the final state.
+
+    Pair distances and control jumps are computed METRIC_BLOCK_STEPS steps
+    at a time, so memory does not grow with the run's length.  Each block's
+    per-pair argmin is merged into the running one by one more argmin over
+    (running, block): the earlier step wins ties and a NaN wins, as one
+    argmin over all steps would have it."""
     ii, jj = np.array(trace.pairs, int).reshape(-1, 2).T
-    px, py = all_states[:, :, 0], all_states[:, :, 1]
-    dx = px[:, ii]
-    dx -= px[:, jj]
-    dy = py[:, ii]
-    dy -= py[:, jj]
-    dist = np.hypot(dx, dy, out=dx)  # (T+1, P), built in place: this sets a run's peak memory
-    min_distance = float(dist.min(initial=math.inf))
+    cols = np.arange(len(trace.pairs))
+    best = np.full((2, len(cols)), math.inf)  # row 0 running minima, row 1 this block's
+    at = np.zeros((2, len(cols)), int)  # the steps of those minima
+    jumps = np.zeros(trace.filtered.shape[1])
+    xy = trace.states[:, :, 0:2]
+    for b0 in range(0, trace.n_steps + 1, METRIC_BLOCK_STEPS):
+        b1 = b0 + METRIC_BLOCK_STEPS
+        # the jump into each of the block's steps, so blocks overlap by one row
+        changes = np.diff(trace.filtered[max(b0 - 1, 0):b1], axis=0)
+        np.maximum(jumps, np.linalg.norm(changes, axis=2).max(axis=0, initial=0.0), out=jumps)
+        block = xy[b0:b1]
+        if b1 > trace.n_steps:  # the last block ends at the final state
+            block = np.concatenate([block, trace.final_states[None, :, 0:2]])
+        dx = block[:, ii, 0]
+        dx -= block[:, jj, 0]
+        dy = block[:, ii, 1]
+        dy -= block[:, jj, 1]
+        dist = np.hypot(dx, dy, out=dx)
+        steps = dist.argmin(axis=0)
+        best[1], at[1] = dist[steps, cols], steps + b0
+        take = best.argmin(axis=0) == 1
+        best[0, take], at[0, take] = best[1, take], at[1, take]
+    min_distance = float(best[0].min(initial=math.inf))
     min_h_shaped = float(np.fmin.reduce(trace.pair_h_shaped, axis=None, initial=math.inf))
-    jumps = np.linalg.norm(np.diff(trace.filtered, axis=0), axis=2).max(axis=0, initial=0.0)
-    steps = dist.argmin(axis=0)  # each pair's closest step, the first on ties
-    times = np.append(trace.times, trace.final_time)[steps].tolist()
-    d_min = dist[steps, np.arange(len(trace.pairs))].tolist()
+    times = np.append(trace.times, trace.final_time)[at[0]].tolist()
+    d_min = best[0].tolist()
     return Metrics(
         min_distance=min_distance,
         min_h_shaped=min_h_shaped,

@@ -356,17 +356,52 @@ class TestInputValidation:
         pytest.param(lambda: StraightManeuver(20.0, 25.0, zeta1=NAN), id="StraightManeuver.zeta1"),
         pytest.param(lambda: StraightManeuver(20.0, 25.0, zeta2=math.inf),
                      id="StraightManeuver.zeta2"),
+        pytest.param(lambda: replace(scenario_sweep(), dt=math.inf), id="ScenarioConfig.dt=inf"),
+        pytest.param(lambda: replace(scenario_sweep(), duration=math.inf),
+                     id="ScenarioConfig.duration=inf"),
+        pytest.param(lambda: make_quadratic_psi(math.inf, 0.9), id="make_quadratic_psi.xi=inf"),
+        pytest.param(lambda: LinearGain(math.inf), id="LinearGain.slope=inf"),
     ])
     def test_nan_parameter_rejected(self, build):
         with pytest.raises(ValueError):
             build()
 
-    @pytest.mark.parametrize("flag", ["--range", "--xi", "--alpha"])
-    def test_nan_override_exit_one(self, flag, tmp_path, capsys):
-        code = run_cli("run", "--scenario", "sweep", flag, "nan", "--out", str(tmp_path / "o"),
-                       "--dt", "0.05")
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--range", "nan", id="--range"),
+        pytest.param("--xi", "nan", id="--xi"),
+        pytest.param("--alpha", "nan", id="--alpha"),
+        pytest.param("--dt", "inf", id="--dt=inf"),
+        pytest.param("--xi", "inf", id="--xi=inf"),
+        pytest.param("--alpha", "inf", id="--alpha=inf"),
+    ])
+    def test_nan_override_exit_one(self, flag, value, tmp_path, capsys):
+        code = run_cli("run", "--scenario", "sweep", "--dt", "0.05", flag, value,
+                       "--out", str(tmp_path / "o"))
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_infinite_duration_in_config_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        save_config(scenario_sweep(), path)
+        d = json.loads(path.read_text())
+        d["duration"] = math.inf
+        path.write_text(json.dumps(d))  # written as the token Infinity
+        code = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "duration must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["run"], id="run"),
+        pytest.param(["sweep", "--range", "330", "--workers", "1"], id="sweep"),
+    ])
+    def test_unrecordable_step_count_exit_one(self, argv, tmp_path, capsys):
+        # 3e301 steps: numpy rejects the recording arrays' shape before
+        # allocating anything, so the run fails before its first step
+        code = run_cli(*argv, "--scenario", "sweep", "--dt", "1e-300",
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "3e+301 steps" in err
 
     def test_nan_straight_speed_in_config_exit_one(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"

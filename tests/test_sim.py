@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wingsafe.barrier import PairState, h_value
 from wingsafe.dynamics import ActuatorLimits, ControlInput, VehicleState
@@ -16,7 +20,15 @@ from wingsafe.scenarios import (
     scenario_example2,
     scenario_sweep,
 )
-from wingsafe.sim import CircleController, GoalController, Simulation
+from wingsafe.sim import (
+    METRIC_BLOCK_STEPS,
+    CircleController,
+    GoalController,
+    Metrics,
+    Simulation,
+    SimTrace,
+    compute_metrics,
+)
 
 from conftest import DS, EVADE_RATE
 
@@ -71,7 +83,7 @@ class TestStepWorld:
         cfg = replace(scenario_sweep(350.0), mode="off")
         fc = cfg.filter_config()
         ctrl = [GoalController(1000.0, 0.0, cruise_speed=20.0)]
-        sim = Simulation([VehicleState(0, 0, 0, 0)], ctrl, fc, "off", 0.5)
+        sim = Simulation([VehicleState(0, 0, 0, 0)], ctrl, fc, "off", 0.5, 1)
         sim.step()
         assert sim.states[0].px == pytest.approx(10.0, abs=1e-12)
         assert sim.states[0].py == 0.0
@@ -81,11 +93,20 @@ class TestStepWorld:
         cfg = scenario_sweep(350.0)
         fc = cfg.filter_config()
         sim = Simulation(
-            [VehicleState(0, 0, 0, 0)], [GoalController(1000.0, 0.0)], fc, "centralized", 0.01
+            [VehicleState(0, 0, 0, 0)], [GoalController(1000.0, 0.0)], fc, "centralized", 0.01, 1
         )
         sim.step()
         trace = sim.finalize()
         assert np.array_equal(trace.filtered, trace.nominal)
+
+    def test_step_past_step_count_raises(self):
+        fc = replace(scenario_sweep(350.0), mode="off").filter_config()
+        sim = Simulation([VehicleState(0, 0, 0, 0)], [GoalController(1000.0, 0.0)], fc, "off",
+                         0.5, 1)
+        sim.step()
+        with pytest.raises(IndexError, match="all 1 steps"):
+            sim.step()
+        assert sim.t == 0.5 and sim.finalize().n_steps == 1
 
 
 class TestDeterminism:
@@ -272,3 +293,96 @@ class TestMetrics:
         assert m.closest_approach == {}
         assert not m.violation
         assert len(m.max_control_jump) == 1
+
+
+def unblocked_metrics(trace: SimTrace, ds: float) -> Metrics:
+    """compute_metrics over all steps at once: the reference for the blocked
+    computation."""
+    all_states = np.concatenate([trace.states, trace.final_states[None]], axis=0)
+    ii, jj = np.array(trace.pairs, int).reshape(-1, 2).T
+    px, py = all_states[:, :, 0], all_states[:, :, 1]
+    dist = np.hypot(px[:, ii] - px[:, jj], py[:, ii] - py[:, jj])
+    min_distance = float(dist.min(initial=math.inf))
+    min_h_shaped = float(np.fmin.reduce(trace.pair_h_shaped, axis=None, initial=math.inf))
+    jumps = np.linalg.norm(np.diff(trace.filtered, axis=0), axis=2).max(axis=0, initial=0.0)
+    steps = dist.argmin(axis=0)  # each pair's closest step, the first on ties
+    times = np.append(trace.times, trace.final_time)[steps].tolist()
+    d_min = dist[steps, np.arange(len(trace.pairs))].tolist()
+    return Metrics(
+        min_distance=min_distance,
+        min_h_shaped=min_h_shaped,
+        max_control_jump=tuple(jumps.tolist()),
+        closest_approach={f"{i}-{j}": (t, d) for (i, j), t, d in zip(trace.pairs, times, d_min)},
+        violation=min_distance < ds,
+        n_steps=trace.n_steps,
+        n_events=len(trace.events),
+    )
+
+
+B = METRIC_BLOCK_STEPS
+
+
+class TestBlockedMetrics:
+    @pytest.mark.parametrize("plant", ["none", "grid", "boundary", "final", "nan"])
+    @pytest.mark.parametrize("n_steps", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_blocked_equals_unblocked(self, n_steps, plant, data):
+        n = data.draw(st.sampled_from([1, 2, 5]), label="N")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        states = rng.uniform(-100.0, 100.0, (n_steps + 1, n, 4))  # row T: the final state
+        filtered = rng.uniform(15.0, 25.0, (n_steps, n, 3))
+        times = np.arange(n_steps + 1) * 0.01
+        closest = None  # the step every pair must be closest at
+        if plant == "grid":  # few distinct values: tied distances and jumps
+            states, filtered = np.round(states / 50.0) * 50.0, np.round(filtered / 5.0) * 5.0
+        boundaries = list(range(B, n_steps + 1, B))
+        if plant == "boundary" and boundaries:
+            # all vehicles meet on both sides of a block boundary: the first
+            # wins; the largest control jump is across that boundary
+            b = data.draw(st.sampled_from(boundaries), label="boundary")
+            states[b - 1, :, 0:2] = states[b, :, 0:2] = 7.0
+            filtered[b:] += 100.0
+            closest = b - 1
+        if plant == "final":
+            states[n_steps, :, 0:2] = 7.0
+            closest = n_steps
+        if plant == "nan":  # argmin takes the first NaN; min and max propagate it
+            states[rng.integers(0, n_steps + 1, 2), rng.integers(0, n, 2), 0] = math.nan
+            filtered[rng.integers(0, n_steps, min(n_steps, 2)), 0, 0] = math.nan
+        pairs = list(combinations(range(n), 2))
+        trace = SimTrace(
+            pairs=pairs,
+            times=times[:n_steps],
+            states=states[:n_steps],
+            nominal=filtered,
+            filtered=filtered,
+            pair_h=rng.normal(size=(n_steps, len(pairs))),
+            pair_h_shaped=rng.normal(size=(n_steps, len(pairs))),
+            pair_in_sensor=np.ones((n_steps, len(pairs)), bool),
+            events=[],
+            final_states=states[n_steps],
+            final_time=float(times[n_steps]),
+        )
+        m, reference = compute_metrics(trace, DS), unblocked_metrics(trace, DS)
+        if plant == "nan":  # NaN != NaN; repr still tells every other float apart
+            assert repr(m) == repr(reference)
+        else:
+            assert m == reference
+        if closest is not None and pairs:
+            assert {t for t, _ in m.closest_approach.values()} == {times[closest]}
+
+    def test_memory_does_not_grow_with_steps(self):
+        # 3000 steps span three metric blocks; recording and metrics may add
+        # at most a fixed amount on top of the trace's own arrays
+        cfg = scenario_circle20()
+        cfg = replace(cfg, vehicles=cfg.vehicles[:5], dt=0.02, duration=60.0, mode="off")
+        tracemalloc.start()
+        try:
+            trace, _ = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.n_steps > 2 * METRIC_BLOCK_STEPS
+        nbytes = sum(a.nbytes for a in vars(trace).values() if isinstance(a, np.ndarray))
+        assert peak - nbytes <= nbytes / 2
