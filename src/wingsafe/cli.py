@@ -299,6 +299,8 @@ def _check(cfg: ScenarioConfig, samples: int) -> int:
             try:
                 xi = xi_from_range(cfg.sensor_range, man, cfg.barrier.safety)
             except ValueError as err:
+                if not math.isfinite(cfg.sensor_range):
+                    raise  # a usage error, not an incompatible range
                 print(f"no positive xi exists ({err})")
                 print("sensor compatible: no")
                 return EXIT_INCOMPATIBLE

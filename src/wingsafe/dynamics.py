@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,32 +31,53 @@ def wrap_angle(theta: float) -> float:
     return w
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    """Planar position, heading and altitude of one vehicle (SI units)."""
-
+class _VehicleStateFields(NamedTuple):
     px: float
     py: float
     heading: float
     pz: float = 0.0
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.px, self.py, self.heading, self.pz))):
-            raise ValueError(f"non-finite state field in {self!r}")
-        object.__setattr__(self, "heading", wrap_angle(self.heading))
+
+class VehicleState(_VehicleStateFields):
+    """Planar position, heading and altitude of one vehicle (SI units).
+
+    An immutable named tuple of finite fields; the heading is wrapped to
+    (-pi, pi] on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, px, py, heading, pz=0.0):
+        if isfinite(px) and isfinite(py) and isfinite(heading) and isfinite(pz):
+            return tuple.__new__(cls, (px, py, wrap_angle(heading), pz))
+        raw = tuple.__new__(cls, (px, py, heading, pz))
+        raise ValueError(f"non-finite state field in {raw!r}")
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _make and _replace skip __new__
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ControlInput:
-    """Airspeed, turn rate and climb rate command."""
-
+class _ControlInputFields(NamedTuple):
     speed: float
     turn_rate: float
     climb_rate: float = 0.0
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.speed, self.turn_rate, self.climb_rate))):
-            raise ValueError(f"non-finite control field in {self!r}")
+
+class ControlInput(_ControlInputFields):
+    """Airspeed, turn rate and climb rate command: an immutable named tuple of
+    finite fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, speed, turn_rate, climb_rate=0.0):
+        if isfinite(speed) and isfinite(turn_rate) and isfinite(climb_rate):
+            return tuple.__new__(cls, (speed, turn_rate, climb_rate))
+        raw = tuple.__new__(cls, (speed, turn_rate, climb_rate))
+        raise ValueError(f"non-finite control field in {raw!r}")
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -115,7 +138,7 @@ def step_rk4(state: VehicleState, u: ControlInput, dt: float) -> VehicleState:
     px = state.px + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     py = state.py + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
     pz = state.pz + dt * ze
-    return VehicleState(px, py, wrap_angle(th4), pz)
+    return VehicleState(px, py, th4, pz)  # VehicleState wraps the heading
 
 
 def propagate_turn(state: VehicleState, speed: float, turn_rate: float, tau: float) -> VehicleState:
@@ -138,7 +161,7 @@ def propagate_turn(state: VehicleState, speed: float, turn_rate: float, tau: flo
     return VehicleState(
         state.px + rr * (math.sin(th1) - math.sin(th0)),
         state.py + rr * (-math.cos(th1) + math.cos(th0)),
-        wrap_angle(th1),
+        th1,
         state.pz,
     )
 

@@ -36,6 +36,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,20 +45,30 @@ class QPInfeasibleError(RuntimeError):
     """The constraint rows and box admit no common point."""
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
-    """Half-space constraint coeffs . u + offset >= 0 over the stacked control."""
-
+class _ConstraintRowFields(NamedTuple):
     coeffs: np.ndarray
     offset: float
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", c)
-        if not (np.isfinite(c).all() and math.isfinite(self.offset)):
+
+class ConstraintRow(_ConstraintRowFields):
+    """Half-space constraint coeffs . u + offset >= 0 over the stacked control.
+
+    The offset must be finite, and a zero row may not have a negative offset.
+    The coefficients are checked for finiteness once per problem, by
+    QPProblem.stacked."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs, offset):
+        if not math.isfinite(offset):
             raise ValueError("non-finite constraint row")
-        if self.offset < 0.0 and not c.any():
+        if offset < 0.0 and not np.any(coeffs):
             raise ValueError("zero row with negative offset is infeasible by construction")
+        return tuple.__new__(cls, (coeffs, offset))
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _make and _replace skip __new__
+        return cls(*iterable)
 
     def margin(self, u: np.ndarray) -> float:
         return float(self.coeffs @ u) + self.offset
@@ -82,11 +93,15 @@ class QPProblem:
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All constraints as A u >= b: barrier rows first, then finite box
-        faces (lower, then upper), preserving index order."""
+        faces (lower, then upper), preserving index order.  Raises ValueError
+        for a row with a non-finite coefficient."""
         n = self.u_hat.size
         eye = _identity(n)
         lo, hi = np.isfinite(self.lower), np.isfinite(self.upper)
         rows = np.array([r.coeffs for r in self.rows], dtype=float).reshape(-1, n)
+        if not np.isfinite(rows).all():
+            k = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+            raise ValueError(f"non-finite constraint row {k}")
         A = np.concatenate([rows, eye[lo], 0.0 - eye[hi]])  # 0.0 - x: no negative zeros
         b = np.concatenate([[-r.offset for r in self.rows], self.lower[lo], -self.upper[hi]])
         return A, b
@@ -105,7 +120,8 @@ def solve_qp(problem: QPProblem, tol: float = 1e-11, max_iter: int | None = None
 
     Returns (u, multipliers) with multipliers aligned to the stacked
     constraint order of QPProblem.stacked().  Raises QPInfeasibleError when
-    the feasible region is empty.  guess, stacked indices of constraints
+    the feasible region is empty, and ValueError (from stacked) for a
+    non-finite row.  guess, stacked indices of constraints
     expected to be active, changes only how the optimum is found.
     """
     A, b = problem.stacked()

@@ -149,8 +149,11 @@ def xi_from_range(R: float, m: TurnManeuver, params: SafetyParams) -> float:
     """Largest provably valid shaping threshold for sensor range R:
     xi = sqrt((R - 2*r1 - 2*r2)^2 - 4*delta) - ds.
 
-    Raises for R at or below min_sensing_range (no positive xi exists).
+    Raises for a non-finite R, which bounds no xi, and for R at or below
+    min_sensing_range (no positive xi exists).
     """
+    if not math.isfinite(R):
+        raise ValueError(f"auto shaping needs a finite sensor range, got R = {R}")
     rmin = min_sensing_range(m, params)
     if R <= rmin:
         raise ValueError(f"no positive xi exists: R = {R} <= R_min = {rmin}")

@@ -178,10 +178,7 @@ class Simulation:
         self._active = res.active
         self.states = [step_rk4(s, u, self.dt) for s, u in zip(states, res.controls)]
         self._vehicles[k] = [
-            x
-            for s, u, f in zip(states, nominal, res.controls)
-            for x in (s.px, s.py, s.heading, s.pz, u.speed, u.turn_rate, u.climb_rate,
-                      f.speed, f.turn_rate, f.climb_rate)
+            x for s, u, f in zip(states, nominal, res.controls) for x in (*s, *u, *f)
         ]
         self._h[k], self._h_shaped[k], self._in_sensor[k] = res.h, res.h_shaped, res.in_sensor
         self._events.extend((k, e) for e in res.events)

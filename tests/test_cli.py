@@ -380,6 +380,14 @@ class TestInputValidation:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_infinite_range_with_auto_shaping_exit_one(self, command, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "o")] if command == "run" else []
+        code = run_cli(command, "--scenario", "sweep", "--range", "inf", *out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "range" in err
+
     def test_infinite_duration_in_config_exit_one(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         save_config(scenario_sweep(), path)

@@ -1,7 +1,11 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wingsafe.dynamics import (
     ActuatorLimits,
@@ -42,6 +46,104 @@ class TestDerivative:
             ControlInput(float("nan"), 0, 0)
         with pytest.raises(ValueError):
             VehicleState(float("inf"), 0, 0, 0)
+
+
+# finite values of either numeric type: floats include +-0.0, subnormals and
+# values near the largest double
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-2**62, 2**62))
+NON_FINITE = [math.nan, math.inf, -math.inf]
+VALUE_TYPES = [(VehicleState, 4), (ControlInput, 3)]
+
+
+def bits(values):
+    """The values with each float as its exact bit pattern (so -0.0 != 0.0)."""
+    return [(type(x), x.hex() if isinstance(x, float) else x) for x in values]
+
+
+def expected_fields(cls, values):
+    """The fields construction should store: the heading wrapped, the rest as given."""
+    if cls is VehicleState:
+        return [values[0], values[1], wrap_angle(values[2]), values[3]]
+    return list(values)
+
+
+class TestValueTypes:
+    """VehicleState and ControlInput are validating named tuples."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(VALUE_TYPES).flatmap(
+        lambda t: st.tuples(st.just(t[0]), st.lists(FINITE, min_size=t[1], max_size=t[1]))))
+    def test_fields_and_heading_wrap(self, case):
+        # the heading, and only it, is stored as wrap_angle(heading), bitwise
+        cls, values = case
+        x = cls(*values)
+        want = expected_fields(cls, values)
+        assert bits(x) == bits(want)
+        assert bits(getattr(x, f) for f in cls._fields) == bits(want)
+        assert bits(x[i] for i in range(len(want))) == bits(want)
+        assert x == tuple(want)
+        assert bits(cls(*x)) == bits(x)  # wrapping a wrapped heading is exact
+
+    @pytest.mark.parametrize("cls, n", VALUE_TYPES)
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_field_rejected(self, cls, n, bad):
+        for i in range(n):
+            values = [1.0] * n
+            values[i] = bad
+            with pytest.raises(ValueError, match=f"non-finite .* in {cls.__name__}"):
+                cls(*values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(VALUE_TYPES).flatmap(
+        lambda t: st.tuples(st.just(t[0]), st.lists(FINITE, min_size=t[1], max_size=t[1]))))
+    def test_pickle_and_copy_round_trips_bitwise(self, case):
+        cls, values = case
+        x = cls(*values)
+        copies = [copy.copy(x), copy.deepcopy(x)]
+        copies += [pickle.loads(pickle.dumps(x, protocol=p))
+                   for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in copies:
+            assert type(y) is cls
+            assert bits(y) == bits(x)
+
+    @pytest.mark.parametrize("cls, n", VALUE_TYPES)
+    def test_immutable(self, cls, n):
+        x = cls(*[1.0] * n)
+        with pytest.raises(AttributeError):
+            setattr(x, cls._fields[0], 2.0)
+        with pytest.raises(AttributeError):
+            x.extra = 2.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(FINITE, min_size=4, max_size=4))
+    def test_repr_format(self, values):
+        px, py, heading, pz = values
+        assert repr(VehicleState(*values)) == (
+            f"VehicleState(px={px!r}, py={py!r}, heading={wrap_angle(heading)!r}, pz={pz!r})"
+        )
+        assert repr(ControlInput(px, py, pz)) == (
+            f"ControlInput(speed={px!r}, turn_rate={py!r}, climb_rate={pz!r})"
+        )
+
+    def test_defaults(self):
+        assert VehicleState(1.0, 2.0, 0.5) == (1.0, 2.0, 0.5, 0.0)
+        assert ControlInput(20.0, 0.1) == (20.0, 0.1, 0.0)
+
+    @pytest.mark.parametrize("cls, n", VALUE_TYPES)
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_replace_and_make_validate(self, cls, n, bad):
+        x = cls(*[1.0] * n)
+        for f in cls._fields:
+            with pytest.raises(ValueError):
+                x._replace(**{f: bad})
+        with pytest.raises(ValueError):
+            cls._make([bad] * n)
+        assert type(x._replace()) is cls
+
+    def test_replace_and_make_wrap_the_heading(self):
+        s = VehicleState(0.0, 0.0, 0.0)._replace(heading=7.0)
+        assert s.heading == wrap_angle(7.0)
+        assert VehicleState._make([0.0, 0.0, -4.0, 1.0]).heading == wrap_angle(-4.0)
 
 
 class TestStepRK4:

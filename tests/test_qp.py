@@ -239,3 +239,41 @@ class TestWarmStart:
         guess = active if kind == "active" else _guess(kind, p, rng)
         with pytest.raises(QPInfeasibleError):
             solve_qp(p, guess=guess)
+
+
+class TestRowValidation:
+    """Offsets are checked per row; coefficients once per problem, in
+    QPProblem.stacked, before any solve or KKT check."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
+    def test_non_finite_coefficient_rejected(self, seed, m, data):
+        rng = np.random.default_rng(seed)
+        p = random_feasible_problem(rng, m=m)
+        k = data.draw(st.integers(0, m - 1), label="row")
+        j = data.draw(st.integers(0, p.u_hat.size - 1), label="column")
+        bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+        coeffs = p.rows[k].coeffs.copy()
+        coeffs[j] = bad
+        p.rows[k] = ConstraintRow(coeffs, p.rows[k].offset)
+        with pytest.raises(ValueError, match=f"non-finite constraint row {k}"):
+            solve_qp(p)
+        with pytest.raises(ValueError, match=f"non-finite constraint row {k}"):
+            solve_qp(p, guess=[k])
+        with pytest.raises(ValueError, match=f"non-finite constraint row {k}"):
+            kkt_residual(p, p.u_hat)
+
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+    def test_non_finite_offset_rejected(self, offset):
+        with pytest.raises(ValueError, match="non-finite constraint row"):
+            ConstraintRow(np.array([1.0, 0.0]), offset)
+
+    def test_row_is_a_named_tuple(self):
+        row = ConstraintRow(np.array([1.0, 2.0]), 0.5)
+        coeffs, offset = row
+        assert coeffs is row.coeffs and offset == row.offset == 0.5
+        assert row.margin(np.array([1.0, 1.0])) == 3.5
+        with pytest.raises(ValueError):
+            row._replace(offset=np.nan)
+        with pytest.raises(ValueError):
+            ConstraintRow._make([np.zeros(2), -1.0])

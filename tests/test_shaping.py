@@ -215,6 +215,17 @@ class TestRangeFormulas:
         with pytest.raises(ValueError):
             xi_from_range(300.0, turn_maneuver, safety)
 
+    @pytest.mark.parametrize("R", [math.inf, math.nan])
+    def test_xi_needs_a_finite_range(self, R, turn_maneuver, safety):
+        with pytest.raises(ValueError, match="finite sensor range"):
+            xi_from_range(R, turn_maneuver, safety)
+
+    def test_infinite_range_sensor_is_valid(self):
+        # full sensing with the raw barrier is a real configuration
+        sensor = SensorModel(math.inf)
+        pair = PairState(VehicleState(0, 0, 0, 0), VehicleState(1e300, 0, 0, 0))
+        assert in_sensor_set(pair, sensor)
+
     def test_xi_monotone_in_range(self, turn_maneuver, safety):
         rs = np.linspace(319, 600, 40)
         xs = [xi_from_range(r, turn_maneuver, safety) for r in rs]
