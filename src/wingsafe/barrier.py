@@ -115,6 +115,12 @@ class StraightManeuver:
 Maneuver = Union[TurnManeuver, StraightManeuver]
 
 
+def maneuver_control_vector(man: Maneuver) -> np.ndarray:
+    """The evading maneuver as a stacked 6-vector (v1, w1, z1, v2, w2, z2)."""
+    (u1, u2) = man.controls()
+    return np.array([*u1, *u2])
+
+
 @dataclass(frozen=True)
 class SafetyParams:
     """delta: regularization scalar (m^2) of the turn safety function;
@@ -166,15 +172,6 @@ class BarrierValue(NamedTuple):
 
     value: float
     minimizer_tau: float
-
-
-class BarrierGradient(NamedTuple):
-    """Gradient over [p1x, p1y, th1, p1z, p2x, p2y, th2, p2z]; at_kink is set
-    when the straight-kind CPA sits exactly on the tau = 0 boundary
-    (p0 . dv == 0), where the returned gradient is the one-sided tau = 0 value."""
-
-    grad: np.ndarray
-    at_kink: bool
 
 
 def squared_planar_distance(pair: PairState) -> float:
@@ -403,21 +400,18 @@ def _pair_pass(pair: PairState, config: BarrierConfig, need_grad: bool):
 def h_value(pair: PairState, config: BarrierConfig) -> BarrierValue:
     """Closed-form barrier value and minimizing time of one pair.
 
-    Raises DomainError when the pair lies outside the barrier domain.
+    Raises DomainError when the pair lies outside the barrier domain.  Kept
+    for the benchmark tracer, until ROADMAP item 1 re-aims it.
     """
     p, _ = _pair_pass(pair, config, need_grad=False)
     return BarrierValue(float(p.s[0]) - config.safety.ds, float(minimizer_tau(p, config)[0]))
 
 
-def h_turn(pair: PairState, m: TurnManeuver, params: SafetyParams) -> BarrierValue:
-    """Synchronized-turn barrier via phasor reduction (see _turn_phasor)."""
-    return h_value(pair, BarrierConfig(m, params))
-
-
-def h_straight(pair: PairState, m: StraightManeuver, ds: float) -> BarrierValue:
-    """Straight-maneuver barrier via closest point of approach:
-    value = |p0 + tau* dv| - ds (see _straight_relative)."""
-    return h_value(pair, BarrierConfig(m, SafetyParams(delta=1.0, ds=ds)))  # delta is unused
+def lie_derivatives(pair: PairState, config: BarrierConfig) -> tuple[float, np.ndarray]:
+    """(L_f h, L_g h) of one pair; see lie_rows.  Kept for the benchmark
+    tracer, until ROADMAP item 1 re-aims it."""
+    p, e = _pair_pass(pair, config, need_grad=True)
+    return 0.0, lie_rows(p, e, config)[1][0]
 
 
 # pairs per barrier pass in h_batch: the (4, 2048) complex rows take 128 KiB,
@@ -536,42 +530,3 @@ def h_oracle(
     hi = taus[min(n - 1, i + 1)]
     _, refined = _golden_section(lambda t: _rho_along(pair, config, t), lo, hi, refine_tol)
     return min(float(rho[i]), refined)
-
-
-# ---------------------------------------------------------------------------
-# gradients and Lie derivatives
-
-
-def grad_h(pair: PairState, config: BarrierConfig) -> BarrierGradient:
-    """Analytic barrier gradient over the stacked pair state (8-vector); see
-    lie_rows.  Raises DomainError where it is undefined."""
-    p, e = _pair_pass(pair, config, need_grad=True)
-    n, lg = lie_rows(p, e, config)
-    nx, ny = float(n.real[0]), float(n.imag[0])
-    at_kink = isinstance(p, StraightPass) and bool(p.proj[0] == 0.0)
-    return BarrierGradient(np.array([nx, ny, lg[0, 1], 0.0, -nx, -ny, lg[0, 4], 0.0]), at_kink)
-
-
-def lie_derivatives(pair: PairState, config: BarrierConfig) -> tuple[float, np.ndarray]:
-    """(L_f h, L_g h) of one pair; see lie_rows."""
-    p, e = _pair_pass(pair, config, need_grad=True)
-    return 0.0, lie_rows(p, e, config)[1][0]
-
-
-def maneuver_control_vector(man: Maneuver) -> np.ndarray:
-    """The evading maneuver as a stacked 6-vector (v1, w1, z1, v2, w2, z2)."""
-    (u1, u2) = man.controls()
-    return np.array([*u1, *u2])
-
-
-def constraint_margin(
-    pair: PairState,
-    u: np.ndarray,
-    config: BarrierConfig,
-    alpha: LinearGain,
-) -> float:
-    """L_f h + L_g h . u + alpha(h); the control u (stacked 6-vector) is
-    admissible at this pair state iff the result is >= 0."""
-    lf, lg = lie_derivatives(pair, config)
-    h = h_value(pair, config).value
-    return lf + float(lg @ np.asarray(u)) + alpha(h)

@@ -235,7 +235,7 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float], workers: int | None = 
             cfg = replace(base, sensor_range=R)
             cfg.resolve_shaping()  # fail fast (e.g. auto shaping below R_min)
             jobs.append((cfg, str(manifest.out_dir / name)))
-    except ValueError as err:
+    except (ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -391,7 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "workers", None) is not None and args.workers < 1:
+        parser.error(f"argument --workers: must be at least 1, got {args.workers}")
     try:
         manifest = _manifest_from_args(args)
     except ValueError as err:

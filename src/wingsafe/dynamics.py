@@ -106,16 +106,6 @@ class ActuatorLimits:
         )
 
 
-def derivative(state: VehicleState, u: ControlInput) -> tuple[float, float, float, float]:
-    """Time derivative [px_dot, py_dot, heading_dot, pz_dot] of the state."""
-    return (
-        u.speed * math.cos(state.heading),
-        u.speed * math.sin(state.heading),
-        u.turn_rate,
-        u.climb_rate,
-    )
-
-
 def step_rk4(state: VehicleState, u: ControlInput, dt: float) -> VehicleState:
     """One classical 4th-order Runge-Kutta step with the input held constant.
 

@@ -70,9 +70,6 @@ class ConstraintRow(_ConstraintRowFields):
     def _make(cls, iterable):  # namedtuple's _make and _replace skip __new__
         return cls(*iterable)
 
-    def margin(self, u: np.ndarray) -> float:
-        return float(self.coeffs @ u) + self.offset
-
 
 @dataclass
 class QPProblem:

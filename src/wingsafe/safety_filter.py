@@ -45,9 +45,7 @@ import numpy as np
 
 from .barrier import (
     BarrierConfig,
-    DomainError,
     LinearGain,
-    PairState,
     StraightPass,
     TurnPass,
     barrier_pass,
@@ -150,19 +148,6 @@ def _shaped_rows(p: PairPass, rows, config: FilterConfig) -> np.ndarray:
     if config.shaping is not None:
         lg *= psi_deriv_batch(p.h.take(rows), config.shaping)[:, None]
     return lg
-
-
-def assemble_pair_constraint(pair: PairState, config: FilterConfig) -> ConstraintRow | None:
-    """Barrier constraint row over the pair's stacked control
-    (v1, w1, zeta1, v2, w2, zeta2), or None when the pair is outside the
-    sensor set.  Barrier domain errors propagate to the caller."""
-    p = pair_pass([pair.a, pair.b], config)
-    if not p.in_sensor[0]:
-        return None
-    for _, msg in domain_errors(p.barrier, config.barrier, p.lie):
-        raise DomainError(msg)
-    lg = _shaped_rows(p, [0], config)[0] if p.lie[0] else np.zeros(6)
-    return ConstraintRow(lg, config.gain(p.h_shaped[0]))
 
 
 @lru_cache(maxsize=None)

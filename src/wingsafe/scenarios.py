@@ -92,8 +92,9 @@ class ScenarioConfig:
             raise ValueError("duration must be finite and > 0")
         if self.mode not in ("centralized", "split", "off"):
             raise ValueError(f"unknown filter mode {self.mode!r}")
-        if isinstance(self.shaping_xi, str) and self.shaping_xi != "auto":
-            raise ValueError(f'shaping xi must be numeric, "auto", or null, got {self.shaping_xi!r}')
+        xi = self.shaping_xi
+        if not (xi is None or xi == "auto" or isinstance(xi, (int, float))):
+            raise ValueError(f'shaping xi must be numeric, "auto", or null, got {xi!r}')
         # note: "auto" feasibility (R above the minimum sensing range) is
         # checked by resolve_shaping, before any run starts
 
@@ -150,6 +151,8 @@ def build_controller(spec: dict[str, Any]) -> Controller:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
+LIMIT_FIELDS = ("v_min", "v_max", "omega_max", "zeta_max")
+
 
 def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
     man = cfg.barrier.maneuver
@@ -178,12 +181,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
             }
             for v in cfg.vehicles
         ],
-        "limits": {
-            "v_min": cfg.limits.v_min,
-            "v_max": cfg.limits.v_max,
-            "omega_max": cfg.limits.omega_max,
-            "zeta_max": cfg.limits.zeta_max,
-        },
+        "limits": {k: getattr(cfg.limits, k) for k in LIMIT_FIELDS},
         "barrier": barrier,
         "sensor_range": cfg.sensor_range,
         "shaping": None
@@ -197,36 +195,58 @@ def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
     }
 
 
+def _typed(value, field: str, kind: str = "number"):
+    """value if its JSON type is kind (true and false have none), else a
+    ValueError naming the field."""
+    types = {"number": (int, float), "integer": int, "object": dict, "array": (list, tuple)}
+    if isinstance(value, bool) or not isinstance(value, types[kind]):
+        raise ValueError(f"config field {field} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def config_from_dict(d: dict[str, Any]) -> ScenarioConfig:
-    b = d["barrier"]
-    safety = SafetyParams(delta=b["delta"], ds=b["ds"])
+    """Parse the JSON form of a scenario.  A missing field raises KeyError,
+    and a field of the wrong JSON type a ValueError naming the field."""
+
+    def num(section: dict, prefix: str, key: str, *default):
+        return _typed(section.get(key, *default) if default else section[key], prefix + key)
+
+    b = _typed(_typed(d, "(top level)", "object")["barrier"], "barrier", "object")
+    safety = SafetyParams(delta=num(b, "barrier.", "delta"), ds=num(b, "barrier.", "ds"))
     if b["kind"] == "turn":
-        man = TurnManeuver(sigma=b["sigma"], speed=b["speed"], turn_rate=b["turn_rate"])
+        man = TurnManeuver(*(num(b, "barrier.", k) for k in ("sigma", "speed", "turn_rate")))
     elif b["kind"] == "straight":
-        man = StraightManeuver(
-            v1=b["v1"], v2=b["v2"], zeta1=b.get("zeta1", 0.0), zeta2=b.get("zeta2", 0.0)
-        )
+        zetas = (num(b, "barrier.", k, 0.0) for k in ("zeta1", "zeta2"))
+        man = StraightManeuver(num(b, "barrier.", "v1"), num(b, "barrier.", "v2"), *zetas)
     else:
         raise ValueError(f"unknown barrier kind {b['kind']!r}")
-    lim = d["limits"]
-    shaping = d.get("shaping")
-    alpha = d.get("alpha", {"kind": "linear", "slope": 1.0})
+    lim = _typed(d["limits"], "limits", "object")
+    shaping = None if d.get("shaping") is None else _typed(d["shaping"], "shaping", "object")
+    alpha = _typed(d.get("alpha", {"kind": "linear", "slope": 1.0}), "alpha", "object")
     if alpha.get("kind", "linear") != "linear":
         raise ValueError(f"unknown alpha kind {alpha.get('kind')!r}")
+    vehicles = []
+    for k, v in enumerate(_typed(d["vehicles"], "vehicles", "array")):
+        where = f"vehicles[{k}]"
+        state = _typed(_typed(v, where, "object")["state"], f"{where}.state", "array")
+        if len(state) not in (3, 4):
+            raise ValueError(f"config field {where}.state must be [px, py, heading, pz] "
+                             f"with pz optional, got {state!r}")
+        state = VehicleState(*(_typed(x, f"{where}.state[{i}]") for i, x in enumerate(state)))
+        controller = _typed(v["controller"], f"{where}.controller", "object")
+        vehicles.append(VehicleSpec(state, controller))
     return ScenarioConfig(
-        vehicles=tuple(
-            VehicleSpec(VehicleState(*v["state"]), v["controller"]) for v in d["vehicles"]
-        ),
-        limits=ActuatorLimits(lim["v_min"], lim["v_max"], lim["omega_max"], lim["zeta_max"]),
+        vehicles=tuple(vehicles),
+        limits=ActuatorLimits(*(num(lim, "limits.", k) for k in LIMIT_FIELDS)),
         barrier=BarrierConfig(man, safety),
-        sensor_range=d["sensor_range"],
+        sensor_range=num(d, "", "sensor_range"),
         shaping_xi=None if shaping is None else shaping["xi"],
-        shaping_beta=0.9 if shaping is None else shaping.get("beta", 0.9),
-        alpha_slope=alpha.get("slope", 1.0),
-        dt=d["dt"],
-        duration=d["duration"],
+        shaping_beta=0.9 if shaping is None else num(shaping, "shaping.", "beta", 0.9),
+        alpha_slope=num(alpha, "alpha.", "slope", 1.0),
+        dt=num(d, "", "dt"),
+        duration=num(d, "", "duration"),
         mode=d.get("mode", "centralized"),
-        seed=d.get("seed", 42),
+        seed=_typed(d.get("seed", 42), "seed", "integer"),
     )
 
 
@@ -235,23 +255,17 @@ def load_config(path) -> ScenarioConfig:
         return config_from_dict(json.load(fh))
 
 
-def save_config(cfg: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # builtin scenarios
 
 
-def scenario_example1(sensor_range: float = 100.0) -> ScenarioConfig:
+def scenario_example1() -> ScenarioConfig:
     """Circling vehicles meet head-on exactly at sensing range with the raw
     straight barrier: starts safe, ends with h = -ds."""
     v1, v2 = 16.0, 20.0
     omega = DEFAULT_EVADE_RATE
     r1, r2 = v1 / omega, v2 / omega
-    R = sensor_range
+    R = 100.0  # sensor range
     vehicles = (
         VehicleSpec(
             VehicleState(r1 + R / 2, r1, -math.pi / 2, 0.0),
@@ -289,7 +303,7 @@ def example2_geometry() -> tuple[float, float]:
     return (ds + 2 * r) * math.cos(eta) + 4 * delta, r
 
 
-def scenario_example2(epsilon: float = 1.0, dt: float = 0.01) -> ScenarioConfig:
+def scenario_example2() -> ScenarioConfig:
     """Head-on approach that first senses exactly at the barely-safe
     separation; the raw turn barrier then demands a full-authority turn in a
     single step.
@@ -299,6 +313,7 @@ def scenario_example2(epsilon: float = 1.0, dt: float = 0.01) -> ScenarioConfig:
     range carries half a step of slack so floating-point drift cannot delay
     the onset past the intended separation.
     """
+    epsilon, dt = 1.0, 0.01
     d_onset, _ = example2_geometry()
     vehicles = (
         VehicleSpec(
@@ -351,7 +366,7 @@ def scenario_sweep(sensor_range: float = 350.0) -> ScenarioConfig:
     )
 
 
-def scenario_circle20(sensor_range: float = 350.0, start_radius: float = 1250.0) -> ScenarioConfig:
+def scenario_circle20(start_radius: float = 1250.0) -> ScenarioConfig:
     """Twenty vehicles, equally spaced on a circle, headings at the origin,
     timed to arrive simultaneously; neighbors start outside sensing range."""
     n = 20
@@ -375,7 +390,7 @@ def scenario_circle20(sensor_range: float = 350.0, start_radius: float = 1250.0)
         vehicles=tuple(vehicles),
         limits=DEFAULT_LIMITS,
         barrier=BarrierConfig(DEFAULT_TURN, DEFAULT_SAFETY),
-        sensor_range=sensor_range,
+        sensor_range=350.0,
         shaping_xi="auto",
         shaping_beta=0.9,
         alpha_slope=1.0,
@@ -385,11 +400,11 @@ def scenario_circle20(sensor_range: float = 350.0, start_radius: float = 1250.0)
     )
 
 
-def builtin_scenarios(sweep_range: float = 350.0) -> dict[str, ScenarioConfig]:
+def builtin_scenarios() -> dict[str, ScenarioConfig]:
     return {
         "example1": scenario_example1(),
         "example2": scenario_example2(),
-        "sweep": scenario_sweep(sweep_range),
+        "sweep": scenario_sweep(),
         "circle20": scenario_circle20(),
     }
 

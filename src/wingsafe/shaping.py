@@ -27,8 +27,7 @@ does exactly that, with psi' > 0 and psi'' < 0 on (beta*xi, xi).
 alpha2(h) = psi'(h)^-1 * alpha(psi(h)) is the effective class-K gain under
 which the raw barrier reproduces the shaped constraint's sign; it dominates
 alpha pointwise, which is why shaping only enlarges the admissible control
-set.  It is exposed for diagnostics; the filter always constrains with the
-shaped barrier directly.
+set.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import numpy as np
 
 from .barrier import (
     BarrierConfig,
-    LinearGain,
     PairState,
     SafetyParams,
     TurnManeuver,
@@ -63,6 +61,8 @@ class SensorModel:
 
 
 def in_sensor_set(pair: PairState, sensor: SensorModel) -> bool:
+    """Whether one pair is observable.  Kept for the benchmark tracer, until
+    ROADMAP item 1 re-aims it."""
     return squared_planar_distance(pair) <= sensor.range_m * sensor.range_m
 
 
@@ -95,41 +95,23 @@ def make_quadratic_psi(xi: float, beta: float) -> ShapingParams:
     return ShapingParams(xi=xi, beta=beta, c1=c1, c2=c2, c3=c3)
 
 
-def psi_eval(eta: float, params: ShapingParams) -> float:
-    """Interpolant value: identity up to beta*xi, quadratic beyond."""
-    if eta <= params.beta * params.xi:
-        return eta
-    return (params.c1 * eta + params.c2) * eta + params.c3
-
-
-def psi_deriv(eta: float, params: ShapingParams) -> float:
-    """Interpolant slope: 1 up to beta*xi, 2*c1*eta + c2 beyond."""
-    return float(psi_deriv_batch(eta, params))
-
-
 def shape_h(h: float, params: ShapingParams) -> float:
-    """Shaped barrier value: h, psi(h), or the plateau psi(xi)."""
+    """shape_h_batch of one value.  Kept for the benchmark tracer, until
+    ROADMAP item 1 re-aims it."""
     return float(shape_h_batch(h, params))
 
 
 def shape_h_batch(h: np.ndarray, params: ShapingParams) -> np.ndarray:
-    """Vectorized shape_h (NaN passes through)."""
+    """Shaped barrier value: h up to beta*xi, psi(h) up to xi, and the
+    plateau psi(xi) beyond (NaN passes through)."""
     bx = params.beta * params.xi
     e = np.minimum(h, params.xi)
     quad = (params.c1 * e + params.c2) * e + params.c3
     return np.where(e <= bx, e, quad)
 
 
-def shape_grad(h: float, grad: np.ndarray, params: ShapingParams) -> np.ndarray:
-    """Chain rule through the shaping: psi'(h) * grad below xi, zero on the
-    plateau."""
-    if h >= params.xi:
-        return np.zeros_like(grad)
-    return psi_deriv(h, params) * grad
-
-
 def psi_deriv_batch(eta: np.ndarray, params: ShapingParams) -> np.ndarray:
-    """Vectorized psi_deriv."""
+    """Interpolant slope psi'(eta): 1 up to beta*xi, 2*c1*eta + c2 beyond."""
     return np.where(eta <= params.beta * params.xi, 1.0, 2.0 * params.c1 * eta + params.c2)
 
 
@@ -159,13 +141,6 @@ def xi_from_range(R: float, m: TurnManeuver, params: SafetyParams) -> float:
         raise ValueError(f"no positive xi exists: R = {R} <= R_min = {rmin}")
     reach = R - 2.0 * m.r1 - 2.0 * m.r2
     return math.sqrt(reach * reach - 4.0 * params.delta) - params.ds
-
-
-def alpha2(h: float, alpha: LinearGain, params: ShapingParams) -> float:
-    """Effective gain (psi'(h))^-1 * alpha(psi(h)); defined for h < xi only."""
-    if h >= params.xi:
-        raise ValueError("alpha2 undefined for h >= xi (psi' = 0)")
-    return alpha(psi_eval(h, params)) / psi_deriv(h, params)
 
 
 @dataclass(frozen=True)

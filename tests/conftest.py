@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from wingsafe.barrier import (
@@ -54,6 +55,13 @@ def random_state(rng, span=200.0):
         rng.uniform(-math.pi, math.pi),
         rng.uniform(-50, 50),
     )
+
+
+def random_pair_columns(rng, n, span=200.0):
+    """n pair states, each vehicle drawn as random_state draws it, as the
+    columns of an (8, n) array [a.px, a.py, a.heading, a.pz, b.px, ...]."""
+    lim = np.array([span, span, math.pi, 50.0] * 2)
+    return rng.uniform(-lim, lim, (n, 8)).T
 
 
 def random_valid_pair(rng, config, span=200.0, require_safe=False):

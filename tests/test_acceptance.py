@@ -9,14 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wingsafe.barrier import (
-    LinearGain,
-    PairState,
-    grad_h,
-    h_oracle,
-    h_value,
-    lie_derivatives,
-)
+from wingsafe.barrier import LinearGain, PairState, h_oracle, h_value, lie_rows
 from wingsafe.dynamics import VehicleState
 from wingsafe.qp import kkt_residual, solve_qp
 from wingsafe.scenarios import (
@@ -29,22 +22,23 @@ from wingsafe.scenarios import (
     scenario_sweep,
 )
 from wingsafe.shaping import (
-    alpha2,
     make_quadratic_psi,
     min_sensing_range,
-    psi_deriv,
-    shape_grad,
+    psi_deriv_batch,
     shape_h,
+    shape_h_batch,
     xi_from_range,
 )
 
 from conftest import (
     DS,
+    random_pair_columns,
     random_straight_config,
     random_turn_config,
     random_valid_pair,
 )
-from test_barrier import fd_gradient, smooth_pair
+from test_barrier import central_difference, pair_columns, pass_at, probe, smooth_pair, smooth_rows
+from test_shaping import alpha2
 from test_qp import brute_force_best, objective, random_feasible_problem
 
 
@@ -131,58 +125,41 @@ def test_criterion_6_oracle_equivalence():
             assert h_value(pair, cfg).value == pytest.approx(h_oracle(pair, cfg), abs=1e-6)
 
 
+def relative_errors(analytic, fd):
+    """Per-row |analytic - fd| / max(|fd|, 1e-6) of (P, 8) gradients."""
+    scale = np.maximum(np.linalg.norm(fd, axis=1), 1e-6)
+    return np.linalg.norm(analytic - fd, axis=1) / scale
+
+
 def test_criterion_7_gradient_checks(turn_config):
     with criterion(7, "analytic gradients (raw and shaped) vs FD; psi constraints to 1e-12"):
         rng = np.random.default_rng(7001)
-        # raw barrier gradients, both kinds (500 + 500 smooth samples)
+        # raw barrier gradients, both kinds (500 + 500 smooth samples); the
+        # config changes per sample, so one pass per sample covers its point
+        # and its 16 FD perturbations
         for make, span in ((random_turn_config, None), (random_straight_config, 120.0)):
             for _ in range(500):
                 cfg = make(rng)
                 s = span or (4.0 * (cfg.maneuver.r1 + cfg.maneuver.r2) + 20.0)
-                pair = smooth_pair(rng, cfg, s)
-                g = grad_h(pair, cfg).grad
-                fd = fd_gradient(pair, cfg)
-                scale = max(float(np.linalg.norm(fd)), 1e-6)
-                assert float(np.linalg.norm(g - fd)) / scale <= 1e-5
+                h, g = probe(pair_columns([smooth_pair(rng, cfg, s)]), cfg)
+                assert relative_errors(g, central_difference(h))[0] <= 1e-5
 
-        # shaped-barrier gradients away from the interpolation joints
+        # shaped-barrier gradients away from the interpolation joints: 1000
+        # smooth samples in one pass (about 5% of the draws qualify)
         shaping = make_quadratic_psi(
             xi_from_range(350.0, turn_config.maneuver, turn_config.safety), 0.9
         )
         bx = shaping.beta * shaping.xi
-        checked = 0
-        while checked < 1000:
-            pair = smooth_pair(rng, turn_config, 400.0)
-            h = h_value(pair, turn_config).value
-            if h >= shaping.xi - 0.5 or abs(h - bx) < 0.5:
-                continue
-            analytic = shape_grad(h, grad_h(pair, turn_config).grad, shaping)
-            base = [
-                pair.a.px, pair.a.py, pair.a.heading, pair.a.pz,
-                pair.b.px, pair.b.py, pair.b.heading, pair.b.pz,
-            ]
-            fd = np.zeros(8)
-            step = 1e-5
-            for i in range(8):
-                hi, lo = list(base), list(base)
-                hi[i] += step
-                lo[i] -= step
-                fh = shape_h(
-                    h_value(
-                        PairState(VehicleState(*hi[:4]), VehicleState(*hi[4:])), turn_config
-                    ).value,
-                    shaping,
-                )
-                fl = shape_h(
-                    h_value(
-                        PairState(VehicleState(*lo[:4]), VehicleState(*lo[4:])), turn_config
-                    ).value,
-                    shaping,
-                )
-                fd[i] = (fh - fl) / (2 * step)
-            scale = max(float(np.linalg.norm(fd)), 1e-6)
-            assert float(np.linalg.norm(analytic - fd)) / scale <= 1e-5
-            checked += 1
+        cols = random_pair_columns(rng, 40_000, span=400.0)
+        p, e = pass_at(cols, turn_config)
+        h = p.s - turn_config.safety.ds
+        keep = smooth_rows(p, e, turn_config) & (h < shaping.xi - 0.5) & (abs(h - bx) >= 0.5)
+        cols = cols[:, keep][:, :1000]
+        assert cols.shape[1] == 1000
+        h, g = probe(cols, turn_config)
+        analytic = psi_deriv_batch(h[0], shaping)[:, None] * g
+        fd = central_difference(shape_h_batch(h, shaping))
+        assert relative_errors(analytic, fd).max() <= 1e-5
 
         # interpolant constraints over 100 random (xi, beta)
         for _ in range(100):
@@ -208,21 +185,22 @@ def test_criterion_8_containment_and_gain(turn_config, limits):
             [limits.v_max, limits.omega_max, limits.zeta_max] * 2
         )
         lo = np.array([limits.v_min, -limits.omega_max, -limits.zeta_max] * 2)
-        checked = 0
-        while checked < 10_000:
-            pair = random_valid_pair(rng, turn_config, span=300.0)
-            h = h_value(pair, turn_config).value
-            if h >= shaping.xi:
-                continue
-            _, lg = lie_derivatives(pair, turn_config)
-            u = rng.uniform(lo, box)
-            lgu = float(lg @ u)
-            raw_margin = lgu + gain(h)
-            if raw_margin >= 0.0:
-                shaped_margin = psi_deriv(h, shaping) * lgu + gain(shape_h(h, shaping))
-                assert shaped_margin >= -1e-12, (h, raw_margin, shaped_margin)
-            assert alpha2(h, gain, shaping) >= gain(h) - 1e-12
-            checked += 1
+        # 10,000 valid pairs below xi (about 9% of the draws), in one batch
+        cols = random_pair_columns(rng, 160_000, span=300.0)
+        h = pass_at(cols, turn_config)[0].s - turn_config.safety.ds
+        cols = cols[:, h < shaping.xi][:, :10_000]  # NaN (outside the domain) drops out
+        assert cols.shape[1] == 10_000
+        p, e = pass_at(cols, turn_config)
+        h = p.s - turn_config.safety.ds
+        _, lg = lie_rows(p, e, turn_config)
+        assert np.isfinite(lg).all()
+        u = rng.uniform(lo, box, (10_000, 6))
+        lgu = (lg * u).sum(axis=1)
+        raw_margin = lgu + gain(h)
+        shaped_margin = psi_deriv_batch(h, shaping) * lgu + gain(shape_h_batch(h, shaping))
+        bad = (raw_margin >= 0.0) & (shaped_margin < -1e-12)
+        assert not bad.any(), (h[bad], raw_margin[bad], shaped_margin[bad])
+        assert np.all(alpha2(h, gain, shaping) >= gain(h) - 1e-12)
 
 
 def test_criterion_9_forward_invariance(turn_config):

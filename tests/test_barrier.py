@@ -12,14 +12,11 @@ from wingsafe.barrier import (
     PairState,
     SafetyParams,
     StraightManeuver,
+    StraightPass,
     TurnManeuver,
     barrier_pass,
-    constraint_margin,
-    grad_h,
     h_batch,
     h_oracle,
-    h_straight,
-    h_turn,
     h_value,
     lie_derivatives,
     lie_rows,
@@ -83,21 +80,23 @@ class TestSafetyFunctions:
 class TestHStraight:
     def test_head_on_collision_course(self):
         m = StraightManeuver(v1=1, v2=2)
-        val = h_straight(pair_at(0, 0, 0, 10, 0, math.pi), m, 5.0)
+        cfg = BarrierConfig(m, SafetyParams(0.01, 5.0))
+        val = h_value(pair_at(0, 0, 0, 10, 0, math.pi), cfg)
         assert val.value == pytest.approx(-5.0, abs=1e-12)
         assert val.minimizer_tau == pytest.approx(10 / 3, abs=1e-12)
 
     def test_offset_cpa(self):
         # p0 = (-10,-5), dv = (3,0): tau* = 10/3, closest distance 5
         m = StraightManeuver(v1=2, v2=1)
-        val = h_straight(pair_at(0, 0, 0, 10, 5, math.pi), m, 5.0)
+        cfg = BarrierConfig(m, SafetyParams(0.01, 5.0))
+        val = h_value(pair_at(0, 0, 0, 10, 5, math.pi), cfg)
         assert val.value == pytest.approx(0.0, abs=1e-12)
         assert val.minimizer_tau == pytest.approx(10 / 3, abs=1e-12)
 
     def test_diverging_infimum_at_zero(self):
         m = StraightManeuver(v1=3, v2=1)
         p = pair_at(0, 0, 0, -10, 0, math.pi)  # opening along x
-        val = h_straight(p, m, 5.0)
+        val = h_value(p, BarrierConfig(m, SafetyParams(0.01, 5.0)))
         assert val.minimizer_tau == 0.0
         assert val.value == pytest.approx(math.sqrt(squared_planar_distance(p)) - 5.0)
 
@@ -110,7 +109,7 @@ class TestHTurn:
     def test_synchronized_identical_turn_constant_distance(self):
         m = TurnManeuver(sigma=1.0, speed=1.0, turn_rate=1.0)
         p = pair_at(0, 0, 0.8, 12, -3, 0.8)
-        val = h_turn(p, m, SafetyParams(delta=1e-12, ds=5.0))
+        val = h_value(p, BarrierConfig(m, SafetyParams(delta=1e-12, ds=5.0)))
         assert val.value == pytest.approx(
             math.sqrt(squared_planar_distance(p)) - 5.0, abs=1e-5
         )
@@ -119,7 +118,8 @@ class TestHTurn:
         # parallel headings pi/2, sigma=1: w = 0, A = d - 2*delta,
         # M = sqrt(2)*delta from the heading terms alone
         m = TurnManeuver(sigma=1.0, speed=1.0, turn_rate=1.0)
-        val = h_turn(pair_at(0, 0, math.pi / 2, 10, 0, math.pi / 2), m, SafetyParams(0.01, 5.0))
+        cfg = BarrierConfig(m, SafetyParams(0.01, 5.0))
+        val = h_value(pair_at(0, 0, math.pi / 2, 10, 0, math.pi / 2), cfg)
         want = math.sqrt(100 - 0.02 - 0.01 * math.sqrt(2)) - 5.0
         assert val.value == pytest.approx(want, abs=1e-12)
         assert val.value == pytest.approx(4.99829, abs=1e-5)
@@ -128,7 +128,7 @@ class TestHTurn:
         rng = np.random.default_rng(3)
         for _ in range(100):
             pair = random_valid_pair(rng, turn_config, span=400.0)
-            val = h_turn(pair, turn_config.maneuver, turn_config.safety)
+            val = h_value(pair, turn_config)
             man = turn_config.maneuver
             a = propagate_turn(pair.a, man.sigma * man.speed, man.turn_rate, val.minimizer_tau)
             b = propagate_turn(pair.b, man.speed, man.turn_rate, val.minimizer_tau)
@@ -141,7 +141,7 @@ class TestHTurn:
         for _ in range(100):
             cfg = random_straight_config(rng)
             pair = random_valid_pair(rng, cfg, span=100.0)
-            val = h_straight(pair, cfg.maneuver, cfg.safety.ds)
+            val = h_value(pair, cfg)
             a = propagate_straight(pair.a, cfg.maneuver.v1, cfg.maneuver.zeta1, val.minimizer_tau)
             b = propagate_straight(pair.b, cfg.maneuver.v2, cfg.maneuver.zeta2, val.minimizer_tau)
             assert rho_straight(PairState(a, b), cfg.safety.ds) == pytest.approx(
@@ -152,7 +152,10 @@ class TestHTurn:
         # nearly coincident turn circles force a negative radicand
         m = TurnManeuver(sigma=1.0, speed=10.0, turn_rate=0.2)
         with pytest.raises(DomainError):
-            h_turn(pair_at(0, 0, math.pi / 2, 0.05, 0, -math.pi / 2), m, SafetyParams(0.01, 5.0))
+            h_value(
+                pair_at(0, 0, math.pi / 2, 0.05, 0, -math.pi / 2),
+                BarrierConfig(m, SafetyParams(0.01, 5.0)),
+            )
 
 
 class TestOracleEquivalence:
@@ -206,50 +209,69 @@ class TestOracleEquivalence:
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def fd_gradient(pair, config, step=1e-5):
-    """Central finite differences of the barrier over the 8 state coordinates."""
-    base = [
-        pair.a.px, pair.a.py, pair.a.heading, pair.a.pz,
-        pair.b.px, pair.b.py, pair.b.heading, pair.b.pz,
-    ]
+FD_STEP = 1e-5
+PLANAR = [0, 1, 2, 4, 5, 6]  # the rows of pair columns that the barrier reads
 
-    def value(coords):
-        a = VehicleState(*coords[:4])
-        b = VehicleState(*coords[4:])
-        return h_value(PairState(a, b), config).value
 
-    g = np.zeros(8)
-    for i in range(8):
-        hi = list(base)
-        lo = list(base)
-        hi[i] += step
-        lo[i] -= step
-        g[i] = (value(hi) - value(lo)) / (2 * step)
-    return g
+def pair_columns(pairs):
+    """Pair states as the columns of an (8, P) array
+    [a.px, a.py, a.heading, a.pz, b.px, b.py, b.heading, b.pz]."""
+    return np.array([(*p.a, *p.b) for p in pairs], dtype=float).reshape(-1, 8).T
+
+
+def pass_at(cols, config):
+    """barrier_pass at pair columns, and the pairs' heading phasors (P, 2)."""
+    th = cols[[2, 6]].T
+    return barrier_pass(flat_pair_rows(cols[PLANAR], config), config), np.cos(th) + 1j * np.sin(th)
+
+
+def probe(cols, config, step=FD_STEP):
+    """One barrier pass over each pair column and its 16 central-difference
+    perturbations (+-step in each coordinate).  Returns h there, (17, P): the
+    columns, then their + and - perturbations; and the analytic gradient at
+    each column, (P, 8) over [p1x, p1y, th1, p1z, p2x, p2y, th2, p2z], from
+    lie_rows: dh/dp1 = n = -dh/dp2, dh/dth = L_g h in the turn rates, no
+    altitude term."""
+    P = cols.shape[1]
+    shift = step * np.eye(8)[:, :, None]
+    points = np.concatenate([cols[:, None], cols[:, None] + shift, cols[:, None] - shift], 1)
+    p, e = pass_at(points.reshape(8, -1), config)
+    n, lg = lie_rows(type(p)(*(a[..., :P] for a in p)), e[:P], config)
+    zero = np.zeros(P)
+    grad = np.stack([n.real, n.imag, lg[:, 1], zero, -n.real, -n.imag, lg[:, 4], zero], axis=1)
+    return (p.s - config.safety.ds).reshape(17, P), grad
+
+
+def central_difference(values, step=FD_STEP):
+    """Central differences (P, 8) of values (17, P) at probe's points."""
+    return ((values[1:9] - values[9:]) / (2 * step)).T
+
+
+def smooth_rows(p, e, config):
+    """Rows of a pass away from the barrier's kinks (CPA boundary / vanishing
+    phasor) and, for FD probing, from the turn domain boundary and from a
+    near-coincident straight CPA, whose gradient is steep and ill-conditioned."""
+    man, ds = config.maneuver, config.safety.ds
+    if isinstance(p, StraightPass):
+        dv = np.abs(man.v1 * e[:, 0] - man.v2 * e[:, 1])
+        return (np.abs(p.proj) >= 1e-3 * np.sqrt(p.d2) * dv) & (p.s - ds >= -0.9 * ds)
+    return (p.M >= 1e-3 * (1.0 + np.abs(p.rad + p.M))) & (p.rad >= 1.0)
 
 
 def smooth_pair(rng, cfg, span):
-    """Pair states away from the barrier's kinks (CPA boundary / vanishing phasor)."""
-    from wingsafe.barrier import _straight_relative, _turn_phasor
-
+    """A random valid pair state in smooth_rows."""
     while True:
         pair = random_valid_pair(rng, cfg, span=span)
-        y = pair_rows(phasor_rows([pair.a, pair.b]).T.reshape(2, 4, 1), cfg)
-        if isinstance(cfg.maneuver, StraightManeuver):
-            p = _straight_relative(y)
-            scale = math.sqrt(float(p.d2[0])) * abs(complex(y[1, 0]))
-            if abs(float(p.proj[0])) < 1e-3 * scale:
-                continue
-            if h_value(pair, cfg).value < -cfg.safety.ds * 0.9:
-                continue  # close-to-coincident CPA has a steep, ill-conditioned gradient
-        else:
-            p = _turn_phasor(y, cfg.safety.delta)
-            M, rad = float(p.M[0]), float(p.rad[0])  # rad = A - M
-            if M < 1e-3 * (1.0 + abs(rad + M)):
-                continue
-            if rad < 1.0:
-                continue  # keep away from the domain boundary for FD probing
-        return pair
+        if smooth_rows(*pass_at(pair_columns([pair]), cfg), cfg)[0]:
+            return pair
+
+
+def pair_margins(pairs, u, config, alpha):
+    """L_f h + L_g h . u + alpha(h) of each pair (L_f h = 0); u is a stacked
+    6-vector control, or one per pair."""
+    p, e = pass_at(pair_columns(pairs), config)
+    _, lg = lie_rows(p, e, config)
+    return (lg * u).sum(axis=1) + alpha(p.s - config.safety.ds)
 
 
 class TestGradient:
@@ -259,26 +281,23 @@ class TestGradient:
             cfg = random_turn_config(rng)
             span = 4.0 * (cfg.maneuver.r1 + cfg.maneuver.r2) + 20.0
             pair = smooth_pair(rng, cfg, span)
-            g = grad_h(pair, cfg).grad
-            fd = fd_gradient(pair, cfg)
-            np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
+            h, g = probe(pair_columns([pair]), cfg)
+            np.testing.assert_allclose(g[0], central_difference(h)[0], rtol=1e-5, atol=1e-8)
 
     def test_fd_agreement_straight(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             cfg = random_straight_config(rng)
             pair = smooth_pair(rng, cfg, span=100.0)
-            g = grad_h(pair, cfg).grad
-            fd = fd_gradient(pair, cfg)
-            np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
+            h, g = probe(pair_columns([pair]), cfg)
+            np.testing.assert_allclose(g[0], central_difference(h)[0], rtol=1e-5, atol=1e-8)
 
     def test_translation_antisymmetry_and_zero_altitude(self, turn_config):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            pair = random_valid_pair(rng, turn_config, span=400.0)
-            g = grad_h(pair, turn_config).grad
-            np.testing.assert_allclose(g[0:2], -g[4:6], atol=1e-15)
-            assert g[3] == 0.0 and g[7] == 0.0
+        pairs = [random_valid_pair(rng, turn_config, span=400.0) for _ in range(50)]
+        _, g = probe(pair_columns(pairs), turn_config)
+        np.testing.assert_allclose(g[:, 0:2], -g[:, 4:6], atol=1e-15)
+        assert not g[:, [3, 7]].any()
 
     def test_straight_kink_flagged_one_sided(self):
         # perpendicular geometry (exact in fp): headings 0 give dv = (1, 0),
@@ -286,13 +305,13 @@ class TestGradient:
         m = StraightManeuver(v1=2, v2=1)
         pair = pair_at(0, 0, 0, 0, 20, 0)
         cfg = BarrierConfig(m, SafetyParams(0.01, 5.0))
-        res = grad_h(pair, cfg)
-        assert res.at_kink
+        assert pass_at(pair_columns([pair]), cfg)[0].proj[0] == 0.0
         # one-sided value is the tau* = 0 gradient: unit relative position
-        np.testing.assert_allclose(res.grad[0:2], (0.0, -1.0), atol=1e-12)
+        _, g = probe(pair_columns([pair]), cfg)
+        np.testing.assert_allclose(g[0, 0:2], (0.0, -1.0), atol=1e-12)
         rng = np.random.default_rng(8)
         smooth = smooth_pair(rng, cfg, 100.0)
-        assert not grad_h(smooth, cfg).at_kink
+        assert pass_at(pair_columns([smooth]), cfg)[0].proj[0] != 0.0
 
     def test_h_translation_invariance(self, turn_config):
         rng = np.random.default_rng(9)
@@ -377,9 +396,10 @@ class TestConstraintMargin:
         rng = np.random.default_rng(15)
         alpha = LinearGain(1.0)
         gamma = maneuver_control_vector(turn_config.maneuver)
-        for _ in range(100):
-            pair = random_valid_pair(rng, turn_config, span=400.0, require_safe=True)
-            assert constraint_margin(pair, gamma, turn_config, alpha) >= -1e-9
+        pairs = [
+            random_valid_pair(rng, turn_config, span=400.0, require_safe=True) for _ in range(100)
+        ]
+        assert np.all(pair_margins(pairs, gamma, turn_config, alpha) >= -1e-9)
 
     def test_affine_in_u(self, turn_config):
         rng = np.random.default_rng(16)
@@ -387,7 +407,7 @@ class TestConstraintMargin:
         pair = random_valid_pair(rng, turn_config, span=300.0)
         u1 = rng.uniform(-5, 5, 6)
         u2 = rng.uniform(-5, 5, 6)
-        m = lambda u: constraint_margin(pair, u, turn_config, alpha)
+        m = lambda u: float(pair_margins([pair], u, turn_config, alpha)[0])
         assert m(u1) + m(u2) - m(np.zeros(6)) == pytest.approx(m(u1 + u2), abs=1e-9)
 
     def test_alpha_dominance(self, turn_config):
@@ -395,7 +415,7 @@ class TestConstraintMargin:
         pair = pair_at(0, 0, 0.4, 5000, 0, -1.0)
         alpha = LinearGain(1.0)
         u = np.array([25, 0.23, 5, 25, 0.23, 5])
-        assert constraint_margin(pair, u, turn_config, alpha) > 0.0
+        assert pair_margins([pair], u, turn_config, alpha)[0] > 0.0
 
 
 def barrier_configs():

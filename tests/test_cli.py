@@ -25,7 +25,6 @@ from wingsafe.scenarios import (
     config_to_dict,
     load_config,
     run_scenario,
-    save_config,
     scenario_circle20,
     scenario_sweep,
 )
@@ -38,7 +37,7 @@ class TestConfigRoundTrip:
     def test_parse_serialize_parse_identical(self, name, tmp_path):
         cfg = builtin_scenarios()[name]
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(config_to_dict(cfg)))
         again = load_config(path)
         assert again == cfg
         # a second cycle is also a fixed point
@@ -127,7 +126,7 @@ class TestCmdRun:
     def test_config_file_input(self, tmp_path):
         cfg = scenario_sweep(400.0)
         path = tmp_path / "scenario.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(config_to_dict(cfg)))
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(path), "--out", str(out), "--dt", "0.05") == 0
 
@@ -390,8 +389,7 @@ class TestInputValidation:
 
     def test_infinite_duration_in_config_exit_one(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
-        save_config(scenario_sweep(), path)
-        d = json.loads(path.read_text())
+        d = config_to_dict(scenario_sweep())
         d["duration"] = math.inf
         path.write_text(json.dumps(d))  # written as the token Infinity
         code = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
@@ -413,8 +411,7 @@ class TestInputValidation:
 
     def test_nan_straight_speed_in_config_exit_one(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
-        save_config(builtin_scenarios()["example1"], path)
-        d = json.loads(path.read_text())
+        d = config_to_dict(builtin_scenarios()["example1"])
         d["barrier"]["v1"] = NAN
         path.write_text(json.dumps(d))  # NaN is written as the token NaN
         code = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
@@ -438,6 +435,37 @@ class TestInputValidation:
                        "--out", str(tmp_path / "o"))
         assert code == 1
         assert "--range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "check"])
+    @pytest.mark.parametrize("edit, field", [
+        pytest.param(lambda d: d["vehicles"][0].update(state=[0.0, 0.0]), "vehicles[0].state",
+                     id="two-element-state"),
+        pytest.param(lambda d: d["limits"].update(v_min="15"), "limits.v_min", id="string-v_min"),
+        pytest.param(lambda d: d.update(vehicles=5), "vehicles", id="vehicles-5"),
+        pytest.param(lambda d: d["barrier"].update(ds=[5.0]), "barrier.ds", id="list-ds"),
+        pytest.param(lambda d: d.update(seed=1.5), "seed", id="float-seed"),
+        pytest.param(lambda d: d.pop("barrier"), "barrier", id="no-barrier"),
+    ])
+    def test_malformed_config_exit_one(self, command, edit, field, tmp_path, capsys):
+        d = config_to_dict(scenario_sweep())
+        edit(d)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        extra = ["--range", "350", "--workers", "1"] if command == "sweep" else []
+        # an exception escaping main is what the command line prints as a traceback
+        code = run_cli(command, "--config", str(path), "--out", str(tmp_path / "o"), *extra)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_sweep_workers_below_one_exit_one(self, workers, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--scenario", "sweep", "--range", "350", "--workers", workers,
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_check_zero_samples_exit_one(self, tmp_path, capsys):
         code = run_cli("check", "--scenario", "sweep", "--samples", "0",

@@ -12,7 +12,6 @@ from wingsafe.dynamics import (
     ControlInput,
     VehicleState,
     clamp_input,
-    derivative,
     propagate_straight,
     propagate_turn,
     step_rk4,
@@ -28,19 +27,6 @@ def rk4_many(state, u, total, n):
 
 
 class TestDerivative:
-    def test_heading_zero_moves_plus_x(self):
-        d = derivative(VehicleState(0, 0, 0, 0), ControlInput(1, 0, 0))
-        assert d == (1, 0, 0, 0)
-
-    def test_heading_half_pi_moves_plus_y(self):
-        d = derivative(VehicleState(0, 0, math.pi / 2, 0), ControlInput(2, 0, 1))
-        np.testing.assert_allclose(d, (0, 2, 0, 1), atol=1e-15)
-
-    def test_quarter_pi(self):
-        # v*cos(pi/4) = v*sin(pi/4) = 1 for v = sqrt(2)
-        d = derivative(VehicleState(0, 0, math.pi / 4, 0), ControlInput(math.sqrt(2), 0.3, 0))
-        np.testing.assert_allclose(d, (1, 1, 0.3, 0), rtol=1e-15)
-
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             ControlInput(float("nan"), 0, 0)

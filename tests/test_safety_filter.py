@@ -13,12 +13,8 @@ from wingsafe.barrier import (
     lie_derivatives,
 )
 from wingsafe.dynamics import ControlInput, VehicleState, clamp_input
-from wingsafe.safety_filter import (
-    FilterConfig,
-    assemble_pair_constraint,
-    filter_controls,
-)
-from wingsafe.shaping import SensorModel, make_quadratic_psi, psi_deriv, xi_from_range
+from wingsafe.safety_filter import FilterConfig, _shaped_rows, filter_controls, pair_pass
+from wingsafe.shaping import SensorModel, make_quadratic_psi, psi_deriv_batch, xi_from_range
 
 from conftest import random_valid_pair
 
@@ -40,20 +36,22 @@ def vehicle(x, y, th):
 
 
 class TestAssemblePairConstraint:
+    """The pair rows of the filter's array pass: pair_pass and _shaped_rows."""
+
     def test_outside_sensing_returns_none(self, fconfig):
-        pair = PairState(vehicle(0, 0, 0), vehicle(400, 0, math.pi))
-        assert assemble_pair_constraint(pair, fconfig) is None
+        p = pair_pass([vehicle(0, 0, 0), vehicle(400, 0, math.pi)], fconfig)
+        assert not p.in_sensor[0]
 
     def test_plateau_row_vacuous(self, fconfig):
-        # inside range but far from conflict: h above xi, zero row with
-        # positive offset
+        # inside range but far from conflict: h above xi, no gradient row and
+        # a positive offset
         pair = PairState(vehicle(0, 0, math.pi / 2), vehicle(349, 0, math.pi / 2))
         h = h_value(pair, fconfig.barrier).value
         assert h >= fconfig.shaping.xi
-        row = assemble_pair_constraint(pair, fconfig)
-        assert row is not None
-        assert not row.coeffs.any()
-        assert row.offset > 0
+        p = pair_pass([pair.a, pair.b], fconfig)
+        assert p.in_sensor[0] and p.h[0] == h
+        assert not p.lie[0]
+        assert fconfig.gain(p.h_shaped[0]) > 0
 
     def test_active_row_is_scaled_lie_derivative(self, fconfig, turn_config):
         rng = np.random.default_rng(40)
@@ -63,11 +61,11 @@ class TestAssemblePairConstraint:
             h = h_value(pair, turn_config).value
             if not (0 < h < fconfig.shaping.xi):
                 continue
-            row = assemble_pair_constraint(pair, fconfig)
+            p = pair_pass([pair.a, pair.b], fconfig)
+            assert p.in_sensor[0] and p.lie[0]
             _, lg = lie_derivatives(pair, turn_config)
-            np.testing.assert_allclose(
-                row.coeffs, psi_deriv(h, fconfig.shaping) * lg, atol=1e-9
-            )
+            want = psi_deriv_batch(h, fconfig.shaping) * lg
+            np.testing.assert_allclose(_shaped_rows(p, [0], fconfig)[0], want, atol=1e-9)
             checked += 1
 
 

@@ -16,20 +16,24 @@ from wingsafe.barrier import (
 from wingsafe.dynamics import VehicleState
 from wingsafe.shaping import (
     SensorModel,
-    alpha2,
     check_sensor_compatible,
     in_sensor_set,
     make_quadratic_psi,
     min_sensing_range,
-    psi_deriv,
-    psi_eval,
-    shape_grad,
+    psi_deriv_batch,
     shape_h,
     shape_h_batch,
     xi_from_range,
 )
 
 from conftest import DELTA, DS, random_valid_pair
+from test_barrier import central_difference, pair_columns, probe
+
+
+def alpha2(h, alpha, params):
+    """Effective gain psi'(h)^-1 * alpha(psi(h)), for h < xi (see the shaping
+    module docstring)."""
+    return alpha(shape_h_batch(h, params)) / psi_deriv_batch(h, params)
 
 
 class TestSensorSet:
@@ -55,13 +59,13 @@ class TestQuadraticPsi:
 
     def test_blending_constraints(self):
         p = make_quadratic_psi(1.0, 0.5)
-        assert psi_eval(0.5, p) == pytest.approx(0.5, abs=1e-15)
-        assert psi_deriv(0.5 + 1e-15, p) == pytest.approx(1.0, abs=1e-12)
-        assert psi_deriv(1.0, p) == pytest.approx(0.0, abs=1e-15)
+        assert shape_h(0.5, p) == pytest.approx(0.5, abs=1e-15)
+        assert psi_deriv_batch(0.5 + 1e-15, p) == pytest.approx(1.0, abs=1e-12)
+        assert psi_deriv_batch(1.0, p) == pytest.approx(0.0, abs=1e-15)
 
     def test_plateau_value(self):
         p = make_quadratic_psi(1.0, 0.5)
-        assert psi_eval(1.0, p) == pytest.approx(0.75, abs=1e-15)
+        assert shape_h(1.0, p) == pytest.approx(0.75, abs=1e-15)
 
     def test_constraints_random_parameters(self):
         # the three blending constraints, to 1e-12, over random (xi, beta)
@@ -94,16 +98,16 @@ class TestPsiEval:
     P = make_quadratic_psi(1.0, 0.5)
 
     def test_identity_branch(self):
-        assert psi_eval(0.3, self.P) == 0.3
-        assert psi_deriv(0.3, self.P) == 1.0
+        assert shape_h(0.3, self.P) == 0.3
+        assert psi_deriv_batch(0.3, self.P) == 1.0
 
     def test_quadratic_branch(self):
-        assert psi_eval(0.75, self.P) == pytest.approx(0.6875, abs=1e-15)
-        assert psi_deriv(0.75, self.P) == pytest.approx(0.5, abs=1e-15)
+        assert shape_h(0.75, self.P) == pytest.approx(0.6875, abs=1e-15)
+        assert psi_deriv_batch(0.75, self.P) == pytest.approx(0.5, abs=1e-15)
 
     def test_derivative_continuous_at_blend_point(self):
-        left = psi_deriv(0.5 - 1e-12, self.P)
-        right = psi_deriv(0.5 + 1e-12, self.P)
+        left = psi_deriv_batch(0.5 - 1e-12, self.P)
+        right = psi_deriv_batch(0.5 + 1e-12, self.P)
         assert left == pytest.approx(right, abs=1e-10)
 
 
@@ -143,10 +147,12 @@ class TestShapeH:
             assert shape_h(p.xi, p) > 0.0
 
     def test_shape_grad(self):
+        # chain rule through the shaping: psi'(h) * grad below xi; the plateau
+        # is flat, so the filter gives it no gradient row (see pair_pass)
         g = np.arange(8.0)
-        np.testing.assert_array_equal(shape_grad(0.3, g, self.P), g)
-        np.testing.assert_array_equal(shape_grad(1.5, g, self.P), np.zeros(8))
-        np.testing.assert_allclose(shape_grad(0.75, g, self.P), 0.5 * g, atol=1e-15)
+        np.testing.assert_array_equal(psi_deriv_batch(0.3, self.P) * g, g)
+        np.testing.assert_allclose(psi_deriv_batch(0.75, self.P) * g, 0.5 * g, atol=1e-15)
+        assert shape_h(1.5, self.P) == shape_h(1.0, self.P)
 
 
 class TestShapedGradientFiniteDifference:
@@ -161,26 +167,9 @@ class TestShapedGradientFiniteDifference:
             bx = p.beta * p.xi
             if min(abs(h - bx), abs(h - p.xi)) < 0.5 or h > p.xi + 2.0:
                 continue
-            def shaped_value(pr):
-                return shape_h(h_value(pr, turn_config).value, p)
-
-            from wingsafe.barrier import grad_h
-
-            analytic = shape_grad(h, grad_h(pair, turn_config).grad, p)
-            base = [
-                pair.a.px, pair.a.py, pair.a.heading, pair.a.pz,
-                pair.b.px, pair.b.py, pair.b.heading, pair.b.pz,
-            ]
-            fd = np.zeros(8)
-            step = 1e-5
-            for i in range(8):
-                hi, lo = list(base), list(base)
-                hi[i] += step
-                lo[i] -= step
-                fd[i] = (
-                    shaped_value(PairState(VehicleState(*hi[:4]), VehicleState(*hi[4:])))
-                    - shaped_value(PairState(VehicleState(*lo[:4]), VehicleState(*lo[4:])))
-                ) / (2 * step)
+            hs, g = probe(pair_columns([pair]), turn_config)
+            analytic = (psi_deriv_batch(h, p) if h < p.xi else 0.0) * g[0]  # 0 on the plateau
+            fd = central_difference(shape_h_batch(hs, p))[0]
             np.testing.assert_allclose(analytic, fd, rtol=2e-5, atol=1e-5)
             checked += 1
 
@@ -244,10 +233,6 @@ class TestAlpha2:
         assert alpha2(0.75, a, self.P) == pytest.approx(0.6875 / 0.5, abs=1e-12)
         assert alpha2(0.75, a, self.P) >= a(0.75)
 
-    def test_undefined_on_plateau(self):
-        with pytest.raises(ValueError):
-            alpha2(1.0, LinearGain(1.0), self.P)
-
     def test_dominates_alpha(self):
         # alpha2 >= alpha on (0, xi) for any valid shaping and linear gain
         rng = np.random.default_rng(23)
@@ -255,8 +240,7 @@ class TestAlpha2:
             p = make_quadratic_psi(rng.uniform(0.1, 50), rng.uniform(0.1, 0.9))
             a = LinearGain(rng.uniform(0.1, 3.0))
             hs = rng.uniform(0.0, p.xi * (1 - 1e-12), 500)
-            for h in hs:
-                assert alpha2(float(h), a, p) >= a(float(h)) - 1e-12
+            assert np.all(alpha2(hs, a, p) >= a(hs) - 1e-12)
 
 
 class TestSignEquivalence:
@@ -273,7 +257,7 @@ class TestSignEquivalence:
             _, lg = lie_derivatives(pair, turn_config)
             u = rng.uniform(-1, 1, 6) * np.array([25, 0.23, 5, 25, 0.23, 5])
             lgu = float(lg @ u)
-            shaped = psi_deriv(h, p) * lgu + a(shape_h(h, p))
+            shaped = psi_deriv_batch(h, p) * lgu + a(shape_h(h, p))
             raw_a2 = lgu + alpha2(h, a, p)
             if abs(shaped) < 1e-12 or abs(raw_a2) < 1e-12:
                 continue
@@ -296,7 +280,7 @@ class TestSignEquivalence:
             u = rng.uniform(-1, 1, 6) * np.array([25, 0.23, 5, 25, 0.23, 5])
             lgu = float(lg @ u)
             if lgu + a(h) >= 0:
-                assert psi_deriv(h, p) * lgu + a(shape_h(h, p)) >= -1e-12
+                assert psi_deriv_batch(h, p) * lgu + a(shape_h(h, p)) >= -1e-12
                 checked += 1
 
 
