@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -45,62 +45,66 @@ class QPInfeasibleError(RuntimeError):
     """The constraint rows and box admit no common point."""
 
 
-class _ConstraintRowFields(NamedTuple):
+class ConstraintRow(NamedTuple):
+    """One barrier row, coeffs . u + offset >= 0 over the stacked control,
+    as QPProblem.rows lists it."""
+
     coeffs: np.ndarray
     offset: float
 
 
-class ConstraintRow(_ConstraintRowFields):
-    """Half-space constraint coeffs . u + offset >= 0 over the stacked control.
-
-    The offset must be finite, and a zero row may not have a negative offset.
-    The coefficients are checked for finiteness once per problem, by
-    QPProblem.stacked."""
-
-    __slots__ = ()
-
-    def __new__(cls, coeffs, offset):
-        if not math.isfinite(offset):
-            raise ValueError("non-finite constraint row")
-        if offset < 0.0 and not np.any(coeffs):
-            raise ValueError("zero row with negative offset is infeasible by construction")
-        return tuple.__new__(cls, (coeffs, offset))
-
-    @classmethod
-    def _make(cls, iterable):  # namedtuple's _make and _replace skip __new__
-        return cls(*iterable)
-
-
 @dataclass
 class QPProblem:
-    """Nominal control, barrier rows, and the per-entry box bounds."""
+    """Nominal control, the barrier rows coeffs @ u + offsets >= 0 as a
+    (k, n) matrix and (k,) offsets, and the per-entry box bounds.
+
+    Everything is checked once, here: the first row with a non-finite
+    offset, or a zero row with a negative offset, is rejected; then an empty
+    box; then a row with a non-finite coefficient, by number.  The problem
+    keeps the arrays it is given, so they must not change afterwards."""
 
     u_hat: np.ndarray
-    rows: list[ConstraintRow] = field(default_factory=list)
+    coeffs: np.ndarray | None = None
+    offsets: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
 
     def __post_init__(self):
         self.u_hat = np.asarray(self.u_hat, dtype=float)
         n = self.u_hat.size
+        self.coeffs = np.zeros((0, n)) if self.coeffs is None else np.asarray(self.coeffs, float)
+        self.offsets = np.zeros(0) if self.offsets is None else np.asarray(self.offsets, float)
         self.lower = np.full(n, -np.inf) if self.lower is None else np.asarray(self.lower, float)
         self.upper = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, float)
+        if self.coeffs.shape != (self.offsets.size, n) or self.offsets.ndim != 1:
+            raise ValueError(f"constraint rows must be a (k, {n}) matrix and k offsets")
+        off = self.offsets
+        bad = ~np.isfinite(off)
+        negative = off < 0.0
+        if negative.any():
+            bad |= negative & ~self.coeffs.any(axis=1)
+        if bad.any():
+            if not math.isfinite(off[bad.argmax()]):
+                raise ValueError("non-finite constraint row")
+            raise ValueError("zero row with negative offset is infeasible by construction")
         if (self.lower > self.upper).any():
             raise ValueError("empty box (lower > upper)")
+        if not np.isfinite(self.coeffs).all():
+            k = (~np.isfinite(self.coeffs).all(axis=1)).argmax()
+            raise ValueError(f"non-finite constraint row {k}")
+
+    @property
+    def rows(self) -> tuple[ConstraintRow, ...]:
+        """The barrier rows one at a time, built on each read."""
+        return tuple(map(ConstraintRow, self.coeffs, self.offsets.tolist()))
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All constraints as A u >= b: barrier rows first, then finite box
-        faces (lower, then upper), preserving index order.  Raises ValueError
-        for a row with a non-finite coefficient."""
-        n = self.u_hat.size
-        eye = _identity(n)
+        faces (lower, then upper), preserving index order."""
+        eye = _identity(self.u_hat.size)
         lo, hi = np.isfinite(self.lower), np.isfinite(self.upper)
-        rows = np.array([r.coeffs for r in self.rows], dtype=float).reshape(-1, n)
-        if not np.isfinite(rows).all():
-            k = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
-            raise ValueError(f"non-finite constraint row {k}")
-        A = np.concatenate([rows, eye[lo], 0.0 - eye[hi]])  # 0.0 - x: no negative zeros
-        b = np.concatenate([[-r.offset for r in self.rows], self.lower[lo], -self.upper[hi]])
+        A = np.concatenate([self.coeffs, eye[lo], 0.0 - eye[hi]])  # 0.0 - x: no negative zeros
+        b = np.concatenate([-self.offsets, self.lower[lo], -self.upper[hi]])
         return A, b
 
 
@@ -117,8 +121,7 @@ def solve_qp(problem: QPProblem, tol: float = 1e-11, max_iter: int | None = None
 
     Returns (u, multipliers) with multipliers aligned to the stacked
     constraint order of QPProblem.stacked().  Raises QPInfeasibleError when
-    the feasible region is empty, and ValueError (from stacked) for a
-    non-finite row.  guess, stacked indices of constraints
+    the feasible region is empty.  guess, stacked indices of constraints
     expected to be active, changes only how the optimum is found.
     """
     A, b = problem.stacked()

@@ -56,7 +56,7 @@ from .barrier import (
     phasor_rows,
 )
 from .dynamics import ActuatorLimits, ControlInput, VehicleState, clamp_input
-from .qp import ConstraintRow, QPInfeasibleError, QPProblem, solve_qp
+from .qp import QPInfeasibleError, QPProblem, solve_qp
 from .shaping import SensorModel, ShapingParams, psi_deriv_batch, shape_h_batch
 
 
@@ -160,10 +160,6 @@ def _box(limits: ActuatorLimits, n_vehicles: int):
     return lo, hi, int(np.isfinite(lo).sum() + np.isfinite(hi).sum())
 
 
-def _control_array(controls: list[ControlInput]) -> np.ndarray:
-    return np.array([(c.speed, c.turn_rate, c.climb_rate) for c in controls], dtype=float)
-
-
 def filter_controls(
     world: list[VehicleState],
     nominal: list[ControlInput],
@@ -214,15 +210,16 @@ def filter_controls(
     rows = np.flatnonzero(need)
     lg = _shaped_rows(p, rows, config)
     pairs, row_offset = idx.take(rows, 1), offset.take(rows)  # pairs: (2, rows) vehicles
-    margin = _row_margins(lg, row_offset, result.controls, pairs)
+    u = np.array([(c.speed, c.turn_rate, c.climb_rate) for c in result.controls], dtype=float)
+    margin = _row_margins(lg, row_offset, u, pairs)
     if mode == "split" or failed_rows or np.count_nonzero(margin < 0.0):
         # the clamped nominal violates a pair row; otherwise the centralized
         # QP would return it unchanged (split mode divides the rows, and a
         # half-row can be violated while its pair row holds)
         if mode == "centralized":
-            _filter_centralized(config, result, rows, pairs, lg, row_offset, n, hint)
+            _filter_centralized(config, result, u, rows, pairs, lg, row_offset, hint)
         else:
-            _filter_split(config, result, pairs, lg, row_offset, n)
+            _filter_split(config, result, u, pairs, lg, row_offset)
         if result.fallback:
             # each vehicle's role in the lowest-indexed sensed pair containing
             # it, else in the lowest-indexed pair that could not be evaluated
@@ -230,58 +227,56 @@ def filter_controls(
             u1, u2 = config.barrier.maneuver.controls()
             for v in sorted(result.fallback):
                 first = next(k for k in order if v in (ii[k], jj[k]))
-                result.controls[v] = ControlInput(*(u1 if ii[first] == v else u2))
-        margin = _row_margins(lg, row_offset, result.controls, pairs)
+                u[v] = u1 if ii[first] == v else u2
+        result.controls = [ControlInput(*c) for c in u.tolist()]
+        margin = _row_margins(lg, row_offset, u, pairs)
 
     # achieved pair margins under the final controls
     result.margin[rows] = margin
     return result
 
 
-def _row_margins(lg, offset, controls: list[ControlInput], pairs) -> np.ndarray:
-    """lg . (u_i, u_j) + offset of each row under the given controls."""
-    u_pairs = _control_array(controls).take(pairs.T, 0)  # (rows, 2, 3)
+def _row_margins(lg, offset, u, pairs) -> np.ndarray:
+    """lg . (u_i, u_j) + offset of each row under the (n, 3) controls u."""
+    u_pairs = u.take(pairs.T, 0)  # (rows, 2, 3)
     return (lg.reshape(-1, 2, 3) * u_pairs).sum(axis=(1, 2)) + offset
 
 
-def _filter_centralized(config, result, rows, pairs, lg, offset, n, hint):
+def _filter_centralized(config, result, u, rows, pairs, lg, offset, hint):
+    """One QP over the stacked controls u, which it overwrites with the
+    optimum; on infeasibility, both vehicles of every row fall back."""
     binding = lg.any(axis=1)
     if not binding.all():
         # zero rows (plateau-like): with a positive offset they never bind
         rows, pairs, lg, offset = rows[binding], pairs[:, binding], lg[binding], offset[binding]
-    k = len(offset)
+    k, n = len(offset), len(u)
     if not k:
         return
     coeffs = np.zeros((k, n, 3))
     coeffs[np.arange(k), pairs] = lg.reshape(k, 2, 3).transpose(1, 0, 2)
     lo, hi, n_faces = _box(config.limits, n)
-    qp_rows = [ConstraintRow(c, o) for c, o in zip(coeffs.reshape(k, 3 * n), offset.tolist())]
-    problem = QPProblem(_control_array(result.controls).ravel(), qp_rows, lo, hi)
-    # stable ids of the stacked constraints: the pair number of row s < k,
-    # P + s - k of box face s >= k
-    n_pairs, pair_ids = len(result.h), rows.tolist()
-    slot = {i: s for s, i in enumerate(pair_ids)}
-    guess = [
-        slot[i] if i < n_pairs else k + i - n_pairs
-        for i in hint
-        if i in slot or n_pairs <= i < n_pairs + n_faces
-    ]
+    problem = QPProblem(u.ravel(), coeffs.reshape(k, 3 * n), offset, lo, hi)
+    # stable id of each stacked constraint, ascending: the pair number of
+    # row s < k, P + s - k of box face s >= k
+    n_pairs = len(result.h)
+    ids = np.concatenate([rows, np.arange(n_pairs, n_pairs + n_faces)])
+    hint = np.asarray(hint, dtype=np.intp)
+    slot = np.searchsorted(ids, hint)  # the stacked index of each hinted id, if present
+    guess = slot[ids.take(slot, mode="clip") == hint].tolist()
     try:
         u_star, mult = solve_qp(problem, guess=guess)
     except QPInfeasibleError as err:
         result.events.append(f"qp-infeasible mode=centralized {err}")
         result.fallback.update(pairs.ravel().tolist())
         return
-    result.active = [
-        pair_ids[s] if s < k else n_pairs + s - k for s in np.flatnonzero(mult > 0.0).tolist()
-    ]
+    result.active = ids[mult > 0.0].tolist()
     # the solver meets the box to its tolerance; clamp into it exactly
-    u_star = np.clip(u_star, lo, hi).reshape(n, 3)
-    result.controls = [ControlInput(*u) for u in u_star.tolist()]
+    u[:] = np.clip(u_star, lo, hi).reshape(n, 3)
 
 
-def _filter_split(config, result, pairs, lg, offset, n):
-    """Per-vehicle QPs with the pair rows divided half-and-half.
+def _filter_split(config, result, u, pairs, lg, offset):
+    """Per-vehicle QPs with the pair rows divided half-and-half; each
+    overwrites its vehicle's row of the controls u with its optimum.
 
     For pair (i, j) with full row  lg_i . u_i + lg_j . u_j + off >= 0,
     vehicle i receives
@@ -296,8 +291,8 @@ def _filter_split(config, result, pairs, lg, offset, n):
     gamma = maneuver_control_vector(config.barrier.maneuver)
     lo, hi, _ = _box(config.limits, 1)
     ri, rj = pairs
-    for v in range(n):
-        my_rows = []
+    for v in range(len(u)):
+        coeffs, halves = [], []
         stuck = False
         for k in np.flatnonzero((ri == v) | (rj == v)):
             first = ri[k] == v
@@ -306,21 +301,20 @@ def _filter_split(config, result, pairs, lg, offset, n):
             corr = 0.5 * (float(theirs @ g_theirs) - float(mine @ g_mine))
             half = 0.5 * float(offset[k]) + corr
             if mine.any():
-                my_rows.append(ConstraintRow(mine, half))
+                coeffs.append(mine)
+                halves.append(half)
             elif half < 0.0:
                 # no actuation authority over a violated half-row
                 result.events.append(f"qp-infeasible mode=split vehicle={v} zero row")
                 result.fallback.add(v)
                 stuck = True
                 break
-        if stuck or not my_rows:
+        if stuck or not halves:
             continue
-        c = result.controls[v]
-        problem = QPProblem(np.array([c.speed, c.turn_rate, c.climb_rate]), my_rows, lo, hi)
         try:
-            u_star, _ = solve_qp(problem)
+            u_star, _ = solve_qp(QPProblem(u[v], np.array(coeffs), halves, lo, hi))
         except QPInfeasibleError as err:
             result.events.append(f"qp-infeasible mode=split vehicle={v} {err}")
             result.fallback.add(v)
         else:
-            result.controls[v] = ControlInput(*np.clip(u_star, lo, hi).tolist())
+            u[v] = np.clip(u_star, lo, hi)

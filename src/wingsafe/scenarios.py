@@ -97,6 +97,8 @@ class ScenarioConfig:
             raise ValueError(f'shaping xi must be numeric, "auto", or null, got {xi!r}')
         # note: "auto" feasibility (R above the minimum sensing range) is
         # checked by resolve_shaping, before any run starts
+        for k, v in enumerate(self.vehicles):
+            build_controller(v.controller, f"vehicles[{k}].controller")  # reject at load
 
     def resolve_shaping(self) -> ShapingParams | None:
         if self.shaping_xi is None:
@@ -126,26 +128,42 @@ class ScenarioConfig:
         return round(self.duration / self.dt)
 
 
-def build_controller(spec: dict[str, Any]) -> Controller:
+def build_controller(spec: dict[str, Any], where: str = "controller") -> Controller:
+    """The nominal controller a JSON-shaped spec describes.  A missing field
+    raises KeyError, and a field of the wrong JSON type or not finite a
+    ValueError naming it as where.<field>, as does a circle's radius <= 0 or
+    direction other than 1 or -1."""
+
+    def num(key: str, *default):
+        return _finite(spec.get(key, *default) if default else spec[key], f"{where}.{key}")
+
+    def point(key: str, sizes: tuple[int, ...]) -> list:
+        value = _typed(spec[key], f"{where}.{key}", "array")
+        if len(value) not in sizes:
+            raise ValueError(f"config field {where}.{key} must have "
+                             f"{' or '.join(map(str, sizes))} entries, got {value!r}")
+        return [_finite(x, f"{where}.{key}[{i}]") for i, x in enumerate(value)]
+
     kind = spec.get("type")
     if kind == "circle":
-        return CircleController(
-            center_x=spec["center"][0],
-            center_y=spec["center"][1],
-            radius=spec["radius"],
-            direction=spec["direction"],
-            speed=spec["speed"],
-        )
+        center = point("center", (2,))
+        radius = num("radius")
+        if not radius > 0.0:
+            raise ValueError(f"config field {where}.radius must be > 0, got {radius!r}")
+        direction = num("direction")
+        if direction not in (1, -1):
+            raise ValueError(f"config field {where}.direction must be 1 or -1, got {direction!r}")
+        return CircleController(center[0], center[1], radius, direction, num("speed"))
     if kind == "goal":
-        goal = spec["goal"]
+        goal = point("goal", (2, 3))
         return GoalController(
             goal_x=goal[0],
             goal_y=goal[1],
             goal_z=goal[2] if len(goal) > 2 else 0.0,
-            cruise_speed=spec.get("cruise_speed", 20.0),
-            arrival_time=spec.get("arrival_time"),
+            cruise_speed=num("cruise_speed", 20.0),
+            arrival_time=None if spec.get("arrival_time") is None else num("arrival_time"),
         )
-    raise ValueError(f"unknown controller type {kind!r}")
+    raise ValueError(f"config field {where}.type: unknown controller type {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +219,13 @@ def _typed(value, field: str, kind: str = "number"):
     types = {"number": (int, float), "integer": int, "object": dict, "array": (list, tuple)}
     if isinstance(value, bool) or not isinstance(value, types[kind]):
         raise ValueError(f"config field {field} must be a JSON {kind}, got {value!r}")
+    return value
+
+
+def _finite(value, field: str):
+    """value if it is a finite JSON number, else a ValueError naming the field."""
+    if not math.isfinite(_typed(value, field)):
+        raise ValueError(f"config field {field} must be finite, got {value!r}")
     return value
 
 

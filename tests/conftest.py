@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wingsafe.barrier import (
     BarrierConfig,
@@ -15,6 +16,11 @@ from wingsafe.barrier import (
     h_value,
 )
 from wingsafe.dynamics import ActuatorLimits, VehicleState
+
+# Examples run whole solves and simulations whose time varies with the host,
+# so no example has a deadline.
+settings.register_profile("wingsafe", deadline=None)
+settings.load_profile("wingsafe")
 
 # Experiment parameter set used by the headline scenarios: v_min = 15 m/s,
 # v_max = 25 m/s, omega_max = 13 deg/s; evading turn at v = 0.9*v_min +

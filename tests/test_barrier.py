@@ -443,7 +443,7 @@ class TestArrayPassAgreement:
     """The scalar wrappers are the array pass with one row: identical values,
     and a DomainError exactly where the pass gives NaN."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(barrier_configs(), st.lists(st.tuples(states, states), min_size=1, max_size=12))
     def test_wrappers_match_array_pass(self, cfg, pairs):
         pairs = [PairState(a, b) for a, b in pairs]
@@ -470,7 +470,7 @@ class TestArrayPassAgreement:
                 with pytest.raises(DomainError):
                     lie_derivatives(pair, cfg)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(barrier_configs(), st.lists(states, min_size=2, max_size=7))
     def test_filter_pass_matches_wrappers(self, cfg, world):
         from wingsafe.safety_filter import FilterConfig, filter_controls

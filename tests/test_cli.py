@@ -258,7 +258,7 @@ class TestOutputs:
         write_outputs(tmp_path, cfg, trace, metrics)
         assert (tmp_path / "trace.csv").read_bytes() == row_by_row_trace(trace)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_block_writer_matches_row_by_row(self, data, tmp_path_factory):
         n = data.draw(st.sampled_from([1, 2, 3, 7]), label="vehicles")
@@ -331,6 +331,16 @@ class TestOutputs:
 
 
 NAN = math.nan
+CIRCLE = {"type": "circle", "center": [0.0, 0.0], "radius": 100.0, "direction": 1, "speed": 20.0}
+
+
+def _controller(d, spec=None, **fields):
+    """The second vehicle's controller spec in the config dict d, replaced by
+    spec (a copy) with fields set when spec is given."""
+    vehicle = d["vehicles"][1]
+    if spec is not None:
+        vehicle["controller"] = {**spec, **fields}
+    return vehicle["controller"]
 
 
 class TestInputValidation:
@@ -445,6 +455,24 @@ class TestInputValidation:
         pytest.param(lambda d: d["barrier"].update(ds=[5.0]), "barrier.ds", id="list-ds"),
         pytest.param(lambda d: d.update(seed=1.5), "seed", id="float-seed"),
         pytest.param(lambda d: d.pop("barrier"), "barrier", id="no-barrier"),
+        pytest.param(lambda d: _controller(d).update(goal=5), "vehicles[1].controller.goal",
+                     id="goal-5"),
+        pytest.param(lambda d: _controller(d).update(goal=[1.0]), "vehicles[1].controller.goal",
+                     id="one-element-goal"),
+        pytest.param(lambda d: _controller(d).update(goal=[1.0, NAN]),
+                     "vehicles[1].controller.goal[1]", id="nan-goal"),
+        pytest.param(lambda d: _controller(d).update(cruise_speed="20"),
+                     "vehicles[1].controller.cruise_speed", id="string-cruise_speed"),
+        pytest.param(lambda d: _controller(d).update(arrival_time=math.inf),
+                     "vehicles[1].controller.arrival_time", id="infinite-arrival_time"),
+        pytest.param(lambda d: _controller(d).update(type="spiral"),
+                     "vehicles[1].controller.type", id="unknown-controller"),
+        pytest.param(lambda d: _controller(d, CIRCLE, radius=0), "vehicles[1].controller.radius",
+                     id="zero-radius"),
+        pytest.param(lambda d: _controller(d, CIRCLE, direction=0),
+                     "vehicles[1].controller.direction", id="zero-direction"),
+        pytest.param(lambda d: _controller(d, CIRCLE, center=[0.0]),
+                     "vehicles[1].controller.center", id="one-element-center"),
     ])
     def test_malformed_config_exit_one(self, command, edit, field, tmp_path, capsys):
         d = config_to_dict(scenario_sweep())

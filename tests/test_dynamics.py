@@ -56,7 +56,7 @@ def expected_fields(cls, values):
 class TestValueTypes:
     """VehicleState and ControlInput are validating named tuples."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.sampled_from(VALUE_TYPES).flatmap(
         lambda t: st.tuples(st.just(t[0]), st.lists(FINITE, min_size=t[1], max_size=t[1]))))
     def test_fields_and_heading_wrap(self, case):
@@ -79,7 +79,7 @@ class TestValueTypes:
             with pytest.raises(ValueError, match=f"non-finite .* in {cls.__name__}"):
                 cls(*values)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.sampled_from(VALUE_TYPES).flatmap(
         lambda t: st.tuples(st.just(t[0]), st.lists(FINITE, min_size=t[1], max_size=t[1]))))
     def test_pickle_and_copy_round_trips_bitwise(self, case):
@@ -100,7 +100,7 @@ class TestValueTypes:
         with pytest.raises(AttributeError):
             x.extra = 2.0
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.lists(FINITE, min_size=4, max_size=4))
     def test_repr_format(self, values):
         px, py, heading, pz = values

@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,13 +23,10 @@ def random_feasible_problem(rng, n=None, m=None, with_interior=False):
     lo = rng.uniform(-5, 0, n)
     hi = lo + rng.uniform(0.5, 6, n)
     interior = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
-    rows = []
-    for _ in range(m):
-        a = rng.normal(size=n)
-        slack = rng.uniform(0.5, 3.0)
-        rows.append(ConstraintRow(a, -(float(a @ interior) - slack)))
+    coeffs = rng.normal(size=(m, n))
+    slack = rng.uniform(0.5, 3.0, m)
     u_hat = rng.uniform(lo - 2, hi + 2)
-    problem = QPProblem(u_hat, rows, lo, hi)
+    problem = QPProblem(u_hat, coeffs, slack - coeffs @ interior, lo, hi)
     return (problem, interior) if with_interior else problem
 
 
@@ -43,9 +43,7 @@ def brute_force_best(problem, samples, rng, interior=None):
         pts.append(np.clip(jit, problem.lower, problem.upper))
         pts.append(interior[None, :])
     pts = np.vstack(pts)
-    feas = np.ones(len(pts), dtype=bool)
-    for r in problem.rows:
-        feas &= pts @ r.coeffs + r.offset >= 0
+    feas = (pts @ problem.coeffs.T + problem.offsets >= 0).all(axis=1)
     if not feas.any():
         return None
     vals = 0.5 * np.sum((pts[feas] - problem.u_hat) ** 2, axis=1)
@@ -54,52 +52,44 @@ def brute_force_best(problem, samples, rng, interior=None):
 
 class TestSolveQP:
     def test_interior_nominal_returned_exactly(self):
-        p = QPProblem(np.array([1.0, -0.5]), [], np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+        p = QPProblem(np.array([1.0, -0.5]), lower=np.full(2, -2.0), upper=np.full(2, 2.0))
         u, _ = solve_qp(p)
         assert np.array_equal(u, p.u_hat)
 
     def test_halfspace_projection(self):
         # u_hat = 0, require u1 >= 1: projection lands at (1, 0)
-        p = QPProblem(np.zeros(2), [ConstraintRow(np.array([1.0, 0.0]), -1.0)])
+        p = QPProblem(np.zeros(2), [[1.0, 0.0]], [-1.0])
         u, _ = solve_qp(p)
         np.testing.assert_allclose(u, [1.0, 0.0], atol=1e-12)
 
     def test_box_only(self):
-        p = QPProblem(np.array([5.0, -5.0]), [], np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+        p = QPProblem(np.array([5.0, -5.0]), lower=np.zeros(2), upper=np.ones(2))
         u, _ = solve_qp(p)
         np.testing.assert_allclose(u, [1.0, 0.0], atol=1e-12)
 
     def test_infeasible_zero_row_rejected(self):
         with pytest.raises(ValueError):
-            ConstraintRow(np.zeros(2), -1.0)
+            QPProblem(np.zeros(2), np.zeros((1, 2)), [-1.0])
 
     def test_vacuous_zero_row_allowed(self):
-        p = QPProblem(np.zeros(2), [ConstraintRow(np.zeros(2), 1.0)])
+        p = QPProblem(np.zeros(2), np.zeros((1, 2)), [1.0])
         u, _ = solve_qp(p)
         np.testing.assert_array_equal(u, np.zeros(2))
 
     def test_infeasible_detected(self):
         # u1 >= 1 and u1 <= 0 cannot both hold
-        rows = [ConstraintRow(np.array([1.0, 0.0]), -1.0)]
-        p = QPProblem(np.zeros(2), rows, np.array([-1.0, -1.0]), np.array([0.0, 1.0]))
+        p = QPProblem(np.zeros(2), [[1.0, 0.0]], [-1.0], np.array([-1.0, -1.0]),
+                      np.array([0.0, 1.0]))
         with pytest.raises(QPInfeasibleError):
             solve_qp(p)
 
     def test_opposing_rows_infeasible(self):
-        rows = [
-            ConstraintRow(np.array([1.0, 0.0]), -2.0),
-            ConstraintRow(np.array([-1.0, 0.0]), 1.0),
-        ]
         with pytest.raises(QPInfeasibleError):
-            solve_qp(QPProblem(np.zeros(2), rows))
+            solve_qp(QPProblem(np.zeros(2), [[1.0, 0.0], [-1.0, 0.0]], [-2.0, 1.0]))
 
     def test_equality_like_pair(self):
         # two opposing rows meeting at u1 = 1 pin that coordinate
-        rows = [
-            ConstraintRow(np.array([1.0, 0.0]), -1.0),
-            ConstraintRow(np.array([-1.0, 0.0]), 1.0),
-        ]
-        u, _ = solve_qp(QPProblem(np.array([0.0, 0.3]), rows))
+        u, _ = solve_qp(QPProblem(np.array([0.0, 0.3]), [[1.0, 0.0], [-1.0, 0.0]], [-1.0, 1.0]))
         np.testing.assert_allclose(u, [1.0, 0.3], atol=1e-12)
 
     def test_random_problems_optimal(self):
@@ -109,8 +99,7 @@ class TestSolveQP:
             p, interior = random_feasible_problem(rng, with_interior=True)
             u, _ = solve_qp(p)
             assert np.all(u >= p.lower - 1e-9) and np.all(u <= p.upper + 1e-9)
-            for r in p.rows:
-                assert float(r.coeffs @ u) + r.offset >= -1e-9
+            assert np.all(p.coeffs @ u + p.offsets >= -1e-9)
             assert kkt_residual(p, u) <= 1e-8
             best = brute_force_best(p, 2_000, rng, interior)
             assert best is not None
@@ -136,7 +125,7 @@ class TestKKTResidual:
             assert kkt_residual(p, u) <= 1e-8
 
     def test_unconstrained_nominal_zero(self):
-        p = QPProblem(np.array([0.2, 0.3]), [], np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        p = QPProblem(np.array([0.2, 0.3]), lower=np.full(2, -1.0), upper=np.ones(2))
         assert kkt_residual(p, p.u_hat) == 0.0
 
     def test_perturbation_detected(self):
@@ -182,7 +171,7 @@ GUESS_KINDS = st.sampled_from(["empty", "all", "subset", "active"])
 class TestWarmStart:
     """A guessed active set changes how the optimum is found, not what it is."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.integers(0, 2**32 - 1), GUESS_KINDS)
     def test_any_guess_gives_the_cold_optimum(self, seed, kind):
         rng = np.random.default_rng(seed)
@@ -216,36 +205,137 @@ class TestWarmStart:
     def test_wrong_guess_falls_back_to_the_loop(self):
         # u1 >= 1 is the only active constraint; guessing the upper face of
         # u2 instead gives a negative multiplier, so the loop must run
-        rows = [ConstraintRow(np.array([1.0, 0.0]), -1.0)]
-        p = QPProblem(np.zeros(2), rows, np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+        p = QPProblem(np.zeros(2), [[1.0, 0.0]], [-1.0], np.array([-2.0, -2.0]),
+                      np.array([2.0, 2.0]))
         with pytest.raises(RuntimeError, match="iteration limit"):
             solve_qp(p, guess=[4], max_iter=0)
         u, _ = solve_qp(p, guess=[4])
         np.testing.assert_allclose(u, [1.0, 0.0], atol=1e-12)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.integers(0, 2**32 - 1), GUESS_KINDS)
     def test_infeasible_problem_raises_with_any_guess(self, seed, kind):
         # a feasible problem plus one more row that no point of the box
         # meets: a . u >= (max of a . u over the box) + 1
         rng = np.random.default_rng(seed)
         p = random_feasible_problem(rng)
-        m = len(p.rows)
+        m = len(p.offsets)
         # the feasible part's active set and the new row, in the new order
         active = [g if g < m else g + 1 for g in _guess("active", p, rng)] + [m]
         a = rng.normal(size=p.u_hat.size)
         top = float(np.maximum(a * p.lower, a * p.upper).sum())
-        p.rows.append(ConstraintRow(a, -(top + 1.0)))
+        p = QPProblem(p.u_hat, np.vstack([p.coeffs, a]), np.append(p.offsets, -(top + 1.0)),
+                      p.lower, p.upper)
         guess = active if kind == "active" else _guess(kind, p, rng)
         with pytest.raises(QPInfeasibleError):
             solve_qp(p, guess=guess)
 
 
-class TestRowValidation:
-    """Offsets are checked per row; coefficients once per problem, in
-    QPProblem.stacked, before any solve or KKT check."""
 
-    @settings(max_examples=200, deadline=None)
+
+def reference_stacked(u_hat, rows, lower, upper):
+    """A u >= b built one (coeffs, offset) row at a time, with each check in
+    the order a per-row builder makes it: every row's offset (finite, and not
+    negative on a zero row) as the row is made, then the box, then the
+    coefficients once the rows are stacked."""
+    for coeffs, offset in rows:
+        if not math.isfinite(offset):
+            raise ValueError("non-finite constraint row")
+        if offset < 0.0 and not np.any(coeffs):
+            raise ValueError("zero row with negative offset is infeasible by construction")
+    if (lower > upper).any():
+        raise ValueError("empty box (lower > upper)")
+    n = u_hat.size
+    eye = np.eye(n)
+    lo, hi = np.isfinite(lower), np.isfinite(upper)
+    stacked_rows = np.array([coeffs for coeffs, _ in rows], dtype=float).reshape(-1, n)
+    if not np.isfinite(stacked_rows).all():
+        k = np.flatnonzero(~np.isfinite(stacked_rows).all(axis=1))[0]
+        raise ValueError(f"non-finite constraint row {k}")
+    A = np.concatenate([stacked_rows, eye[lo], 0.0 - eye[hi]])
+    b = np.concatenate([[-offset for _, offset in rows], lower[lo], -upper[hi]])
+    return A, b
+
+
+# edits that make a random feasible problem special or invalid: applied to
+# row or column (index mod m or n) with a value drawn from the generator
+EDITS = ["bad-offset", "zero-row", "vacuous-zero-row", "sparse-row", "zero-offset",
+         "bad-coefficient", "empty-box", "open-face"]
+
+
+def _edit(kind, index, rng, u_hat, coeffs, offsets, lower, upper):
+    m, n = coeffs.shape
+    j = index % n
+    if kind == "empty-box":
+        lower[j] = upper[j] + rng.uniform(0.1, 1.0)
+    elif kind == "open-face":
+        (lower if rng.random() < 0.5 else upper)[j] = rng.choice([-np.inf, np.inf])
+        lower[j], upper[j] = min(lower[j], upper[j]), max(lower[j], upper[j])
+    elif m:
+        k = index % m
+        if kind == "bad-offset":
+            offsets[k] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == "zero-row":
+            coeffs[k] = 0.0
+            offsets[k] = -rng.uniform(0.1, 2.0)
+        elif kind == "vacuous-zero-row":
+            coeffs[k] = 0.0
+            offsets[k] = rng.choice([0.0, -0.0, rng.uniform(0.1, 2.0)])
+        elif kind == "sparse-row":  # one nonzero coefficient, as pair rows have few
+            coeffs[k, np.arange(n) != j] = 0.0
+            offsets[k] = rng.uniform(-2.0, 2.0)
+        elif kind == "zero-offset":
+            offsets[k] = rng.choice([0.0, -0.0])
+        else:
+            coeffs[k, j] = rng.choice([np.nan, np.inf, -np.inf])
+
+
+def _outcome(call):
+    """(u, multipliers) as bytes, or the exception's type and message."""
+    try:
+        u, mult = call()
+    except (ValueError, RuntimeError) as err:  # QPInfeasibleError is a RuntimeError
+        return type(err), str(err)
+    return u.tobytes(), mult.tobytes()
+
+
+class TestRowValidation:
+    """The rows are checked once, at construction, with the messages and in
+    the order of a per-row builder (reference_stacked)."""
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 63)), max_size=3))
+    def test_array_rows_match_the_per_row_reference(self, seed, edits):
+        rng = np.random.default_rng(seed)
+        p = random_feasible_problem(rng)
+        u_hat, coeffs, offsets = p.u_hat, p.coeffs.copy(), p.offsets.copy()
+        lower, upper = p.lower.copy(), p.upper.copy()
+        for kind, index in edits:
+            _edit(kind, index, rng, u_hat, coeffs, offsets, lower, upper)
+        rows = [(c.copy(), float(o)) for c, o in zip(coeffs, offsets)]
+        try:
+            ref = reference_stacked(u_hat, rows, lower, upper)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                QPProblem(u_hat, coeffs, offsets, lower, upper)
+            assert str(got.value) == str(err)
+            return
+        p = QPProblem(u_hat, coeffs, offsets, lower, upper)
+        A, b = p.stacked()
+        assert A.shape == ref[0].shape and A.tobytes() == ref[0].tobytes()
+        assert b.shape == ref[1].shape and b.tobytes() == ref[1].tobytes()
+        assert [(r.coeffs.tobytes(), r.offset) for r in p.rows] == [
+            (c.tobytes(), o) for c, o in rows
+        ]
+        reference = SimpleNamespace(u_hat=u_hat, stacked=lambda: ref)
+        guess = sorted(rng.choice(len(b), size=int(rng.integers(0, len(b) + 1)),
+                                  replace=False).tolist())
+        for g in ([], guess):
+            assert _outcome(lambda: solve_qp(p, guess=g)) == _outcome(
+                lambda: solve_qp(reference, guess=g))
+
+    @settings(max_examples=200)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
     def test_non_finite_coefficient_rejected(self, seed, m, data):
         rng = np.random.default_rng(seed)
@@ -253,26 +343,30 @@ class TestRowValidation:
         k = data.draw(st.integers(0, m - 1), label="row")
         j = data.draw(st.integers(0, p.u_hat.size - 1), label="column")
         bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
-        coeffs = p.rows[k].coeffs.copy()
-        coeffs[j] = bad
-        p.rows[k] = ConstraintRow(coeffs, p.rows[k].offset)
+        coeffs = p.coeffs.copy()
+        coeffs[k, j] = bad
+        # the problem cannot be built, so no solve or KKT check sees the row
         with pytest.raises(ValueError, match=f"non-finite constraint row {k}"):
-            solve_qp(p)
-        with pytest.raises(ValueError, match=f"non-finite constraint row {k}"):
-            solve_qp(p, guess=[k])
-        with pytest.raises(ValueError, match=f"non-finite constraint row {k}"):
-            kkt_residual(p, p.u_hat)
+            QPProblem(p.u_hat, coeffs, p.offsets, p.lower, p.upper)
 
     @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
     def test_non_finite_offset_rejected(self, offset):
         with pytest.raises(ValueError, match="non-finite constraint row"):
-            ConstraintRow(np.array([1.0, 0.0]), offset)
+            QPProblem(np.zeros(2), [[1.0, 0.0]], [offset])
+
+    def test_mismatched_rows_rejected(self):
+        with pytest.raises(ValueError, match=r"\(k, 2\) matrix"):
+            QPProblem(np.zeros(2), [[1.0, 0.0, 0.0]], [0.5])
+        with pytest.raises(ValueError, match=r"\(k, 2\) matrix"):
+            QPProblem(np.zeros(2), [[1.0, 0.0]], [0.5, 1.0])
 
     def test_row_is_a_named_tuple(self):
-        row = ConstraintRow(np.array([1.0, 2.0]), 0.5)
-        coeffs, offset = row
-        assert coeffs is row.coeffs and offset == row.offset == 0.5
-        with pytest.raises(ValueError):
-            row._replace(offset=np.nan)
-        with pytest.raises(ValueError):
-            ConstraintRow._make([np.zeros(2), -1.0])
+        # the rows view: one ConstraintRow per matrix row, built on read
+        p = QPProblem(np.zeros(2), [[1.0, 2.0], [0.0, -1.0]], [0.5, 3.0])
+        rows = p.rows
+        assert isinstance(rows, tuple) and len(rows) == 2
+        assert all(isinstance(row, ConstraintRow) for row in rows)
+        coeffs, offset = rows[0]
+        assert coeffs is rows[0].coeffs and offset == rows[0].offset == 0.5
+        np.testing.assert_array_equal(rows[1].coeffs, [0.0, -1.0])
+        assert QPProblem(np.zeros(2)).rows == ()

@@ -12,7 +12,9 @@ from wingsafe.barrier import (
     h_value,
     lie_derivatives,
 )
+from wingsafe import safety_filter
 from wingsafe.dynamics import ControlInput, VehicleState, clamp_input
+from wingsafe.qp import solve_qp
 from wingsafe.safety_filter import FilterConfig, _shaped_rows, filter_controls, pair_pass
 from wingsafe.shaping import SensorModel, make_quadratic_psi, psi_deriv_batch, xi_from_range
 
@@ -216,6 +218,30 @@ class TestWarmStartHint:
                 assert warm.events == cold.events and warm.fallback == cold.fallback
             hinted += 1
         assert hinted >= 10
+
+    def test_hint_maps_to_stacked_indices(self, fconfig, monkeypatch):
+        # the optimum's own active ids, as a hint, give the solver exactly
+        # the stacked indices of its positive multipliers; ids past either
+        # end (6 pairs and 24 box faces here) name nothing
+        solves = []
+
+        def record(problem, guess=()):
+            solves.append((guess, solve_qp(problem)[1]))
+            return solve_qp(problem, guess=guess)
+
+        monkeypatch.setattr(safety_filter, "solve_qp", record)
+        nominal = [ControlInput(25, 0, 0)] * 4
+        checked = 0
+        for world in self.worlds(47, 40):
+            solves.clear()
+            cold = filter_controls(world, nominal, fconfig)
+            if not cold.active:
+                continue
+            filter_controls(world, nominal, fconfig, hint=[-1, 30, 10**6] + cold.active)
+            (_, mult), (guess, _) = solves
+            assert guess == np.flatnonzero(mult > 0.0).tolist()
+            checked += 1
+        assert checked >= 10
 
     def test_active_ids_name_tight_constraints(self, fconfig, limits):
         nominal = [ControlInput(25, 0, 0)] * 4

@@ -11,7 +11,7 @@ from wingsafe.barrier import (
     StraightManeuver,
     TurnManeuver,
     h_value,
-    lie_derivatives,
+    lie_rows,
 )
 from wingsafe.dynamics import VehicleState
 from wingsafe.shaping import (
@@ -26,8 +26,8 @@ from wingsafe.shaping import (
     xi_from_range,
 )
 
-from conftest import DELTA, DS, random_valid_pair
-from test_barrier import central_difference, pair_columns, probe
+from conftest import DELTA, DS, random_pair_columns, random_valid_pair
+from test_barrier import central_difference, pair_columns, pass_at, probe
 
 
 def alpha2(h, alpha, params):
@@ -243,45 +243,41 @@ class TestAlpha2:
             assert np.all(alpha2(hs, a, p) >= a(hs) - 1e-12)
 
 
+def below_xi_rows(rng, config, xi, count, draws):
+    """h and L_g h of the first count valid pairs with h < xi among draws
+    pairs drawn as random_valid_pair draws them (span 400), from one array
+    pass, with one random control per pair inside +-(25, 0.23, 5) per vehicle."""
+    cols = random_pair_columns(rng, draws, span=400.0)
+    h = pass_at(cols, config)[0].s - config.safety.ds
+    cols = cols[:, h < xi][:, :count]  # NaN (outside the domain) drops out
+    assert cols.shape[1] == count
+    p, e = pass_at(cols, config)
+    _, lg = lie_rows(p, e, config)
+    u = rng.uniform(-1, 1, (count, 6)) * np.array([25, 0.23, 5, 25, 0.23, 5])
+    return p.s - config.safety.ds, (lg * u).sum(axis=1)
+
+
 class TestSignEquivalence:
     def test_shaped_margin_sign_matches_alpha2_form(self, turn_config):
         p = make_quadratic_psi(20.0, 0.6)
         a = LinearGain(1.0)
-        rng = np.random.default_rng(24)
-        checked = 0
-        while checked < 200:
-            pair = random_valid_pair(rng, turn_config, span=400.0)
-            h = h_value(pair, turn_config).value
-            if h >= p.xi:
-                continue
-            _, lg = lie_derivatives(pair, turn_config)
-            u = rng.uniform(-1, 1, 6) * np.array([25, 0.23, 5, 25, 0.23, 5])
-            lgu = float(lg @ u)
-            shaped = psi_deriv_batch(h, p) * lgu + a(shape_h(h, p))
-            raw_a2 = lgu + alpha2(h, a, p)
-            if abs(shaped) < 1e-12 or abs(raw_a2) < 1e-12:
-                continue
-            assert math.copysign(1, shaped) == math.copysign(1, raw_a2)
-            checked += 1
+        h, lgu = below_xi_rows(np.random.default_rng(24), turn_config, p.xi, 2_000, 100_000)
+        shaped = psi_deriv_batch(h, p) * lgu + a(shape_h_batch(h, p))
+        raw_a2 = lgu + alpha2(h, a, p)
+        checked = (np.abs(shaped) >= 1e-12) & (np.abs(raw_a2) >= 1e-12)
+        assert np.count_nonzero(checked) >= 200
+        assert np.array_equal(np.sign(shaped[checked]), np.sign(raw_a2[checked]))
 
     def test_admissible_set_containment(self, turn_config):
         # any control admissible under (h, alpha) stays admissible under the
         # shaped barrier with the same gain
         p = make_quadratic_psi(20.0, 0.6)
         a = LinearGain(1.0)
-        rng = np.random.default_rng(25)
-        checked = 0
-        while checked < 500:
-            pair = random_valid_pair(rng, turn_config, span=400.0)
-            h = h_value(pair, turn_config).value
-            if h >= p.xi:
-                continue
-            _, lg = lie_derivatives(pair, turn_config)
-            u = rng.uniform(-1, 1, 6) * np.array([25, 0.23, 5, 25, 0.23, 5])
-            lgu = float(lg @ u)
-            if lgu + a(h) >= 0:
-                assert psi_deriv_batch(h, p) * lgu + a(shape_h(h, p)) >= -1e-12
-                checked += 1
+        h, lgu = below_xi_rows(np.random.default_rng(25), turn_config, p.xi, 2_000, 100_000)
+        checked = lgu + a(h) >= 0
+        assert np.count_nonzero(checked) >= 500
+        shaped = psi_deriv_batch(h, p) * lgu + a(shape_h_batch(h, p))
+        assert np.all(shaped[checked] >= -1e-12)
 
 
 class TestSensorCompatibility:

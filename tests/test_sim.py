@@ -325,7 +325,7 @@ B = METRIC_BLOCK_STEPS
 class TestBlockedMetrics:
     @pytest.mark.parametrize("plant", ["none", "grid", "boundary", "final", "nan"])
     @pytest.mark.parametrize("n_steps", [0, 1, B - 1, B, B + 1, 2 * B + 3])
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=8)
     @given(data=st.data())
     def test_blocked_equals_unblocked(self, n_steps, plant, data):
         n = data.draw(st.sampled_from([1, 2, 5]), label="N")
