@@ -124,7 +124,7 @@ TRACE_COLUMNS = [
 ]
 
 
-TRACE_BLOCK_ROWS = 4096  # trace.csv rows formatted at once
+TRACE_BLOCK_ROWS = 1024  # trace.csv rows formatted at once
 
 
 def write_outputs(out_dir: Path, cfg: ScenarioConfig, trace, metrics) -> None:
@@ -134,25 +134,18 @@ def write_outputs(out_dir: Path, cfg: ScenarioConfig, trace, metrics) -> None:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         n = trace.states.shape[1]
         rows = trace.n_steps * n
-        pairs = np.array(trace.pairs, dtype=int).reshape(-1, 2)
-        # per step and vehicle: the minimum shaped barrier over its pairs
-        min_h = np.stack([
-            np.fmin.reduce(trace.pair_h_shaped[:, (pairs == v).any(axis=1)], axis=1, initial=np.nan)
-            for v in range(n)
-        ], axis=1)
-        per_row = [
-            a.reshape(rows, a.shape[2])
-            for a in (trace.states, trace.nominal, trace.filtered, min_h[:, :, None])
-        ]
         vehicles = [str(v) for v in range(n)]
         for r0 in range(0, rows, TRACE_BLOCK_ROWS):
-            r = np.arange(r0, min(r0 + TRACE_BLOCK_ROWS, rows))
-            block = np.concatenate([trace.times[r // n, None], *(a[r] for a in per_row)], axis=1)
+            step, v = np.divmod(np.arange(r0, min(r0 + TRACE_BLOCK_ROWS, rows)), n)
+            block = np.concatenate([
+                trace.times[step, None], trace.states[step, v], trace.nominal[step, v],
+                trace.filtered[step, v], trace.min_pair_h_shaped[step, v, None],
+            ], axis=1)
             # repr once per distinct bit pattern (so -0.0 stays apart from 0.0); NaN is ""
             distinct, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
             text = [repr(x) if x == x else "" for x in distinct.view(np.float64).tolist()]
             # column 1 is the vehicle number, its text stored after the distinct values
-            index = np.insert(inverse.reshape(block.shape), 1, len(text) + r % n, axis=1)
+            index = np.insert(inverse.reshape(block.shape), 1, len(text) + v, axis=1)
             lines = map(",".join, np.array(text + vehicles, dtype=object)[index].tolist())
             fh.write("".join(f"{line}\r\n" for line in lines))
 

@@ -59,9 +59,10 @@ class QPProblem:
     (k, n) matrix and (k,) offsets, and the per-entry box bounds.
 
     Everything is checked once, here: the first row with a non-finite
-    offset, or a zero row with a negative offset, is rejected; then an empty
-    box; then a row with a non-finite coefficient, by number.  The problem
-    keeps the arrays it is given, so they must not change afterwards."""
+    offset, or a zero row with a negative offset, is rejected; then a NaN
+    bound, by side and entry, or an empty box; then a row with a non-finite
+    coefficient, by number.  The problem keeps the arrays it is given, so
+    they must not change afterwards."""
 
     u_hat: np.ndarray
     coeffs: np.ndarray | None = None
@@ -87,7 +88,10 @@ class QPProblem:
             if not math.isfinite(off[bad.argmax()]):
                 raise ValueError("non-finite constraint row")
             raise ValueError("zero row with negative offset is infeasible by construction")
-        if (self.lower > self.upper).any():
+        if not (self.lower <= self.upper).all():  # False for a NaN bound too
+            for name, bound in (("lower", self.lower), ("upper", self.upper)):
+                if np.isnan(bound).any():
+                    raise ValueError(f"NaN {name} bound at entry {np.isnan(bound).argmax()}")
             raise ValueError("empty box (lower > upper)")
         if not np.isfinite(self.coeffs).all():
             k = (~np.isfinite(self.coeffs).all(axis=1)).argmax()

@@ -169,7 +169,7 @@ def filter_controls(
 ) -> FilterResult:
     """Filter nominal controls through the barrier QP.
 
-    Barrier values are recorded for every pair (the simulator is omniscient
+    Barrier values are computed for every pair (the simulator is omniscient
     even where the vehicles are not), but only sensed pairs constrain the QP.
     hint, in the ids of FilterResult.active (usually the previous step's),
     is the centralized QP's guess of its active set; it does not change the

@@ -2,10 +2,12 @@
 
 Each step: evaluate every vehicle's nominal controller, filter the stacked
 controls through the barrier QP (which clamps them into the actuator box),
-and integrate every vehicle one RK4 step.  All pair barrier values are
-recorded every step (the trace is omniscient; the *filter* only uses sensed
-pairs), so metrics like the minimum shaped-barrier value over a run are
-exact.
+and integrate every vehicle one RK4 step.  Each step records O(N) values:
+every vehicle's state, nominal and filtered control, and its least shaped
+barrier value over all its pairs, sensed or not (the trace is omniscient;
+the *filter* only uses sensed pairs), so the minimum shaped-barrier value
+over a run is exact.  Per-pair values are not kept: they follow from the
+recorded states.
 
 Everything is pure floating-point arithmetic in a fixed evaluation order:
 identical configurations produce bitwise-identical traces.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Protocol
 
 import numpy as np
@@ -103,17 +106,16 @@ class GoalController:
 @dataclass
 class SimTrace:
     """Per-step records of a run of T steps (built by Simulation.finalize):
-    times (T,), states (T, N, 4), nominal/filtered (T, N, 3), pair_* (T, P) in
-    pairs order, events as (step, message), and state and time after the run."""
+    times (T,), states (T, N, 4), nominal/filtered (T, N, 3), each vehicle's
+    minimum shaped barrier over its pairs (T, N; NaN where none is defined),
+    events as (step, message), and state and time after the run."""
 
     pairs: list[tuple[int, int]]
     times: np.ndarray
     states: np.ndarray
     nominal: np.ndarray
     filtered: np.ndarray
-    pair_h: np.ndarray
-    pair_h_shaped: np.ndarray
-    pair_in_sensor: np.ndarray
+    min_pair_h_shaped: np.ndarray
     events: list[tuple[int, str]]
     final_states: np.ndarray
     final_time: float
@@ -153,15 +155,18 @@ class Simulation:
         self.fconfig = fconfig
         self.mode = mode
         self.dt = dt
-        self.pairs = list(zip(*pair_index(len(self.states)).tolist()))
-        n_pairs = len(self.pairs)
+        n = len(self.states)
+        ii, jj = pair_index(n)
+        self.pairs = list(zip(ii.tolist(), jj.tolist()))
+        # each vehicle's pairs in pair order, one run of n - 1 per vehicle
+        self._gather = np.argsort(np.stack([ii, jj], axis=1).ravel(), kind="stable") // 2
+        self._starts = np.arange(n) * (n - 1)
         try:
             self._times = np.empty(n_steps)
             # per step and vehicle: state, nominal, filtered (10 values)
-            self._vehicles = np.empty((n_steps, len(self.states) * 10))
-            self._h = np.empty((n_steps, n_pairs))
-            self._h_shaped = np.empty((n_steps, n_pairs))
-            self._in_sensor = np.empty((n_steps, n_pairs), bool)
+            self._vehicles = np.empty((n_steps, n * 10))
+            # without pairs (n = 1) no step writes it: it stays NaN
+            self._min_h = np.full((n_steps, n), np.nan)
         except (ValueError, MemoryError) as err:
             raise ValueError(f"cannot record a run of {n_steps:.6g} steps: {err}") from None
         self._step = 0  # steps recorded so far
@@ -177,10 +182,12 @@ class Simulation:
         res = filter_controls(states, nominal, self.fconfig, mode=self.mode, hint=self._active)
         self._active = res.active
         self.states = [step_rk4(s, u, self.dt) for s, u in zip(states, res.controls)]
-        self._vehicles[k] = [
-            x for s, u, f in zip(states, nominal, res.controls) for x in (*s, *u, *f)
-        ]
-        self._h[k], self._h_shaped[k], self._in_sensor[k] = res.h, res.h_shaped, res.in_sensor
+        self._vehicles[k] = np.fromiter(
+            chain.from_iterable(chain.from_iterable(zip(states, nominal, res.controls))),
+            float, 10 * len(states),
+        )
+        if self.pairs:
+            np.fmin.reduceat(res.h_shaped.take(self._gather), self._starts, out=self._min_h[k])
         self._events.extend((k, e) for e in res.events)
         self._times[k] = t
         self._step = k + 1
@@ -196,16 +203,14 @@ class Simulation:
             states=per_vehicle[:, :, 0:4],
             nominal=per_vehicle[:, :, 4:7],
             filtered=per_vehicle[:, :, 7:10],
-            pair_h=self._h[:k],
-            pair_h_shaped=self._h_shaped[:k],
-            pair_in_sensor=self._in_sensor[:k],
+            min_pair_h_shaped=self._min_h[:k],
             events=self._events,
             final_states=np.array([[s.px, s.py, s.heading, s.pz] for s in self.states]),
             final_time=self.t,
         )
 
 
-METRIC_BLOCK_STEPS = 1024  # steps whose pair distances compute_metrics holds at once
+METRIC_BLOCK_STEPS = 256  # steps whose pair distances compute_metrics holds at once
 
 
 def compute_metrics(trace: SimTrace, ds: float) -> Metrics:
@@ -240,7 +245,7 @@ def compute_metrics(trace: SimTrace, ds: float) -> Metrics:
         take = best.argmin(axis=0) == 1
         best[0, take], at[0, take] = best[1, take], at[1, take]
     min_distance = float(best[0].min(initial=math.inf))
-    min_h_shaped = float(np.fmin.reduce(trace.pair_h_shaped, axis=None, initial=math.inf))
+    min_h_shaped = float(np.fmin.reduce(trace.min_pair_h_shaped, axis=None, initial=math.inf))
     times = np.append(trace.times, trace.final_time)[at[0]].tolist()
     d_min = best[0].tolist()
     return Metrics(

@@ -1,6 +1,8 @@
-"""Shared fixtures: the headline experiment parameter set and pair samplers."""
+"""Shared fixtures: the headline experiment parameter set, pair samplers, and
+per-pair values of recorded runs."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from wingsafe.barrier import (
     h_value,
 )
 from wingsafe.dynamics import ActuatorLimits, VehicleState
+from wingsafe.safety_filter import pair_index, pair_pass
 
 # Examples run whole solves and simulations whose time varies with the host,
 # so no example has a deadline.
@@ -101,3 +104,35 @@ def random_straight_config(rng):
     man = StraightManeuver(v1=v1, v2=v2, zeta1=rng.uniform(-2, 2), zeta2=rng.uniform(-2, 2))
     safety = SafetyParams(delta=rng.uniform(1e-4, 0.1), ds=rng.uniform(1.0, 10.0))
     return BarrierConfig(man, safety)
+
+
+class RecordedState(NamedTuple):
+    """A recorded state row as the pair pass reads it.  Unlike VehicleState
+    it does not wrap the heading again, so a replay sees the recorded floats."""
+
+    px: float
+    py: float
+    heading: float
+    pz: float
+
+
+def replay_pairs(trace, fconfig):
+    """Raw barrier h, shaped barrier h_shaped and sensor membership per step
+    and pair, (T, P) in pairs order, recomputed from a run's recorded states
+    with the filter's array pass: the values the run's filter saw."""
+    shape = (trace.n_steps, len(trace.pairs))
+    h, h_shaped, in_sensor = np.empty(shape), np.empty(shape), np.empty(shape, bool)
+    for k, world in enumerate(trace.states.tolist()):
+        p = pair_pass([RecordedState(*s) for s in world], fconfig)
+        h[k], h_shaped[k], in_sensor[k] = p.h, p.h_shaped, p.in_sensor
+    return h, h_shaped, in_sensor
+
+
+def vehicle_minima(pair_values, n):
+    """(T, N) per-vehicle minimum of (T, P) pair values over the vehicle's
+    pairs, NaN-skipping and in pair_index order; NaN where none is defined."""
+    ii, jj = pair_index(n)
+    return np.stack([
+        np.fmin.reduce(pair_values[:, (ii == v) | (jj == v)], axis=1, initial=np.nan)
+        for v in range(n)
+    ], axis=1)

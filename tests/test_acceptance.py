@@ -36,6 +36,7 @@ from conftest import (
     random_straight_config,
     random_turn_config,
     random_valid_pair,
+    replay_pairs,
 )
 from test_barrier import central_difference, pair_columns, pass_at, probe, smooth_pair, smooth_rows
 from test_shaping import alpha2
@@ -72,8 +73,10 @@ def test_criterion_2_sweep_reproduction():
 
 def test_criterion_3_example1_failure_demo():
     with criterion(3, "example1: raw straight barrier reaches h = -ds"):
-        trace, metrics = run_scenario(scenario_example1())
-        finite = trace.pair_h[np.isfinite(trace.pair_h)]
+        cfg = scenario_example1()
+        trace, metrics = run_scenario(cfg)
+        pair_h, _, _ = replay_pairs(trace, cfg.filter_config())
+        finite = pair_h[np.isfinite(pair_h)]
         assert finite.min() <= -DS + 0.1, finite.min()
 
 
@@ -88,20 +91,21 @@ def test_criterion_4_example2_smoothness():
         h_onset = h_value(onset_pair, cfg.barrier).value
         assert h_onset > 0
 
-        def onset_stats(trace):
-            assert trace.pair_in_sensor[:, 0].any()
-            onset = int(np.argmax(trace.pair_in_sensor[:, 0]))
+        def onset_stats(cfg, trace):
+            _, _, in_sensor = replay_pairs(trace, cfg.filter_config())
+            assert in_sensor[:, 0].any()
+            onset = int(np.argmax(in_sensor[:, 0]))
             assert onset >= 1
             jumps = np.linalg.norm(np.diff(trace.filtered, axis=0), axis=2)
             return float(jumps[onset - 1].max()), float(np.median(jumps))
 
         raw_trace, _ = run_scenario(cfg)
-        raw_jump, raw_median = onset_stats(raw_trace)
+        raw_jump, raw_median = onset_stats(cfg, raw_trace)
         assert raw_jump >= 10.0 * raw_median, (raw_jump, raw_median)
 
         shaped_cfg = replace(cfg, shaping_xi=0.5 * h_onset)
         shaped_trace, _ = run_scenario(shaped_cfg)
-        shaped_jump, shaped_median = onset_stats(shaped_trace)
+        shaped_jump, shaped_median = onset_stats(shaped_cfg, shaped_trace)
         assert shaped_jump <= shaped_median, (shaped_jump, shaped_median)
 
 

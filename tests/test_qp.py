@@ -354,6 +354,19 @@ class TestRowValidation:
         with pytest.raises(ValueError, match="non-finite constraint row"):
             QPProblem(np.zeros(2), [[1.0, 0.0]], [offset])
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("entry", [0, 1])
+    def test_nan_bound_rejected(self, side, entry):
+        # a NaN bound is neither a face nor open: solve_qp would drop it
+        box = {"lower": np.full(2, -1.0), "upper": np.ones(2)}
+        box[side][entry] = np.nan
+        with pytest.raises(ValueError, match=f"NaN {side} bound at entry {entry}"):
+            QPProblem(np.array([-5.0, 0.0]), **box)
+
+    def test_nan_bound_named_before_empty_box(self):
+        with pytest.raises(ValueError, match="NaN upper bound at entry 0"):
+            QPProblem(np.zeros(2), lower=np.array([0.0, 2.0]), upper=np.array([np.nan, 1.0]))
+
     def test_mismatched_rows_rejected(self):
         with pytest.raises(ValueError, match=r"\(k, 2\) matrix"):
             QPProblem(np.zeros(2), [[1.0, 0.0, 0.0]], [0.5])

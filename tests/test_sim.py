@@ -30,7 +30,7 @@ from wingsafe.sim import (
     compute_metrics,
 )
 
-from conftest import DS, EVADE_RATE
+from conftest import DS, EVADE_RATE, replay_pairs, vehicle_minima
 
 
 class TestCircleController:
@@ -117,7 +117,9 @@ class TestDeterminism:
         t2, m2 = run_scenario(cfg)
         assert np.array_equal(t1.states, t2.states)
         assert np.array_equal(t1.filtered, t2.filtered)
-        assert np.array_equal(t1.pair_h, t2.pair_h, equal_nan=True)
+        (h1, _, _), (h2, _, _) = (replay_pairs(t, cfg.filter_config()) for t in (t1, t2))
+        assert np.array_equal(h1, h2, equal_nan=True)
+        assert np.array_equal(t1.min_pair_h_shaped, t2.min_pair_h_shaped, equal_nan=True)
         assert m1 == m2
 
     def test_identical_warm_started_runs_bitwise(self):
@@ -126,9 +128,11 @@ class TestDeterminism:
         cfg = replace(scenario_circle20(start_radius=150.0), duration=8.0)
         (t1, m1), (t2, m2) = run_scenario(cfg), run_scenario(cfg)
         assert not np.array_equal(t1.filtered, t1.nominal)  # the QP ran
-        for name in ("states", "filtered", "pair_h", "pair_h_shaped", "pair_in_sensor",
-                     "final_states"):
+        for name in ("states", "filtered", "min_pair_h_shaped", "final_states"):
             np.testing.assert_array_equal(getattr(t1, name), getattr(t2, name), err_msg=name)
+        replays = [replay_pairs(t, cfg.filter_config()) for t in (t1, t2)]
+        for name, a, b in zip(("pair h", "pair h_shaped", "pair in_sensor"), *replays):
+            np.testing.assert_array_equal(a, b, err_msg=name)
         assert t1.events == t2.events and m1 == m2
 
     def test_trace_shape_and_timestamps(self):
@@ -191,8 +195,10 @@ class TestBuiltinScenarios:
 
 class TestFailureDemos:
     def test_example1_reaches_negative_ds(self):
-        trace, metrics = run_scenario(scenario_example1())
-        finite = trace.pair_h[np.isfinite(trace.pair_h)]
+        cfg = scenario_example1()
+        trace, metrics = run_scenario(cfg)
+        pair_h, _, _ = replay_pairs(trace, cfg.filter_config())
+        finite = pair_h[np.isfinite(pair_h)]
         assert finite.min() <= -DS + 0.1
         assert metrics.violation
 
@@ -205,18 +211,20 @@ class TestFailureDemos:
         h_onset = h_value(pair, cfg.barrier).value
         assert 0 < h_onset < 0.05
 
-        def onset_jump_stats(trace):
-            onset = int(np.argmax(trace.pair_in_sensor[:, 0]))
+        def onset_jump_stats(cfg, trace):
+            _, _, in_sensor = replay_pairs(trace, cfg.filter_config())
+            onset = int(np.argmax(in_sensor[:, 0]))
             jumps = np.linalg.norm(np.diff(trace.filtered, axis=0), axis=2)
             return float(jumps[onset - 1].max()), float(np.median(jumps))
 
-        raw_trace, _ = run_scenario(replace(cfg, duration=3.0))
-        raw_jump, raw_med = onset_jump_stats(raw_trace)
+        raw = replace(cfg, duration=3.0)
+        raw_trace, _ = run_scenario(raw)
+        raw_jump, raw_med = onset_jump_stats(raw, raw_trace)
         assert raw_jump >= 10 * raw_med and raw_jump > 1.0
 
         shaped = replace(cfg, duration=3.0, shaping_xi=0.5 * h_onset)
         sh_trace, _ = run_scenario(shaped)
-        sh_jump, sh_med = onset_jump_stats(sh_trace)
+        sh_jump, sh_med = onset_jump_stats(shaped, sh_trace)
         assert sh_jump == 0.0
         assert sh_jump <= sh_med
 
@@ -270,11 +278,14 @@ class TestMetrics:
         assert 0 <= t_min <= 2.0 + trace.times[1]
 
     def test_zero_steps(self):
-        trace, m = run_scenario(replace(scenario_sweep(), dt=100.0))
+        cfg = replace(scenario_sweep(), dt=100.0)
+        trace, m = run_scenario(cfg)
         assert m.n_steps == trace.n_steps == 0
         assert trace.states.shape == (0, 2, 4)
         assert trace.filtered.shape == (0, 2, 3)
-        assert trace.pair_h_shaped.shape == trace.pair_in_sensor.shape == (0, 1)
+        assert trace.min_pair_h_shaped.shape == (0, 2)
+        _, h_shaped, in_sensor = replay_pairs(trace, cfg.filter_config())
+        assert h_shaped.shape == in_sensor.shape == (0, 1)
         assert m.min_distance == 400.0
         assert m.closest_approach == {"0-1": (0.0, 400.0)}
         assert m.max_control_jump == (0.0, 0.0)
@@ -295,15 +306,58 @@ class TestMetrics:
         assert len(m.max_control_jump) == 1
 
 
-def unblocked_metrics(trace: SimTrace, ds: float) -> Metrics:
-    """compute_metrics over all steps at once: the reference for the blocked
-    computation."""
+def assert_same_floats(a, b):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+
+
+class TestRecording:
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_vehicle_minima_match_the_replayed_pair_pass(self, data):
+        # random worlds under the raw straight barrier of example1, the
+        # shaped and the raw turn barrier, in every filter mode; "coincident"
+        # puts vehicles 0 and 1 0.05 m apart, head-on, where the turn
+        # barrier is undefined (NaN; see test_safety_filter.TestDomainErrors)
+        n = data.draw(st.sampled_from([1, 2, 3, 7]), label="vehicles")
+        base = data.draw(st.sampled_from(["example1", "shaped", "raw", "coincident"]),
+                         label="barrier")
+        mode = data.draw(st.sampled_from(["centralized", "split", "off"]), label="mode")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        cfg = scenario_example1() if base == "example1" else scenario_sweep(350.0)
+        if base != "shaped":
+            cfg = replace(cfg, shaping_xi=None)
+        xy = rng.uniform(-150.0, 150.0, (n, 2))
+        heading = rng.uniform(-math.pi, math.pi, n)
+        if base == "coincident" and n > 1:
+            xy[1], heading[:2] = xy[0] + (0.05, 0.0), (0.0, math.pi)
+        vehicles = tuple(
+            VehicleSpec(VehicleState(x, y, phi, 0.0),
+                        {"type": "goal", "goal": [-x, -y, 0.0], "cruise_speed": 20.0})
+            for (x, y), phi in zip(xy.tolist(), heading.tolist())
+        )
+        cfg = replace(cfg, vehicles=vehicles, mode=mode, dt=0.05, duration=2.0)
+        trace, _ = run_scenario(cfg)
+        _, h_shaped, _ = replay_pairs(trace, cfg.filter_config())
+        assert trace.min_pair_h_shaped.shape == (40, n)
+        steps = data.draw(st.lists(st.integers(0, 39), min_size=1, max_size=5), label="steps")
+        assert_same_floats(trace.min_pair_h_shaped[steps], vehicle_minima(h_shaped, n)[steps])
+        if base == "coincident" and n > 1:
+            assert np.isnan(h_shaped[0, 0])
+
+
+def unblocked_metrics(trace: SimTrace, ds: float, pair_h_shaped: np.ndarray) -> Metrics:
+    """compute_metrics over all steps at once, with the least shaped barrier
+    taken over the (T, P) pair values the trace's per-vehicle minima come
+    from: the reference for the blocked computation."""
     all_states = np.concatenate([trace.states, trace.final_states[None]], axis=0)
     ii, jj = np.array(trace.pairs, int).reshape(-1, 2).T
     px, py = all_states[:, :, 0], all_states[:, :, 1]
     dist = np.hypot(px[:, ii] - px[:, jj], py[:, ii] - py[:, jj])
     min_distance = float(dist.min(initial=math.inf))
-    min_h_shaped = float(np.fmin.reduce(trace.pair_h_shaped, axis=None, initial=math.inf))
+    min_h_shaped = float(np.fmin.reduce(pair_h_shaped, axis=None, initial=math.inf))
     jumps = np.linalg.norm(np.diff(trace.filtered, axis=0), axis=2).max(axis=0, initial=0.0)
     steps = dist.argmin(axis=0)  # each pair's closest step, the first on ties
     times = np.append(trace.times, trace.final_time)[steps].tolist()
@@ -324,7 +378,9 @@ B = METRIC_BLOCK_STEPS
 
 class TestBlockedMetrics:
     @pytest.mark.parametrize("plant", ["none", "grid", "boundary", "final", "nan"])
-    @pytest.mark.parametrize("n_steps", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    # around the first block boundary and a later one, and across many blocks
+    @pytest.mark.parametrize(
+        "n_steps", [0, 1, B - 1, B, B + 1, 2 * B + 3, 4 * B - 1, 4 * B, 4 * B + 1, 8 * B + 3])
     @settings(max_examples=8)
     @given(data=st.data())
     def test_blocked_equals_unblocked(self, n_steps, plant, data):
@@ -351,20 +407,20 @@ class TestBlockedMetrics:
             states[rng.integers(0, n_steps + 1, 2), rng.integers(0, n, 2), 0] = math.nan
             filtered[rng.integers(0, n_steps, min(n_steps, 2)), 0, 0] = math.nan
         pairs = list(combinations(range(n), 2))
+        pair_h_shaped = rng.normal(size=(n_steps, len(pairs)))
         trace = SimTrace(
             pairs=pairs,
             times=times[:n_steps],
             states=states[:n_steps],
             nominal=filtered,
             filtered=filtered,
-            pair_h=rng.normal(size=(n_steps, len(pairs))),
-            pair_h_shaped=rng.normal(size=(n_steps, len(pairs))),
-            pair_in_sensor=np.ones((n_steps, len(pairs)), bool),
+            min_pair_h_shaped=vehicle_minima(pair_h_shaped, n),
             events=[],
             final_states=states[n_steps],
             final_time=float(times[n_steps]),
         )
-        m, reference = compute_metrics(trace, DS), unblocked_metrics(trace, DS)
+        m = compute_metrics(trace, DS)
+        reference = unblocked_metrics(trace, DS, pair_h_shaped)
         if plant == "nan":  # NaN != NaN; repr still tells every other float apart
             assert repr(m) == repr(reference)
         else:
@@ -386,3 +442,40 @@ class TestBlockedMetrics:
         assert trace.n_steps > 2 * METRIC_BLOCK_STEPS
         nbytes = sum(a.nbytes for a in vars(trace).values() if isinstance(a, np.ndarray))
         assert peak - nbytes <= nbytes / 2
+
+    def test_recording_does_not_grow_with_pairs(self):
+        # 40 vehicles have 780 pairs; a step records O(N) values, so the
+        # trace holds no (T, P) array and recording adds at most a fixed
+        # amount on top of the trace's own arrays.  (compute_metrics is left
+        # out: its pair distances take METRIC_BLOCK_STEPS x P floats.)
+        cfg = ring(40, 2500.0, dt=0.1, duration=30.0)
+        tracemalloc.start()
+        try:
+            sim = Simulation([v.state for v in cfg.vehicles], cfg.controllers(),
+                             cfg.filter_config(), cfg.mode, cfg.dt, cfg.n_steps)
+            for _ in range(cfg.n_steps):
+                sim.step()
+            trace = sim.finalize()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_pairs = len(trace.pairs)
+        assert n_pairs == 780 and trace.n_steps == 300
+        arrays = {k: a for k, a in vars(trace).items() if isinstance(a, np.ndarray)}
+        assert all(n_pairs not in a.shape for a in arrays.values()), {
+            k: a.shape for k, a in arrays.items()}
+        nbytes = sum(a.nbytes for a in arrays.values())
+        assert peak - nbytes <= nbytes / 2
+
+
+def ring(n, radius, **changes):
+    """circle20 with n vehicles on a circle of the given radius, each timed to
+    reach the centre together."""
+    base = scenario_circle20(radius)
+    goal = base.vehicles[0].controller
+    vehicles = tuple(
+        VehicleSpec(VehicleState(radius * math.cos(a), radius * math.sin(a), a + math.pi, 0.0),
+                    goal)
+        for a in (2 * math.pi * k / n for k in range(n))
+    )
+    return replace(base, vehicles=vehicles, **changes)
