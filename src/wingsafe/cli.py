@@ -43,6 +43,7 @@ from .scenarios import (
 )
 from .shaping import (
     SensorModel,
+    analytic_compatible,
     check_sensor_compatible,
     make_quadratic_psi,
     min_sensing_range,
@@ -159,6 +160,9 @@ def write_outputs(out_dir: Path, cfg: ScenarioConfig, trace, metrics) -> None:
         "closest_approach": {k: list(v) for k, v in metrics.closest_approach.items()},
         "n_steps": metrics.n_steps,
         "n_events": metrics.n_events,
+        # the analytic bound `check` reports: no sensing needed beyond range
+        "sensor_compatible": analytic_compatible(
+            cfg.barrier, cfg.resolve_shaping(), SensorModel(cfg.sensor_range)),
     }
     _atomic_write(out_dir / "metrics.json", lambda fh: json.dump(payload, fh, indent=2))
 

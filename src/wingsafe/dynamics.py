@@ -16,6 +16,7 @@ alongside a classical RK4 step for generic integration.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import isfinite
 from typing import NamedTuple
@@ -106,8 +107,9 @@ class ActuatorLimits:
         )
 
 
-def step_rk4(state: VehicleState, u: ControlInput, dt: float) -> VehicleState:
-    """One classical 4th-order Runge-Kutta step with the input held constant.
+def step_rk4(state: VehicleState, u: Sequence[float], dt: float) -> VehicleState:
+    """One classical 4th-order Runge-Kutta step with the input u = (speed,
+    turn rate, climb rate) held constant, a ControlInput or any 3-sequence.
 
     Heading is re-wrapped after the step.  dt must be positive.
     """
@@ -115,7 +117,7 @@ def step_rk4(state: VehicleState, u: ControlInput, dt: float) -> VehicleState:
         raise ValueError("dt must be > 0")
     # heading evolves linearly (heading_dot = omega is state-independent),
     # so the RK4 stage headings are exact samples of the true heading.
-    v, om, ze = u.speed, u.turn_rate, u.climb_rate
+    v, om, ze = u
     th = state.heading
     th2 = th + 0.5 * dt * om
     th4 = th + dt * om
@@ -167,13 +169,3 @@ def propagate_straight(state: VehicleState, speed: float, climb_rate: float, tau
         state.pz + tau * climb_rate,
     )
 
-
-def clamp_input(u: ControlInput, limits: ActuatorLimits) -> ControlInput:
-    """Componentwise projection of a control onto the actuator box (u if inside)."""
-    if limits.contains(u):
-        return u
-    return ControlInput(
-        min(max(u.speed, limits.v_min), limits.v_max),
-        min(max(u.turn_rate, -limits.omega_max), limits.omega_max),
-        min(max(u.climb_rate, -limits.zeta_max), limits.zeta_max),
-    )

@@ -27,7 +27,7 @@ Modes:
   neighbor's evading-maneuver control.  Satisfying both halves implies the
   full pair row, and each half is always satisfiable by the vehicle's own
   evading control when the pair is safe.
-* off: nominal controls pass through (clamped).
+* off: the clamped nominal controls pass through.
 
 On QP infeasibility (or a barrier domain error) the affected vehicles fall
 back to their evading-maneuver control, which FilterConfig checks lies in
@@ -39,6 +39,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +56,7 @@ from .barrier import (
     pair_rows,
     phasor_rows,
 )
-from .dynamics import ActuatorLimits, ControlInput, VehicleState, clamp_input
+from .dynamics import ActuatorLimits, ControlInput, VehicleState
 from .qp import QPInfeasibleError, QPProblem, solve_qp
 from .shaping import SensorModel, ShapingParams, psi_deriv_batch, shape_h_batch
 
@@ -75,7 +76,7 @@ class FilterConfig:
         # actually flyable control, else the fallback silently stops being
         # the maneuver the barrier reasons about.
         for u in self.barrier.maneuver.controls():
-            if clamp_input(ControlInput(*u), self.limits) != ControlInput(*u):
+            if not self.limits.contains(ControlInput(*u)):
                 raise ValueError(
                     f"evading maneuver control {u} lies outside the actuator box"
                 )
@@ -83,11 +84,12 @@ class FilterConfig:
 
 @dataclass
 class FilterResult:
-    """Filtered controls plus one entry per pair (i < j), in the order of
-    pair_index: raw barrier h and shaped barrier h_shaped (NaN outside the
-    barrier domain), the pair-row margin under the final controls (NaN where
-    the pair constrains nothing: unsensed, undefined, or mode off), and
-    whether the pair is in the sensor set.
+    """Clamped nominal (the QP's u_hat) and filtered controls as (N, 3)
+    arrays (controls is nominal itself when nothing changed them), plus one
+    entry per pair (i < j), in the order of pair_index: raw barrier h and
+    shaped barrier h_shaped (NaN outside the barrier domain), the pair-row
+    margin under the final controls (NaN where the pair constrains nothing:
+    unsensed, undefined, or mode off), and whether the pair is sensed.
 
     active lists the constraints with a positive multiplier at the
     centralized QP optimum, as stable ids: the pair number for a pair row,
@@ -95,7 +97,8 @@ class FilterResult:
     empty when no centralized QP ran or it was infeasible.  Passed as the
     next step's hint, it warm-starts that step's QP."""
 
-    controls: list[ControlInput]
+    nominal: np.ndarray
+    controls: np.ndarray
     h: np.ndarray
     h_shaped: np.ndarray
     margin: np.ndarray
@@ -167,7 +170,8 @@ def filter_controls(
     mode: str = "centralized",
     hint: Sequence[int] = (),
 ) -> FilterResult:
-    """Filter nominal controls through the barrier QP.
+    """Clamp the nominal controls into the actuator box, once, as one (N, 3)
+    array (FilterResult.nominal), and filter them through the barrier QP.
 
     Barrier values are computed for every pair (the simulator is omniscient
     even where the vehicles are not), but only sensed pairs constrain the QP.
@@ -181,9 +185,15 @@ def filter_controls(
     n = len(world)
     if len(nominal) != n:
         raise ValueError("one nominal control per vehicle required")
-    controls = [clamp_input(u, config.limits) for u in nominal]
+    lo, hi, _ = _box(config.limits, n)
+    u_hat = np.fromiter(chain.from_iterable(nominal), float, 3 * n)
+    # x stays unless strictly outside, as in min(max(x, lo), hi); np.clip
+    # may flip the sign of a zero at a zero bound (zeta_max = 0)
+    np.copyto(u_hat, lo, where=u_hat < lo)
+    np.copyto(u_hat, hi, where=u_hat > hi)
+    u_hat = u_hat.reshape(n, 3)
     p = pair_pass(world, config)
-    result = FilterResult(controls, p.h, p.h_shaped, None, p.in_sensor)  # margin set below
+    result = FilterResult(u_hat, u_hat, p.h, p.h_shaped, None, p.in_sensor)  # margin set below
     ok = p.in_sensor  # sensed rows whose constraint can be evaluated
     failed_rows = []  # sensed rows whose constraint cannot be evaluated
     if not p.barrier.s.min(initial=np.inf) > 0.0:  # some barrier may be undefined (NaN)
@@ -210,12 +220,12 @@ def filter_controls(
     rows = np.flatnonzero(need)
     lg = _shaped_rows(p, rows, config)
     pairs, row_offset = idx.take(rows, 1), offset.take(rows)  # pairs: (2, rows) vehicles
-    u = np.array([(c.speed, c.turn_rate, c.climb_rate) for c in result.controls], dtype=float)
-    margin = _row_margins(lg, row_offset, u, pairs)
+    margin = _row_margins(lg, row_offset, u_hat, pairs)
     if mode == "split" or failed_rows or np.count_nonzero(margin < 0.0):
         # the clamped nominal violates a pair row; otherwise the centralized
         # QP would return it unchanged (split mode divides the rows, and a
         # half-row can be violated while its pair row holds)
+        u = result.controls = u_hat.copy()
         if mode == "centralized":
             _filter_centralized(config, result, u, rows, pairs, lg, row_offset, hint)
         else:
@@ -228,7 +238,9 @@ def filter_controls(
             for v in sorted(result.fallback):
                 first = next(k for k in order if v in (ii[k], jj[k]))
                 u[v] = u1 if ii[first] == v else u2
-        result.controls = [ControlInput(*c) for c in u.tolist()]
+        if not np.isfinite(u).all():
+            v = int(np.flatnonzero(~np.isfinite(u))[0]) // 3
+            raise ValueError(f"non-finite filtered control for vehicle {v}: {u[v].tolist()!r}")
         margin = _row_margins(lg, row_offset, u, pairs)
 
     # achieved pair margins under the final controls

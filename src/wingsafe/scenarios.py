@@ -93,8 +93,10 @@ class ScenarioConfig:
         if self.mode not in ("centralized", "split", "off"):
             raise ValueError(f"unknown filter mode {self.mode!r}")
         xi = self.shaping_xi
-        if not (xi is None or xi == "auto" or isinstance(xi, (int, float))):
-            raise ValueError(f'shaping xi must be numeric, "auto", or null, got {xi!r}')
+        if not (xi is None or xi == "auto"
+                or isinstance(xi, (int, float)) and not isinstance(xi, bool)):
+            raise ValueError(
+                f'config field shaping.xi must be a JSON number, "auto" or null, got {xi!r}')
         # note: "auto" feasibility (R above the minimum sensing range) is
         # checked by resolve_shaping, before any run starts
         for k, v in enumerate(self.vehicles):

@@ -143,6 +143,22 @@ def xi_from_range(R: float, m: TurnManeuver, params: SafetyParams) -> float:
     return math.sqrt(reach * reach - 4.0 * params.delta) - params.ds
 
 
+def analytic_compatible(
+    config: BarrierConfig, shaping: ShapingParams | None, sensor: SensorModel
+) -> bool:
+    """The analytic sensor-compatibility condition: the shaped turn barrier
+    with R > R_min and xi <= xi(R).  It bounds h above xi at every pair
+    outside the sensor set, so the shaped barrier is constant there.  The
+    raw barrier (shaping None) and the straight barrier never meet it (a
+    head-on straight pair outside range has h = -ds < 0 < xi)."""
+    if shaping is None or config.kind != "turn":
+        return False
+    try:
+        return shaping.xi <= xi_from_range(sensor.range_m, config.maneuver, config.safety)
+    except ValueError:  # R <= R_min, or R not finite
+        return False
+
+
 @dataclass(frozen=True)
 class CompatibilityReport:
     """Outcome of a sensor-compatibility check.
@@ -218,24 +234,14 @@ def check_sensor_compatible(
 
     Random pairs are drawn just outside range (distances in (R, 2R]), where
     violations live if they exist, and a handful of adversarial worst-case
-    geometries is always probed.  For the turn barrier the analytic bound
-    R > R_min with xi <= xi(R) is also evaluated; the straight barrier can
-    never pass it (a head-on pair outside range has h = -ds < 0 <= xi).
+    geometries is always probed.  The analytic bound (analytic_compatible)
+    is also evaluated.
     """
     if sample_count < 1:
         raise ValueError("require sample_count >= 1")
     R = sensor.range_m
     kind = config.kind
-
-    if kind == "turn":
-        man = config.maneuver
-        try:
-            xi_max = xi_from_range(R, man, config.safety)
-            analytic_ok = shaping.xi <= xi_max
-        except ValueError:
-            analytic_ok = False
-    else:
-        analytic_ok = False
+    analytic_ok = analytic_compatible(config, shaping, sensor)
 
     probe_h, probe_pair = _worst_case_probe(config, R)
     min_h = probe_h

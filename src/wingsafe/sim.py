@@ -1,13 +1,13 @@
 """Deterministic multi-vehicle closed-loop simulation.
 
-Each step: evaluate every vehicle's nominal controller, filter the stacked
-controls through the barrier QP (which clamps them into the actuator box),
-and integrate every vehicle one RK4 step.  Each step records O(N) values:
-every vehicle's state, nominal and filtered control, and its least shaped
-barrier value over all its pairs, sensed or not (the trace is omniscient;
-the *filter* only uses sensed pairs), so the minimum shaped-barrier value
-over a run is exact.  Per-pair values are not kept: they follow from the
-recorded states.
+Each step: evaluate every vehicle's nominal controller (its raw command),
+filter the commands through the barrier QP, which clamps them into the
+actuator box once and carries them as one (N, 3) array, and integrate every
+vehicle one RK4 step.  Each step records O(N) values: every vehicle's state,
+clamped nominal and filtered control, and its least shaped barrier value
+over all its pairs, sensed or not (the trace is omniscient; the *filter*
+only uses sensed pairs), so the minimum shaped-barrier value over a run is
+exact.  Per-pair values are not kept: they follow from the recorded states.
 
 Everything is pure floating-point arithmetic in a fixed evaluation order:
 identical configurations produce bitwise-identical traces.
@@ -22,19 +22,15 @@ from typing import Protocol
 
 import numpy as np
 
-from .dynamics import (
-    ActuatorLimits,
-    ControlInput,
-    VehicleState,
-    clamp_input,
-    step_rk4,
-    wrap_angle,
-)
+from .dynamics import ControlInput, VehicleState, step_rk4, wrap_angle
 from .safety_filter import FilterConfig, filter_controls, pair_index
 
 
 class Controller(Protocol):
-    def control(self, state: VehicleState, t: float, limits: ActuatorLimits) -> ControlInput: ...
+    """A nominal controller: the raw command for one vehicle at time t.  The
+    filter, not the controller, clamps it into the actuator box."""
+
+    def control(self, state: VehicleState, t: float) -> ControlInput: ...
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class CircleController:
     k_heading: float = 1.0
     k_radial: float = 2.0
 
-    def control(self, state: VehicleState, t: float, limits: ActuatorLimits) -> ControlInput:
+    def control(self, state: VehicleState, t: float) -> ControlInput:
         dx = state.px - self.center_x
         dy = state.py - self.center_y
         dist = math.hypot(dx, dy)
@@ -65,17 +61,18 @@ class CircleController:
         turn = self.direction * self.speed / self.radius + self.k_heading * wrap_angle(
             desired - state.heading
         )
-        return clamp_input(ControlInput(self.speed, turn, 0.0), limits)
+        return ControlInput(self.speed, turn, 0.0)
 
 
 @dataclass(frozen=True)
 class GoalController:
     """Steer toward a fixed goal point.
 
-    Heading: proportional correction toward the goal bearing (saturates at
-    the turn-rate limit).  Speed: remaining distance over remaining time when
-    an arrival time is set (clamped into the speed box), else the cruise
-    speed.  Altitude: proportional correction toward the goal altitude.
+    Heading: proportional correction toward the goal bearing.  Speed:
+    remaining distance over remaining time when an arrival time is set, else
+    the cruise speed.  Altitude: proportional correction toward the goal
+    altitude.  The command is raw: the filter saturates it at the actuator
+    box (the turn-rate limit, the speed box).
     """
 
     goal_x: float
@@ -86,7 +83,7 @@ class GoalController:
     k_heading: float = 1.0
     k_climb: float = 1.0
 
-    def control(self, state: VehicleState, t: float, limits: ActuatorLimits) -> ControlInput:
+    def control(self, state: VehicleState, t: float) -> ControlInput:
         dx = self.goal_x - state.px
         dy = self.goal_y - state.py
         dist = math.hypot(dx, dy)
@@ -100,7 +97,7 @@ class GoalController:
         else:
             speed = self.cruise_speed
         climb = self.k_climb * (self.goal_z - state.pz)
-        return clamp_input(ControlInput(speed, turn, climb), limits)
+        return ControlInput(speed, turn, climb)
 
 
 @dataclass
@@ -163,8 +160,9 @@ class Simulation:
         self._starts = np.arange(n) * (n - 1)
         try:
             self._times = np.empty(n_steps)
-            # per step and vehicle: state, nominal, filtered (10 values)
-            self._vehicles = np.empty((n_steps, n * 10))
+            self._states = np.empty((n_steps, n, 4))
+            self._nominal = np.empty((n_steps, n, 3))
+            self._filtered = np.empty((n_steps, n, 3))
             # without pairs (n = 1) no step writes it: it stays NaN
             self._min_h = np.full((n_steps, n), np.nan)
         except (ValueError, MemoryError) as err:
@@ -177,15 +175,13 @@ class Simulation:
         k, states, t = self._step, self.states, self.t
         if k == len(self._times):
             raise IndexError(f"all {k} steps of this run are recorded")
-        limits = self.fconfig.limits
-        nominal = [c.control(s, t, limits) for c, s in zip(self.controllers, states)]
+        nominal = [c.control(s, t) for c, s in zip(self.controllers, states)]
         res = filter_controls(states, nominal, self.fconfig, mode=self.mode, hint=self._active)
         self._active = res.active
-        self.states = [step_rk4(s, u, self.dt) for s, u in zip(states, res.controls)]
-        self._vehicles[k] = np.fromiter(
-            chain.from_iterable(chain.from_iterable(zip(states, nominal, res.controls))),
-            float, 10 * len(states),
-        )
+        self.states = [step_rk4(s, u, self.dt) for s, u in zip(states, res.controls.tolist())]
+        self._states[k].flat = np.fromiter(chain.from_iterable(states), float, 4 * len(states))
+        self._nominal[k] = res.nominal
+        self._filtered[k] = res.controls
         if self.pairs:
             np.fmin.reduceat(res.h_shaped.take(self._gather), self._starts, out=self._min_h[k])
         self._events.extend((k, e) for e in res.events)
@@ -196,13 +192,12 @@ class Simulation:
     def finalize(self) -> SimTrace:
         """The steps recorded so far, as views of the recording arrays."""
         k = self._step
-        per_vehicle = self._vehicles[:k].reshape(k, len(self.states), 10)
         return SimTrace(
             pairs=self.pairs,
             times=self._times[:k],
-            states=per_vehicle[:, :, 0:4],
-            nominal=per_vehicle[:, :, 4:7],
-            filtered=per_vehicle[:, :, 7:10],
+            states=self._states[:k],
+            nominal=self._nominal[:k],
+            filtered=self._filtered[:k],
             min_pair_h_shaped=self._min_h[:k],
             events=self._events,
             final_states=np.array([[s.px, s.py, s.heading, s.pz] for s in self.states]),
@@ -210,44 +205,54 @@ class Simulation:
         )
 
 
-METRIC_BLOCK_STEPS = 256  # steps whose pair distances compute_metrics holds at once
+METRIC_BLOCK_ELEMS = 1 << 13  # pair distances compute_metrics holds in one temporary
+
+
+def metric_block_steps(n_pairs: int) -> int:
+    """Steps per compute_metrics block: METRIC_BLOCK_ELEMS pair distances,
+    so its temporaries do not grow with the pair count."""
+    return max(1, METRIC_BLOCK_ELEMS // max(n_pairs, 1))
 
 
 def compute_metrics(trace: SimTrace, ds: float) -> Metrics:
     """Metrics over all recorded states plus the final state.
 
-    Pair distances and control jumps are computed METRIC_BLOCK_STEPS steps
-    at a time, so memory does not grow with the run's length.  Each block's
-    per-pair argmin is merged into the running one by one more argmin over
-    (running, block): the earlier step wins ties and a NaN wins, as one
-    argmin over all steps would have it."""
+    Pair distances and control jumps are computed metric_block_steps(P)
+    steps at a time, so memory grows neither with the run's length nor with
+    its P pairs.  Each pair's least distance in a block replaces its running
+    one where an argmin over (running, block) would pick the block: the
+    earlier step wins ties and a NaN wins, as one argmin over all steps
+    would have it."""
     ii, jj = np.array(trace.pairs, int).reshape(-1, 2).T
     cols = np.arange(len(trace.pairs))
-    best = np.full((2, len(cols)), math.inf)  # row 0 running minima, row 1 this block's
-    at = np.zeros((2, len(cols)), int)  # the steps of those minima
+    best = np.full(len(cols), math.inf)  # each pair's least distance so far
+    at = np.zeros(len(cols), int)  # the step of it
     jumps = np.zeros(trace.filtered.shape[1])
-    xy = trace.states[:, :, 0:2]
-    for b0 in range(0, trace.n_steps + 1, METRIC_BLOCK_STEPS):
-        b1 = b0 + METRIC_BLOCK_STEPS
+    block_steps = metric_block_steps(len(cols))
+    for b0 in range(0, trace.n_steps + 1, block_steps):
+        b1 = b0 + block_steps
         # the jump into each of the block's steps, so blocks overlap by one row
         changes = np.diff(trace.filtered[max(b0 - 1, 0):b1], axis=0)
         np.maximum(jumps, np.linalg.norm(changes, axis=2).max(axis=0, initial=0.0), out=jumps)
-        block = xy[b0:b1]
+        block = trace.states[b0:b1, :, 0:2]
         if b1 > trace.n_steps:  # the last block ends at the final state
             block = np.concatenate([block, trace.final_states[None, :, 0:2]])
-        dx = block[:, ii, 0]
-        dx -= block[:, jj, 0]
-        dy = block[:, ii, 1]
-        dy -= block[:, jj, 1]
+        # pairs by steps, so that each pair's steps are one contiguous row
+        x, y = block.T
+        dx = x.take(ii, 0)
+        dx -= x.take(jj, 0)
+        dy = y.take(ii, 0)
+        dy -= y.take(jj, 0)
         dist = np.hypot(dx, dy, out=dx)
-        steps = dist.argmin(axis=0)
-        best[1], at[1] = dist[steps, cols], steps + b0
-        take = best.argmin(axis=0) == 1
-        best[0, take], at[0, take] = best[1, take], at[1, take]
-    min_distance = float(best[0].min(initial=math.inf))
+        steps = dist.argmin(axis=1)
+        least = dist[cols, steps]
+        take = ~(best <= least) & (best == best)
+        np.copyto(best, least, where=take)
+        np.copyto(at, steps + b0, where=take)
+    min_distance = float(best.min(initial=math.inf))
     min_h_shaped = float(np.fmin.reduce(trace.min_pair_h_shaped, axis=None, initial=math.inf))
-    times = np.append(trace.times, trace.final_time)[at[0]].tolist()
-    d_min = best[0].tolist()
+    times = np.append(trace.times, trace.final_time)[at].tolist()
+    d_min = best.tolist()
     return Metrics(
         min_distance=min_distance,
         min_h_shaped=min_h_shaped,

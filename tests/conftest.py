@@ -17,8 +17,9 @@ from wingsafe.barrier import (
     TurnManeuver,
     h_value,
 )
-from wingsafe.dynamics import ActuatorLimits, VehicleState
-from wingsafe.safety_filter import pair_index, pair_pass
+from wingsafe.dynamics import ActuatorLimits, ControlInput, VehicleState
+from wingsafe.safety_filter import FilterConfig, filter_controls, pair_index, pair_pass
+from wingsafe.shaping import SensorModel
 
 # Examples run whole solves and simulations whose time varies with the host,
 # so no example has a deadline.
@@ -136,3 +137,25 @@ def vehicle_minima(pair_values, n):
         np.fmin.reduce(pair_values[:, (ii == v) | (jj == v)], axis=1, initial=np.nan)
         for v in range(n)
     ], axis=1)
+
+
+def reference_clamp(u: ControlInput, limits: ActuatorLimits) -> ControlInput:
+    """Scalar projection of one control onto the actuator box, u itself if
+    inside: the reference the filter's array clamp matches bit for bit."""
+    if limits.contains(u):
+        return u
+    return ControlInput(
+        min(max(u.speed, limits.v_min), limits.v_max),
+        min(max(u.turn_rate, -limits.omega_max), limits.omega_max),
+        min(max(u.climb_rate, -limits.zeta_max), limits.zeta_max),
+    )
+
+
+def filter_clamp(controls, limits: ActuatorLimits) -> np.ndarray:
+    """The filter's one clamp of the given controls into limits: the (N, 3)
+    FilterResult.nominal of filter_controls in mode off."""
+    # an evading turn on the box's edge, so that every box admits it
+    man = TurnManeuver(sigma=1.0, speed=limits.v_min, turn_rate=limits.omega_max)
+    fc = FilterConfig(BarrierConfig(man, SafetyParams(DELTA, DS)), SensorModel(350.0), limits)
+    world = [VehicleState(1000.0 * k, 0.0, 0.0) for k in range(len(controls))]
+    return filter_controls(world, list(controls), fc, mode="off").nominal

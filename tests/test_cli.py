@@ -223,6 +223,38 @@ class TestCmdCheck:
         assert "no positive xi exists" in out or "not satisfied" in out
 
 
+class TestSensorCompatible:
+    """metrics.json says whether the analytic bound guarantees the run needs
+    no sensing beyond range."""
+
+    @pytest.mark.parametrize("name, argv, expected", [
+        pytest.param("sweep", [], True, id="sweep"),
+        pytest.param("circle20", [], True, id="circle20"),
+        pytest.param("sweep", ["--xi", "40"], False, id="sweep-xi-40"),
+        pytest.param("example1", [], False, id="example1-raw-straight"),
+        pytest.param("example2", [], False, id="example2-raw-turn"),
+    ])
+    def test_run_writes_sensor_compatible(self, name, argv, expected, tmp_path):
+        # the verdict depends on the configuration alone: a short run suffices
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config_to_dict(replace(builtin_scenarios()[name],
+                                                          duration=0.2))))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), *argv, "--out", str(out)) in (0, 2)
+        assert json.loads((out / "metrics.json").read_text())["sensor_compatible"] is expected
+
+    @pytest.mark.parametrize("argv", [[], ["--xi", "40"], ["--range", "319"]],
+                             ids=["auto", "xi-40", "range-319"])
+    def test_run_agrees_with_check(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_cli("run", "--scenario", "sweep", "--dt", "10", *argv, "--out", str(out))
+        compatible = json.loads((out / "metrics.json").read_text())["sensor_compatible"]
+        run_cli("check", "--scenario", "sweep", "--samples", "1000", *argv,
+                "--out", str(tmp_path / "o"))
+        stdout = capsys.readouterr().out
+        assert f"analytic bound: {'ok' if compatible else 'not satisfied'}" in stdout
+
+
 def row_by_row_trace(trace, pair_h_shaped=None) -> bytes:
     """trace.csv as formatted one row at a time (the reference format).  Each
     vehicle's least shaped barrier is taken over its pairs' values when the
@@ -457,6 +489,7 @@ class TestInputValidation:
         pytest.param(lambda d: d.update(vehicles=5), "vehicles", id="vehicles-5"),
         pytest.param(lambda d: d["barrier"].update(ds=[5.0]), "barrier.ds", id="list-ds"),
         pytest.param(lambda d: d.update(seed=1.5), "seed", id="float-seed"),
+        pytest.param(lambda d: d["shaping"].update(xi=True), "shaping.xi", id="bool-xi"),
         pytest.param(lambda d: d.pop("barrier"), "barrier", id="no-barrier"),
         pytest.param(lambda d: _controller(d).update(goal=5), "vehicles[1].controller.goal",
                      id="goal-5"),

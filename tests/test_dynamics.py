@@ -11,12 +11,13 @@ from wingsafe.dynamics import (
     ActuatorLimits,
     ControlInput,
     VehicleState,
-    clamp_input,
     propagate_straight,
     propagate_turn,
     step_rk4,
     wrap_angle,
 )
+
+from conftest import filter_clamp, reference_clamp
 
 
 def rk4_many(state, u, total, n):
@@ -227,23 +228,50 @@ class TestPropagateStraight:
 
 
 class TestClampInput:
+    """The filter's one clamp into the actuator box (FilterResult.nominal)."""
+
     LIMITS = ActuatorLimits(v_min=15, v_max=25, omega_max=0.2042, zeta_max=2)
 
+    def clamp(self, u: ControlInput) -> ControlInput:
+        return ControlInput(*filter_clamp([u], self.LIMITS)[0].tolist())
+
     def test_speed_clamped(self):
-        u = clamp_input(ControlInput(30, 0, 0), self.LIMITS)
+        u = self.clamp(ControlInput(30, 0, 0))
         assert u == ControlInput(25, 0, 0)
 
     def test_turn_rate_clamped(self):
-        u = clamp_input(ControlInput(20, 0.5, 0), self.LIMITS)
+        u = self.clamp(ControlInput(20, 0.5, 0))
         assert u == ControlInput(20, 0.2042, 0)
 
     def test_inside_box_unchanged(self):
         u0 = ControlInput(20, -0.1, 1)
-        assert clamp_input(u0, self.LIMITS) == u0
+        assert self.clamp(u0) == u0
 
     def test_idempotent(self):
-        u = clamp_input(ControlInput(5, -3, 9), self.LIMITS)
-        assert clamp_input(u, self.LIMITS) == u
+        u = self.clamp(ControlInput(5, -3, 9))
+        assert self.clamp(u) == u
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_matches_reference_clamp_bitwise(self, data):
+        # signed zeros, values exactly at a bound and beyond it, and boxes
+        # with zero climb authority, where a bound is itself a signed zero
+        v_min = data.draw(st.floats(0.5, 30.0), label="v_min")
+        v_max = v_min + data.draw(st.sampled_from([0.0, 1e-9, 10.0]), label="v_span")
+        omega_max = data.draw(st.floats(1e-3, 2.0), label="omega_max")
+        zeta_max = data.draw(st.sampled_from([0.0, -0.0, 2.0]), label="zeta_max")
+        limits = ActuatorLimits(v_min, v_max, omega_max, zeta_max)
+
+        def field(*bounds):
+            edges = [0.0, -0.0, *bounds, *(-b for b in bounds)]
+            return st.one_of(st.sampled_from(edges), st.floats(-100.0, 100.0))
+
+        control = st.builds(ControlInput, field(v_min, v_max), field(omega_max),
+                            field(zeta_max))
+        controls = data.draw(st.lists(control, min_size=1, max_size=6), label="controls")
+        got = filter_clamp(controls, limits)
+        want = np.array([reference_clamp(u, limits) for u in controls], dtype=float)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
 
     def test_limit_validation(self):
         with pytest.raises(ValueError):

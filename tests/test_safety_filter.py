@@ -13,12 +13,12 @@ from wingsafe.barrier import (
     lie_derivatives,
 )
 from wingsafe import safety_filter
-from wingsafe.dynamics import ControlInput, VehicleState, clamp_input
+from wingsafe.dynamics import ControlInput, VehicleState
 from wingsafe.qp import solve_qp
 from wingsafe.safety_filter import FilterConfig, _shaped_rows, filter_controls, pair_pass
 from wingsafe.shaping import SensorModel, make_quadratic_psi, psi_deriv_batch, xi_from_range
 
-from conftest import random_valid_pair
+from conftest import random_valid_pair, reference_clamp
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ class TestFilterControls:
         world = [vehicle(0, 0, 0), vehicle(1000, 0, math.pi)]
         nominal = [ControlInput(20, 0.1, 0), ControlInput(18, -0.05, 1)]
         res = filter_controls(world, nominal, fconfig)
-        assert res.controls == nominal
+        assert np.array_equal(res.controls, nominal)
         assert not res.events
 
     def test_feasible_nominal_returned_exactly(self, fconfig):
@@ -84,7 +84,7 @@ class TestFilterControls:
         world = [vehicle(0, 0, math.pi / 2), vehicle(340, 0, math.pi / 2)]
         nominal = [ControlInput(20, 0.0, 0), ControlInput(20, 0.0, 0)]
         res = filter_controls(world, nominal, fconfig)
-        assert res.controls == nominal
+        assert np.array_equal(res.controls, nominal)
 
     def test_filtered_controls_in_box(self, fconfig, turn_config, limits):
         rng = np.random.default_rng(41)
@@ -99,8 +99,8 @@ class TestFilterControls:
                 for _ in range(4)
             ]
             res = filter_controls(world, nominal, fconfig)
-            for u in res.controls:
-                assert limits.contains(u, tol=1e-9)
+            for u in res.controls.tolist():
+                assert limits.contains(ControlInput(*u), tol=1e-9)
 
     def test_centralized_margins_nonnegative(self, fconfig):
         rng = np.random.default_rng(42)
@@ -129,7 +129,7 @@ class TestFilterControls:
         world = [vehicle(-40, 0, 0), vehicle(40, 0, math.pi)]
         nominal = [ControlInput(20, 0, 0), ControlInput(20, 0, 0)]
         res = filter_controls(world, nominal, fc)
-        ua, ub = res.controls
+        ua, ub = map(ControlInput._make, res.controls.tolist())
         assert ua.turn_rate == pytest.approx(ub.turn_rate, abs=1e-6)
         assert ua.speed == pytest.approx(ub.speed, abs=1e-6)
         assert ua.turn_rate != 0  # constraint actually bit
@@ -158,11 +158,11 @@ class TestFilterControls:
         world = [vehicle(0, 0, 0), vehicle(30, 0, math.pi)]
         nominal = [ControlInput(20, 0.1, 0), ControlInput(20, -0.1, 0)]
         res = filter_controls(world, nominal, fconfig, mode="off")
-        assert res.controls == nominal
+        assert np.array_equal(res.controls, nominal)
 
     def test_single_vehicle_identity(self, fconfig):
         res = filter_controls([vehicle(0, 0, 0)], [ControlInput(20, 0, 0)], fconfig)
-        assert res.controls == [ControlInput(20, 0, 0)]
+        assert np.array_equal(res.controls, [ControlInput(20, 0, 0)])
 
     def test_unknown_mode_rejected(self, fconfig):
         with pytest.raises(ValueError):
@@ -179,13 +179,35 @@ class TestFilterControls:
         assert res.fallback == {0, 1}
         assert any("qp-infeasible" in e for e in res.events)
         man = fconfig.barrier.maneuver
-        assert res.controls[0].turn_rate == pytest.approx(man.turn_rate)
-        assert res.controls[0].speed == pytest.approx(man.sigma * man.speed)
-        assert res.controls[1].speed == pytest.approx(man.speed)
+        (speed0, turn_rate0, _), (speed1, _, _) = res.controls.tolist()
+        assert turn_rate0 == pytest.approx(man.turn_rate)
+        assert speed0 == pytest.approx(man.sigma * man.speed)
+        assert speed1 == pytest.approx(man.speed)
 
+    # head-on 80 m apart and inside range: the centralized QP runs
+    HEAD_ON = [vehicle(-40, 0, 0), vehicle(40, 0, math.pi)]
 
-def _array(controls):
-    return np.array([(c.speed, c.turn_rate, c.climb_rate) for c in controls])
+    def test_qp_leaves_clamped_nominal(self, fconfig, limits):
+        nominal = [ControlInput(30, 0, 0), ControlInput(20, 0, -9)]
+        res = filter_controls(self.HEAD_ON, nominal, fconfig)
+        assert res.active  # the QP ran and wrote the filtered controls
+        assert res.controls is not res.nominal
+        assert np.array_equal(res.nominal, [reference_clamp(u, limits) for u in nominal])
+
+    def test_non_finite_qp_output_names_vehicle(self, fconfig, monkeypatch):
+        def nan_for_vehicle_1(problem, guess=()):
+            u, mult = solve_qp(problem, guess=guess)
+            u = u.copy()
+            u[4] = np.nan  # vehicle 1's turn rate
+            return u, mult
+
+        monkeypatch.setattr(safety_filter, "solve_qp", nan_for_vehicle_1)
+        nominal = [ControlInput(20, 0, 0)] * 2
+        with pytest.raises(ValueError, match="non-finite filtered control for vehicle 1"):
+            filter_controls(self.HEAD_ON, nominal, fconfig)
+        # no QP, no check: mode off passes the clamped nominal through
+        assert np.array_equal(filter_controls(self.HEAD_ON, nominal, fconfig, "off").controls,
+                              nominal)
 
 
 class TestWarmStartHint:
@@ -211,8 +233,7 @@ class TestWarmStartHint:
             # the exact active set, a stale one and ids naming nothing
             for hint in (cold.active, cold.active[:1], [-1, 10**6] + cold.active):
                 warm = filter_controls(world, nominal, fconfig, hint=hint)
-                np.testing.assert_allclose(_array(warm.controls), _array(cold.controls),
-                                           rtol=0, atol=1e-9)
+                np.testing.assert_allclose(warm.controls, cold.controls, rtol=0, atol=1e-9)
                 np.testing.assert_allclose(warm.margin, cold.margin, rtol=0, atol=1e-9)
                 assert warm.active == cold.active
                 assert warm.events == cold.events and warm.fallback == cold.fallback
@@ -253,7 +274,7 @@ class TestWarmStartHint:
             res = filter_controls(world, nominal, fconfig)
             if res.fallback:
                 continue  # the margins are those of the evading maneuver
-            u = _array(res.controls).ravel()
+            u = res.controls.ravel()
             for i in res.active:
                 if i < n_pairs:
                     assert res.margin[i] == pytest.approx(0.0, abs=1e-8)
@@ -282,14 +303,14 @@ class TestDomainErrors:
         assert res.events[0].startswith("domain-error pair=(0,1) negative radicand ")
         assert res.fallback == {0, 1}
         u1, u2 = fconfig.barrier.maneuver.controls()
-        assert res.controls == [ControlInput(*u1), ControlInput(*u2)]
+        assert np.array_equal(res.controls, [u1, u2])
         assert np.isnan(res.margin).all()
 
     def test_off_mode_reports_without_fallback(self, fconfig, limits):
         res = filter_controls(self.WORLD, self.NOMINAL, fconfig, mode="off")
         assert res.events == filter_controls(self.WORLD, self.NOMINAL, fconfig).events
         assert res.fallback == set()
-        assert res.controls == [clamp_input(u, limits) for u in self.NOMINAL]
+        assert np.array_equal(res.controls, [reference_clamp(u, limits) for u in self.NOMINAL])
         assert np.isnan(res.margin).all()
 
     def test_role_from_evaluable_pair_first(self, fconfig, limits):
@@ -302,4 +323,4 @@ class TestDomainErrors:
         res = filter_controls(world, [ControlInput(20, 0, 0)] * 3, fc)
         assert res.events[0].startswith("domain-error pair=(1,2) negative radicand ")
         assert {1, 2} <= res.fallback
-        assert res.controls[1] == ControlInput(17.78, man.turn_rate, 0.0)
+        assert res.controls[1].tolist() == [17.78, man.turn_rate, 0.0]

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,17 +21,19 @@ from wingsafe.scenarios import (
     scenario_example2,
     scenario_sweep,
 )
+import wingsafe.sim
 from wingsafe.sim import (
-    METRIC_BLOCK_STEPS,
+    METRIC_BLOCK_ELEMS,
     CircleController,
     GoalController,
     Metrics,
     Simulation,
     SimTrace,
     compute_metrics,
+    metric_block_steps,
 )
 
-from conftest import DS, EVADE_RATE, replay_pairs, vehicle_minima
+from conftest import DS, EVADE_RATE, filter_clamp, replay_pairs, vehicle_minima
 
 
 class TestCircleController:
@@ -39,21 +42,24 @@ class TestCircleController:
     def test_on_circle_exact_feedforward(self):
         c = CircleController(0.0, 0.0, 50.0, 1, 10.0)
         # on the circle at (50, 0) heading +y (CCW tangent)
-        u = c.control(VehicleState(50.0, 0.0, math.pi / 2, 0), 0.0, self.LIMITS)
+        u = c.control(VehicleState(50.0, 0.0, math.pi / 2, 0), 0.0)
         assert u == ControlInput(10.0, 10.0 / 50.0, 0.0)
 
     def test_example1_left_vehicle_constant(self):
         cfg = scenario_example1()
         spec = cfg.vehicles[0]
         ctrl = cfg.controllers()[0]
-        u = ctrl.control(spec.state, 0.0, cfg.limits)
+        u = ctrl.control(spec.state, 0.0)
         assert u.speed == 16.0
         assert u.turn_rate == pytest.approx(-EVADE_RATE, abs=1e-15)
         assert u.climb_rate == 0.0
 
     def test_far_off_circle_saturates(self):
+        # the raw command exceeds the turn-rate limit; the filter saturates it
         c = CircleController(0.0, 0.0, 50.0, 1, 10.0)
-        u = c.control(VehicleState(500.0, 0.0, -math.pi / 2, 0), 0.0, self.LIMITS)
+        raw = c.control(VehicleState(500.0, 0.0, -math.pi / 2, 0), 0.0)
+        assert abs(raw.turn_rate) > self.LIMITS.omega_max
+        u = ControlInput(*filter_clamp([raw], self.LIMITS)[0].tolist())
         assert abs(u.turn_rate) == self.LIMITS.omega_max
 
 
@@ -62,19 +68,23 @@ class TestGoalController:
 
     def test_aligned_heading_no_turn(self):
         g = GoalController(100.0, 0.0, cruise_speed=20.0)
-        u = g.control(VehicleState(0, 0, 0, 0), 0.0, self.LIMITS)
+        u = g.control(VehicleState(0, 0, 0, 0), 0.0)
         assert u == ControlInput(20.0, 0.0, 0.0)
 
     def test_timed_arrival_speed(self):
         g = GoalController(100.0, 0.0, arrival_time=5.0)
-        u = g.control(VehicleState(0, 0, 0, 0), 0.0, self.LIMITS)
+        u = g.control(VehicleState(0, 0, 0, 0), 0.0)
         assert u.speed == pytest.approx(20.0)
-        u_late = g.control(VehicleState(0, 0, 0, 0), 4.0, self.LIMITS)
+        raw_late = g.control(VehicleState(0, 0, 0, 0), 4.0)
+        assert raw_late.speed == 100.0  # 100 m in the last 1 s
+        u_late = ControlInput(*filter_clamp([raw_late], self.LIMITS)[0].tolist())
         assert u_late.speed == 25.0  # 100/1 clamped to v_max
 
     def test_bearing_error_saturates_turn(self):
         g = GoalController(0.0, 100.0, cruise_speed=20.0)
-        u = g.control(VehicleState(0, 0, 0, 0), 0.0, self.LIMITS)
+        raw = g.control(VehicleState(0, 0, 0, 0), 0.0)
+        assert raw.turn_rate == math.pi / 2  # k_heading = 1 times the bearing error
+        u = ControlInput(*filter_clamp([raw], self.LIMITS)[0].tolist())
         assert u.turn_rate == self.LIMITS.omega_max
 
 
@@ -373,10 +383,18 @@ def unblocked_metrics(trace: SimTrace, ds: float, pair_h_shaped: np.ndarray) -> 
     )
 
 
-B = METRIC_BLOCK_STEPS
+B = 256  # the block length test_blocked_equals_unblocked sets compute_metrics to
 
 
 class TestBlockedMetrics:
+    def test_block_length_from_pair_count(self):
+        # a block holds at most METRIC_BLOCK_ELEMS pair distances, at any P
+        for n_pairs in (0, 1, 10, 190, 780, 3160, METRIC_BLOCK_ELEMS, 10 * METRIC_BLOCK_ELEMS):
+            steps = metric_block_steps(n_pairs)
+            assert steps >= 1
+            assert steps * n_pairs <= max(METRIC_BLOCK_ELEMS, n_pairs)
+            assert (steps + 1) * max(n_pairs, 1) > METRIC_BLOCK_ELEMS
+
     @pytest.mark.parametrize("plant", ["none", "grid", "boundary", "final", "nan"])
     # around the first block boundary and a later one, and across many blocks
     @pytest.mark.parametrize(
@@ -419,7 +437,10 @@ class TestBlockedMetrics:
             final_states=states[n_steps],
             final_time=float(times[n_steps]),
         )
-        m = compute_metrics(trace, DS)
+        # the pair budget that makes compute_metrics' derived block B steps
+        with mock.patch.object(wingsafe.sim, "METRIC_BLOCK_ELEMS", B * max(len(pairs), 1)):
+            assert metric_block_steps(len(pairs)) == B
+            m = compute_metrics(trace, DS)
         reference = unblocked_metrics(trace, DS, pair_h_shaped)
         if plant == "nan":  # NaN != NaN; repr still tells every other float apart
             assert repr(m) == repr(reference)
@@ -439,15 +460,15 @@ class TestBlockedMetrics:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert trace.n_steps > 2 * METRIC_BLOCK_STEPS
+        assert trace.n_steps > 2 * metric_block_steps(len(trace.pairs))
         nbytes = sum(a.nbytes for a in vars(trace).values() if isinstance(a, np.ndarray))
         assert peak - nbytes <= nbytes / 2
 
     def test_recording_does_not_grow_with_pairs(self):
         # 40 vehicles have 780 pairs; a step records O(N) values, so the
-        # trace holds no (T, P) array and recording adds at most a fixed
-        # amount on top of the trace's own arrays.  (compute_metrics is left
-        # out: its pair distances take METRIC_BLOCK_STEPS x P floats.)
+        # trace holds no (T, P) array, and compute_metrics' blocks hold a
+        # fixed number of pair distances: recording and metrics add at most
+        # a fixed amount on top of the trace's own arrays
         cfg = ring(40, 2500.0, dt=0.1, duration=30.0)
         tracemalloc.start()
         try:
@@ -456,6 +477,7 @@ class TestBlockedMetrics:
             for _ in range(cfg.n_steps):
                 sim.step()
             trace = sim.finalize()
+            compute_metrics(trace, DS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
