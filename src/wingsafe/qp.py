@@ -24,6 +24,13 @@ Infeasibility is detected exactly: when a violated normal is linearly
 dependent on the active set with no positive combination coefficient, the
 constraints admit no common point and QPInfeasibleError is raised.
 
+solve_row_batch is the closed form for a batch of independent problems
+with one row each over the box, the continuous quadratic knapsack
+(Kiwiel, Math. Program. 112, 2008): the optimum is u(lam) = clip(u_hat +
+lam a, lo, hi) at the root of the concave, nondecreasing, piecewise-linear
+a . u(lam) + c.  It decides nothing about infeasibility: a row it cannot
+meet is left to solve_qp.
+
 kkt_residual is an independent optimality verifier: it reconstructs
 multipliers for a candidate point with a nonnegative least-squares fit
 (scipy's NNLS, not the solver's own machinery) and reports the worst KKT
@@ -33,12 +40,18 @@ violation.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+
+
+# the normalized violation at which solve_qp stops and solve_row_batch
+# counts a row as met
+STOP_TOL = 1e-11
 
 
 class QPInfeasibleError(RuntimeError):
@@ -119,7 +132,7 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def solve_qp(problem: QPProblem, tol: float = 1e-11, max_iter: int | None = None,
+def solve_qp(problem: QPProblem, tol: float = STOP_TOL, max_iter: int | None = None,
              guess: Sequence[int] = ()):
     """Exact minimizer of 1/2||u - u_hat||^2 over the rows and box.
 
@@ -242,6 +255,51 @@ def _active_set_optimum(A, b, norms, u_hat, W, tol):
     mult = np.zeros(len(b))
     mult[W] = lam
     return u, mult
+
+
+def solve_row_batch(u_hat, coeffs, offsets, lower, upper):
+    """Exact minimizers of k independent problems, each
+    min 1/2||u - u_hat_r||^2 s.t. coeffs_r . u + offsets_r >= 0, lower <= u <= upper,
+    with u_hat (k, m) inside the (m,) box, (k, m) coeffs and (k,) offsets.
+
+    Returns (u, lam, push): the optima (k, m), the row multipliers (k,) and
+    the box multipliers push = u - (u_hat + lam coeffs), positive on an
+    active lower face and negative on an active upper one.  A row counts as
+    met by the test solve_qp stops on, a violation of at most STOP_TOL times
+    max(||coeffs_r||, 1); one already met keeps lam = 0.  Returns None when
+    some row has a non-finite entry or is not met inside the box.
+
+    Newton's method from lam = 0 on phi(lam) = coeffs_r . u(lam) + offsets_r,
+    whose slope is the sum of a_q^2 over the entries not at the face they
+    move towards: phi is concave, so each step lands on the root of the
+    current linear piece or passes a breakpoint, at most m + 1 steps.  Rows
+    are few and short, and plain floats cost far less here than a NumPy
+    call per operation.
+    """
+    lo, hi = lower.tolist(), upper.tolist()
+    out_u, out_lam, out_push = [], [], []
+    for u_hat_r, a_r, c in zip(u_hat.tolist(), coeffs.tolist(), offsets.tolist()):
+        floor = -STOP_TOL * max(math.sqrt(sum(x * x for x in a_r)), 1.0)
+        lam, u_r = 0.0, u_hat_r
+        phi = c + sum(map(operator.mul, a_r, u_r))
+        if not (math.isfinite(floor) and math.isfinite(phi)):
+            return None  # a non-finite entry, or one whose square overflows
+        for _ in range(len(a_r) + 2):
+            if phi >= floor:
+                break
+            slope = sum(x * x for x, y, l, h in zip(a_r, u_r, lo, hi)
+                        if (y < h if x > 0.0 else x < 0.0 and y > l))
+            if not slope:
+                return None  # every entry is at its face: phi has reached its maximum
+            lam -= phi / slope
+            u_r = [min(max(v + lam * x, l), h) for x, v, l, h in zip(a_r, u_hat_r, lo, hi)]
+            phi = c + sum(map(operator.mul, a_r, u_r))
+        else:
+            return None  # not met within the step bound (rounding): solve_qp decides
+        out_u.append(u_r)
+        out_lam.append(lam)
+        out_push.append([y - (v + lam * x) for y, v, x in zip(u_r, u_hat_r, a_r)])
+    return np.array(out_u), np.array(out_lam), np.array(out_push)
 
 
 def kkt_residual(problem: QPProblem, u: np.ndarray, active_tol: float = 1e-6) -> float:

@@ -19,8 +19,10 @@ barrier).
 Modes:
 
 * centralized: one QP over all vehicles' stacked controls with one row per
-  sensed pair, warm-started from a hint of its active set (the previous
-  step's, see FilterResult.active).
+  sensed pair.  When no vehicle is in two binding rows, every row is a
+  problem of its own and solve_row_batch solves them in closed form;
+  otherwise solve_qp (Goldfarb-Idnani) does, warm-started from a hint of
+  its active set (the previous step's, see FilterResult.active).
 * split: per-vehicle QPs.  A pair row is divided between its two vehicles:
   each enforces its own Lie-derivative share plus half the class-K offset,
   with a symmetrization term that charges the neighbor's contribution at the
@@ -36,6 +38,7 @@ the actuator box; the event is reported, never raised.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -57,7 +60,7 @@ from .barrier import (
     phasor_rows,
 )
 from .dynamics import ActuatorLimits, ControlInput, VehicleState
-from .qp import QPInfeasibleError, QPProblem, solve_qp
+from .qp import QPInfeasibleError, QPProblem, solve_qp, solve_row_batch
 from .shaping import SensorModel, ShapingParams, psi_deriv_batch, shape_h_batch
 
 
@@ -153,14 +156,26 @@ def _shaped_rows(p: PairPass, rows, config: FilterConfig) -> np.ndarray:
     return lg
 
 
-@lru_cache(maxsize=None)
 def _box(limits: ActuatorLimits, n_vehicles: int):
-    """Read-only bounds of the stacked control, and the number of finite
-    faces (the box rows of the QP)."""
+    """Read-only bounds of the stacked control, and the (2, 3n) stable ids
+    (see FilterResult.active) of each entry's lower and upper face, -1 for
+    an infinite bound."""
+    # limits with zeta_max 0.0 and -0.0 are equal, and clamp a climb to
+    # zeros of opposite sign, so the sign is part of the cache key
+    return _box_of(limits, math.copysign(1.0, limits.zeta_max), n_vehicles)
+
+
+@lru_cache(maxsize=None)
+def _box_of(limits: ActuatorLimits, zeta_sign: float, n_vehicles: int):
     lo = np.array([limits.v_min, -limits.omega_max, -limits.zeta_max] * n_vehicles)
     hi = np.array([limits.v_max, limits.omega_max, limits.zeta_max] * n_vehicles)
-    lo.flags.writeable = hi.flags.writeable = False
-    return lo, hi, int(np.isfinite(lo).sum() + np.isfinite(hi).sum())
+    finite = np.isfinite([lo, hi])
+    n_pairs = n_vehicles * (n_vehicles - 1) // 2
+    # box faces follow the pair rows in QPProblem.stacked order
+    face = np.where(finite, n_pairs - 1 + np.cumsum(finite).reshape(finite.shape), -1)
+    for a in (lo, hi, face):
+        a.flags.writeable = False
+    return lo, hi, face
 
 
 def filter_controls(
@@ -256,7 +271,13 @@ def _row_margins(lg, offset, u, pairs) -> np.ndarray:
 
 def _filter_centralized(config, result, u, rows, pairs, lg, offset, hint):
     """One QP over the stacked controls u, which it overwrites with the
-    optimum; on infeasibility, both vehicles of every row fall back."""
+    optimum; on infeasibility, both vehicles of every row fall back.
+
+    When no vehicle is in two rows, each row with its vehicles' box is a
+    problem of its own, solved in closed form.  solve_qp takes any other
+    step, and every step with a row the closed form declines (non-finite,
+    or not met inside the box), so that it alone rejects rows and decides
+    infeasibility."""
     binding = lg.any(axis=1)
     if not binding.all():
         # zero rows (plateau-like): with a positive offset they never bind
@@ -264,21 +285,33 @@ def _filter_centralized(config, result, u, rows, pairs, lg, offset, hint):
     k, n = len(offset), len(u)
     if not k:
         return
+    lo, hi, face = _box(config.limits, n)
+    if len(set(pairs.ravel().tolist())) == 2 * k:
+        solved = solve_row_batch(u.take(pairs.T, 0).reshape(k, 6), lg, offset, lo[:6], hi[:6])
+        if solved is not None:
+            u_rows, lam, push = solved
+            u[pairs.T] = u_rows.reshape(k, 2, 3)
+            pushed = np.zeros((n, 3))
+            pushed[pairs.T] = push.reshape(k, 2, 3)
+            pushed = pushed.ravel()
+            # ascending: the rows, lower faces pushed up, upper faces pushed down
+            result.active = (rows[lam > 0.0].tolist() + face[0][pushed > 0.0].tolist()
+                             + face[1][pushed < 0.0].tolist())
+            return
     coeffs = np.zeros((k, n, 3))
     coeffs[np.arange(k), pairs] = lg.reshape(k, 2, 3).transpose(1, 0, 2)
-    lo, hi, n_faces = _box(config.limits, n)
     problem = QPProblem(u.ravel(), coeffs.reshape(k, 3 * n), offset, lo, hi)
     # stable id of each stacked constraint, ascending: the pair number of
-    # row s < k, P + s - k of box face s >= k
-    n_pairs = len(result.h)
-    ids = np.concatenate([rows, np.arange(n_pairs, n_pairs + n_faces)])
+    # each row, then the ids of the finite box faces
+    ids = np.concatenate([rows, face[face >= 0]])
     hint = np.asarray(hint, dtype=np.intp)
     slot = np.searchsorted(ids, hint)  # the stacked index of each hinted id, if present
     guess = slot[ids.take(slot, mode="clip") == hint].tolist()
     try:
         u_star, mult = solve_qp(problem, guess=guess)
     except QPInfeasibleError as err:
-        result.events.append(f"qp-infeasible mode=centralized {err}")
+        named = ",".join(f"({i},{j})" for i, j in pairs.T.tolist())
+        result.events.append(f"qp-infeasible mode=centralized {err} pairs={named}")
         result.fallback.update(pairs.ravel().tolist())
         return
     result.active = ids[mult > 0.0].tolist()

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -97,6 +98,8 @@ class ScenarioConfig:
                 or isinstance(xi, (int, float)) and not isinstance(xi, bool)):
             raise ValueError(
                 f'config field shaping.xi must be a JSON number, "auto" or null, got {xi!r}')
+        if isinstance(xi, int):
+            _typed(xi, "shaping.xi")  # an integer too large for a float
         # note: "auto" feasibility (R above the minimum sensing range) is
         # checked by resolve_shaping, before any run starts
         for k, v in enumerate(self.vehicles):
@@ -217,10 +220,14 @@ def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
 
 def _typed(value, field: str, kind: str = "number"):
     """value if its JSON type is kind (true and false have none), else a
-    ValueError naming the field."""
+    ValueError naming the field, as for a number too large for a float.
+    An integer stays an integer."""
     types = {"number": (int, float), "integer": int, "object": dict, "array": (list, tuple)}
     if isinstance(value, bool) or not isinstance(value, types[kind]):
         raise ValueError(f"config field {field} must be a JSON {kind}, got {value!r}")
+    if kind == "number" and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"config field {field} must fit in a float, "
+                         f"got an integer of {len(str(abs(value)))} digits")
     return value
 
 

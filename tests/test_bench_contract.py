@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import wingsafe.cli
-from wingsafe.scenarios import builtin_scenarios, run_scenario
+from wingsafe.scenarios import run_scenario, scenario_circle20
 
 WRAPPED_FUNCTIONS = [
     ("wingsafe.barrier", "h_value"),
@@ -91,7 +91,10 @@ def test_filter_world_and_qp_rows_are_readable(monkeypatch):
     filter_calls, qp_calls = [], []
     _record_calls(monkeypatch, "wingsafe.safety_filter", "filter_controls", filter_calls)
     _record_calls(monkeypatch, "wingsafe.qp", "solve_qp", qp_calls)
-    run_scenario(replace(builtin_scenarios()["example2"], duration=3.0))
+    # 20 vehicles 90 m from the centre: binding rows share vehicles at once,
+    # so solve_qp runs (rows that share none are solved in closed form)
+    config = replace(scenario_circle20(start_radius=90.0), duration=1.0)
+    run_scenario(config)
     assert filter_calls and qp_calls
     for args in filter_calls[:10]:
         world = args[0]
@@ -101,4 +104,4 @@ def test_filter_world_and_qp_rows_are_readable(monkeypatch):
         problem = args[0]
         coeffs = np.array([r.coeffs for r in problem.rows])
         # the tracer reads each row's coupling as (rows, vehicles, 3 controls)
-        assert coeffs.reshape(len(problem.rows), -1, 3).shape[1] == 2
+        assert coeffs.reshape(len(problem.rows), -1, 3).shape[1] == len(config.vehicles)

@@ -509,6 +509,10 @@ class TestInputValidation:
                      "vehicles[1].controller.direction", id="zero-direction"),
         pytest.param(lambda d: _controller(d, CIRCLE, center=[0.0]),
                      "vehicles[1].controller.center", id="one-element-center"),
+        pytest.param(lambda d: d.update(dt=10**400), "dt", id="huge-dt"),
+        pytest.param(lambda d: d["shaping"].update(xi=10**400), "shaping.xi", id="huge-xi"),
+        pytest.param(lambda d: _controller(d).update(cruise_speed=-10**400),
+                     "vehicles[1].controller.cruise_speed", id="huge-cruise_speed"),
     ])
     def test_malformed_config_exit_one(self, command, edit, field, tmp_path, capsys):
         d = config_to_dict(scenario_sweep())

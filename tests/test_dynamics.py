@@ -273,6 +273,15 @@ class TestClampInput:
         want = np.array([reference_clamp(u, limits) for u in controls], dtype=float)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
 
+    def test_signed_zero_climb_bounds_kept_apart(self):
+        # 0.0 and -0.0 make equal limits; each clamps to its own zero
+        for zeta_max in (0.0, -0.0, 0.0):
+            limits = ActuatorLimits(0.5, 0.5, 0.5, zeta_max)
+            controls = [ControlInput(0.0, 0.0, 1.0), ControlInput(0.0, 0.0, -1.0)]
+            got = filter_clamp(controls, limits)
+            want = np.array([reference_clamp(u, limits) for u in controls], dtype=float)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (zeta_max, got)
+
     def test_limit_validation(self):
         with pytest.raises(ValueError):
             ActuatorLimits(0, 10, 1)

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wingsafe.qp import ConstraintRow, QPInfeasibleError, QPProblem, kkt_residual, solve_qp
+from wingsafe.qp import (
+    STOP_TOL,
+    ConstraintRow,
+    QPInfeasibleError,
+    QPProblem,
+    kkt_residual,
+    solve_qp,
+    solve_row_batch,
+)
 
 
 def objective(u, u_hat):
@@ -231,6 +239,132 @@ class TestWarmStart:
             solve_qp(p, guess=guess)
 
 
+
+
+# one pair row's box: each vehicle's speed, turn rate and climb rate
+ROW_LOWER = np.tile([15.0, -0.25, -5.0], 2)
+ROW_UPPER = np.tile([25.0, 0.25, 5.0], 2)
+# and the coefficient magnitudes drawn for them when not zero
+ROW_SCALE = (np.tile([0.01, 0.05, 0.5], 2), np.tile([2.0, 60.0, 5.0], 2))
+ROW_KINDS = ["plain", "on-face", "sparse", "out-of-box"]
+
+
+def random_row_batch(rng, kinds, open_climb):
+    """(u_hat, coeffs, offsets, lower, upper) of one row per kind over a
+    pair's six controls, u_hat in the box: a row well inside or beyond reach
+    (plain), with u_hat on some faces, with some zero coefficients, or
+    beyond what the box can meet by 0.1 to 10 (out-of-box).  open_climb
+    makes the climb-rate bounds infinite."""
+    lower, upper = ROW_LOWER.copy(), ROW_UPPER.copy()
+    if open_climb:
+        lower[[2, 5]], upper[[2, 5]] = -np.inf, np.inf
+    k = len(kinds)
+    u_hat = rng.uniform(ROW_LOWER, ROW_UPPER, (k, 6))
+    coeffs = rng.uniform(*ROW_SCALE, (k, 6)) * rng.choice([-1.0, 1.0], (k, 6))
+    offsets = rng.uniform(-30.0, 5.0, k) - np.einsum("ij,ij->i", coeffs, u_hat)
+    for r, kind in enumerate(kinds):
+        if kind == "on-face":
+            face = np.where(rng.random(6) < 0.5, lower, upper)
+            on = (rng.random(6) < 0.5) & np.isfinite(face)
+            u_hat[r, on] = face[on]
+        elif kind == "sparse":
+            zero = rng.random(6) < 0.6
+            zero[rng.integers(6)] = False  # zero rows never reach the QP
+            coeffs[r, zero] = 0.0
+        elif kind == "out-of-box":
+            if open_climb:
+                coeffs[r, [2, 5]] = 0.0
+            a, moving = coeffs[r], coeffs[r] != 0.0
+            top = np.where(a > 0.0, upper, lower)[moving] @ a[moving]  # max of a . u
+            offsets[r] = -top - rng.uniform(0.1, 10.0)
+    return u_hat, coeffs, offsets, lower, upper
+
+
+def block_problem(u_hat, coeffs, offsets, lower, upper):
+    """The k rows of a batch as one QPProblem, row r on entries r*m..r*m+m-1."""
+    k, m = coeffs.shape
+    blocks = np.zeros((k, k, m))
+    blocks[np.arange(k), np.arange(k)] = coeffs
+    return QPProblem(u_hat.ravel(), blocks.reshape(k, k * m), offsets,
+                     np.tile(lower, k), np.tile(upper, k))
+
+
+class TestRowBatch:
+    """The closed form of independent one-row problems is the optimum
+    solve_qp finds, and declines exactly where solve_qp finds none."""
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=8), st.booleans())
+    def test_matches_solve_qp(self, seed, kinds, open_climb):
+        rng = np.random.default_rng(seed)
+        batch = random_row_batch(rng, kinds, open_climb)
+        u_hat, coeffs, offsets, lower, upper = batch
+        p = block_problem(*batch)
+        solved = solve_row_batch(*batch)
+        try:
+            u_qp, _ = solve_qp(p)
+        except QPInfeasibleError:
+            assert solved is None
+            return
+        assert "out-of-box" not in kinds and solved is not None
+        u, lam, push = solved
+        # solve_qp meets its stopping test to 1e-11 of a row's norm, which
+        # moves its point by up to ~1e-9 (its own warm and cold answers
+        # differ as much, see TestWarmStart); the closed form lands on the
+        # root of each row, so the KKT check holds it to much less
+        np.testing.assert_allclose(u.ravel(), np.clip(u_qp, p.lower, p.upper), rtol=0, atol=1e-9)
+        assert kkt_residual(p, u.ravel()) <= 1e-8
+        # the multipliers certify it: stationarity, signs and tight faces
+        assert np.all(lam >= 0.0)
+        np.testing.assert_allclose(u - u_hat, lam[:, None] * coeffs + push, rtol=0, atol=1e-12)
+        assert np.array_equal(u[push > 0.0], np.broadcast_to(lower, u.shape)[push > 0.0])
+        assert np.array_equal(u[push < 0.0], np.broadcast_to(upper, u.shape)[push < 0.0])
+        margin = np.einsum("ij,ij->i", coeffs, u) + offsets
+        assert np.all(margin >= -STOP_TOL * np.maximum(np.linalg.norm(coeffs, axis=1), 1.0))
+        assert np.all(lam[margin > 1e-9] == 0.0)  # a slack row keeps its nominal
+        if not open_climb:
+            for r in range(len(kinds)):
+                one = QPProblem(u_hat[r], coeffs[r:r + 1], offsets[r:r + 1], lower, upper)
+                best = brute_force_best(one, 2000, rng)
+                if best is not None:
+                    assert objective(u[r], u_hat[r]) <= best + 1e-9
+
+    @pytest.mark.parametrize("where", ["coefficient", "offset"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_declined(self, where, bad):
+        # solve_qp's problem rejects the row, so the closed form leaves it;
+        # row 0 alone would be solved (40 - 45 < 0 <= 60.5 - 45)
+        u_hat = np.array([[20.0, 0.0, 0.0, 20.0, 0.0, 0.0]] * 2)
+        coeffs = np.ones((2, 6))
+        offsets = np.array([-45.0, -45.0])
+        assert solve_row_batch(u_hat[:1], coeffs[:1], offsets[:1], ROW_LOWER, ROW_UPPER)
+        (coeffs[1, :1] if where == "coefficient" else offsets[1:])[0] = bad
+        assert solve_row_batch(u_hat, coeffs, offsets, ROW_LOWER, ROW_UPPER) is None
+        with pytest.raises(ValueError, match="non-finite constraint row"):
+            block_problem(u_hat, coeffs, offsets, ROW_LOWER, ROW_UPPER)
+
+    def test_met_rows_keep_the_nominal(self):
+        # u_hat meets the row, here on a face of the box: nothing moves
+        u_hat = np.array([[15.0, 0.25, 0.0, 20.0, -0.1, 1.0]])
+        coeffs = np.array([[1.0, 2.0, 0.0, -0.5, 3.0, 0.0]])
+        u, lam, push = solve_row_batch(u_hat, coeffs, np.array([0.0]), ROW_LOWER, ROW_UPPER)
+        assert np.array_equal(u, u_hat) and lam.tolist() == [0.0]
+        assert not push.any()
+
+    def test_entry_on_a_face_moves_away_from_it(self):
+        # entry 0 sits on its lower face and the row pushes it up: it is
+        # free, so the optimum is the plain projection onto the row
+        u_hat = np.array([[15.0, 0.0, 0.0, 20.0, 0.0, 0.0]])
+        coeffs = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        u, lam, push = solve_row_batch(u_hat, coeffs, np.array([-16.0]), ROW_LOWER, ROW_UPPER)
+        np.testing.assert_allclose(u[0], [16.0, 0, 0, 20.0, 0, 0], rtol=0, atol=1e-12)
+        assert lam[0] == pytest.approx(1.0) and not push.any()
+        # at its upper face it cannot move, and the row is out of reach
+        u_hat[0, 0] = 25.0
+        assert solve_row_batch(u_hat, coeffs, np.array([-26.0]), ROW_LOWER, ROW_UPPER) is None
+        with pytest.raises(QPInfeasibleError):
+            solve_qp(block_problem(u_hat, coeffs, np.array([-26.0]), ROW_LOWER, ROW_UPPER))
 
 
 def reference_stacked(u_hat, rows, lower, upper):

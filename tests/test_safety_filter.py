@@ -14,7 +14,7 @@ from wingsafe.barrier import (
 )
 from wingsafe import safety_filter
 from wingsafe.dynamics import ControlInput, VehicleState
-from wingsafe.qp import solve_qp
+from wingsafe.qp import solve_qp, solve_row_batch
 from wingsafe.safety_filter import FilterConfig, _shaped_rows, filter_controls, pair_pass
 from wingsafe.shaping import SensorModel, make_quadratic_psi, psi_deriv_batch, xi_from_range
 
@@ -178,11 +178,20 @@ class TestFilterControls:
         res = filter_controls(world, nominal, raw)
         assert res.fallback == {0, 1}
         assert any("qp-infeasible" in e for e in res.events)
+        assert res.events[-1].startswith("qp-infeasible mode=centralized ")
+        assert res.events[-1].endswith(" pairs=(0,1)")
         man = fconfig.barrier.maneuver
         (speed0, turn_rate0, _), (speed1, _, _) = res.controls.tolist()
         assert turn_rate0 == pytest.approx(man.turn_rate)
         assert speed0 == pytest.approx(man.sigma * man.speed)
         assert speed1 == pytest.approx(man.speed)
+        # a third vehicle in range: the rows share vehicles and go to
+        # solve_qp together, and the event names the pairs of its rows
+        world.append(vehicle(200, 200, 0))
+        res = filter_controls(world, nominal + nominal[:1], raw)
+        assert res.fallback == {0, 1, 2}
+        assert [e for e in res.events if e.startswith("qp-infeasible")] == res.events
+        assert res.events[-1].endswith(" pairs=(0,1),(0,2),(1,2)")
 
     # head-on 80 m apart and inside range: the centralized QP runs
     HEAD_ON = [vehicle(-40, 0, 0), vehicle(40, 0, math.pi)]
@@ -201,6 +210,8 @@ class TestFilterControls:
             u[4] = np.nan  # vehicle 1's turn rate
             return u, mult
 
+        # HEAD_ON is one row: solve_qp runs only where the closed form declines
+        monkeypatch.setattr(safety_filter, "solve_row_batch", lambda *args: None)
         monkeypatch.setattr(safety_filter, "solve_qp", nan_for_vehicle_1)
         nominal = [ControlInput(20, 0, 0)] * 2
         with pytest.raises(ValueError, match="non-finite filtered control for vehicle 1"):
@@ -208,6 +219,17 @@ class TestFilterControls:
         # no QP, no check: mode off passes the clamped nominal through
         assert np.array_equal(filter_controls(self.HEAD_ON, nominal, fconfig, "off").controls,
                               nominal)
+
+    def test_non_finite_closed_form_output_names_vehicle(self, fconfig, monkeypatch):
+        def nan_for_vehicle_1(*args):
+            u, lam, push = solve_row_batch(*args)
+            u[0, 4] = np.nan  # the row's entries of vehicle 1 come second
+            return u, lam, push
+
+        monkeypatch.setattr(safety_filter, "solve_row_batch", nan_for_vehicle_1)
+        nominal = [ControlInput(20, 0, 0)] * 2
+        with pytest.raises(ValueError, match="non-finite filtered control for vehicle 1"):
+            filter_controls(self.HEAD_ON, nominal, fconfig)
 
 
 class TestWarmStartHint:
@@ -243,7 +265,8 @@ class TestWarmStartHint:
     def test_hint_maps_to_stacked_indices(self, fconfig, monkeypatch):
         # the optimum's own active ids, as a hint, give the solver exactly
         # the stacked indices of its positive multipliers; ids past either
-        # end (6 pairs and 24 box faces here) name nothing
+        # end (6 pairs and 24 box faces here) name nothing.  Worlds whose
+        # rows share no vehicle are solved in closed form, without a hint.
         solves = []
 
         def record(problem, guess=()):
@@ -256,7 +279,7 @@ class TestWarmStartHint:
         for world in self.worlds(47, 40):
             solves.clear()
             cold = filter_controls(world, nominal, fconfig)
-            if not cold.active:
+            if not cold.active or not solves:
                 continue
             filter_controls(world, nominal, fconfig, hint=[-1, 30, 10**6] + cold.active)
             (_, mult), (guess, _) = solves
@@ -290,6 +313,63 @@ class TestWarmStartHint:
                 assert filter_controls(world, nominal, fconfig, mode, hint).active == []
         far = [vehicle(0, 0, 0), vehicle(1000, 0, math.pi)]
         assert filter_controls(far, nominal[:2], fconfig, hint=[0]).active == []
+
+
+class TestClosedForm:
+    """Steps whose rows share no vehicle are solved in closed form, with the
+    outcome of the solve_qp path."""
+
+    @staticmethod
+    def isolated_pairs(rng):
+        """1 to 4 pairs, 2 km apart, each pair within sensing range of itself
+        only, with nominal controls inside and outside the box."""
+        world = []
+        for c in range(int(rng.integers(1, 5))):
+            x0 = 2000.0 * c
+            gap = rng.uniform(10.0, 150.0)
+            world += [vehicle(x0, 0.0, rng.uniform(-0.5, 0.5)),
+                      vehicle(x0 + gap, rng.uniform(-20, 20), math.pi + rng.uniform(-0.5, 0.5))]
+        nominal = [ControlInput(rng.uniform(10, 30), rng.uniform(-0.4, 0.4), rng.uniform(-6, 6))
+                   for _ in world]
+        return world, nominal
+
+    def test_matches_the_solve_qp_path(self, fconfig, limits, monkeypatch):
+        closed = []
+
+        def record(*args):
+            closed.append(solve_row_batch(*args))
+            return closed[-1]
+
+        monkeypatch.setattr(safety_filter, "solve_row_batch", record)
+        rng = np.random.default_rng(48)
+        answered = 0
+        for _ in range(120):
+            world, nominal = self.isolated_pairs(rng)
+            closed.clear()
+            res = filter_controls(world, nominal, fconfig)
+            with monkeypatch.context() as m:
+                m.setattr(safety_filter, "solve_row_batch", lambda *args: None)
+                ref = filter_controls(world, nominal, fconfig)
+            np.testing.assert_allclose(res.controls, ref.controls, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(res.margin, ref.margin, rtol=0, atol=1e-9)
+            assert res.events == ref.events and res.fallback == ref.fallback
+            if not (closed and closed[0] is not None):
+                continue
+            answered += 1
+            # the active ids name tight constraints, as on the solve_qp path
+            n = len(world)
+            n_pairs = n * (n - 1) // 2
+            faces = [limits.v_min, -limits.omega_max, -limits.zeta_max] * n + [
+                limits.v_max, limits.omega_max, limits.zeta_max] * n
+            u = res.controls.ravel()
+            assert res.active == sorted(res.active)
+            for i in res.active:
+                if i < n_pairs:
+                    assert res.margin[i] == pytest.approx(0.0, abs=1e-8)
+                else:
+                    face = i - n_pairs
+                    assert u[face % (3 * n)] == faces[face]
+        assert answered >= 20
 
 
 class TestDomainErrors:
