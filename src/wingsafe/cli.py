@@ -33,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .barrier import TurnManeuver
 from .scenarios import (
     ScenarioConfig,
     builtin_scenarios,
@@ -46,7 +45,6 @@ from .shaping import (
     analytic_compatible,
     check_sensor_compatible,
     make_quadratic_psi,
-    min_sensing_range,
     xi_from_range,
 )
 
@@ -83,21 +81,10 @@ class RunManifest:
                     f"unknown scenario {self.scenario!r}; choose from {sorted(builtins)}"
                 )
             cfg = builtins[self.scenario]
-        updates = {}
-        if self.sensor_range is not None:
-            updates["sensor_range"] = self.sensor_range
-        if self.xi is not None:
-            updates["shaping_xi"] = self.xi
-        if self.beta is not None:
-            updates["shaping_beta"] = self.beta
-        if self.alpha is not None:
-            updates["alpha_slope"] = self.alpha
-        if self.dt is not None:
-            updates["dt"] = self.dt
-        if self.mode is not None:
-            updates["mode"] = self.mode
-        if self.seed is not None:
-            updates["seed"] = self.seed
+        updates = {"sensor_range": self.sensor_range, "shaping_xi": self.xi,
+                   "shaping_beta": self.beta, "alpha_slope": self.alpha, "dt": self.dt,
+                   "mode": self.mode, "seed": self.seed}
+        updates = {k: v for k, v in updates.items() if v is not None}
         return replace(cfg, **updates) if updates else cfg
 
 
@@ -181,7 +168,7 @@ def cmd_run(manifest: RunManifest) -> int:
     try:
         cfg = manifest.load()
         trace, metrics = run_scenario(cfg)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -222,17 +209,12 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float], workers: int | None = 
         out_dirs[name] = R
     try:
         base = manifest.load()
-        rmin = (
-            min_sensing_range(base.barrier.maneuver, base.barrier.safety)
-            if base.barrier.kind == "turn"
-            else math.nan
-        )
         jobs = []
         for name, R in out_dirs.items():
             cfg = replace(base, sensor_range=R)
             cfg.resolve_shaping()  # fail fast (e.g. auto shaping below R_min)
             jobs.append((cfg, str(manifest.out_dir / name)))
-    except (ValueError, OSError, KeyError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -244,7 +226,8 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float], workers: int | None = 
         w.writerow(["R", "min_distance", "min_h_tilde", "r_min"])
         for row in results:
             w.writerow(
-                [repr(row["R"]), repr(row["min_distance"]), repr(row["min_h_tilde"]), repr(rmin)]
+                [repr(row["R"]), repr(row["min_distance"]), repr(row["min_h_tilde"]),
+                 repr(base.r_min)]
             )
 
     try:
@@ -265,27 +248,24 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float], workers: int | None = 
             f"R={row['R']!r}: min_distance={row['min_distance']!r} "
             f"min_h_tilde={row['min_h_tilde']!r}"
         )
-    print(f"sweep complete: {len(results)} runs, R_min={rmin!r}")
+    print(f"sweep complete: {len(results)} runs, R_min={base.r_min!r}")
     return EXIT_VIOLATION if any(r["violation"] for r in results) else EXIT_OK
 
 
 def cmd_check(manifest: RunManifest, samples: int = 100_000) -> int:
     try:
         return _check(manifest.load(), samples)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
 
 def _check(cfg: ScenarioConfig, samples: int) -> int:
-    seed = cfg.seed
     print(f"barrier kind: {cfg.barrier.kind}")
     print(f"sensor range R: {cfg.sensor_range!r}")
 
     if cfg.barrier.kind == "turn":
-        man: TurnManeuver = cfg.barrier.maneuver
-        rmin = min_sensing_range(man, cfg.barrier.safety)
-        print(f"minimum sensing range R_min: {rmin!r}")
+        print(f"minimum sensing range R_min: {cfg.r_min!r}")
         try:
             shaping = cfg.resolve_shaping()
         except ValueError as err:
@@ -294,7 +274,7 @@ def _check(cfg: ScenarioConfig, samples: int) -> int:
         if shaping is None:
             # no (valid) shaping configured: try the largest provable xi
             try:
-                xi = xi_from_range(cfg.sensor_range, man, cfg.barrier.safety)
+                xi = xi_from_range(cfg.sensor_range, cfg.barrier.maneuver, cfg.barrier.safety)
             except ValueError as err:
                 if not math.isfinite(cfg.sensor_range):
                     raise  # a usage error, not an incompatible range
@@ -310,7 +290,7 @@ def _check(cfg: ScenarioConfig, samples: int) -> int:
     print(f"psi coefficients: c1={shaping.c1!r} c2={shaping.c2!r} c3={shaping.c3!r}")
 
     report = check_sensor_compatible(
-        cfg.barrier, shaping, SensorModel(cfg.sensor_range), sample_count=samples, seed=seed
+        cfg.barrier, shaping, SensorModel(cfg.sensor_range), sample_count=samples, seed=cfg.seed
     )
     print(f"analytic bound: {'ok' if report.analytic_ok else 'not satisfied'}")
     print(
@@ -336,12 +316,7 @@ def _manifest_from_args(args) -> RunManifest:
         config_path=args.config,
         out_dir=Path(args.out),
         sensor_range=ranges[0] if ranges and args.command != "sweep" else None,
-        xi=args.xi,
-        beta=args.beta,
-        alpha=args.alpha,
-        dt=args.dt,
-        mode=args.mode,
-        seed=args.seed,
+        **{name: getattr(args, name) for name in ("xi", "beta", "alpha", "dt", "mode", "seed")},
     )
 
 
@@ -375,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--range", help="sensor range override; comma list for sweep")
         p.add_argument("--seed", type=int, help="seed for randomized checks")
         p.add_argument("--dt", type=float, help="integration step override")
-        p.add_argument("--mode", choices=["centralized", "split", "off"], help="filter mode")
+        p.add_argument("--mode", help="filter mode: centralized, split or off")
         p.add_argument("--xi", type=float, help="shaping threshold override")
         p.add_argument("--beta", type=float, help="shaping blend factor override")
         p.add_argument("--alpha", type=float, help="linear class-K slope override")

@@ -300,7 +300,8 @@ def _filter_centralized(config, result, u, rows, pairs, lg, offset, hint):
             return
     coeffs = np.zeros((k, n, 3))
     coeffs[np.arange(k), pairs] = lg.reshape(k, 2, 3).transpose(1, 0, 2)
-    problem = QPProblem(u.ravel(), coeffs.reshape(k, 3 * n), offset, lo, hi)
+    # a copy: the problem keeps its u_hat, and u becomes the optimum below
+    problem = QPProblem(u.flatten(), coeffs.reshape(k, 3 * n), offset, lo, hi)
     # stable id of each stacked constraint, ascending: the pair number of
     # each row, then the ids of the finite box faces
     ids = np.concatenate([rows, face[face >= 0]])
@@ -357,7 +358,7 @@ def _filter_split(config, result, u, pairs, lg, offset):
         if stuck or not halves:
             continue
         try:
-            u_star, _ = solve_qp(QPProblem(u[v], np.array(coeffs), halves, lo, hi))
+            u_star, _ = solve_qp(QPProblem(u[v].copy(), np.array(coeffs), halves, lo, hi))
         except QPInfeasibleError as err:
             result.events.append(f"qp-infeasible mode=split vehicle={v} {err}")
             result.fallback.add(v)

@@ -5,6 +5,13 @@ nominal controller), actuator limits, the barrier (maneuver + safety
 parameters), sensor range, shaping, class-K gain, and integration settings.
 parse/serialize round-trip exactly.
 
+SCHEMA is that JSON form: each field once, with its JSON kinds, the
+condition on its value and, where it may be left out, its default.  Both
+config_from_dict and ScenarioConfig (on its own config_to_dict) read
+through it, so builtins, dataclasses.replace and command-line overrides meet
+the checks a file meets.  A fault is a ValueError that starts "config field"
+and names the path, or the section for a value type's own check.
+
 Builtin scenarios:
 
 * example1  - two vehicles circle toward a head-on geometry they cannot
@@ -27,8 +34,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import MISSING, asdict, dataclass, field
+from typing import Any, Callable, NamedTuple
 
 from .barrier import (
     BarrierConfig,
@@ -39,7 +46,8 @@ from .barrier import (
 )
 from .dynamics import ActuatorLimits, VehicleState
 from .safety_filter import FilterConfig
-from .shaping import SensorModel, ShapingParams, make_quadratic_psi, xi_from_range
+from .shaping import (SensorModel, ShapingParams, make_quadratic_psi, min_sensing_range,
+                      xi_from_range)
 from .sim import (
     CircleController,
     Controller,
@@ -67,43 +75,52 @@ DEFAULT_SAFETY = SafetyParams(delta=0.01, ds=5.0)
 @dataclass(frozen=True)
 class VehicleSpec:
     state: VehicleState
-    controller: dict[str, Any]  # JSON-shaped controller description
+    controller: dict[str, Any]  # JSON-shaped controller description, as given
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
+    """A scenario.  Construction checks config_to_dict(self) against SCHEMA
+    and FilterConfig's check of the maneuver against the box, then computes
+    n_steps, r_min (NaN for the straight barrier) and the controllers once.
+    R <= R_min with "auto" shaping is left to resolve_shaping: `check`
+    reports it as incompatibility, not as a bad config."""
+
     vehicles: tuple[VehicleSpec, ...]
-    limits: ActuatorLimits
     barrier: BarrierConfig
     sensor_range: float
-    shaping_xi: float | str | None  # numeric, "auto", or None for the raw barrier
-    shaping_beta: float
-    alpha_slope: float
     dt: float
     duration: float
-    mode: str
+    limits: ActuatorLimits = DEFAULT_LIMITS
+    shaping_xi: float | str | None = None  # numeric, "auto", or None for the raw barrier
+    shaping_beta: float = 0.9
+    alpha_slope: float = 1.0
+    mode: str = "centralized"
     seed: int = 42
+    n_steps: int = field(init=False, repr=False, compare=False)
+    r_min: float = field(init=False, repr=False, compare=False)
+    _controllers: tuple[Controller, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.vehicles:
-            raise ValueError("at least one vehicle required")
-        if not 0 < self.dt < math.inf:  # also rejects NaN
-            raise ValueError("dt must be finite and > 0")
-        if not 0 < self.duration < math.inf:
-            raise ValueError("duration must be finite and > 0")
-        if self.mode not in ("centralized", "split", "off"):
-            raise ValueError(f"unknown filter mode {self.mode!r}")
-        xi = self.shaping_xi
-        if not (xi is None or xi == "auto"
-                or isinstance(xi, (int, float)) and not isinstance(xi, bool)):
-            raise ValueError(
-                f'config field shaping.xi must be a JSON number, "auto" or null, got {xi!r}')
-        if isinstance(xi, int):
-            _typed(xi, "shaping.xi")  # an integer too large for a float
-        # note: "auto" feasibility (R above the minimum sensing range) is
-        # checked by resolve_shaping, before any run starts
-        for k, v in enumerate(self.vehicles):
-            build_controller(v.controller, f"vehicles[{k}].controller")  # reject at load
+        checked = _read(SCHEMA, config_to_dict(self), "")
+        # the raw barrier's JSON form has no beta, but `check` reads it
+        _read(SCHEMA.holds["shaping"].holds["beta"], self.shaping_beta, "shaping.beta")
+        _build("barrier, limits", FilterConfig, self.barrier, SensorModel(self.sensor_range),
+               self.limits)
+        if self.shaping_xi not in (None, "auto"):  # "auto" waits for resolve_shaping
+            _build("shaping", make_quadratic_psi, self.shaping_xi, self.shaping_beta)
+        derived = {  # name: (the fields it comes from, its value)
+            "n_steps": ("dt, duration", lambda: round(self.duration / self.dt)),
+            "r_min": ("barrier", lambda: math.nan if self.barrier.kind != "turn"
+                      else min_sensing_range(self.barrier.maneuver, self.barrier.safety)),
+        }
+        for name, (involved, value) in derived.items():
+            try:
+                object.__setattr__(self, name, value())
+            except OverflowError:
+                raise ValueError(f"config field {involved}: {name} overflows") from None
+        controllers = tuple(_controller(v["controller"]) for v in checked["vehicles"])
+        object.__setattr__(self, "_controllers", controllers)
 
     def resolve_shaping(self) -> ShapingParams | None:
         if self.shaping_xi is None:
@@ -126,90 +143,150 @@ class ScenarioConfig:
         )
 
     def controllers(self) -> list[Controller]:
-        return [build_controller(v.controller) for v in self.vehicles]
-
-    @property
-    def n_steps(self) -> int:
-        return round(self.duration / self.dt)
+        return list(self._controllers)
 
 
-def build_controller(spec: dict[str, Any], where: str = "controller") -> Controller:
-    """The nominal controller a JSON-shaped spec describes.  A missing field
-    raises KeyError, and a field of the wrong JSON type or not finite a
-    ValueError naming it as where.<field>, as does a circle's radius <= 0 or
-    direction other than 1 or -1."""
+def _controller(spec: dict[str, Any]) -> Controller:
+    """The nominal controller of a controller spec read through SCHEMA."""
+    if spec["type"] == "circle":
+        return CircleController(*spec["center"], spec["radius"], spec["direction"], spec["speed"])
+    return GoalController(*spec["goal"], cruise_speed=spec["cruise_speed"],
+                          arrival_time=spec["arrival_time"])
 
-    def num(key: str, *default):
-        return _finite(spec.get(key, *default) if default else spec[key], f"{where}.{key}")
 
-    def point(key: str, sizes: tuple[int, ...]) -> list:
-        value = _typed(spec[key], f"{where}.{key}", "array")
-        if len(value) not in sizes:
-            raise ValueError(f"config field {where}.{key} must have "
-                             f"{' or '.join(map(str, sizes))} entries, got {value!r}")
-        return [_finite(x, f"{where}.{key}[{i}]") for i, x in enumerate(value)]
-
-    kind = spec.get("type")
-    if kind == "circle":
-        center = point("center", (2,))
-        radius = num("radius")
-        if not radius > 0.0:
-            raise ValueError(f"config field {where}.radius must be > 0, got {radius!r}")
-        direction = num("direction")
-        if direction not in (1, -1):
-            raise ValueError(f"config field {where}.direction must be 1 or -1, got {direction!r}")
-        return CircleController(center[0], center[1], radius, direction, num("speed"))
-    if kind == "goal":
-        goal = point("goal", (2, 3))
-        return GoalController(
-            goal_x=goal[0],
-            goal_y=goal[1],
-            goal_z=goal[2] if len(goal) > 2 else 0.0,
-            cruise_speed=num("cruise_speed", 20.0),
-            arrival_time=None if spec.get("arrival_time") is None else num("arrival_time"),
-        )
-    raise ValueError(f"config field {where}.type: unknown controller type {kind!r}")
+def _build(section: str, make, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError from its own checks prefixed by section."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise ValueError(f"config field {section}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# the JSON form
 
-LIMIT_FIELDS = ("v_min", "v_max", "omega_max", "zeta_max")
+# the Python types of each JSON kind (true and false are of none)
+_KINDS = {"number": (int, float), "integer": int, "string": str, "null": type(None),
+          "array": (list, tuple), "object": dict}
+
+
+class Field(NamedTuple):
+    """A field of the JSON form: its JSON kinds, the condition on its value
+    (a test, and its wording in an error), its default (MISSING: required),
+    and what it holds: an array's entry Field, an object's {key: Field}, or,
+    when the object's key `tag` picks its variant, {variant: {key: Field}}."""
+
+    kinds: tuple[str, ...]
+    test: Callable[[Any], bool] = lambda v: True
+    rule: str = ""
+    default: Any = MISSING
+    holds: Any = None
+    tag: str | None = None
+
+
+def _array(entry: Field, sizes: tuple[int, ...], rule: str) -> Field:
+    return Field(("array",), lambda v: len(v) in sizes, rule, holds=entry)
+
+
+_FINITE = Field(("number",), math.isfinite, "finite")
+_POSITIVE = Field(("number",), lambda v: 0.0 < v < math.inf, "finite and > 0")  # False for NaN
+_MODES = ("centralized", "split", "off")
+_SAFETY = {"delta": _FINITE, "ds": _FINITE}
+
+# The ranges of limits, barrier and the maneuver speeds are the value types' checks.
+SCHEMA = Field(("object",), holds={
+    "vehicles": Field(("array",), len, "nonempty", holds=Field(("object",), holds={
+        "state": _array(_FINITE, (3, 4), "[px, py, heading, pz] with pz optional"),
+        "controller": Field(("object",), tag="type", holds={
+            "goal": {
+                "goal": _array(_FINITE, (2, 3), "[x, y, z] with z optional"),
+                "cruise_speed": _FINITE._replace(default=GoalController.cruise_speed),
+                "arrival_time": Field(("number", "null"), lambda v: v is None or _POSITIVE.test(v),
+                                      "finite and > 0, or null", GoalController.arrival_time),
+            },
+            "circle": {
+                "center": _array(_FINITE, (2,), "[x, y]"),
+                "radius": _POSITIVE,
+                "direction": Field(("number",), lambda v: v in (1, -1), "1 or -1"),
+                "speed": _FINITE,
+            },
+        }),
+    })),
+    "limits": Field(("object",), holds=dict.fromkeys(("v_min", "v_max", "omega_max", "zeta_max"),
+                                                     _FINITE)),
+    "barrier": Field(("object",), tag="kind", holds={
+        "turn": {"sigma": _FINITE, "speed": _FINITE, "turn_rate": _FINITE, **_SAFETY},
+        "straight": {"v1": _FINITE, "v2": _FINITE,
+                     "zeta1": _FINITE._replace(default=StraightManeuver.zeta1),
+                     "zeta2": _FINITE._replace(default=StraightManeuver.zeta2),
+                     **_SAFETY},
+    }),
+    "sensor_range": Field(("number",), lambda v: v > 0.0, "> 0 (+Infinity for full sensing)"),
+    "shaping": Field(("object", "null"), default=None, holds={
+        "xi": Field(("number", "string", "null"),
+                    lambda v: v in (None, "auto") or not isinstance(v, str) and _POSITIVE.test(v),
+                    'finite and > 0, "auto" or null'),
+        "beta": Field(("number",), lambda v: 0.0 < v < 1.0, "> 0 and < 1",
+                      ScenarioConfig.shaping_beta),
+    }),
+    "alpha": Field(("object",), default={}, holds={
+        "kind": Field(("string",), lambda v: v == "linear", '"linear"', "linear"),
+        "slope": _POSITIVE._replace(default=ScenarioConfig.alpha_slope),
+    }),
+    "dt": _POSITIVE,
+    "duration": _POSITIVE,
+    "mode": Field(("string",), lambda v: v in _MODES, "one of " + ", ".join(_MODES),
+                  ScenarioConfig.mode),
+    "seed": Field(("integer",), lambda v: v >= 0, ">= 0", ScenarioConfig.seed),
+})
+
+
+def _read(schema: Field, value, path: str):
+    """value checked against schema, as a copy with each field left out set
+    to its default; a ValueError naming the path otherwise."""
+    where = path or "(top level)"
+    types = tuple(_KINDS[kind] for kind in schema.kinds)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"config field {where} must be a JSON {' or '.join(schema.kinds)}, "
+                         f"got {value!r}")
+    if "number" in schema.kinds and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"config field {where} must fit in a float, "
+                         f"got an integer of {value.bit_length()} bits")
+    if not schema.test(value):
+        raise ValueError(f"config field {where} must be {schema.rule}, got {value!r}")
+    if isinstance(value, (list, tuple)):
+        return [_read(schema.holds, x, f"{path}[{i}]") for i, x in enumerate(value)]
+    if not isinstance(value, dict):
+        return value
+    known = schema.holds
+    if schema.tag is not None:
+        variant = value.get(schema.tag)
+        tag = Field(("string",), known.__contains__, "one of " + ", ".join(known))
+        known = {schema.tag: tag, **(known.get(variant, {}) if isinstance(variant, str) else {})}
+    checked = {}
+    for key, sub in known.items():
+        at = f"{path}.{key}" if path else key
+        if key in value:
+            checked[key] = _read(sub, value[key], at)
+        elif sub.default is MISSING:
+            raise ValueError(f"config field {at} is required")
+        else:
+            checked[key] = _read(sub, sub.default, at)
+    for key in value:
+        if key not in known:
+            raise ValueError(f"config field {f'{path}.{key}' if path else key} is unknown")
+    return checked
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
-    man = cfg.barrier.maneuver
-    if isinstance(man, TurnManeuver):
-        barrier = {
-            "kind": "turn",
-            "sigma": man.sigma,
-            "speed": man.speed,
-            "turn_rate": man.turn_rate,
-        }
-    else:
-        barrier = {
-            "kind": "straight",
-            "v1": man.v1,
-            "v2": man.v2,
-            "zeta1": man.zeta1,
-            "zeta2": man.zeta2,
-        }
-    barrier["delta"] = cfg.barrier.safety.delta
-    barrier["ds"] = cfg.barrier.safety.ds
+    barrier = cfg.barrier
     return {
-        "vehicles": [
-            {
-                "state": [v.state.px, v.state.py, v.state.heading, v.state.pz],
-                "controller": v.controller,
-            }
-            for v in cfg.vehicles
-        ],
-        "limits": {k: getattr(cfg.limits, k) for k in LIMIT_FIELDS},
-        "barrier": barrier,
+        "vehicles": [{"state": list(v.state), "controller": v.controller} for v in cfg.vehicles],
+        "limits": asdict(cfg.limits),
+        "barrier": {"kind": barrier.kind, **asdict(barrier.maneuver), **asdict(barrier.safety)},
         "sensor_range": cfg.sensor_range,
-        "shaping": None
-        if cfg.shaping_xi is None
-        else {"xi": cfg.shaping_xi, "beta": cfg.shaping_beta},
+        "shaping": None if cfg.shaping_xi is None else {"xi": cfg.shaping_xi,
+                                                        "beta": cfg.shaping_beta},
         "alpha": {"kind": "linear", "slope": cfg.alpha_slope},
         "dt": cfg.dt,
         "duration": cfg.duration,
@@ -218,69 +295,22 @@ def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
     }
 
 
-def _typed(value, field: str, kind: str = "number"):
-    """value if its JSON type is kind (true and false have none), else a
-    ValueError naming the field, as for a number too large for a float.
-    An integer stays an integer."""
-    types = {"number": (int, float), "integer": int, "object": dict, "array": (list, tuple)}
-    if isinstance(value, bool) or not isinstance(value, types[kind]):
-        raise ValueError(f"config field {field} must be a JSON {kind}, got {value!r}")
-    if kind == "number" and isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ValueError(f"config field {field} must fit in a float, "
-                         f"got an integer of {len(str(abs(value)))} digits")
-    return value
-
-
-def _finite(value, field: str):
-    """value if it is a finite JSON number, else a ValueError naming the field."""
-    if not math.isfinite(_typed(value, field)):
-        raise ValueError(f"config field {field} must be finite, got {value!r}")
-    return value
-
-
 def config_from_dict(d: dict[str, Any]) -> ScenarioConfig:
-    """Parse the JSON form of a scenario.  A missing field raises KeyError,
-    and a field of the wrong JSON type a ValueError naming the field."""
-
-    def num(section: dict, prefix: str, key: str, *default):
-        return _typed(section.get(key, *default) if default else section[key], prefix + key)
-
-    b = _typed(_typed(d, "(top level)", "object")["barrier"], "barrier", "object")
-    safety = SafetyParams(delta=num(b, "barrier.", "delta"), ds=num(b, "barrier.", "ds"))
-    if b["kind"] == "turn":
-        man = TurnManeuver(*(num(b, "barrier.", k) for k in ("sigma", "speed", "turn_rate")))
-    elif b["kind"] == "straight":
-        zetas = (num(b, "barrier.", k, 0.0) for k in ("zeta1", "zeta2"))
-        man = StraightManeuver(num(b, "barrier.", "v1"), num(b, "barrier.", "v2"), *zetas)
-    else:
-        raise ValueError(f"unknown barrier kind {b['kind']!r}")
-    lim = _typed(d["limits"], "limits", "object")
-    shaping = None if d.get("shaping") is None else _typed(d["shaping"], "shaping", "object")
-    alpha = _typed(d.get("alpha", {"kind": "linear", "slope": 1.0}), "alpha", "object")
-    if alpha.get("kind", "linear") != "linear":
-        raise ValueError(f"unknown alpha kind {alpha.get('kind')!r}")
-    vehicles = []
-    for k, v in enumerate(_typed(d["vehicles"], "vehicles", "array")):
-        where = f"vehicles[{k}]"
-        state = _typed(_typed(v, where, "object")["state"], f"{where}.state", "array")
-        if len(state) not in (3, 4):
-            raise ValueError(f"config field {where}.state must be [px, py, heading, pz] "
-                             f"with pz optional, got {state!r}")
-        state = VehicleState(*(_typed(x, f"{where}.state[{i}]") for i, x in enumerate(state)))
-        controller = _typed(v["controller"], f"{where}.controller", "object")
-        vehicles.append(VehicleSpec(state, controller))
+    """Read the JSON form of a scenario through SCHEMA.  A fault raises a
+    ValueError that starts "config field" and names the field."""
+    c = _read(SCHEMA, d, "")
+    barrier = c["barrier"]
+    maneuver = TurnManeuver if barrier.pop("kind") == "turn" else StraightManeuver
+    safety = _build("barrier", SafetyParams, barrier.pop("delta"), barrier.pop("ds"))
+    shaping = c["shaping"] or {}  # null: the raw barrier
     return ScenarioConfig(
-        vehicles=tuple(vehicles),
-        limits=ActuatorLimits(*(num(lim, "limits.", k) for k in LIMIT_FIELDS)),
-        barrier=BarrierConfig(man, safety),
-        sensor_range=num(d, "", "sensor_range"),
-        shaping_xi=None if shaping is None else shaping["xi"],
-        shaping_beta=0.9 if shaping is None else num(shaping, "shaping.", "beta", 0.9),
-        alpha_slope=num(alpha, "alpha.", "slope", 1.0),
-        dt=num(d, "", "dt"),
-        duration=num(d, "", "duration"),
-        mode=d.get("mode", "centralized"),
-        seed=_typed(d.get("seed", 42), "seed", "integer"),
+        vehicles=tuple(VehicleSpec(VehicleState(*v["state"]), raw["controller"])
+                       for v, raw in zip(c["vehicles"], d["vehicles"])),
+        limits=_build("limits", ActuatorLimits, **c["limits"]),
+        barrier=BarrierConfig(_build("barrier", maneuver, **barrier), safety),
+        **{f"shaping_{key}": value for key, value in shaping.items()},
+        alpha_slope=c["alpha"]["slope"],
+        **{k: c[k] for k in ("sensor_range", "dt", "duration", "mode", "seed")},
     )
 
 
@@ -312,15 +342,10 @@ def scenario_example1() -> ScenarioConfig:
     )
     return ScenarioConfig(
         vehicles=vehicles,
-        limits=DEFAULT_LIMITS,
         barrier=BarrierConfig(StraightManeuver(v1=v1, v2=v2), DEFAULT_SAFETY),
         sensor_range=R,
-        shaping_xi=None,
-        shaping_beta=0.9,
-        alpha_slope=1.0,
         dt=0.01,
         duration=12.0,
-        mode="centralized",
     )
 
 
@@ -362,15 +387,10 @@ def scenario_example2() -> ScenarioConfig:
     evade = TurnManeuver(sigma=1.0, speed=DEFAULT_V_MIN, turn_rate=DEFAULT_OMEGA_MAX)
     return ScenarioConfig(
         vehicles=vehicles,
-        limits=DEFAULT_LIMITS,
         barrier=BarrierConfig(evade, DEFAULT_SAFETY),
         sensor_range=d_onset + DEFAULT_V_MAX * dt / 2,
-        shaping_xi=None,
-        shaping_beta=0.9,
-        alpha_slope=1.0,
         dt=dt,
         duration=12.0,
-        mode="centralized",
     )
 
 
@@ -388,15 +408,11 @@ def scenario_sweep(sensor_range: float = 350.0) -> ScenarioConfig:
     )
     return ScenarioConfig(
         vehicles=vehicles,
-        limits=DEFAULT_LIMITS,
         barrier=BarrierConfig(DEFAULT_TURN, DEFAULT_SAFETY),
         sensor_range=sensor_range,
         shaping_xi="auto",
-        shaping_beta=0.9,
-        alpha_slope=1.0,
         dt=0.01,
         duration=30.0,
-        mode="centralized",
     )
 
 
@@ -422,15 +438,11 @@ def scenario_circle20(start_radius: float = 1250.0) -> ScenarioConfig:
         )
     return ScenarioConfig(
         vehicles=tuple(vehicles),
-        limits=DEFAULT_LIMITS,
         barrier=BarrierConfig(DEFAULT_TURN, DEFAULT_SAFETY),
         sensor_range=350.0,
         shaping_xi="auto",
-        shaping_beta=0.9,
-        alpha_slope=1.0,
         dt=0.01,
         duration=80.0,
-        mode="centralized",
     )
 
 

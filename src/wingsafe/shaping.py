@@ -83,15 +83,20 @@ class ShapingParams:
 
 def make_quadratic_psi(xi: float, beta: float) -> ShapingParams:
     """Quadratic interpolant satisfying the blending constraints at beta*xi
-    and xi (see module docstring)."""
+    and xi (see module docstring).  Its coefficients must be finite floats,
+    which rules out an xi so small that 2*xi*(1 - beta) underflows."""
     if not 0.0 < xi < math.inf:  # also rejects NaN
         raise ValueError("require 0 < xi < inf")
     if not (0.0 < beta < 1.0):
         raise ValueError("require 0 < beta < 1")
-    c1 = -1.0 / (2.0 * xi * (1.0 - beta))
+    span = 2.0 * xi * (1.0 - beta)
+    c1 = -1.0 / span if span else -math.inf
     c2 = -2.0 * xi * c1
     bx = beta * xi
     c3 = bx - c1 * bx * bx - c2 * bx
+    if not all(map(math.isfinite, (c1, c2, c3))):
+        raise ValueError(f"require finite psi coefficients, got c1={c1!r} c2={c2!r} c3={c3!r} "
+                         f"for xi={xi!r} beta={beta!r}")
     return ShapingParams(xi=xi, beta=beta, c1=c1, c2=c2, c3=c3)
 
 

@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 import wingsafe
 from wingsafe.barrier import LinearGain, SafetyParams, StraightManeuver, TurnManeuver
-from wingsafe.cli import TRACE_BLOCK_ROWS, TRACE_COLUMNS, main, write_outputs
+from wingsafe.cli import TRACE_BLOCK_ROWS, TRACE_COLUMNS, RunManifest, main, write_outputs
 from wingsafe.dynamics import ActuatorLimits
 from wingsafe.scenarios import (
     builtin_scenarios,
@@ -54,6 +57,124 @@ class TestConfigRoundTrip:
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _load_workloads():
+    """perfbench/workloads.py, the benchmark's stdlib-only input generators."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
+
+
+def benchmark_inputs():
+    """(name, config dict) of every config the benchmark generates: the
+    airspace and encounter streams, and the self-test's edits of them."""
+    yield from ((f"airspace({seed})", WORKLOADS.airspace(seed)) for seed in (1, 2, 3))
+    stream = WORKLOADS.encounters(1)
+    yield from ((f"encounters(1)[{k}]", next(stream)) for k in range(20))
+    stream = WORKLOADS.encounters(1)
+    yield from ((f"encounters(1)[{k}] mode off", dict(next(stream), mode="off"))
+                for k in range(5))
+    goal = WORKLOADS.goal_vehicle
+    yield "parallel flights", WORKLOADS.scenario(
+        [goal(0.0, 0.0, 0.0, (2000.0, 0.0), cruise_speed=20.0),
+         goal(0.0, 1000.0, 0.0, (2000.0, 1000.0), cruise_speed=20.0)],
+        WORKLOADS.ENCOUNTER_DURATION, 1)
+
+
+class TestBenchmarkInputs:
+    """A schema change must not show up first as failed benchmark operations."""
+
+    @pytest.mark.parametrize("d", [pytest.param(d, id=name) for name, d in benchmark_inputs()])
+    def test_benchmark_config_loads_and_round_trips(self, d):
+        cfg = config_from_dict(copy.deepcopy(d))
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+        cfg.filter_config()
+        assert len(cfg.controllers()) == len(d["vehicles"])
+
+    @pytest.mark.parametrize("manifest", [
+        dict(scenario="circle20", config_path=None),
+        dict(scenario="sweep", config_path=None, sensor_range=350.0),
+    ], ids=["circle20", "check"])
+    def test_benchmark_manifest_loads(self, manifest):
+        cfg = RunManifest(out_dir=Path("."), **manifest).load()
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        cfg.filter_config()
+
+
+def _paths(node, path=()):
+    """Every path into a JSON value, as a tuple of keys and indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _dotted(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+ODD_VALUES = [1e308, -1e308, 5e-324, 0, -0.0, -1, 10**400, math.nan, math.inf, -math.inf,
+              True, None, "x", [], {}, [1.0]]
+
+
+class TestConfigFuzz:
+    SEEDS = [config_to_dict(cfg) for cfg in builtin_scenarios().values()] + [
+        WORKLOADS.airspace(1), next(WORKLOADS.encounters(1))]
+
+    @settings(max_examples=600, derandomize=True)
+    @given(data=st.data())
+    def test_odd_edit_loads_or_names_its_field(self, data, tmp_path_factory):
+        """Any one edit of any field of a builtin or benchmark config either
+        loads, and then runs through check, or is rejected with an error that
+        names the field or its section."""
+        d = copy.deepcopy(data.draw(st.sampled_from(self.SEEDS), label="seed config"))
+        path = data.draw(st.sampled_from(list(_paths(d))), label="path")
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        edit = data.draw(st.sampled_from(["replace", "delete", "sibling"]), label="edit")
+        if edit == "replace":
+            parent[path[-1]] = data.draw(st.sampled_from(ODD_VALUES), label="value")
+        elif edit == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent["zz_unknown"] = 1.0
+            path = path[:-1] + ("zz_unknown",)
+        else:
+            parent.append(1.0)
+            path = path[:-1] + (len(parent) - 1,)
+        try:
+            cfg = config_from_dict(d)
+        except ValueError as err:
+            text, where = str(err), _dotted(path)
+            assert text.startswith("config field "), text
+            # the field or fields named: the edited one, its section, or one in it
+            named = re.split(r"[ :]", text[len("config field "):].replace(", ", ","), maxsplit=1)
+            assert any(where.startswith(n) or n.startswith(where)
+                       for n in named[0].split(",")), (where, text)
+            return
+        for derived in (cfg.filter_config, cfg.controllers, lambda: cfg.n_steps):
+            try:
+                derived()
+            except ValueError:
+                pass
+        config = tmp_path_factory.getbasetemp() / "fuzz-scenario.json"
+        config.write_text(json.dumps(d))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", "--config", str(config), "--samples", "200"])
+        assert code in (0, 1, 3), (code, err.getvalue())
 
 
 class TestCmdRun:
@@ -404,25 +525,42 @@ class TestInputValidation:
         pytest.param(lambda: replace(scenario_sweep(), duration=math.inf),
                      id="ScenarioConfig.duration=inf"),
         pytest.param(lambda: make_quadratic_psi(math.inf, 0.9), id="make_quadratic_psi.xi=inf"),
+        pytest.param(lambda: make_quadratic_psi(5e-324, 0.9), id="make_quadratic_psi.xi=5e-324"),
+        # the raw barrier's config has no shaping section, yet check reads beta
+        pytest.param(lambda: replace(builtin_scenarios()["example1"], shaping_beta=5.0),
+                     id="ScenarioConfig.shaping_beta-raw"),
         pytest.param(lambda: LinearGain(math.inf), id="LinearGain.slope=inf"),
     ])
     def test_nan_parameter_rejected(self, build):
         with pytest.raises(ValueError):
             build()
 
-    @pytest.mark.parametrize("flag, value", [
-        pytest.param("--range", "nan", id="--range"),
-        pytest.param("--xi", "nan", id="--xi"),
-        pytest.param("--alpha", "nan", id="--alpha"),
-        pytest.param("--dt", "inf", id="--dt=inf"),
-        pytest.param("--xi", "inf", id="--xi=inf"),
-        pytest.param("--alpha", "inf", id="--alpha=inf"),
+    @pytest.mark.parametrize("flag, value, field", [
+        pytest.param("--range", "nan", "sensor_range", id="--range"),
+        pytest.param("--xi", "nan", "shaping.xi", id="--xi"),
+        pytest.param("--alpha", "nan", "alpha.slope", id="--alpha"),
+        pytest.param("--dt", "inf", "dt", id="--dt=inf"),
+        pytest.param("--xi", "inf", "shaping.xi", id="--xi=inf"),
+        pytest.param("--alpha", "inf", "alpha.slope", id="--alpha=inf"),
+        pytest.param("--dt", "5e-324", "dt", id="--dt=5e-324"),  # duration / dt overflows
+        pytest.param("--xi", "0", "shaping.xi", id="--xi=0"),
+        pytest.param("--alpha", "-1", "alpha.slope", id="--alpha=-1"),
+        pytest.param("--seed", "-3", "seed", id="--seed=-3"),
+        pytest.param("--beta", "5", "shaping.beta", id="--beta=5"),
+        pytest.param("--mode", "central", "mode", id="--mode=central"),
     ])
-    def test_nan_override_exit_one(self, flag, value, tmp_path, capsys):
-        code = run_cli("run", "--scenario", "sweep", "--dt", "0.05", flag, value,
-                       "--out", str(tmp_path / "o"))
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+    def test_nan_override_exit_one(self, flag, value, field, tmp_path, capsys):
+        # an override is checked as the config field it sets, by every command
+        for command, extra in (("run", []), ("sweep", ["--range", "350", "--workers", "1"]),
+                               ("check", ["--samples", "100"])):
+            if flag == "--range" and command == "sweep":
+                extra = []
+            code = run_cli(command, "--scenario", "sweep", "--dt", "0.05", flag, value, *extra,
+                           "--out", str(tmp_path / "o"))
+            err = capsys.readouterr().err
+            assert code == 1, command
+            assert err.startswith("error: config field ") and field in err, (command, err)
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_infinite_range_with_auto_shaping_exit_one(self, command, tmp_path, capsys):
@@ -461,7 +599,8 @@ class TestInputValidation:
         path.write_text(json.dumps(d))  # NaN is written as the token NaN
         code = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
         assert code == 1
-        assert "require finite v1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "barrier.v1" in err and "finite" in err
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["run", "--scenario", "sweep", "--bogus"], id="unknown-flag"),
@@ -513,6 +652,28 @@ class TestInputValidation:
         pytest.param(lambda d: d["shaping"].update(xi=10**400), "shaping.xi", id="huge-xi"),
         pytest.param(lambda d: _controller(d).update(cruise_speed=-10**400),
                      "vehicles[1].controller.cruise_speed", id="huge-cruise_speed"),
+        # duration / dt and R_min = 2*r1 + 2*r2 + sqrt(ds^2 + 4*delta) overflow
+        pytest.param(lambda d: d.update(duration=1e308), "duration", id="huge-duration"),
+        pytest.param(lambda d: d["barrier"].update(ds=1e308), "barrier", id="huge-ds"),
+        pytest.param(lambda d: d["shaping"].update(xi=0), "shaping.xi", id="zero-xi"),
+        # psi's coefficient 1 / (2 xi (1 - beta)) divides by zero
+        pytest.param(lambda d: d["shaping"].update(xi=5e-324), "shaping", id="subnormal-xi"),
+        pytest.param(lambda d: d["shaping"].update(xi=-math.inf), "shaping.xi",
+                     id="minus-infinite-xi"),
+        pytest.param(lambda d: d["alpha"].update(slope=0), "alpha.slope", id="zero-slope"),
+        pytest.param(lambda d: d.update(sensor_range=-1), "sensor_range", id="negative-range"),
+        pytest.param(lambda d: d.pop("vehicles"), "vehicles", id="no-vehicles"),
+        pytest.param(lambda d: d.update(mdoe="off"), "mdoe", id="unknown-key"),
+        pytest.param(lambda d: d["limits"].update(zeta_max=math.inf), "limits.zeta_max",
+                     id="infinite-zeta_max"),
+        pytest.param(lambda d: d["limits"].update(v_max=math.inf), "limits.v_max",
+                     id="infinite-v_max"),
+        pytest.param(lambda d: _controller(d).update(arrival_time=-1),
+                     "vehicles[1].controller.arrival_time", id="negative-arrival_time"),
+        pytest.param(lambda d: d.update(seed=-3), "seed", id="negative-seed"),
+        pytest.param(lambda d: d["limits"].update(v_max=14.0), "limits", id="v_max-below-v_min"),
+        pytest.param(lambda d: d["barrier"].update(speed=30.0), "barrier",
+                     id="maneuver-outside-box"),
     ])
     def test_malformed_config_exit_one(self, command, edit, field, tmp_path, capsys):
         d = config_to_dict(scenario_sweep())
@@ -524,7 +685,7 @@ class TestInputValidation:
         code = run_cli(command, "--config", str(path), "--out", str(tmp_path / "o"), *extra)
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: ") and field in err and "Traceback" not in err
+        assert err.startswith("error: config field ") and field in err and "Traceback" not in err
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_sweep_workers_below_one_exit_one(self, workers, tmp_path, capsys):

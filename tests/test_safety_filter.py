@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from wingsafe.barrier import (
     h_value,
     lie_derivatives,
 )
-from wingsafe import safety_filter
+from wingsafe import safety_filter, sim
 from wingsafe.dynamics import ControlInput, VehicleState
 from wingsafe.qp import solve_qp, solve_row_batch
 from wingsafe.safety_filter import FilterConfig, _shaped_rows, filter_controls, pair_pass
+from wingsafe.scenarios import run_scenario, scenario_circle20
 from wingsafe.shaping import SensorModel, make_quadratic_psi, psi_deriv_batch, xi_from_range
 
 from conftest import random_valid_pair, reference_clamp
@@ -404,3 +406,33 @@ class TestDomainErrors:
         assert res.events[0].startswith("domain-error pair=(1,2) negative radicand ")
         assert {1, 2} <= res.fallback
         assert res.controls[1].tolist() == [17.78, man.turn_rate, 0.0]
+
+
+@pytest.mark.parametrize("mode", ["centralized", "split"])
+def test_qp_problem_keeps_the_clamped_nominal(mode, monkeypatch):
+    """A QPProblem holds its own u_hat: the filter writes the optimum into
+    another array, so a problem read after the step still shows the nominal."""
+    problems, seen = [], []
+    solve, step_filter = safety_filter.solve_qp, sim.filter_controls
+
+    def spy_solve(problem, **kwargs):
+        problems.append(problem)
+        return solve(problem, **kwargs)
+
+    def spy_filter(*args, **kwargs):
+        start = len(problems)
+        result = step_filter(*args, **kwargs)
+        seen.extend((p, result) for p in problems[start:])
+        return result
+
+    monkeypatch.setattr(safety_filter, "solve_qp", spy_solve)
+    monkeypatch.setattr(sim, "filter_controls", spy_filter)
+    # 20 vehicles 90 m from the centre: binding rows share vehicles, so
+    # Goldfarb-Idnani runs
+    run_scenario(replace(scenario_circle20(start_radius=90.0), duration=1.0, mode=mode))
+    assert seen
+    for problem, result in seen:
+        if mode == "centralized":
+            assert np.array_equal(problem.u_hat, result.nominal.ravel())
+        else:  # one problem per vehicle: its row of the nominal
+            assert any(np.array_equal(problem.u_hat, row) for row in result.nominal)
