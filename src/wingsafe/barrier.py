@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal, NamedTuple, Union
 
 import numpy as np
@@ -113,12 +112,6 @@ class StraightManeuver:
 
 
 Maneuver = Union[TurnManeuver, StraightManeuver]
-
-
-def maneuver_control_vector(man: Maneuver) -> np.ndarray:
-    """The evading maneuver as a stacked 6-vector (v1, w1, z1, v2, w2, z2)."""
-    (u1, u2) = man.controls()
-    return np.array([*u1, *u2])
 
 
 @dataclass(frozen=True)
@@ -220,9 +213,9 @@ def phasor_rows(states) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), 8).view(complex).T
 
 
-@lru_cache(maxsize=None)
-def _role_weights(config: BarrierConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-role weights of the phasor rows; see pair_rows."""
+def role_weights(config: BarrierConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-role weights of the phasor rows, for pair_rows; FilterConfig
+    computes them once per run."""
     man = config.maneuver
     if isinstance(man, TurnManeuver):
         de = config.safety.delta
@@ -233,11 +226,12 @@ def _role_weights(config: BarrierConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.array([[1.0], [man.v1]]), np.array([[1.0], [man.v2]])
 
 
-def pair_rows(g, config: BarrierConfig) -> np.ndarray:
-    """The rows y the closed forms read, from pair phasor rows g: for the turn
-    [dz, i*v, 2i*conj(v), delta*(1 - i)*conj(e1)] with v = r1*e1 - r2*e2, for
-    the straight kind [dz, dv] with dv = v1*e1 - v2*e2."""
-    wa, wb = _role_weights(config)
+def pair_rows(g, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The rows y the closed forms read, from pair phasor rows g and the
+    barrier's role_weights: for the turn [dz, i*v, 2i*conj(v),
+    delta*(1 - i)*conj(e1)] with v = r1*e1 - r2*e2, for the straight kind
+    [dz, dv] with dv = v1*e1 - v2*e2."""
+    wa, wb = weights
     return np.subtract(g[0, : len(wa)] * wa, g[1, : len(wb)] * wb, order="C")
 
 
@@ -390,7 +384,7 @@ def domain_errors(
 def _pair_pass(pair: PairState, config: BarrierConfig, need_grad: bool):
     """barrier_pass of one pair, and its heading phasors; raises DomainError."""
     g = phasor_rows([pair.a, pair.b]).T.reshape(2, 4, 1)
-    p = barrier_pass(pair_rows(g, config), config)
+    p = barrier_pass(pair_rows(g, role_weights(config)), config)
     if not p.s[0] > 0.0:
         for _, msg in domain_errors(p, config, need_grad):
             raise DomainError(msg)

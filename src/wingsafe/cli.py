@@ -23,11 +23,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import secrets
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -232,6 +230,7 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float], workers: int | None = 
 
     try:
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # kept off run and check
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_one, jobs))
         else:
@@ -276,8 +275,8 @@ def _check(cfg: ScenarioConfig, samples: int) -> int:
             try:
                 xi = xi_from_range(cfg.sensor_range, cfg.barrier.maneuver, cfg.barrier.safety)
             except ValueError as err:
-                if not math.isfinite(cfg.sensor_range):
-                    raise  # a usage error, not an incompatible range
+                if cfg.sensor_range > cfg.r_min:
+                    raise  # R not finite, or too large for xi: a usage error, not incompatibility
                 print(f"no positive xi exists ({err})")
                 print("sensor compatible: no")
                 return EXIT_INCOMPATIBLE

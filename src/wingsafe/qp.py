@@ -43,7 +43,6 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -118,18 +117,11 @@ class QPProblem:
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All constraints as A u >= b: barrier rows first, then finite box
         faces (lower, then upper), preserving index order."""
-        eye = _identity(self.u_hat.size)
+        eye = np.eye(self.u_hat.size)
         lo, hi = np.isfinite(self.lower), np.isfinite(self.upper)
         A = np.concatenate([self.coeffs, eye[lo], 0.0 - eye[hi]])  # 0.0 - x: no negative zeros
         b = np.concatenate([-self.offsets, self.lower[lo], -self.upper[hi]])
         return A, b
-
-
-@lru_cache(maxsize=None)
-def _identity(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
 
 
 def solve_qp(problem: QPProblem, tol: float = STOP_TOL, max_iter: int | None = None,

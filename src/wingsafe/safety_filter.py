@@ -38,10 +38,8 @@ the actuator box; the event is reported, never raised.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -55,24 +53,41 @@ from .barrier import (
     barrier_pass,
     domain_errors,
     lie_rows,
-    maneuver_control_vector,
     pair_rows,
     phasor_rows,
+    role_weights,
 )
 from .dynamics import ActuatorLimits, ControlInput, VehicleState
 from .qp import QPInfeasibleError, QPProblem, solve_qp, solve_row_batch
 from .shaping import SensorModel, ShapingParams, psi_deriv_batch, shape_h_batch
 
 
+def pair_index(n: int) -> np.ndarray:
+    """Vehicle indices of all pairs i < j in lexicographic order, as the
+    (2, P) array [i, j]."""
+    idx = np.array(np.triu_indices(n, 1)).reshape(2, -1)
+    idx.flags.writeable = False
+    return idx
+
+
 @dataclass(frozen=True)
 class FilterConfig:
-    """Everything the filter needs besides the world state."""
+    """Everything the filter needs besides the world state, and the run's
+    constants derived from it at construction: one vehicle's box, the rows
+    lower and upper of a read-only (2, 3) array with zero signs as given;
+    the evading maneuver as the 6-vector (v1, w1, z1, v2, w2, z2); the
+    role_weights; and, on first use, stack(n).  They take no part in
+    comparison: equal configs compare and hash equal, and share nothing."""
 
     barrier: BarrierConfig
     sensor: SensorModel
     limits: ActuatorLimits
     gain: LinearGain = LinearGain(1.0)
     shaping: ShapingParams | None = None  # None = raw barrier (no reshaping)
+    box: np.ndarray = field(init=False, repr=False, compare=False)
+    evading: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _stacks: dict[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # The barrier's guarantee is the evading maneuver; it must be an
@@ -83,6 +98,27 @@ class FilterConfig:
                 raise ValueError(
                     f"evading maneuver control {u} lies outside the actuator box"
                 )
+        lim = self.limits
+        box = np.array([[lim.v_min, -lim.omega_max, -lim.zeta_max],
+                        [lim.v_max, lim.omega_max, lim.zeta_max]])
+        evading = np.ravel(self.barrier.maneuver.controls())
+        box.flags.writeable = evading.flags.writeable = False
+        # frozen: the derived fields are set past the dataclass's __setattr__
+        vars(self).update(box=box, evading=evading, weights=role_weights(self.barrier), _stacks={})
+
+    def stack(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only constants of n vehicles, computed on first use: the
+        (2, P) pair_index, the (2, 3n) box of the stacked control, and the
+        (2, 3n) stable ids (see FilterResult.active) of each entry's lower
+        and upper face, -1 for an infinite bound."""
+        if n not in self._stacks:
+            box = np.tile(self.box, n)  # np.copyto is slower with a broadcast bound
+            finite = np.isfinite(box)
+            # box faces follow the pair rows in QPProblem.stacked order
+            face = np.where(finite, n * (n - 1) // 2 - 1 + np.cumsum(finite).reshape(2, -1), -1)
+            box.flags.writeable = face.flags.writeable = False
+            self._stacks[n] = pair_index(n), box, face
+        return self._stacks[n]
 
 
 @dataclass
@@ -111,15 +147,6 @@ class FilterResult:
     active: list[int] = field(default_factory=list)
 
 
-@lru_cache(maxsize=None)
-def pair_index(n: int) -> np.ndarray:
-    """Vehicle indices of all pairs i < j in lexicographic order, as the
-    (2, P) array [i, j]."""
-    idx = np.array(np.triu_indices(n, 1)).reshape(2, -1)
-    idx.flags.writeable = False
-    return idx
-
-
 class PairPass(NamedTuple):
     """The array pass over all pairs (see pair_index), and which rows carry a
     gradient if sensed: below the shaping threshold, or every defined row of
@@ -134,8 +161,8 @@ class PairPass(NamedTuple):
 
 
 def pair_pass(world: list[VehicleState], config: FilterConfig) -> PairPass:
-    g = phasor_rows(world).take(pair_index(len(world)), 1).transpose(1, 0, 2)
-    b = barrier_pass(pair_rows(g, config.barrier), config.barrier)
+    g = phasor_rows(world).take(config.stack(len(world))[0], 1).transpose(1, 0, 2)
+    b = barrier_pass(pair_rows(g, config.weights), config.barrier)
     h = b.s - config.barrier.safety.ds
     if config.shaping is None:
         h_shaped, lie = h, b.s >= 0.0
@@ -154,28 +181,6 @@ def _shaped_rows(p: PairPass, rows, config: FilterConfig) -> np.ndarray:
     if config.shaping is not None:
         lg *= psi_deriv_batch(p.h.take(rows), config.shaping)[:, None]
     return lg
-
-
-def _box(limits: ActuatorLimits, n_vehicles: int):
-    """Read-only bounds of the stacked control, and the (2, 3n) stable ids
-    (see FilterResult.active) of each entry's lower and upper face, -1 for
-    an infinite bound."""
-    # limits with zeta_max 0.0 and -0.0 are equal, and clamp a climb to
-    # zeros of opposite sign, so the sign is part of the cache key
-    return _box_of(limits, math.copysign(1.0, limits.zeta_max), n_vehicles)
-
-
-@lru_cache(maxsize=None)
-def _box_of(limits: ActuatorLimits, zeta_sign: float, n_vehicles: int):
-    lo = np.array([limits.v_min, -limits.omega_max, -limits.zeta_max] * n_vehicles)
-    hi = np.array([limits.v_max, limits.omega_max, limits.zeta_max] * n_vehicles)
-    finite = np.isfinite([lo, hi])
-    n_pairs = n_vehicles * (n_vehicles - 1) // 2
-    # box faces follow the pair rows in QPProblem.stacked order
-    face = np.where(finite, n_pairs - 1 + np.cumsum(finite).reshape(finite.shape), -1)
-    for a in (lo, hi, face):
-        a.flags.writeable = False
-    return lo, hi, face
 
 
 def filter_controls(
@@ -200,7 +205,8 @@ def filter_controls(
     n = len(world)
     if len(nominal) != n:
         raise ValueError("one nominal control per vehicle required")
-    lo, hi, _ = _box(config.limits, n)
+    idx, (lo, hi), _ = config.stack(n)
+    ii, jj = idx
     u_hat = np.fromiter(chain.from_iterable(nominal), float, 3 * n)
     # x stays unless strictly outside, as in min(max(x, lo), hi); np.clip
     # may flip the sign of a zero at a zero bound (zeta_max = 0)
@@ -212,7 +218,6 @@ def filter_controls(
     ok = p.in_sensor  # sensed rows whose constraint can be evaluated
     failed_rows = []  # sensed rows whose constraint cannot be evaluated
     if not p.barrier.s.min(initial=np.inf) > 0.0:  # some barrier may be undefined (NaN)
-        ii, jj = pair_index(n)
         failed = np.zeros(p.h.shape, bool)
         for k, msg in domain_errors(p.barrier, config.barrier, p.lie):
             result.events.append(f"domain-error pair=({ii[k]},{jj[k]}) {msg}")
@@ -228,7 +233,6 @@ def filter_controls(
     if not np.count_nonzero(need) and not failed_rows:
         return result  # no row can bind: the nominal stands
 
-    ii, jj = idx = pair_index(n)
     for k in failed_rows:
         # cannot evaluate the constraint: treat both vehicles as conflicted
         result.fallback.update((int(ii[k]), int(jj[k])))
@@ -249,7 +253,7 @@ def filter_controls(
             # each vehicle's role in the lowest-indexed sensed pair containing
             # it, else in the lowest-indexed pair that could not be evaluated
             order = np.flatnonzero(ok).tolist() + failed_rows
-            u1, u2 = config.barrier.maneuver.controls()
+            u1, u2 = config.evading.reshape(2, 3)
             for v in sorted(result.fallback):
                 first = next(k for k in order if v in (ii[k], jj[k]))
                 u[v] = u1 if ii[first] == v else u2
@@ -285,7 +289,7 @@ def _filter_centralized(config, result, u, rows, pairs, lg, offset, hint):
     k, n = len(offset), len(u)
     if not k:
         return
-    lo, hi, face = _box(config.limits, n)
+    _, (lo, hi), face = config.stack(n)
     if len(set(pairs.ravel().tolist())) == 2 * k:
         solved = solve_row_batch(u.take(pairs.T, 0).reshape(k, 6), lg, offset, lo[:6], hi[:6])
         if solved is not None:
@@ -334,8 +338,7 @@ def _filter_split(config, result, u, pairs, lg, offset):
     the vehicle's own evading control equals (lg . g + off)/2 >= 0 whenever
     the pair is safe, so the halves are individually satisfiable.
     """
-    gamma = maneuver_control_vector(config.barrier.maneuver)
-    lo, hi, _ = _box(config.limits, 1)
+    gamma, (lo, hi) = config.evading, config.box
     ri, rj = pairs
     for v in range(len(u)):
         coeffs, halves = [], []

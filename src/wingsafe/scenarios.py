@@ -80,11 +80,11 @@ class VehicleSpec:
 
 @dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    """A scenario.  Construction checks config_to_dict(self) against SCHEMA
-    and FilterConfig's check of the maneuver against the box, then computes
-    n_steps, r_min (NaN for the straight barrier) and the controllers once.
-    R <= R_min with "auto" shaping is left to resolve_shaping: `check`
-    reports it as incompatibility, not as a bad config."""
+    """A scenario.  Construction checks config_to_dict(self) against SCHEMA,
+    alpha_slope * dt <= 1 and the maneuver against the box (FilterConfig),
+    then computes n_steps, r_min (NaN for the straight barrier) and the
+    controllers once.  R <= R_min with "auto" shaping is left to
+    resolve_shaping: `check` reports it as incompatibility, not a bad config."""
 
     vehicles: tuple[VehicleSpec, ...]
     barrier: BarrierConfig
@@ -105,6 +105,9 @@ class ScenarioConfig:
         checked = _read(SCHEMA, config_to_dict(self), "")
         # the raw barrier's JSON form has no beta, but `check` reads it
         _read(SCHEMA.holds["shaping"].holds["beta"], self.shaping_beta, "shaping.beta")
+        # a held step lets h fall by about alpha*h*dt: past zero once alpha*dt > 1
+        _read(Field(("number",), lambda v: v <= 1.0, "at most 1 as slope * dt"),
+              self.alpha_slope * self.dt, "alpha.slope, dt")
         _build("barrier, limits", FilterConfig, self.barrier, SensorModel(self.sensor_range),
                self.limits)
         if self.shaping_xi not in (None, "auto"):  # "auto" waits for resolve_shaping
@@ -117,7 +120,7 @@ class ScenarioConfig:
         for name, (involved, value) in derived.items():
             try:
                 object.__setattr__(self, name, value())
-            except OverflowError:
+            except (OverflowError, ValueError):  # min_sensing_range raises ValueError
                 raise ValueError(f"config field {involved}: {name} overflows") from None
         controllers = tuple(_controller(v["controller"]) for v in checked["vehicles"])
         object.__setattr__(self, "_controllers", controllers)

@@ -129,23 +129,27 @@ def min_sensing_range(m: TurnManeuver, params: SafetyParams) -> float:
     sqrt((R - 2*r1 - 2*r2)^2 - 4*delta) - ds > 0 bounds the worst future
     safety value from below.
     """
-    return 2.0 * m.r1 + 2.0 * m.r2 + math.sqrt(params.ds**2 + 4.0 * params.delta)
+    try:
+        return 2.0 * m.r1 + 2.0 * m.r2 + math.sqrt(params.ds**2 + 4.0 * params.delta)
+    except OverflowError:  # from ds**2
+        raise ValueError(f"require ds**2 finite for R_min, got ds = {params.ds!r}") from None
 
 
 def xi_from_range(R: float, m: TurnManeuver, params: SafetyParams) -> float:
     """Largest provably valid shaping threshold for sensor range R:
     xi = sqrt((R - 2*r1 - 2*r2)^2 - 4*delta) - ds.
 
-    Raises for a non-finite R, which bounds no xi, and for R at or below
-    min_sensing_range (no positive xi exists).
+    Raises for R at or below min_sensing_range (no positive xi exists) and
+    for an R with no finite xi (R not finite, or so large that xi overflows).
     """
-    if not math.isfinite(R):
-        raise ValueError(f"auto shaping needs a finite sensor range, got R = {R}")
     rmin = min_sensing_range(m, params)
     if R <= rmin:
         raise ValueError(f"no positive xi exists: R = {R} <= R_min = {rmin}")
     reach = R - 2.0 * m.r1 - 2.0 * m.r2
-    return math.sqrt(reach * reach - 4.0 * params.delta) - params.ds
+    xi = math.sqrt(reach * reach - 4.0 * params.delta) - params.ds
+    if not xi < math.inf:  # also NaN
+        raise ValueError(f"auto shaping needs a finite sensor range with a finite xi, got R = {R}")
+    return xi
 
 
 def analytic_compatible(
@@ -160,7 +164,7 @@ def analytic_compatible(
         return False
     try:
         return shaping.xi <= xi_from_range(sensor.range_m, config.maneuver, config.safety)
-    except ValueError:  # R <= R_min, or R not finite
+    except ValueError:  # R <= R_min, R not finite, or xi(R) overflows: nothing is shown
         return False
 
 

@@ -20,11 +20,11 @@ from wingsafe.barrier import (
     h_value,
     lie_derivatives,
     lie_rows,
-    maneuver_control_vector,
     minimizer_tau,
     flat_pair_rows,
     pair_rows,
     phasor_rows,
+    role_weights,
     rho_straight,
     rho_turn,
     squared_planar_distance,
@@ -387,7 +387,7 @@ class TestLieDerivatives:
                 cfg = make(rng)
                 pair = random_valid_pair(rng, cfg, span=span)
                 _, lg = lie_derivatives(pair, cfg)
-                gamma = maneuver_control_vector(cfg.maneuver)
+                gamma = np.ravel(cfg.maneuver.controls())
                 assert float(lg @ gamma) >= -1e-9
 
 
@@ -395,7 +395,7 @@ class TestConstraintMargin:
     def test_maneuver_margin_nonnegative_on_safe_states(self, turn_config):
         rng = np.random.default_rng(15)
         alpha = LinearGain(1.0)
-        gamma = maneuver_control_vector(turn_config.maneuver)
+        gamma = np.ravel(turn_config.maneuver.controls())
         pairs = [
             random_valid_pair(rng, turn_config, span=400.0, require_safe=True) for _ in range(100)
         ]
@@ -451,11 +451,12 @@ class TestArrayPassAgreement:
         pair_arrays = np.array(
             [(p.a.px, p.a.py, p.a.heading, p.b.px, p.b.py, p.b.heading) for p in pairs]
         ).T
-        p = barrier_pass(pair_rows(g, cfg), cfg)
+        y = pair_rows(g, role_weights(cfg))
+        p = barrier_pass(y, cfg)
         tau = minimizer_tau(p, cfg)
         _, lg = lie_rows(p, g[:, 1].T, cfg)
         h = h_batch(pair_arrays, cfg)
-        np.testing.assert_array_equal(flat_pair_rows(pair_arrays, cfg), pair_rows(g, cfg))
+        np.testing.assert_array_equal(flat_pair_rows(pair_arrays, cfg), y)
         np.testing.assert_array_equal(h, p.s - cfg.safety.ds)
         for k, pair in enumerate(pairs):
             if np.isnan(p.s[k]):

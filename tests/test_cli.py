@@ -97,6 +97,11 @@ class TestBenchmarkInputs:
         cfg.filter_config()
         assert len(cfg.controllers()) == len(d["vehicles"])
 
+    def test_every_input_meets_the_alpha_dt_bound(self):
+        configs = [*builtin_scenarios().values(),
+                   *(config_from_dict(copy.deepcopy(d)) for _, d in benchmark_inputs())]
+        assert {cfg.alpha_slope * cfg.dt for cfg in configs} == {0.01}
+
     @pytest.mark.parametrize("manifest", [
         dict(scenario="circle20", config_path=None),
         dict(scenario="sweep", config_path=None, sensor_range=350.0),
@@ -230,7 +235,8 @@ class TestCmdRun:
 
     def test_zero_steps_header_only_trace(self, tmp_path):
         out = tmp_path / "out"
-        assert run_cli("run", "--scenario", "sweep", "--out", str(out), "--dt", "100") == 0
+        assert run_cli("run", "--scenario", "sweep", "--out", str(out), "--dt", "100",
+                       "--alpha", "0.01") == 0
         assert (out / "trace.csv").read_text().splitlines() == [",".join(TRACE_COLUMNS)]
 
     def test_event_times_match_trace_rows(self, tmp_path):
@@ -368,7 +374,8 @@ class TestSensorCompatible:
                              ids=["auto", "xi-40", "range-319"])
     def test_run_agrees_with_check(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
-        run_cli("run", "--scenario", "sweep", "--dt", "10", *argv, "--out", str(out))
+        run_cli("run", "--scenario", "sweep", "--dt", "10", "--alpha", "0.1", *argv,
+                "--out", str(out))
         compatible = json.loads((out / "metrics.json").read_text())["sensor_compatible"]
         run_cli("check", "--scenario", "sweep", "--samples", "1000", *argv,
                 "--out", str(tmp_path / "o"))
@@ -562,6 +569,22 @@ class TestInputValidation:
             assert err.startswith("error: config field ") and field in err, (command, err)
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["--alpha", "150"], ["--dt", "0.1", "--alpha", "20"]],
+                             ids=["alpha=150", "dt=0.1,alpha=20"])
+    def test_alpha_dt_above_one_exit_one(self, argv, tmp_path, capsys):
+        # a held step would let the class-K row drive h past zero
+        for command, extra in (("run", []), ("sweep", ["--range", "350", "--workers", "1"]),
+                               ("check", ["--samples", "100"])):
+            code = run_cli(command, "--scenario", "sweep", *argv, *extra,
+                           "--out", str(tmp_path / "o"))
+            err = capsys.readouterr().err
+            assert code == 1, command
+            assert err.startswith("error: config field alpha.slope, dt must be "), (command, err)
+
+    def test_alpha_dt_of_one_loads(self):
+        cfg = replace(scenario_sweep(), alpha_slope=100.0)
+        assert cfg.alpha_slope * cfg.dt == 1.0
+
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_infinite_range_with_auto_shaping_exit_one(self, command, tmp_path, capsys):
         out = ["--out", str(tmp_path / "o")] if command == "run" else []
@@ -569,6 +592,15 @@ class TestInputValidation:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "range" in err
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_range_too_large_for_auto_shaping_exit_one(self, command, tmp_path, capsys):
+        # (R - 2*r1 - 2*r2)^2 overflows, so xi(R) has no float value
+        code = run_cli(command, "--scenario", "sweep", "--range", "1e200",
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sensor range" in err and "R = 1e+200" in err, err
 
     def test_infinite_duration_in_config_exit_one(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
@@ -703,10 +735,20 @@ class TestInputValidation:
         assert "error: " in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy serves only qp.kkt_residual, which no run path calls
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether importing wingsafe.cli in a fresh interpreter loads module."""
     env = {**os.environ, "PYTHONPATH": str(Path(wingsafe.__file__).resolve().parents[1])}
-    probe = "import sys, wingsafe.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, wingsafe.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy serves only qp.kkt_residual, which no run path calls
+    assert not _loaded_by_cli_import("scipy")
+
+
+def test_cli_import_leaves_process_pool_out():
+    # only a sweep with more than one worker starts processes
+    assert not _loaded_by_cli_import("concurrent.futures.process")

@@ -3,20 +3,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wingsafe.barrier import (
     BarrierConfig,
+    DomainError,
     LinearGain,
     PairState,
     SafetyParams,
+    StraightManeuver,
     TurnManeuver,
+    h_batch,
     h_value,
     lie_derivatives,
 )
 from wingsafe import safety_filter, sim
-from wingsafe.dynamics import ControlInput, VehicleState
+from wingsafe.dynamics import ActuatorLimits, ControlInput, VehicleState
 from wingsafe.qp import solve_qp, solve_row_batch
-from wingsafe.safety_filter import FilterConfig, _shaped_rows, filter_controls, pair_pass
+from wingsafe.safety_filter import (FilterConfig, _shaped_rows, filter_controls, pair_index,
+                                    pair_pass)
 from wingsafe.scenarios import run_scenario, scenario_circle20
 from wingsafe.shaping import SensorModel, make_quadratic_psi, psi_deriv_batch, xi_from_range
 
@@ -436,3 +442,88 @@ def test_qp_problem_keeps_the_clamped_nominal(mode, monkeypatch):
             assert np.array_equal(problem.u_hat, result.nominal.ravel())
         else:  # one problem per vehicle: its row of the nominal
             assert any(np.array_equal(problem.u_hat, row) for row in result.nominal)
+
+
+def _bits(a) -> list:
+    """The float array a as bit patterns, so that -0.0 != 0.0 and NaN == NaN."""
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+_near = st.builds(lambda x, y, th: VehicleState(x, y, th, 0.0),
+                  st.floats(-40.0, 40.0), st.floats(-40.0, 40.0), st.floats(-math.pi, math.pi))
+
+
+class TestTwinConfigsShareNothing:
+    """FilterConfig derives its box, maneuver vector and role weights per
+    instance.  Two configs that differ only in the sign of a zero compare
+    and hash equal, so a module cache keyed on config values would hand one
+    the other's constants.  Every run must give the same bits before and
+    after its twin runs, and each filter run must match references that
+    read the config's own fields."""
+
+    @settings(max_examples=120)
+    @given(data=st.data())
+    def test_filter_ignores_a_twin_run_first(self, data):
+        zero = data.draw(st.sampled_from([0.0, -0.0]), label="zero")
+        straight = data.draw(st.booleans(), label="straight")
+        xi = data.draw(st.sampled_from([None, 10.0]), label="xi")
+
+        def config(z):
+            # a zero climb box (zeta_max = z); the straight maneuver's climbs are z too
+            man = (StraightManeuver(16.0, 24.0, zeta1=z, zeta2=z) if straight
+                   else TurnManeuver(1.0, 16.0, 0.2))
+            return FilterConfig(BarrierConfig(man, SafetyParams(0.01, 5.0)), SensorModel(350.0),
+                                ActuatorLimits(15.0, 25.0, 0.2269, z),
+                                shaping=None if xi is None else make_quadratic_psi(xi, 0.9))
+
+        world = data.draw(st.lists(_near, min_size=2, max_size=4), label="world")
+        climb = st.sampled_from([0.0, -0.0, 1.0, -1.0])
+        nominal = data.draw(st.lists(st.builds(ControlInput, st.floats(10.0, 30.0),
+                                               st.floats(-0.5, 0.5), climb),
+                                     min_size=len(world), max_size=len(world)), label="nominal")
+        mode = data.draw(st.sampled_from(["centralized", "split", "off"]), label="mode")
+        ii, jj = pair_index(len(world))
+        cols = np.array([(s.px, s.py, s.heading) for s in world]).T
+
+        def run(cfg):
+            res = filter_controls(world, nominal, cfg, mode=mode)
+            clamped = [reference_clamp(u, cfg.limits) for u in nominal]
+            assert _bits(res.nominal) == _bits(clamped)
+            # h_batch builds its pair rows from the maneuver's own fields
+            assert _bits(res.h) == _bits(h_batch((*cols[:, ii], *cols[:, jj]), cfg.barrier))
+            evading = cfg.barrier.maneuver.controls()
+            for v in res.fallback:
+                assert _bits(res.controls[v]) in (_bits(evading[0]), _bits(evading[1]))
+            arrays = (res.nominal, res.controls, res.h, res.h_shaped, res.margin)
+            return ([_bits(a) for a in arrays], res.in_sensor.tolist(), res.events,
+                    sorted(res.fallback), res.active)
+
+        first, twin = config(zero), config(-zero)
+        assert first == twin and hash(first) == hash(twin)
+        alone = run(first)
+        run(twin)
+        assert run(first) == alone
+        assert run(config(zero)) == alone
+
+    @settings(max_examples=60)
+    @given(zero=st.sampled_from([0.0, -0.0]),
+           pairs=st.lists(st.tuples(_near, _near), min_size=1, max_size=6))
+    def test_barrier_ignores_a_twin_run_first(self, zero, pairs):
+        # a straight maneuver with v1 = +-0.0 lies outside every actuator box,
+        # so the barrier's one-pair wrappers, which read role_weights, take it
+        def run(z):
+            cfg = BarrierConfig(StraightManeuver(v1=z, v2=20.0), SafetyParams(0.01, 5.0))
+            out = []
+            for a, b in pairs:
+                try:
+                    value = h_value(PairState(a, b), cfg)
+                    lg = lie_derivatives(PairState(a, b), cfg)[1]
+                except DomainError as err:
+                    out.append(str(err))
+                else:
+                    out.append([_bits(value), _bits(lg)])
+            return out
+
+        alone = run(zero)
+        run(-zero)
+        assert run(zero) == alone

@@ -16,6 +16,7 @@ from wingsafe.barrier import (
 from wingsafe.dynamics import VehicleState
 from wingsafe.shaping import (
     SensorModel,
+    analytic_compatible,
     check_sensor_compatible,
     in_sensor_set,
     make_quadratic_psi,
@@ -208,6 +209,26 @@ class TestRangeFormulas:
     def test_xi_needs_a_finite_range(self, R, turn_maneuver, safety):
         with pytest.raises(ValueError, match="finite sensor range"):
             xi_from_range(R, turn_maneuver, safety)
+
+    def test_xi_overflow_names_the_range(self, turn_maneuver, safety):
+        with pytest.raises(ValueError, match="sensor range .*R = 1e[+]200"):
+            xi_from_range(1e200, turn_maneuver, safety)
+
+    def test_analytic_bound_not_shown_where_xi_overflows(self, turn_config):
+        # xi(R) has no float value, so no xi can be shown to lie below it
+        shaping = make_quadratic_psi(5.0, 0.9)
+        assert analytic_compatible(turn_config, shaping, SensorModel(1e150))
+        assert not analytic_compatible(turn_config, shaping, SensorModel(1e200))
+
+    @pytest.mark.parametrize("R", [319.0, 350.0, 1e6, 1e150])
+    def test_finite_xi_keeps_its_formula(self, R, turn_maneuver, safety):
+        reach = R - 2.0 * turn_maneuver.r1 - 2.0 * turn_maneuver.r2
+        want = math.sqrt(reach * reach - 4.0 * safety.delta) - safety.ds
+        assert xi_from_range(R, turn_maneuver, safety) == want
+
+    def test_r_min_overflow_names_ds(self, turn_maneuver):
+        with pytest.raises(ValueError, match="ds = 1e[+]200"):
+            min_sensing_range(turn_maneuver, SafetyParams(delta=0.01, ds=1e200))
 
     def test_infinite_range_sensor_is_valid(self):
         # full sensing with the raw barrier is a real configuration

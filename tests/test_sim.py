@@ -288,7 +288,7 @@ class TestMetrics:
         assert 0 <= t_min <= 2.0 + trace.times[1]
 
     def test_zero_steps(self):
-        cfg = replace(scenario_sweep(), dt=100.0)
+        cfg = replace(scenario_sweep(), dt=100.0, alpha_slope=0.01)  # alpha * dt <= 1
         trace, m = run_scenario(cfg)
         assert m.n_steps == trace.n_steps == 0
         assert trace.states.shape == (0, 2, 4)
@@ -301,7 +301,8 @@ class TestMetrics:
         assert m.max_control_jump == (0.0, 0.0)
 
     def test_one_step_closest_approach_at_final_state(self):
-        trace, m = run_scenario(replace(scenario_sweep(), dt=10.0, duration=10.0, mode="off"))
+        cfg = replace(scenario_sweep(), dt=10.0, duration=10.0, mode="off", alpha_slope=0.1)
+        trace, m = run_scenario(cfg)
         assert m.n_steps == 1
         t_min, d_min = m.closest_approach["0-1"]
         assert t_min == 10.0
