@@ -92,8 +92,8 @@ class TurnManeuver:
 
 @dataclass(frozen=True)
 class StraightManeuver:
-    """Both vehicles hold heading; speeds must differ so the relative
-    velocity can never vanish."""
+    """Both vehicles hold heading at positive airspeeds; speeds must differ
+    so the relative velocity can never vanish."""
 
     v1: float
     v2: float
@@ -104,6 +104,8 @@ class StraightManeuver:
         for name in ("v1", "v2", "zeta1", "zeta2"):
             if not abs(getattr(self, name)) < math.inf:  # also rejects NaN
                 raise ValueError(f"require finite {name}")
+        if not (self.v1 > 0.0 and self.v2 > 0.0):  # also rejects -0.0
+            raise ValueError("require v1 > 0 and v2 > 0")
         if self.v1 == self.v2:
             raise ValueError("require v1 != v2")
 

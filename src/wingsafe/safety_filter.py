@@ -23,12 +23,10 @@ Modes:
   problem of its own and solve_row_batch solves them in closed form;
   otherwise solve_qp (Goldfarb-Idnani) does, warm-started from a hint of
   its active set (the previous step's, see FilterResult.active).
-* split: per-vehicle QPs.  A pair row is divided between its two vehicles:
-  each enforces its own Lie-derivative share plus half the class-K offset,
-  with a symmetrization term that charges the neighbor's contribution at the
-  neighbor's evading-maneuver control.  Satisfying both halves implies the
-  full pair row, and each half is always satisfiable by the vehicle's own
-  evading control when the pair is safe.
+* split: per-vehicle QPs.  Each vehicle enforces its half of every sensed
+  pair's row (see _filter_split).  All half-rows are built in one array
+  pass, and only a vehicle with a half-row violated at its clamped nominal
+  gets a QP: elsewhere the QP's optimum is that nominal itself.
 * off: the clamped nominal controls pass through.
 
 On QP infeasibility (or a barrier domain error) the affected vehicles fall
@@ -325,8 +323,9 @@ def _filter_centralized(config, result, u, rows, pairs, lg, offset, hint):
 
 
 def _filter_split(config, result, u, pairs, lg, offset):
-    """Per-vehicle QPs with the pair rows divided half-and-half; each
-    overwrites its vehicle's row of the controls u with its optimum.
+    """Per-vehicle QPs over the pair rows divided half-and-half, one for
+    each vehicle with a half-row violated at u; each overwrites its
+    vehicle's row of the controls u with its optimum.
 
     For pair (i, j) with full row  lg_i . u_i + lg_j . u_j + off >= 0,
     vehicle i receives
@@ -336,34 +335,31 @@ def _filter_split(config, result, u, pairs, lg, offset):
     (g = the pair's evading controls).  Adding the two vehicle rows
     recovers exactly the full pair row, and each vehicle row evaluated at
     the vehicle's own evading control equals (lg . g + off)/2 >= 0 whenever
-    the pair is safe, so the halves are individually satisfiable.
-    """
-    gamma, (lo, hi) = config.evading, config.box
-    ri, rj = pairs
-    for v in range(len(u)):
-        coeffs, halves = [], []
-        stuck = False
-        for k in np.flatnonzero((ri == v) | (rj == v)):
-            first = ri[k] == v
-            mine, theirs = (lg[k, :3], lg[k, 3:]) if first else (lg[k, 3:], lg[k, :3])
-            g_mine, g_theirs = (gamma[:3], gamma[3:]) if first else (gamma[3:], gamma[:3])
-            corr = 0.5 * (float(theirs @ g_theirs) - float(mine @ g_mine))
-            half = 0.5 * float(offset[k]) + corr
-            if mine.any():
-                coeffs.append(mine)
-                halves.append(half)
-            elif half < 0.0:
-                # no actuation authority over a violated half-row
-                result.events.append(f"qp-infeasible mode=split vehicle={v} zero row")
-                result.fallback.add(v)
-                stuck = True
-                break
-        if stuck or not halves:
-            continue
+    the pair is safe, so the halves are individually satisfiable."""
+    lo, hi = config.box
+    # the role shares lg_i . g_i and lg_j . g_j of each row; a matmul gives
+    # the bits of each one-row product a @ b
+    share = (lg.reshape(-1, 2, 1, 3) @ config.evading.reshape(2, 3, 1))[..., 0, 0]
+    half = 0.5 * offset[:, None] + 0.5 * (share[:, ::-1] - share)
+    order = np.argsort(pairs.T.ravel(), kind="stable")  # the half-rows by vehicle, in row order
+    who, coeffs, half = pairs.T.ravel()[order], lg.reshape(-1, 3)[order], half.ravel()[order]
+    held = (coeffs * u[who]).sum(axis=1) + half >= 0.0  # False for NaN, which the QP rejects
+    bad = np.unique(who[~held])  # ascending
+    live = coeffs.any(axis=1)  # a zero half-row binds only through its half
+    stuck = set(who[~live & (half < 0.0)].tolist())
+    who, coeffs, half = who[live], coeffs[live], half[live]
+    for v, a, b in zip(bad.tolist(), np.searchsorted(who, bad).tolist(),
+                       np.searchsorted(who, bad, side="right").tolist()):
         try:
-            u_star, _ = solve_qp(QPProblem(u[v].copy(), np.array(coeffs), halves, lo, hi))
+            if v in stuck:  # no actuation authority over a violated half-row
+                raise QPInfeasibleError("zero row")
+            u_star, _ = solve_qp(QPProblem(u[v].copy(), coeffs[a:b], half[a:b], lo, hi))
         except QPInfeasibleError as err:
             result.events.append(f"qp-infeasible mode=split vehicle={v} {err}")
             result.fallback.add(v)
         else:
             u[v] = np.clip(u_star, lo, hi)
+    # a vehicle whose half-rows all hold keeps u_hat, clamped as the
+    # optimum would be: np.clip may flip the sign of a zero at a zero bound
+    kept = np.setdiff1d(who, bad)
+    u[kept] = np.clip(u[kept], lo, hi)

@@ -18,6 +18,7 @@ from wingsafe.barrier import (
     h_value,
 )
 from wingsafe.dynamics import ActuatorLimits, ControlInput, VehicleState
+from wingsafe.qp import QPInfeasibleError, QPProblem, solve_qp
 from wingsafe.safety_filter import FilterConfig, filter_controls, pair_index, pair_pass
 from wingsafe.shaping import SensorModel
 
@@ -159,3 +160,39 @@ def filter_clamp(controls, limits: ActuatorLimits) -> np.ndarray:
     fc = FilterConfig(BarrierConfig(man, SafetyParams(DELTA, DS)), SensorModel(350.0), limits)
     world = [VehicleState(1000.0 * k, 0.0, 0.0) for k in range(len(controls))]
     return filter_controls(world, list(controls), fc, mode="off").nominal
+
+
+def reference_split(config, result, u, pairs, lg, offset):
+    """Split mode's per-vehicle loop, one scalar half-row at a time and one
+    QP for every vehicle with a nonzero half-row: the reference that
+    safety_filter._filter_split matches bit for bit, in u, events and
+    fallback.  The arguments are _filter_split's."""
+    gamma, (lo, hi) = config.evading, config.box
+    ri, rj = pairs
+    for v in range(len(u)):
+        coeffs, halves = [], []
+        stuck = False
+        for k in np.flatnonzero((ri == v) | (rj == v)):
+            first = ri[k] == v
+            mine, theirs = (lg[k, :3], lg[k, 3:]) if first else (lg[k, 3:], lg[k, :3])
+            g_mine, g_theirs = (gamma[:3], gamma[3:]) if first else (gamma[3:], gamma[:3])
+            corr = 0.5 * (float(theirs @ g_theirs) - float(mine @ g_mine))
+            half = 0.5 * float(offset[k]) + corr
+            if mine.any():
+                coeffs.append(mine)
+                halves.append(half)
+            elif half < 0.0:
+                # no actuation authority over a violated half-row
+                result.events.append(f"qp-infeasible mode=split vehicle={v} zero row")
+                result.fallback.add(v)
+                stuck = True
+                break
+        if stuck or not halves:
+            continue
+        try:
+            u_star, _ = solve_qp(QPProblem(u[v].copy(), np.array(coeffs), halves, lo, hi))
+        except QPInfeasibleError as err:
+            result.events.append(f"qp-infeasible mode=split vehicle={v} {err}")
+            result.fallback.add(v)
+        else:
+            u[v] = np.clip(u_star, lo, hi)

@@ -207,56 +207,52 @@ def test_criterion_8_containment_and_gain(turn_config, limits):
         assert np.all(alpha2(h, gain, shaping) >= gain(h) - 1e-12)
 
 
+def sample_encounter(rng, base):
+    """A random two-vehicle encounter of base (the sweep scenario): the
+    vehicles start outside its sensing range (so h starts above xi, on the
+    shaped plateau) and fly through a shared crossing region for 20 s at
+    dt=0.01.  See the decisions ledger for why starts are drawn outside
+    range: safe starts pinned at distant zero-authority graze geometries
+    admit no discrete tolerance at all."""
+    R = base.sensor_range
+    while True:
+        c = rng.uniform(-50.0, 50.0, 2)
+        phi_a = rng.uniform(-math.pi, math.pi)
+        phi_b = phi_a + math.pi + rng.uniform(-2.5, 2.5)
+        da, db = rng.uniform(180.0, 320.0, 2)
+        pa = c - da * np.array([math.cos(phi_a), math.sin(phi_a)])
+        pb = c - db * np.array([math.cos(phi_b), math.sin(phi_b)])
+        if math.hypot(*(pa - pb)) > R:
+            break
+    ga = c + 420.0 * np.array([math.cos(phi_a), math.sin(phi_a)])
+    gb = c + 420.0 * np.array([math.cos(phi_b), math.sin(phi_b)])
+    return replace(
+        base,
+        vehicles=(
+            VehicleSpec(VehicleState(pa[0], pa[1], phi_a, 0.0),
+                        {"type": "goal", "goal": [ga[0], ga[1], 0.0], "cruise_speed": 20.0}),
+            VehicleSpec(VehicleState(pb[0], pb[1], phi_b, 0.0),
+                        {"type": "goal", "goal": [gb[0], gb[1], 0.0], "cruise_speed": 20.0}),
+        ),
+        duration=20.0,
+        dt=0.01,
+    )
+
+
 def test_criterion_9_forward_invariance(turn_config):
-    # Random two-vehicle encounters in the system's operating envelope: the
-    # vehicles start outside sensing range (so h starts above xi, on the
-    # shaped plateau) and fly through a shared crossing region.  See the
-    # decisions ledger for why starts are drawn outside range: safe starts
-    # pinned at distant zero-authority graze geometries admit no discrete
-    # tolerance at all.
+    # Random two-vehicle encounters in the system's operating envelope
+    # (sample_encounter)
     with criterion(9, "100 random safe starts: min shaped barrier >= -1e-3 at dt=0.01"):
         rng = np.random.default_rng(9001)
-        R = 350.0
-        base = scenario_sweep(R)
+        base = scenario_sweep(350.0)
         shaping = base.resolve_shaping()
-
-        def sample_encounter():
-            while True:
-                c = rng.uniform(-50.0, 50.0, 2)
-                phi_a = rng.uniform(-math.pi, math.pi)
-                phi_b = phi_a + math.pi + rng.uniform(-2.5, 2.5)
-                da, db = rng.uniform(180.0, 320.0, 2)
-                pa = c - da * np.array([math.cos(phi_a), math.sin(phi_a)])
-                pb = c - db * np.array([math.cos(phi_b), math.sin(phi_b)])
-                if math.hypot(*(pa - pb)) > R:
-                    return (
-                        VehicleState(pa[0], pa[1], phi_a, 0.0),
-                        VehicleState(pb[0], pb[1], phi_b, 0.0),
-                        c + 420.0 * np.array([math.cos(phi_a), math.sin(phi_a)]),
-                        c + 420.0 * np.array([math.cos(phi_b), math.sin(phi_b)]),
-                    )
-
         worst = math.inf
         engaged = 0
         for _ in range(100):
-            va, vb, ga, gb = sample_encounter()
+            cfg = sample_encounter(rng, base)
+            va, vb = (v.state for v in cfg.vehicles)
             h0 = h_value(PairState(va, vb), turn_config).value
             assert shape_h(h0, shaping) >= 0.0  # criterion premise
-            cfg = replace(
-                base,
-                vehicles=(
-                    VehicleSpec(
-                        va, {"type": "goal", "goal": [ga[0], ga[1], 0.0],
-                             "cruise_speed": 20.0},
-                    ),
-                    VehicleSpec(
-                        vb, {"type": "goal", "goal": [gb[0], gb[1], 0.0],
-                             "cruise_speed": 20.0},
-                    ),
-                ),
-                duration=20.0,
-                dt=0.01,
-            )
             _, metrics = run_scenario(cfg)
             worst = min(worst, metrics.min_h_shaped)
             if metrics.min_h_shaped < shaping.beta * shaping.xi:
@@ -280,3 +276,23 @@ def test_criterion_10_qp_correctness():
             best = brute_force_best(problem, 2_000, rng, interior)
             assert best is not None
             assert objective(u, problem.u_hat) - best <= 1e-4
+
+
+def test_criterion_11_split_mode():
+    # each vehicle enforces only its half of each sensed pair's row
+    with criterion(11, "split mode: sweep and 8 random encounters safe, no events"):
+        rng = np.random.default_rng(9001)
+        base = scenario_sweep(350.0)
+        shaping = base.resolve_shaping()
+        encounters = [sample_encounter(rng, base) for _ in range(8)]
+        worst, closest = math.inf, math.inf
+        for cfg in [base] + encounters:
+            _, metrics = run_scenario(replace(cfg, mode="split"))
+            assert metrics.min_h_shaped >= -1e-3, metrics.min_h_shaped
+            assert metrics.min_distance >= DS, metrics.min_distance
+            assert metrics.n_events == 0, metrics.n_events
+            if cfg is not base:  # every encounter must exercise the filter
+                assert metrics.min_h_shaped < shaping.beta * shaping.xi, metrics.min_h_shaped
+            worst, closest = min(worst, metrics.min_h_shaped), min(closest, metrics.min_distance)
+        print(f"  (worst shaped-barrier value {worst:.3f}; closest approach {closest:.2f} m)",
+              flush=True)

@@ -104,6 +104,13 @@ class TestHStraight:
         with pytest.raises(ValueError):
             StraightManeuver(v1=2, v2=2)
 
+    @pytest.mark.parametrize("speed", [0.0, -0.0, -20.0])
+    @pytest.mark.parametrize("name", ["v1", "v2"])
+    def test_non_positive_speed_rejected(self, name, speed):
+        # airspeeds are positive, so no speed is a signed zero
+        with pytest.raises(ValueError, match="require v1 > 0 and v2 > 0"):
+            StraightManeuver(**{"v1": 20.0, "v2": 25.0, name: speed})
+
 
 class TestHTurn:
     def test_synchronized_identical_turn_constant_distance(self):

@@ -634,6 +634,18 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert "barrier.v1" in err and "finite" in err
 
+    @pytest.mark.parametrize("speed", [0, -0.0])
+    @pytest.mark.parametrize("name", ["v1", "v2"])
+    def test_zero_straight_speed_in_config_exit_one(self, name, speed, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        d = config_to_dict(builtin_scenarios()["example1"])
+        d["barrier"][name] = speed
+        path.write_text(json.dumps(d))
+        code = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config field barrier" in err and "require v1 > 0 and v2 > 0" in err, err
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["run", "--scenario", "sweep", "--bogus"], id="unknown-flag"),
         pytest.param(["run", "--scenario", "sweep", "--dt", "abc"], id="bad-float"),

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from wingsafe.barrier import (
     BarrierConfig,
-    DomainError,
     LinearGain,
     PairState,
     SafetyParams,
@@ -26,7 +26,8 @@ from wingsafe.safety_filter import (FilterConfig, _shaped_rows, filter_controls,
 from wingsafe.scenarios import run_scenario, scenario_circle20
 from wingsafe.shaping import SensorModel, make_quadratic_psi, psi_deriv_batch, xi_from_range
 
-from conftest import random_valid_pair, reference_clamp
+import conftest
+from conftest import random_valid_pair, reference_clamp, reference_split
 
 
 @pytest.fixture(scope="module")
@@ -505,25 +506,110 @@ class TestTwinConfigsShareNothing:
         assert run(first) == alone
         assert run(config(zero)) == alone
 
-    @settings(max_examples=60)
-    @given(zero=st.sampled_from([0.0, -0.0]),
-           pairs=st.lists(st.tuples(_near, _near), min_size=1, max_size=6))
-    def test_barrier_ignores_a_twin_run_first(self, zero, pairs):
-        # a straight maneuver with v1 = +-0.0 lies outside every actuator box,
-        # so the barrier's one-pair wrappers, which read role_weights, take it
-        def run(z):
-            cfg = BarrierConfig(StraightManeuver(v1=z, v2=20.0), SafetyParams(0.01, 5.0))
-            out = []
-            for a, b in pairs:
-                try:
-                    value = h_value(PairState(a, b), cfg)
-                    lg = lie_derivatives(PairState(a, b), cfg)[1]
-                except DomainError as err:
-                    out.append(str(err))
-                else:
-                    out.append([_bits(value), _bits(lg)])
-            return out
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_straight_speed_twins_rejected(self, zero):
+        # straight maneuvers whose speeds differ only in a zero's sign would
+        # be twins too, but a straight speed must be positive
+        with pytest.raises(ValueError, match="require v1 > 0 and v2 > 0"):
+            StraightManeuver(v1=zero, v2=20.0)
 
-        alone = run(zero)
-        run(-zero)
-        assert run(zero) == alone
+
+def _split_config(data) -> FilterConfig:
+    """A filter config with a zero or a positive climb bound (zeros of
+    either sign) and a turn or straight evading maneuver."""
+    zeta = data.draw(st.sampled_from([0.0, -0.0, 5.0]), label="zeta_max")
+    straight = data.draw(st.booleans(), label="straight")
+    man = (StraightManeuver(16.0, 24.0, zeta1=-zeta, zeta2=zeta) if straight
+           else TurnManeuver(data.draw(st.floats(0.75, 1.0), label="sigma"), 20.0, 0.2))
+    xi = data.draw(st.sampled_from([None, 10.0]), label="xi")
+    return FilterConfig(BarrierConfig(man, SafetyParams(0.01, 5.0)), SensorModel(350.0),
+                        ActuatorLimits(15.0, 25.0, 0.2269, zeta),
+                        shaping=None if xi is None else make_quadratic_psi(xi, 0.9))
+
+
+class TestSplitMatchesReference:
+    """Split mode builds its half-rows in one pass and solves only where one
+    is violated; it gives the bits of reference_split, which builds them one
+    at a time and solves for every vehicle with a nonzero half-row."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_synthetic_rows(self, data):
+        config = _split_config(data)
+        n = data.draw(st.integers(1, 5), label="n")
+        # any subset of the pairs, k = 0 included (reached with failed rows only)
+        rows = data.draw(st.lists(st.integers(0, n * (n - 1) // 2 - 1), unique=True,
+                                  max_size=8).map(sorted), label="rows") if n > 1 else []
+        pairs = pair_index(n).take(rows, 1)
+        # each role's coefficients zero (either sign) or drawn
+        role = st.one_of(st.lists(st.sampled_from([0.0, -0.0]), min_size=3, max_size=3),
+                         st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+        lg = np.array([data.draw(role, label="lg_i") + data.draw(role, label="lg_j")
+                       for _ in rows]).reshape(len(rows), 6)
+        offset = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(rows),
+                                             max_size=len(rows)), label="offset"))
+        # a clamped nominal: inside the box, with zeros of either sign where it has them
+        entry = [st.floats(min(a, b), max(a, b)) | (st.sampled_from([0.0, -0.0]) if a <= 0.0
+                                                    else st.nothing())
+                 for a, b in config.box.T.tolist()]
+        u = np.array([[data.draw(e, label="u") for e in entry] for _ in range(n)])
+        got, want = (SimpleNamespace(events=[], fallback=set()) for _ in range(2))
+        u_got, u_want = u.copy(), u.copy()
+        safety_filter._filter_split(config, got, u_got, pairs, lg, offset)
+        reference_split(config, want, u_want, pairs, lg, offset)
+        assert _bits(u_got) == _bits(u_want)
+        assert got.events == want.events and got.fallback == want.fallback
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_random_worlds(self, data):
+        config = _split_config(data)
+        world = data.draw(st.lists(_near, min_size=2, max_size=5), label="world")
+        if data.draw(st.booleans(), label="undefined pair"):
+            # 0.05 m apart, head-on: the pair's barrier is undefined
+            a = world[0]
+            world[1] = VehicleState(a.px + 0.05, a.py, a.heading + math.pi, 0.0)
+        climb = st.sampled_from([0.0, -0.0, 1.0, -7.0])
+        nominal = data.draw(st.lists(st.builds(ControlInput, st.floats(10.0, 30.0),
+                                               st.floats(-0.5, 0.5), climb),
+                                     min_size=len(world), max_size=len(world)), label="nominal")
+
+        def run():
+            try:
+                res = filter_controls(world, nominal, config, mode="split")
+            except ValueError as err:  # e.g. a NaN gradient row, which QPProblem rejects
+                return str(err)
+            arrays = (res.nominal, res.controls, res.h, res.h_shaped, res.margin)
+            return [_bits(a) for a in arrays], res.events, sorted(res.fallback)
+
+        got = run()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(safety_filter, "_filter_split", reference_split)
+            assert run() == got
+
+    def test_qp_only_where_a_half_row_is_violated(self, monkeypatch):
+        # 20 vehicles 150 m from the centre: in the first 2 s every vehicle
+        # has half-rows, and most of them hold
+        cfg = replace(scenario_circle20(start_radius=150.0), duration=2.0, mode="split")
+        solve = safety_filter.solve_qp
+
+        def run(split):
+            calls = []
+
+            def spy(problem, **kwargs):
+                calls.append((problem.coeffs @ problem.u_hat + problem.offsets < 0.0).any())
+                return solve(problem, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(safety_filter, "solve_qp", spy)
+                m.setattr(conftest, "solve_qp", spy)  # reference_split's
+                m.setattr(safety_filter, "_filter_split", split)
+                trace, _ = run_scenario(cfg)
+            return calls, trace
+
+        calls, trace = run(safety_filter._filter_split)
+        ref_calls, ref_trace = run(reference_split)
+        assert all(calls)  # every QP has a half-row violated at its u_hat
+        # the reference also solves where all half-rows hold; only those go
+        assert 0 < len(calls) == ref_calls.count(True) < len(ref_calls)
+        assert _bits(trace.filtered) == _bits(ref_trace.filtered)
