@@ -339,11 +339,11 @@ def lie_rows(p: TurnPass | StraightPass, e, config: BarrierConfig):
     functions are planar.  By the envelope theorem the minimizing time tau*
     is stationary (interior minimizer) or locally constant (tau* = 0 with the
     distance diverging), so the gradient equals that of rho(x_hat(tau*)) with
-    tau* held fixed.  Rows with s = 0 or NaN have no gradient (NaN entries).
+    tau* held fixed.  A row with s = 0, NaN or subnormal has non-finite entries.
     """
     man = config.maneuver
     lg = np.zeros((len(e), 6))  # e: (P, 2) heading phasors e1, e2
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if isinstance(p, StraightPass):
             n = p.d / p.s
             w = n.conj()[:, None] * e

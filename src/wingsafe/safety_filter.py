@@ -29,9 +29,10 @@ Modes:
   gets a QP: elsewhere the QP's optimum is that nominal itself.
 * off: the clamped nominal controls pass through.
 
-On QP infeasibility (or a barrier domain error) the affected vehicles fall
-back to their evading-maneuver control, which FilterConfig checks lies in
-the actuator box; the event is reported, never raised.
+A binding row fails in both modes if a coefficient is non-finite (domain error)
+or if it is zero with a negative offset (infeasible).  On a failed row, a domain
+error or QP infeasibility the affected vehicles fall back to their evading-maneuver
+control, which FilterConfig checks lies in the box; the event is reported, never raised.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class FilterResult:
     entry per pair (i < j), in the order of pair_index: raw barrier h and
     shaped barrier h_shaped (NaN outside the barrier domain), the pair-row
     margin under the final controls (NaN where the pair constrains nothing:
-    unsensed, undefined, or mode off), and whether the pair is sensed.
+    unsensed, undefined, failed, or mode off), and whether the pair is sensed.
 
     active lists the constraints with a positive multiplier at the
     centralized QP optimum, as stable ids: the pair number for a pair row,
@@ -205,23 +206,16 @@ def filter_controls(
         raise ValueError("one nominal control per vehicle required")
     idx, (lo, hi), _ = config.stack(n)
     ii, jj = idx
-    u_hat = np.fromiter(chain.from_iterable(nominal), float, 3 * n)
-    # x stays unless strictly outside, as in min(max(x, lo), hi); np.clip
-    # may flip the sign of a zero at a zero bound (zeta_max = 0)
-    np.copyto(u_hat, lo, where=u_hat < lo)
-    np.copyto(u_hat, hi, where=u_hat > hi)
-    u_hat = u_hat.reshape(n, 3)
+    u_hat = _clamp(np.fromiter(chain.from_iterable(nominal), float, 3 * n), lo, hi).reshape(n, 3)
     p = pair_pass(world, config)
     result = FilterResult(u_hat, u_hat, p.h, p.h_shaped, None, p.in_sensor)  # margin set below
     ok = p.in_sensor  # sensed rows whose constraint can be evaluated
-    failed_rows = []  # sensed rows whose constraint cannot be evaluated
+    failed_rows = []  # sensed rows whose constraint cannot be evaluated or met
     if not p.barrier.s.min(initial=np.inf) > 0.0:  # some barrier may be undefined (NaN)
-        failed = np.zeros(p.h.shape, bool)
-        for k, msg in domain_errors(p.barrier, config.barrier, p.lie):
-            result.events.append(f"domain-error pair=({ii[k]},{jj[k]}) {msg}")
-            failed[k] = True
-        ok = ok & ~failed
-        failed_rows = np.flatnonzero(p.in_sensor & failed).tolist()
+        errors = domain_errors(p.barrier, config.barrier, p.lie)
+        result.events += [f"domain-error pair=({ii[k]},{jj[k]}) {msg}" for k, msg in errors]
+        failed_rows = [k for k, _ in errors if ok[k]]
+        ok = ok & (p.barrier.s > 0.0)  # the error rows: s is NaN, or 0 (which always binds)
     if mode == "off":
         result.margin = np.full(p.h.shape, np.nan)
         return result
@@ -231,18 +225,21 @@ def filter_controls(
     if not np.count_nonzero(need) and not failed_rows:
         return result  # no row can bind: the nominal stands
 
-    for k in failed_rows:
-        # cannot evaluate the constraint: treat both vehicles as conflicted
-        result.fallback.update((int(ii[k]), int(jj[k])))
     rows = np.flatnonzero(need)
     lg = _shaped_rows(p, rows, config)
     pairs, row_offset = idx.take(rows, 1), offset.take(rows)  # pairs: (2, rows) vehicles
     margin = _row_margins(lg, row_offset, u_hat, pairs)
-    if mode == "split" or failed_rows or np.count_nonzero(margin < 0.0):
-        # the clamped nominal violates a pair row; otherwise the centralized
-        # QP would return it unchanged (split mode divides the rows, and a
-        # half-row can be violated while its pair row holds)
+    if (mode == "split" or failed_rows
+            or not 0.0 <= np.minimum.reduce(margin) <= np.maximum.reduce(margin) < np.inf):
+        # a negative or non-finite margin (as on every row the rule fails); else the centralized
+        # QP returns the nominal, but a split half-row can be violated while its pair row holds
+        if not (lg.any(axis=1).all() and np.isfinite(lg).all()):  # a zero or non-finite row
+            keep, failed = _usable_rows(result, mode, pairs, lg, row_offset)
+            failed_rows += rows[failed].tolist()
+            result.margin[rows[failed]] = np.nan
+            rows, pairs, lg, row_offset = rows[keep], pairs[:, keep], lg[keep], row_offset[keep]
         u = result.controls = u_hat.copy()
+        result.fallback.update(idx[:, failed_rows].ravel().tolist())  # cannot be evaluated or met
         if mode == "centralized":
             _filter_centralized(config, result, u, rows, pairs, lg, row_offset, hint)
         else:
@@ -251,18 +248,33 @@ def filter_controls(
             # each vehicle's role in the lowest-indexed sensed pair containing
             # it, else in the lowest-indexed pair that could not be evaluated
             order = np.flatnonzero(ok).tolist() + failed_rows
-            u1, u2 = config.evading.reshape(2, 3)
             for v in sorted(result.fallback):
                 first = next(k for k in order if v in (ii[k], jj[k]))
-                u[v] = u1 if ii[first] == v else u2
+                u[v] = config.evading[:3] if ii[first] == v else config.evading[3:]
         if not np.isfinite(u).all():
             v = int(np.flatnonzero(~np.isfinite(u))[0]) // 3
             raise ValueError(f"non-finite filtered control for vehicle {v}: {u[v].tolist()!r}")
         margin = _row_margins(lg, row_offset, u, pairs)
 
-    # achieved pair margins under the final controls
-    result.margin[rows] = margin
+    result.margin[rows] = margin  # achieved under the final controls
     return result
+
+
+def _clamp(u, lo, hi):
+    """Clamp u into [lo, hi] in place; an entry not strictly outside keeps its bits."""
+    np.copyto(u, lo, where=u < lo)
+    np.copyto(u, hi, where=u > hi)
+    return u
+
+
+def _usable_rows(result, mode, pairs, lg, offset):
+    """(usable, failed) masks of binding rows; a zero row that holds is neither."""
+    finite, live = np.isfinite(lg).all(axis=1), lg.any(axis=1)
+    failed = ~finite | ~live & (offset < 0.0)  # no control can evaluate or meet the row
+    for fin, (i, j) in zip(finite[failed].tolist(), pairs[:, failed].T.tolist()):
+        result.events.append(f"qp-infeasible mode={mode} zero row pair=({i},{j})" if fin
+                             else f"domain-error pair=({i},{j}) non-finite constraint row")
+    return finite & live, failed
 
 
 def _row_margins(lg, offset, u, pairs) -> np.ndarray:
@@ -277,25 +289,17 @@ def _filter_centralized(config, result, u, rows, pairs, lg, offset, hint):
 
     When no vehicle is in two rows, each row with its vehicles' box is a
     problem of its own, solved in closed form.  solve_qp takes any other
-    step, and every step with a row the closed form declines (non-finite,
-    or not met inside the box), so that it alone rejects rows and decides
-    infeasibility."""
-    binding = lg.any(axis=1)
-    if not binding.all():
-        # zero rows (plateau-like): with a positive offset they never bind
-        rows, pairs, lg, offset = rows[binding], pairs[:, binding], lg[binding], offset[binding]
+    step, and every step with a row the closed form declines (not met
+    inside the box), so that it alone decides infeasibility."""
     k, n = len(offset), len(u)
-    if not k:
-        return
     _, (lo, hi), face = config.stack(n)
     if len(set(pairs.ravel().tolist())) == 2 * k:
         solved = solve_row_batch(u.take(pairs.T, 0).reshape(k, 6), lg, offset, lo[:6], hi[:6])
         if solved is not None:
             u_rows, lam, push = solved
             u[pairs.T] = u_rows.reshape(k, 2, 3)
-            pushed = np.zeros((n, 3))
-            pushed[pairs.T] = push.reshape(k, 2, 3)
-            pushed = pushed.ravel()
+            pushed = np.zeros(3 * n)
+            pushed.reshape(n, 3)[pairs.T] = push.reshape(k, 2, 3)
             # ascending: the rows, lower faces pushed up, upper faces pushed down
             result.active = (rows[lam > 0.0].tolist() + face[0][pushed > 0.0].tolist()
                              + face[1][pushed < 0.0].tolist())
@@ -319,7 +323,7 @@ def _filter_centralized(config, result, u, rows, pairs, lg, offset, hint):
         return
     result.active = ids[mult > 0.0].tolist()
     # the solver meets the box to its tolerance; clamp into it exactly
-    u[:] = np.clip(u_star, lo, hi).reshape(n, 3)
+    u[:] = _clamp(u_star, lo, hi).reshape(n, 3)
 
 
 def _filter_split(config, result, u, pairs, lg, offset):
@@ -358,8 +362,4 @@ def _filter_split(config, result, u, pairs, lg, offset):
             result.events.append(f"qp-infeasible mode=split vehicle={v} {err}")
             result.fallback.add(v)
         else:
-            u[v] = np.clip(u_star, lo, hi)
-    # a vehicle whose half-rows all hold keeps u_hat, clamped as the
-    # optimum would be: np.clip may flip the sign of a zero at a zero bound
-    kept = np.setdiff1d(who, bad)
-    u[kept] = np.clip(u[kept], lo, hi)
+            u[v] = _clamp(u_star, lo, hi)

@@ -163,16 +163,35 @@ def filter_clamp(controls, limits: ActuatorLimits) -> np.ndarray:
 
 
 def reference_split(config, result, u, pairs, lg, offset):
-    """Split mode's per-vehicle loop, one scalar half-row at a time and one
+    """Split mode from the binding rows on, one scalar row at a time and one
     QP for every vehicle with a nonzero half-row: the reference that
-    safety_filter._filter_split matches bit for bit, in u, events and
-    fallback.  The arguments are _filter_split's."""
+    safety_filter._usable_rows followed by _filter_split on the usable rows
+    matches bit for bit, in u, events and fallback.  The arguments are
+    _filter_split's, with the rows before that rule: a pair row with a
+    non-finite entry, or a zero pair row with a negative offset, fails (an
+    event names the pair and both vehicles fall back), and other zero pair
+    rows hold for every control."""
     gamma, (lo, hi) = config.evading, config.box
     ri, rj = pairs
+    usable = []
+    for k in range(len(offset)):
+        i, j = int(ri[k]), int(rj[k])
+        if not all(math.isfinite(x) for x in lg[k]):
+            result.events.append(f"domain-error pair=({i},{j}) non-finite constraint row")
+        elif any(lg[k]):
+            usable.append(k)
+            continue
+        elif offset[k] < 0.0:
+            result.events.append(f"qp-infeasible mode=split zero row pair=({i},{j})")
+        else:
+            continue
+        result.fallback.update((i, j))
     for v in range(len(u)):
         coeffs, halves = [], []
         stuck = False
-        for k in np.flatnonzero((ri == v) | (rj == v)):
+        for k in usable:
+            if v not in (ri[k], rj[k]):
+                continue
             first = ri[k] == v
             mine, theirs = (lg[k, :3], lg[k, 3:]) if first else (lg[k, 3:], lg[k, :3])
             g_mine, g_theirs = (gamma[:3], gamma[3:]) if first else (gamma[3:], gamma[:3])
@@ -195,4 +214,6 @@ def reference_split(config, result, u, pairs, lg, offset):
             result.events.append(f"qp-infeasible mode=split vehicle={v} {err}")
             result.fallback.add(v)
         else:
-            u[v] = np.clip(u_star, lo, hi)
+            # an entry strictly outside the box moves to the bound; every
+            # other keeps its bits, the sign of a zero included
+            u[v] = reference_clamp(ControlInput(*u_star.tolist()), config.limits)

@@ -13,14 +13,18 @@ test together with perfbench/tracer.py.
 import dataclasses
 import importlib
 import inspect
+import json
+import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wingsafe.cli
-from wingsafe.scenarios import run_scenario, scenario_circle20
+from wingsafe.safety_filter import FilterConfig
+from wingsafe.scenarios import config_from_dict, run_scenario, scenario_circle20
 
 WRAPPED_FUNCTIONS = [
     ("wingsafe.barrier", "h_value"),
@@ -56,6 +60,60 @@ def test_run_manifest_fields():
     fields = {f.name for f in dataclasses.fields(wingsafe.cli.RunManifest)}
     assert {"scenario", "config_path", "out_dir", "sensor_range"} <= fields
     assert callable(wingsafe.cli.RunManifest.load)
+
+
+def _encounter(duration: float) -> dict:
+    """A two-vehicle crossing in the JSON shape of the benchmark's generated
+    inputs: goal controllers, "auto" shaping, the headline parameter set."""
+    def goal_vehicle(x, heading, goal_x):
+        return {"state": [x, 0.0, heading, 0.0],
+                "controller": {"type": "goal", "goal": [goal_x, 0.0, 0.0], "cruise_speed": 20.0}}
+
+    return {
+        "limits": {"v_min": 15.0, "v_max": 25.0, "omega_max": math.radians(13.0),
+                   "zeta_max": 5.0},
+        "barrier": {"kind": "turn", "sigma": 1.0, "speed": 16.0,
+                    "turn_rate": 0.9 * math.radians(13.0), "delta": 0.01, "ds": 5.0},
+        "sensor_range": 350.0,
+        "shaping": {"xi": "auto", "beta": 0.9},
+        "alpha": {"kind": "linear", "slope": 1.0},
+        "dt": 0.01,
+        "mode": "centralized",
+        "vehicles": [goal_vehicle(-150.0, 0.0, 300.0), goal_vehicle(150.0, math.pi, -300.0)],
+        "duration": duration,
+        "seed": 1,
+    }
+
+
+@pytest.mark.parametrize("source", ["scenario", "config"])
+def test_manifest_set_up(source, tmp_path):
+    # the set-up a worker times: load, then what a run builds from the config
+    if source == "scenario":
+        manifest = wingsafe.cli.RunManifest(scenario="circle20", config_path=None,
+                                            out_dir=tmp_path)
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_encounter(1.0)))
+        manifest = wingsafe.cli.RunManifest(scenario=None, config_path=str(path),
+                                            out_dir=tmp_path)
+    cfg = manifest.load()
+    assert isinstance(cfg.filter_config(), FilterConfig)
+    assert len(cfg.controllers()) == len(cfg.vehicles)
+    shaping = cfg.resolve_shaping()
+    assert shaping.beta * shaping.xi > 0.0
+    # the check workload's set-up
+    sweep = wingsafe.cli.RunManifest(scenario="sweep", config_path=None, out_dir=Path("."),
+                                     sensor_range=350.0)
+    assert sweep.load().resolve_shaping().xi > 0.0
+
+
+def test_run_scenario_result_is_readable():
+    # what the encounter gates and the tracer read of a run_scenario result
+    trace, metrics = run_scenario(config_from_dict(_encounter(2.0)))
+    assert math.isfinite(metrics.min_h_shaped)
+    assert metrics.n_events == len(trace.events)
+    assert all(isinstance(k, int) and isinstance(e, str) for k, e in trace.events)
+    assert config_from_dict(_encounter(2.0)).resolve_shaping().xi > 0.0
 
 
 def test_a_controller_class_defines_control():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -529,8 +530,9 @@ def _split_config(data) -> FilterConfig:
 
 class TestSplitMatchesReference:
     """Split mode builds its half-rows in one pass and solves only where one
-    is violated; it gives the bits of reference_split, which builds them one
-    at a time and solves for every vehicle with a nonzero half-row."""
+    is violated; after the rule for unusable rows (_usable_rows) it gives
+    the bits of reference_split, which builds them one at a time and solves
+    for every vehicle with a nonzero half-row."""
 
     @settings(max_examples=300)
     @given(data=st.data())
@@ -541,9 +543,11 @@ class TestSplitMatchesReference:
         rows = data.draw(st.lists(st.integers(0, n * (n - 1) // 2 - 1), unique=True,
                                   max_size=8).map(sorted), label="rows") if n > 1 else []
         pairs = pair_index(n).take(rows, 1)
-        # each role's coefficients zero (either sign) or drawn
+        # each role's coefficients zero (either sign), drawn, or with a non-finite entry
         role = st.one_of(st.lists(st.sampled_from([0.0, -0.0]), min_size=3, max_size=3),
-                         st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+                         st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+                         st.lists(st.sampled_from([1.0, math.nan, math.inf, -math.inf]),
+                                  min_size=3, max_size=3))
         lg = np.array([data.draw(role, label="lg_i") + data.draw(role, label="lg_j")
                        for _ in rows]).reshape(len(rows), 6)
         offset = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=len(rows),
@@ -555,7 +559,10 @@ class TestSplitMatchesReference:
         u = np.array([[data.draw(e, label="u") for e in entry] for _ in range(n)])
         got, want = (SimpleNamespace(events=[], fallback=set()) for _ in range(2))
         u_got, u_want = u.copy(), u.copy()
-        safety_filter._filter_split(config, got, u_got, pairs, lg, offset)
+        usable, failed = safety_filter._usable_rows(got, "split", pairs, lg, offset)
+        got.fallback.update(pairs[:, failed].ravel().tolist())
+        safety_filter._filter_split(config, got, u_got, pairs[:, usable], lg[usable],
+                                    offset[usable])
         reference_split(config, want, u_want, pairs, lg, offset)
         assert _bits(u_got) == _bits(u_want)
         assert got.events == want.events and got.fallback == want.fallback
@@ -575,10 +582,7 @@ class TestSplitMatchesReference:
                                      min_size=len(world), max_size=len(world)), label="nominal")
 
         def run():
-            try:
-                res = filter_controls(world, nominal, config, mode="split")
-            except ValueError as err:  # e.g. a NaN gradient row, which QPProblem rejects
-                return str(err)
+            res = filter_controls(world, nominal, config, mode="split")
             arrays = (res.nominal, res.controls, res.h, res.h_shaped, res.margin)
             return [_bits(a) for a in arrays], res.events, sorted(res.fallback)
 
@@ -613,3 +617,117 @@ class TestSplitMatchesReference:
         # the reference also solves where all half-rows hold; only those go
         assert 0 < len(calls) == ref_calls.count(True) < len(ref_calls)
         assert _bits(trace.filtered) == _bits(ref_trace.filtered)
+
+
+class TestUnusableRows:
+    """A binding row that no control can evaluate or meet fails in both
+    modes, before the mode branch: an event names its pair, both vehicles
+    fall back, and nothing raises."""
+
+    @staticmethod
+    def config(man, zeta_max=5.0, xi=None):
+        return FilterConfig(BarrierConfig(man, SafetyParams(0.01, 5.0)), SensorModel(350.0),
+                            ActuatorLimits(15.0, 25.0, 0.2269, zeta_max),
+                            shaping=None if xi is None else make_quadratic_psi(xi, 0.9))
+
+    @pytest.mark.parametrize("mode", ["centralized", "split"])
+    @pytest.mark.parametrize("world, event", [
+        # side by side 3 m apart (< D_s), same heading: the raw straight row
+        # is zero and its offset -2
+        ([vehicle(0, 0, 0), vehicle(0, 3, 0)], "qp-infeasible mode={mode} zero row pair=(0,1)"),
+        # 2.2e-309 m apart: lie_rows overflows, the row is not finite
+        ([vehicle(0, 0, 0), vehicle(2.2e-309, 0, 0)],
+         "domain-error pair=(0,1) non-finite constraint row"),
+    ], ids=["zero row", "non-finite row"])
+    def test_reproductions(self, mode, world, event):
+        config = self.config(StraightManeuver(16.0, 24.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = filter_controls(world, [ControlInput(20.0, 0.0, 0.0)] * 2, config, mode=mode)
+        assert res.events == [event.format(mode=mode)]
+        assert res.fallback == {0, 1}
+        assert np.array_equal(res.controls, config.evading.reshape(2, 3))
+        assert np.isnan(res.margin).all()
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_each_unusable_row_fails_in_both_modes(self, data):
+        if data.draw(st.booleans(), label="near-coincident"):
+            man = data.draw(st.sampled_from([StraightManeuver(16.0, 24.0),
+                                             TurnManeuver(1.0, 16.0, 0.2)]), label="maneuver")
+            xi = data.draw(st.sampled_from([None, 10.0]), label="xi")
+            # a subnormal gap survives next to the origin and rounds away elsewhere
+            a = data.draw(st.just(vehicle(0.0, 0.0, 0.0)) | _near, label="a")
+            gap = data.draw(st.sampled_from([0.0, 5e-324, 2.2e-309]) | st.floats(0.0, 1e-300),
+                            label="gap")
+            phi = data.draw(st.floats(-math.pi, math.pi), label="direction")
+            heading = data.draw(st.just(a.heading) | st.floats(-math.pi, math.pi), label="heading")
+            b = vehicle(a.px + gap * math.cos(phi), a.py + gap * math.sin(phi), heading)
+        else:  # side by side inside D_s on heading 0: the raw straight row is zero
+            man, xi = StraightManeuver(16.0, 24.0), None
+            a = vehicle(data.draw(st.floats(-40.0, 40.0), label="x"),
+                        data.draw(st.floats(-40.0, 40.0), label="y"), 0.0)
+            b = vehicle(a.px, a.py + data.draw(st.floats(-4.9, 4.9), label="offset"), 0.0)
+        config = self.config(man, xi=xi)
+        # the pair among three vehicles, the third out of sensing range
+        where = data.draw(st.permutations([0, 1, 2]), label="slots")
+        world = [None] * 3
+        world[where[0]], world[where[1]], world[where[2]] = a, b, vehicle(1000.0, 1000.0, 0.0)
+        nominal = data.draw(st.lists(st.builds(ControlInput, st.floats(10.0, 30.0),
+                                               st.floats(-0.5, 0.5), st.floats(-8.0, 8.0)),
+                                     min_size=3, max_size=3), label="nominal")
+        i, j = sorted(where[:2])
+        p = pair_pass(world, config)
+        k = pair_index(3)[0].tolist().index(i) + j - i - 1
+        assert np.flatnonzero(p.in_sensor).tolist() == [k]
+        unusable = not p.barrier.s[k] > 0.0  # undefined, or no gradient at s = 0
+        if not unusable and p.lie[k]:
+            with np.errstate(all="ignore"):
+                lg = _shaped_rows(p, [k], config)[0]
+            unusable = (not np.isfinite(lg).all()
+                        or not lg.any() and config.gain(p.h_shaped[k]) < 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [filter_controls(world, nominal, config, mode=mode)
+                       for mode in ("centralized", "split")]
+        for res in results:
+            if unusable:
+                assert len(res.events) == 1 and f" pair=({i},{j})" in res.events[0]
+                assert res.fallback == {i, j}
+            else:
+                assert not any(e.startswith("domain-error") or " zero row pair=" in e
+                               for e in res.events)
+
+
+@pytest.mark.parametrize("mode", ["centralized", "split"])
+@pytest.mark.parametrize("zeta_max", [0.0, -0.0])
+@pytest.mark.parametrize("radius", [30.0, 60.0])
+def test_optima_keep_their_zero_signs(mode, zeta_max, radius, monkeypatch):
+    """With a zero climb box each Goldfarb-Idnani optimum's climb comes out
+    bit for bit, and so does the nominal climb of a vehicle that no QP
+    moved; np.clip would give each zero the sign of the upper bound.  At 30 m
+    every vehicle gets a QP in both modes, at 60 m split mode skips one."""
+    optima = []
+    solve = safety_filter.solve_qp
+
+    def spy(problem, **kwargs):
+        u_star, mult = solve(problem, **kwargs)
+        optima.append((problem.u_hat, u_star.copy()))
+        return u_star, mult
+
+    monkeypatch.setattr(safety_filter, "solve_qp", spy)
+    config = FilterConfig(BarrierConfig(TurnManeuver(1.0, 16.0, 0.2), SafetyParams(0.01, 5.0)),
+                          SensorModel(350.0), ActuatorLimits(15.0, 25.0, 0.2269, zeta_max))
+    world = [vehicle(radius * math.cos(a), radius * math.sin(a), a + math.pi)
+             for a in (0.0, 2.1, 4.2)]
+    nominal = [ControlInput(25.0, 0.0, -0.0), ControlInput(24.0, 0.0, 0.0),
+               ControlInput(23.0, 0.0, -0.0)]
+    res = filter_controls(world, nominal, config, mode=mode)
+    assert not res.fallback and (optima or radius == 60.0)
+    want = res.nominal[:, 2].copy()
+    for u_hat, u_star in optima:
+        if mode == "centralized":
+            want[:] = u_star[2::3]
+        else:  # the vehicle whose nominal the problem holds (the speeds differ)
+            want[res.nominal[:, 0].tolist().index(u_hat[0])] = u_star[2]
+    assert _bits(res.controls[:, 2]) == _bits(want)
