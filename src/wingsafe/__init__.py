@@ -5,8 +5,6 @@ from .dynamics import (
     ActuatorLimits,
     ControlInput,
     VehicleState,
-    propagate_straight,
-    propagate_turn,
     step_rk4,
     wrap_angle,
 )
@@ -19,12 +17,8 @@ from .barrier import (
     SafetyParams,
     StraightManeuver,
     TurnManeuver,
-    h_oracle,
     h_value,
     lie_derivatives,
-    rho_straight,
-    rho_turn,
-    squared_planar_distance,
 )
 
 from .shaping import (
@@ -38,7 +32,7 @@ from .shaping import (
     shape_h,
     xi_from_range,
 )
-from .qp import ConstraintRow, QPInfeasibleError, QPProblem, kkt_residual, solve_qp
+from .qp import ConstraintRow, QPInfeasibleError, QPProblem, solve_qp
 from .safety_filter import FilterConfig, FilterResult, filter_controls
 from .sim import (
     CircleController,
@@ -91,22 +85,15 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "filter_controls",
-    "h_oracle",
     "h_value",
     "in_sensor_set",
-    "kkt_residual",
     "lie_derivatives",
     "load_config",
     "make_quadratic_psi",
     "min_sensing_range",
-    "propagate_straight",
-    "propagate_turn",
-    "rho_straight",
-    "rho_turn",
     "run_scenario",
     "shape_h",
     "solve_qp",
-    "squared_planar_distance",
     "step_rk4",
     "wrap_angle",
     "xi_from_range",

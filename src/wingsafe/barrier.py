@@ -23,9 +23,9 @@ Two maneuver/safety-function families are supported:
 
 Gradients are obtained with the envelope theorem: differentiate
 rho(x_hat(tau*)) through the closed-form trajectory map holding the
-minimizing time tau* fixed.  A brute-force oracle (dense time grid plus
-golden-section refinement) provides an independent check of both closed
-forms.
+minimizing time tau* fixed.  The tests check both closed forms against a
+brute-force oracle (dense time grid plus golden-section refinement along the
+exact trajectories) in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ from typing import Literal, NamedTuple, Union
 
 import numpy as np
 
-from .dynamics import VehicleState, propagate_straight, propagate_turn
+from .dynamics import VehicleState
 
 BarrierKind = Literal["turn", "straight"]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class DomainError(ValueError):
@@ -167,32 +165,6 @@ class BarrierValue(NamedTuple):
 
     value: float
     minimizer_tau: float
-
-
-def squared_planar_distance(pair: PairState) -> float:
-    """Squared planar distance between the two vehicles (altitude ignored)."""
-    dx = pair.a.px - pair.b.px
-    dy = pair.a.py - pair.b.py
-    return dx * dx + dy * dy
-
-
-def rho_straight(pair: PairState, ds: float) -> float:
-    """sqrt(d12) - ds."""
-    return math.sqrt(squared_planar_distance(pair)) - ds
-
-
-def rho_turn(pair: PairState, params: SafetyParams) -> float:
-    """sqrt(d12 - 2*delta + delta*sin(th1) - delta*cos(th1)) - ds.
-
-    Raises DomainError when the radicand is negative (state outside the
-    barrier domain).
-    """
-    d = squared_planar_distance(pair)
-    th1 = pair.a.heading
-    rad = d - 2.0 * params.delta + params.delta * math.sin(th1) - params.delta * math.cos(th1)
-    if rad < 0.0:
-        raise DomainError(f"negative radicand {rad} in turn safety function")
-    return math.sqrt(rad) - params.ds
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +327,7 @@ def lie_rows(p: TurnPass | StraightPass, e, config: BarrierConfig):
             w = n.conj()[:, None] * e
             wq = (w * qm1[:, None]).real
             lg[:, 1], lg[:, 4] = man.r1 * wq[:, 0], -man.r2 * wq[:, 1]
-            # heading term of rho_turn: delta*(cos + sin)(th1 + w tau*) / (2 s)
+            # heading term of the turn rho: delta*(cos + sin)(th1 + w tau*) / (2 s)
             e1q = e[:, 0] + e[:, 0] * qm1
             lg[:, 1] += (0.5 * config.safety.delta) * ((1 - 1j) * e1q).real / p.s
     lg[:, 0], lg[:, 3] = w[:, 0].real, -w[:, 1].real
@@ -426,103 +398,3 @@ def h_batch(pair_arrays, config: BarrierConfig) -> np.ndarray:
         chunk = [a[i : i + H_BATCH_CHUNK] for a in arrays]
         h[i : i + H_BATCH_CHUNK] = barrier_pass(flat_pair_rows(chunk, config), config).s
     return h - config.safety.ds
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-def _rho_along(pair: PairState, config: BarrierConfig, tau: float) -> float:
-    """Safety function evaluated on the maneuver trajectory at time tau,
-    using the exact propagators (independent of the phasor/CPA reductions)."""
-    man = config.maneuver
-    if isinstance(man, TurnManeuver):
-        a = propagate_turn(pair.a, man.sigma * man.speed, man.turn_rate, tau)
-        b = propagate_turn(pair.b, man.speed, man.turn_rate, tau)
-        return rho_turn(PairState(a, b), config.safety)
-    a = propagate_straight(pair.a, man.v1, man.zeta1, tau)
-    b = propagate_straight(pair.b, man.v2, man.zeta2, tau)
-    return rho_straight(PairState(a, b), config.safety.ds)
-
-
-def default_horizon(pair: PairState, config: BarrierConfig) -> float:
-    """Search horizon guaranteed to contain the infimum: one full period for
-    the turn maneuver, twice the CPA-time bound plus slack for the straight one."""
-    man = config.maneuver
-    if isinstance(man, TurnManeuver):
-        return 2.0 * math.pi / man.turn_rate
-    dvx = man.v1 * math.cos(pair.a.heading) - man.v2 * math.cos(pair.b.heading)
-    dvy = man.v1 * math.sin(pair.a.heading) - man.v2 * math.sin(pair.b.heading)
-    speed = math.hypot(dvx, dvy)
-    if speed == 0.0:
-        raise ValueError("relative velocity vanishes (maneuver precondition violated)")
-    return 2.0 * (math.hypot(pair.a.px - pair.b.px, pair.a.py - pair.b.py) / speed + 1.0)
-
-
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimization of f on [lo, hi] to interval width tol."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
-def h_oracle(
-    pair: PairState,
-    config: BarrierConfig,
-    horizon: float | None = None,
-    n: int = 4096,
-    refine_tol: float = 1e-10,
-) -> float:
-    """Brute-force barrier value: dense n-point grid over [0, horizon] followed
-    by golden-section refinement around the best grid cell.
-
-    Domain errors from the safety function propagate.  The grid evaluation
-    uses the batch closed-form trajectory only through the exact propagators,
-    keeping the oracle independent of the CPA/phasor reductions it checks.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    min_h = default_horizon(pair, config)
-    if horizon is None:
-        horizon = min_h
-    elif horizon < min_h:
-        raise ValueError(f"horizon {horizon} below required {min_h}")
-
-    man = config.maneuver
-    taus = np.linspace(0.0, horizon, n)
-    if isinstance(man, TurnManeuver):
-        th1 = pair.a.heading + man.turn_rate * taus
-        th2 = pair.b.heading + man.turn_rate * taus
-        r1, r2 = man.r1, man.r2
-        ax = pair.a.px + r1 * (np.sin(th1) - math.sin(pair.a.heading))
-        ay = pair.a.py + r1 * (-np.cos(th1) + math.cos(pair.a.heading))
-        bx = pair.b.px + r2 * (np.sin(th2) - math.sin(pair.b.heading))
-        by = pair.b.py + r2 * (-np.cos(th2) + math.cos(pair.b.heading))
-        d = (ax - bx) ** 2 + (ay - by) ** 2
-        de = config.safety.delta
-        rad = d - 2.0 * de + de * np.sin(th1) - de * np.cos(th1)
-        if np.any(rad < 0.0):
-            raise DomainError("negative radicand along evading trajectory")
-        rho = np.sqrt(rad) - config.safety.ds
-    else:
-        ax = pair.a.px + taus * man.v1 * math.cos(pair.a.heading)
-        ay = pair.a.py + taus * man.v1 * math.sin(pair.a.heading)
-        bx = pair.b.px + taus * man.v2 * math.cos(pair.b.heading)
-        by = pair.b.py + taus * man.v2 * math.sin(pair.b.heading)
-        rho = np.hypot(ax - bx, ay - by) - config.safety.ds
-
-    i = int(np.argmin(rho))
-    lo = taus[max(0, i - 1)]
-    hi = taus[min(n - 1, i + 1)]
-    _, refined = _golden_section(lambda t: _rho_along(pair, config, t), lo, hi, refine_tol)
-    return min(float(rho[i]), refined)

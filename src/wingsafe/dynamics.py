@@ -8,9 +8,9 @@ State of one vehicle: [px, py, heading, pz] with
     pz_dot = zeta
 
 where v is airspeed, omega the turn rate and zeta the climb rate.
-Headings are kept wrapped to (-pi, pi].  Constant-input trajectories have
-exact solutions (circular arcs / straight lines) which are provided here
-alongside a classical RK4 step for generic integration.
+Headings are kept wrapped to (-pi, pi].  Simulations integrate with a
+classical RK4 step; the exact constant-input trajectories (circular arcs /
+straight lines) that the tests compare it with are in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -131,41 +131,3 @@ def step_rk4(state: VehicleState, u: Sequence[float], dt: float) -> VehicleState
     py = state.py + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
     pz = state.pz + dt * ze
     return VehicleState(px, py, th4, pz)  # VehicleState wraps the heading
-
-
-def propagate_turn(state: VehicleState, speed: float, turn_rate: float, tau: float) -> VehicleState:
-    """Exact constant-rate-turn propagation over tau seconds.
-
-    The trajectory is a circular arc of radius speed/turn_rate:
-
-        p(tau) = p0 + (v/w) * [sin(th0 + w*tau) - sin(th0),
-                               -cos(th0 + w*tau) + cos(th0)]
-
-    turn_rate must be nonzero (use propagate_straight otherwise).
-    """
-    if turn_rate == 0.0:
-        raise ValueError("turn_rate must be nonzero; use propagate_straight")
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
-    th0 = state.heading
-    th1 = th0 + turn_rate * tau
-    rr = speed / turn_rate
-    return VehicleState(
-        state.px + rr * (math.sin(th1) - math.sin(th0)),
-        state.py + rr * (-math.cos(th1) + math.cos(th0)),
-        th1,
-        state.pz,
-    )
-
-
-def propagate_straight(state: VehicleState, speed: float, climb_rate: float, tau: float) -> VehicleState:
-    """Exact straight-line propagation over tau seconds (heading unchanged)."""
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
-    return VehicleState(
-        state.px + tau * speed * math.cos(state.heading),
-        state.py + tau * speed * math.sin(state.heading),
-        state.heading,
-        state.pz + tau * climb_rate,
-    )
-

@@ -30,11 +30,6 @@ with one row each over the box, the continuous quadratic knapsack
 lam a, lo, hi) at the root of the concave, nondecreasing, piecewise-linear
 a . u(lam) + c.  It decides nothing about infeasibility: a row it cannot
 meet is left to solve_qp.
-
-kkt_residual is an independent optimality verifier: it reconstructs
-multipliers for a candidate point with a nonnegative least-squares fit
-(scipy's NNLS, not the solver's own machinery) and reports the worst KKT
-violation.
 """
 
 from __future__ import annotations
@@ -124,8 +119,7 @@ class QPProblem:
         return A, b
 
 
-def solve_qp(problem: QPProblem, tol: float = STOP_TOL, max_iter: int | None = None,
-             guess: Sequence[int] = ()):
+def solve_qp(problem: QPProblem, max_iter: int | None = None, guess: Sequence[int] = ()):
     """Exact minimizer of 1/2||u - u_hat||^2 over the rows and box.
 
     Returns (u, multipliers) with multipliers aligned to the stacked
@@ -140,7 +134,7 @@ def solve_qp(problem: QPProblem, tol: float = STOP_TOL, max_iter: int | None = N
         return u, np.zeros(0)
     norms = np.maximum(np.sqrt(np.add.reduce(A * A, axis=1)), 1.0)  # row 2-norms
     if 0 < len(guess) <= n:  # more than n rows cannot be independent
-        warm = _active_set_optimum(A, b, norms, u, guess, tol)
+        warm = _active_set_optimum(A, b, norms, u, guess)
         if warm is not None:
             return warm
     if max_iter is None:
@@ -152,7 +146,7 @@ def solve_qp(problem: QPProblem, tol: float = STOP_TOL, max_iter: int | None = N
     for _ in range(max_iter):
         viol = (b - A @ u) / norms
         p = int(np.argmax(viol))  # first maximum: lowest index on ties
-        if viol[p] <= tol:
+        if viol[p] <= STOP_TOL:
             mult = np.zeros(m)
             for j, lj in zip(active, lam):
                 mult[j] = lj
@@ -181,7 +175,7 @@ def solve_qp(problem: QPProblem, tol: float = STOP_TOL, max_iter: int | None = N
             zz = float(z @ z)
             dependent = zz <= 1e-10 * float(ap @ ap)
             if dependent:
-                if r.size == 0 or np.all(r <= tol):
+                if r.size == 0 or np.all(r <= STOP_TOL):
                     raise QPInfeasibleError(
                         f"constraint {p} inconsistent with active set {active}"
                     )
@@ -195,7 +189,7 @@ def solve_qp(problem: QPProblem, tol: float = STOP_TOL, max_iter: int | None = N
             drop_idx = -1
             for idx, lj in enumerate(lam):
                 rj = float(r[idx])
-                if rj > tol:
+                if rj > STOP_TOL:
                     tj = lj / rj
                     if tj < t_drop - 1e-14 or (
                         abs(tj - t_drop) <= 1e-14
@@ -224,14 +218,15 @@ def solve_qp(problem: QPProblem, tol: float = STOP_TOL, max_iter: int | None = N
     raise RuntimeError("active-set iteration limit exceeded")
 
 
-def _active_set_optimum(A, b, norms, u_hat, W, tol):
+def _active_set_optimum(A, b, norms, u_hat, W):
     """(u, multipliers) of the equality problem on the rows W, or None
-    unless that is the optimum to tol.
+    unless that is the optimum to STOP_TOL.
 
     u = u_hat + N^T lam with N = A[W] and (N N^T) lam = b_W - N u_hat, so
     stationarity holds by construction.  The point is accepted when lam >= 0
     and, by the normalized test the active-set loop stops on, no constraint
-    is violated by more than tol and no row of W is slack by more than tol.
+    is violated by more than STOP_TOL and no row of W is slack by more than
+    STOP_TOL.
     """
     N = A[W]
     try:
@@ -242,7 +237,7 @@ def _active_set_optimum(A, b, norms, u_hat, W, tol):
         return None
     u = u_hat + lam @ N
     viol = (b - A @ u) / norms
-    if not (viol.max() <= tol and viol[W].min() >= -tol):
+    if not (viol.max() <= STOP_TOL and viol[W].min() >= -STOP_TOL):
         return None
     mult = np.zeros(len(b))
     mult[W] = lam
@@ -292,29 +287,3 @@ def solve_row_batch(u_hat, coeffs, offsets, lower, upper):
         out_lam.append(lam)
         out_push.append([y - (v + lam * x) for y, v, x in zip(u_r, u_hat_r, a_r)])
     return np.array(out_u), np.array(out_lam), np.array(out_push)
-
-
-def kkt_residual(problem: QPProblem, u: np.ndarray, active_tol: float = 1e-6) -> float:
-    """Worst KKT violation at u with multipliers reconstructed by NNLS.
-
-    Components: primal feasibility, stationarity of u - u_hat against the
-    cone of near-active normals, dual feasibility (guaranteed by NNLS), and
-    complementary slackness of the reconstructed multipliers.
-    """
-    from scipy.optimize import nnls  # the only scipy use; kept off the run path
-    u = np.asarray(u, dtype=float)
-    A, b = problem.stacked()
-    if A.shape[0] == 0:
-        return float(np.linalg.norm(u - problem.u_hat, ord=np.inf))
-    slack = A @ u - b
-    primal = max(0.0, float(-slack.min()))
-    act = np.where(slack <= active_tol)[0]
-    grad = u - problem.u_hat
-    if act.size:
-        lam_act, _ = nnls(A[act].T, grad)
-        stationarity = float(np.linalg.norm(grad - A[act].T @ lam_act, ord=np.inf))
-        comp = float(np.max(lam_act * np.abs(slack[act]))) if lam_act.size else 0.0
-    else:
-        stationarity = float(np.linalg.norm(grad, ord=np.inf))
-        comp = 0.0
-    return max(primal, stationarity, comp)

@@ -43,7 +43,6 @@ from .barrier import (
     SafetyParams,
     TurnManeuver,
     h_batch,
-    squared_planar_distance,
 )
 from .dynamics import VehicleState
 
@@ -63,7 +62,9 @@ class SensorModel:
 def in_sensor_set(pair: PairState, sensor: SensorModel) -> bool:
     """Whether one pair is observable.  Kept for the benchmark tracer, until
     ROADMAP item 1 re-aims it."""
-    return squared_planar_distance(pair) <= sensor.range_m * sensor.range_m
+    dx = pair.a.px - pair.b.px
+    dy = pair.a.py - pair.b.py
+    return dx * dx + dy * dy <= sensor.range_m * sensor.range_m
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wingsafe.barrier import LinearGain, PairState, h_oracle, h_value, lie_rows
+from wingsafe.barrier import LinearGain, PairState, h_value, lie_rows
 from wingsafe.dynamics import VehicleState
-from wingsafe.qp import kkt_residual, solve_qp
+from wingsafe.qp import solve_qp
 from wingsafe.scenarios import (
     VehicleSpec,
     example2_geometry,
@@ -38,6 +38,7 @@ from conftest import (
     random_valid_pair,
     replay_pairs,
 )
+from reference import h_oracle, kkt_residual
 from test_barrier import central_difference, pair_columns, pass_at, probe, smooth_pair, smooth_rows
 from test_shaping import alpha2
 from test_qp import brute_force_best, objective, random_feasible_problem

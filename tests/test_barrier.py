@@ -16,7 +16,6 @@ from wingsafe.barrier import (
     TurnManeuver,
     barrier_pass,
     h_batch,
-    h_oracle,
     h_value,
     lie_derivatives,
     lie_rows,
@@ -25,13 +24,18 @@ from wingsafe.barrier import (
     pair_rows,
     phasor_rows,
     role_weights,
+)
+from wingsafe.dynamics import VehicleState
+
+from conftest import random_straight_config, random_turn_config, random_valid_pair
+from reference import (
+    h_oracle,
+    propagate_straight,
+    propagate_turn,
     rho_straight,
     rho_turn,
     squared_planar_distance,
 )
-from wingsafe.dynamics import VehicleState, propagate_straight, propagate_turn
-
-from conftest import random_straight_config, random_turn_config, random_valid_pair
 
 
 def pair_at(ax, ay, ath, bx, by, bth):

@@ -1,6 +1,8 @@
-"""The CI workflow runs the tier-1 command that ROADMAP.md names."""
+"""The CI workflow and the packaging metadata: the tier-1 job runs the
+command that ROADMAP.md names, and the program needs numpy alone."""
 
 import re
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -8,11 +10,30 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_workflow_runs_the_roadmap_tier1_command():
+def workflow_jobs():
     yaml = pytest.importorskip("yaml")
-    workflow = yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())
-    steps = workflow["jobs"]["tier1"]["steps"]
+    return yaml.safe_load((ROOT / ".github/workflows/tier1.yml").read_text())["jobs"]
+
+
+def test_workflow_runs_the_roadmap_tier1_command():
+    steps = workflow_jobs()["tier1"]["steps"]
     roadmap = (ROOT / "ROADMAP.md").read_text()
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", roadmap).group(1)
     assert steps[-1]["run"] == command
     assert "perfbench" not in command
+
+
+def test_product_job_runs_without_scipy():
+    runs = [step.get("run", "") for step in workflow_jobs()["product"]["steps"]]
+    installs = [line for run in runs for line in run.splitlines() if "pip install" in line]
+    assert installs == ["python -m pip install numpy==2.4.6"]
+    commands = "\n".join(runs)
+    assert "scipy" not in commands
+    assert "wingsafe.cli run --scenario sweep" in commands
+    assert "wingsafe.cli check --scenario sweep" in commands
+
+
+def test_scipy_is_a_test_dependency():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", d).group() for d in project["dependencies"]] == ["numpy"]
+    assert any(re.match(r"scipy\b", d) for d in project["optional-dependencies"]["test"])

@@ -747,20 +747,37 @@ class TestInputValidation:
         assert "error: " in capsys.readouterr().err
 
 
+# a fresh interpreter that finds the package under test
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(wingsafe.__file__).resolve().parents[1])}
+
+
 def _loaded_by_cli_import(module: str) -> bool:
     """Whether importing wingsafe.cli in a fresh interpreter loads module."""
-    env = {**os.environ, "PYTHONPATH": str(Path(wingsafe.__file__).resolve().parents[1])}
     probe = f"import sys, wingsafe.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True,
                          text=True, check=True)
     return out.stdout.strip() == "True"
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy serves only qp.kkt_residual, which no run path calls
+    # scipy is a test-only dependency (tests/reference.py); importing
+    # wingsafe.cli imports the whole package
     assert not _loaded_by_cli_import("scipy")
 
 
 def test_cli_import_leaves_process_pool_out():
     # only a sweep with more than one worker starts processes
     assert not _loaded_by_cli_import("concurrent.futures.process")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--scenario", "sweep"),
+    ("sweep", "--scenario", "sweep", "--range", "350"),
+    ("check", "--scenario", "sweep"),
+], ids=lambda argv: argv[0])
+def test_commands_run_without_scipy(argv, tmp_path):
+    # a None entry in sys.modules makes every import of scipy raise
+    blocked = "import sys; sys.modules['scipy'] = None; import wingsafe.cli as c; sys.exit(c.main())"
+    out = subprocess.run([sys.executable, "-c", blocked, *argv, "--out", str(tmp_path / "o")],
+                         env=SRC_ENV, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

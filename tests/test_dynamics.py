@@ -11,13 +11,12 @@ from wingsafe.dynamics import (
     ActuatorLimits,
     ControlInput,
     VehicleState,
-    propagate_straight,
-    propagate_turn,
     step_rk4,
     wrap_angle,
 )
 
 from conftest import filter_clamp, reference_clamp
+from reference import propagate_straight, propagate_turn
 
 
 def rk4_many(state, u, total, n):

@@ -11,10 +11,11 @@ from wingsafe.qp import (
     ConstraintRow,
     QPInfeasibleError,
     QPProblem,
-    kkt_residual,
     solve_qp,
     solve_row_batch,
 )
+
+from reference import kkt_residual
 
 
 def objective(u, u_hat):
