@@ -20,7 +20,6 @@ from .barrier import (
     h_value,
     lie_derivatives,
 )
-
 from .shaping import (
     CompatibilityReport,
     SensorModel,
@@ -33,7 +32,7 @@ from .shaping import (
     xi_from_range,
 )
 from .qp import ConstraintRow, QPInfeasibleError, QPProblem, solve_qp
-from .safety_filter import FilterConfig, FilterResult, filter_controls
+from .safety_filter import FilterConfig, FilterResult, FilterRun, filter_controls
 from .sim import (
     CircleController,
     GoalController,
@@ -63,6 +62,7 @@ __all__ = [
     "DomainError",
     "FilterConfig",
     "FilterResult",
+    "FilterRun",
     "GoalController",
     "LinearGain",
     "Metrics",

@@ -125,7 +125,8 @@ def solve_qp(problem: QPProblem, max_iter: int | None = None, guess: Sequence[in
     Returns (u, multipliers) with multipliers aligned to the stacked
     constraint order of QPProblem.stacked().  Raises QPInfeasibleError when
     the feasible region is empty.  guess, stacked indices of constraints
-    expected to be active, changes only how the optimum is found.
+    expected to be active, changes only how the optimum is found.  Entries
+    no active constraint acts on keep their bits.
     """
     A, b = problem.stacked()
     m, n = A.shape
@@ -150,6 +151,7 @@ def solve_qp(problem: QPProblem, max_iter: int | None = None, guess: Sequence[in
             mult = np.zeros(m)
             for j, lj in zip(active, lam):
                 mult[j] = lj
+            np.copyto(u, problem.u_hat, where=~A[active].any(axis=0))  # no active row acts on
             return u, mult
 
         # episode: bring constraint p to equality, dropping blockers as
@@ -235,7 +237,8 @@ def _active_set_optimum(A, b, norms, u_hat, W):
         return None
     if not lam.min() >= 0.0:
         return None
-    u = u_hat + lam @ N
+    # u_hat + lam @ N, where an entry no row of W acts on keeps its bits
+    u = np.add(u_hat, lam @ N, out=u_hat.copy(), where=N.any(axis=0))
     viol = (b - A @ u) / norms
     if not (viol.max() <= STOP_TOL and viol[W].min() >= -STOP_TOL):
         return None
@@ -254,7 +257,8 @@ def solve_row_batch(u_hat, coeffs, offsets, lower, upper):
     active lower face and negative on an active upper one.  A row counts as
     met by the test solve_qp stops on, a violation of at most STOP_TOL times
     max(||coeffs_r||, 1); one already met keeps lam = 0.  Returns None when
-    some row has a non-finite entry or is not met inside the box.
+    some row has a non-finite entry or is not met inside the box.  An entry
+    with a zero coefficient keeps its bits.
 
     Newton's method from lam = 0 on phi(lam) = coeffs_r . u(lam) + offsets_r,
     whose slope is the sum of a_q^2 over the entries not at the face they
@@ -279,7 +283,8 @@ def solve_row_batch(u_hat, coeffs, offsets, lower, upper):
             if not slope:
                 return None  # every entry is at its face: phi has reached its maximum
             lam -= phi / slope
-            u_r = [min(max(v + lam * x, l), h) for x, v, l, h in zip(a_r, u_hat_r, lo, hi)]
+            u_r = [min(max(v + lam * x, l), h) if x else v  # v keeps the sign of a zero
+                   for x, v, l, h in zip(a_r, u_hat_r, lo, hi)]
             phi = c + sum(map(operator.mul, a_r, u_r))
         else:
             return None  # not met within the step bound (rounding): solve_qp decides

@@ -21,8 +21,8 @@ Modes:
 * centralized: one QP over all vehicles' stacked controls with one row per
   sensed pair.  When no vehicle is in two binding rows, every row is a
   problem of its own and solve_row_batch solves them in closed form;
-  otherwise solve_qp (Goldfarb-Idnani) does, warm-started from a hint of
-  its active set (the previous step's, see FilterResult.active).
+  otherwise solve_qp (Goldfarb-Idnani) does, warm-started from the
+  previous step's active set (FilterRun.active).
 * split: per-vehicle QPs.  Each vehicle enforces its half of every sensed
   pair's row (see _filter_split).  All half-rows are built in one array
   pass, and only a vehicle with a half-row violated at its clamped nominal
@@ -37,7 +37,6 @@ control, which FilterConfig checks lies in the box; the event is reported, never
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -75,8 +74,8 @@ class FilterConfig:
     constants derived from it at construction: one vehicle's box, the rows
     lower and upper of a read-only (2, 3) array with zero signs as given;
     the evading maneuver as the 6-vector (v1, w1, z1, v2, w2, z2); the
-    role_weights; and, on first use, stack(n).  They take no part in
-    comparison: equal configs compare and hash equal, and share nothing."""
+    role_weights.  They take no part in comparison: equal configs compare
+    and hash equal, and share nothing."""
 
     barrier: BarrierConfig
     sensor: SensorModel
@@ -86,7 +85,6 @@ class FilterConfig:
     box: np.ndarray = field(init=False, repr=False, compare=False)
     evading: np.ndarray = field(init=False, repr=False, compare=False)
     weights: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    _stacks: dict[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # The barrier's guarantee is the evading maneuver; it must be an
@@ -103,21 +101,32 @@ class FilterConfig:
         evading = np.ravel(self.barrier.maneuver.controls())
         box.flags.writeable = evading.flags.writeable = False
         # frozen: the derived fields are set past the dataclass's __setattr__
-        vars(self).update(box=box, evading=evading, weights=role_weights(self.barrier), _stacks={})
+        vars(self).update(box=box, evading=evading, weights=role_weights(self.barrier))
 
-    def stack(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only constants of n vehicles, computed on first use: the
-        (2, P) pair_index, the (2, 3n) box of the stacked control, and the
-        (2, 3n) stable ids (see FilterResult.active) of each entry's lower
-        and upper face, -1 for an infinite bound."""
-        if n not in self._stacks:
-            box = np.tile(self.box, n)  # np.copyto is slower with a broadcast bound
-            finite = np.isfinite(box)
-            # box faces follow the pair rows in QPProblem.stacked order
-            face = np.where(finite, n * (n - 1) // 2 - 1 + np.cumsum(finite).reshape(2, -1), -1)
-            box.flags.writeable = face.flags.writeable = False
-            self._stacks[n] = pair_index(n), box, face
-        return self._stacks[n]
+
+class FilterRun:
+    """The filter state of one run of n vehicles under one FilterConfig,
+    built once and passed to each step's filter_controls.  Read-only: pairs,
+    the (2, P) pair_index; box, the (2, 3n) box of the stacked control; face,
+    the (2, 3n) ids of each entry's lower and upper face (-1 for an infinite
+    bound); gather and starts, which reduce per-pair values per vehicle.
+    active, the ids of the constraints with a positive multiplier at the last
+    step's centralized QP optimum (a pair row's is its pair number, a box
+    face's P + its stacked index), empty if that step solved no such QP, is
+    the next step's guess of its QP's active set."""
+
+    def __init__(self, config: FilterConfig, n: int):
+        self.config, self.n, self.active = config, n, []
+        self.pairs = ii, jj = pair_index(n)
+        self.box = box = np.tile(config.box, n)  # np.copyto is slower with a broadcast bound
+        finite = np.isfinite(box)
+        # box faces follow the pair rows in QPProblem.stacked order
+        self.face = np.where(finite, n * (n - 1) // 2 - 1 + np.cumsum(finite).reshape(2, -1), -1)
+        box.flags.writeable = self.face.flags.writeable = False
+        # each vehicle's pairs in pair order, one run of n - 1 per vehicle: an
+        # np.fmin.reduceat of values.take(gather) at starts is each one's least
+        self.gather = np.argsort(np.stack([ii, jj], axis=1).ravel(), kind="stable") // 2
+        self.starts = np.arange(n) * (n - 1)
 
 
 @dataclass
@@ -127,13 +136,7 @@ class FilterResult:
     entry per pair (i < j), in the order of pair_index: raw barrier h and
     shaped barrier h_shaped (NaN outside the barrier domain), the pair-row
     margin under the final controls (NaN where the pair constrains nothing:
-    unsensed, undefined, failed, or mode off), and whether the pair is sensed.
-
-    active lists the constraints with a positive multiplier at the
-    centralized QP optimum, as stable ids: the pair number for a pair row,
-    P + the stacked face index for an actuator box face (P pairs).  It is
-    empty when no centralized QP ran or it was infeasible.  Passed as the
-    next step's hint, it warm-starts that step's QP."""
+    unsensed, undefined, failed, or mode off), and whether the pair is sensed."""
 
     nominal: np.ndarray
     controls: np.ndarray
@@ -143,7 +146,6 @@ class FilterResult:
     in_sensor: np.ndarray
     events: list[str] = field(default_factory=list)
     fallback: set[int] = field(default_factory=set)
-    active: list[int] = field(default_factory=list)
 
 
 class PairPass(NamedTuple):
@@ -159,8 +161,9 @@ class PairPass(NamedTuple):
     lie: np.ndarray
 
 
-def pair_pass(world: list[VehicleState], config: FilterConfig) -> PairPass:
-    g = phasor_rows(world).take(config.stack(len(world))[0], 1).transpose(1, 0, 2)
+def pair_pass(world: list[VehicleState], run: FilterRun) -> PairPass:
+    config = run.config
+    g = phasor_rows(world).take(run.pairs, 1).transpose(1, 0, 2)
     b = barrier_pass(pair_rows(g, config.weights), config.barrier)
     h = b.s - config.barrier.safety.ds
     if config.shaping is None:
@@ -187,31 +190,34 @@ def filter_controls(
     nominal: list[ControlInput],
     config: FilterConfig,
     mode: str = "centralized",
-    hint: Sequence[int] = (),
+    run: FilterRun | None = None,
 ) -> FilterResult:
     """Clamp the nominal controls into the actuator box, once, as one (N, 3)
     array (FilterResult.nominal), and filter them through the barrier QP.
 
     Barrier values are computed for every pair (the simulator is omniscient
     even where the vehicles are not), but only sensed pairs constrain the QP.
-    hint, in the ids of FilterResult.active (usually the previous step's),
-    is the centralized QP's guess of its active set; it does not change the
-    result beyond the solver's tolerance.  Ids naming no constraint of this
-    step are ignored.
+    run, built for config itself and N vehicles, carries the filter state
+    from step to step (see FilterRun.active), which this call reads and
+    updates; without one, the call builds a fresh run.
     """
     if mode not in ("centralized", "split", "off"):
         raise ValueError(f"unknown filter mode {mode!r}")
     n = len(world)
     if len(nominal) != n:
         raise ValueError("one nominal control per vehicle required")
-    idx, (lo, hi), _ = config.stack(n)
+    run = run or FilterRun(config, n)
+    if run.config is not config or run.n != n:
+        raise ValueError("the run was built for another FilterConfig or vehicle count")
+    hint, run.active = run.active, []
+    idx, (lo, hi) = run.pairs, run.box
     ii, jj = idx
     u_hat = _clamp(np.fromiter(chain.from_iterable(nominal), float, 3 * n), lo, hi).reshape(n, 3)
-    p = pair_pass(world, config)
+    p = pair_pass(world, run)
     result = FilterResult(u_hat, u_hat, p.h, p.h_shaped, None, p.in_sensor)  # margin set below
     ok = p.in_sensor  # sensed rows whose constraint can be evaluated
     failed_rows = []  # sensed rows whose constraint cannot be evaluated or met
-    if not p.barrier.s.min(initial=np.inf) > 0.0:  # some barrier may be undefined (NaN)
+    if not np.minimum.reduce(p.barrier.s, initial=np.inf) > 0.0:  # some s may be NaN
         errors = domain_errors(p.barrier, config.barrier, p.lie)
         result.events += [f"domain-error pair=({ii[k]},{jj[k]}) {msg}" for k, msg in errors]
         failed_rows = [k for k, _ in errors if ok[k]]
@@ -241,7 +247,7 @@ def filter_controls(
         u = result.controls = u_hat.copy()
         result.fallback.update(idx[:, failed_rows].ravel().tolist())  # cannot be evaluated or met
         if mode == "centralized":
-            _filter_centralized(config, result, u, rows, pairs, lg, row_offset, hint)
+            _filter_centralized(run, result, u, rows, pairs, lg, row_offset, hint)
         else:
             _filter_split(config, result, u, pairs, lg, row_offset)
         if result.fallback:
@@ -251,7 +257,7 @@ def filter_controls(
             for v in sorted(result.fallback):
                 first = next(k for k in order if v in (ii[k], jj[k]))
                 u[v] = config.evading[:3] if ii[first] == v else config.evading[3:]
-        if not np.isfinite(u).all():
+        if np.count_nonzero(np.isfinite(u)) < u.size:
             v = int(np.flatnonzero(~np.isfinite(u))[0]) // 3
             raise ValueError(f"non-finite filtered control for vehicle {v}: {u[v].tolist()!r}")
         margin = _row_margins(lg, row_offset, u, pairs)
@@ -283,16 +289,17 @@ def _row_margins(lg, offset, u, pairs) -> np.ndarray:
     return (lg.reshape(-1, 2, 3) * u_pairs).sum(axis=(1, 2)) + offset
 
 
-def _filter_centralized(config, result, u, rows, pairs, lg, offset, hint):
+def _filter_centralized(run, result, u, rows, pairs, lg, offset, hint):
     """One QP over the stacked controls u, which it overwrites with the
-    optimum; on infeasibility, both vehicles of every row fall back.
+    optimum, and its active set into run.active, warm-started from hint;
+    on infeasibility, both vehicles of every row fall back.
 
     When no vehicle is in two rows, each row with its vehicles' box is a
     problem of its own, solved in closed form.  solve_qp takes any other
     step, and every step with a row the closed form declines (not met
     inside the box), so that it alone decides infeasibility."""
     k, n = len(offset), len(u)
-    _, (lo, hi), face = config.stack(n)
+    (lo, hi), face = run.box, run.face
     if len(set(pairs.ravel().tolist())) == 2 * k:
         solved = solve_row_batch(u.take(pairs.T, 0).reshape(k, 6), lg, offset, lo[:6], hi[:6])
         if solved is not None:
@@ -301,8 +308,8 @@ def _filter_centralized(config, result, u, rows, pairs, lg, offset, hint):
             pushed = np.zeros(3 * n)
             pushed.reshape(n, 3)[pairs.T] = push.reshape(k, 2, 3)
             # ascending: the rows, lower faces pushed up, upper faces pushed down
-            result.active = (rows[lam > 0.0].tolist() + face[0][pushed > 0.0].tolist()
-                             + face[1][pushed < 0.0].tolist())
+            run.active = (rows[lam > 0.0].tolist() + face[0][pushed > 0.0].tolist()
+                          + face[1][pushed < 0.0].tolist())
             return
     coeffs = np.zeros((k, n, 3))
     coeffs[np.arange(k), pairs] = lg.reshape(k, 2, 3).transpose(1, 0, 2)
@@ -321,7 +328,7 @@ def _filter_centralized(config, result, u, rows, pairs, lg, offset, hint):
         result.events.append(f"qp-infeasible mode=centralized {err} pairs={named}")
         result.fallback.update(pairs.ravel().tolist())
         return
-    result.active = ids[mult > 0.0].tolist()
+    run.active = ids[mult > 0.0].tolist()
     # the solver meets the box to its tolerance; clamp into it exactly
     u[:] = _clamp(u_star, lo, hi).reshape(n, 3)
 

@@ -137,13 +137,8 @@ class ScenarioConfig:
         return make_quadratic_psi(xi, self.shaping_beta)
 
     def filter_config(self) -> FilterConfig:
-        return FilterConfig(
-            barrier=self.barrier,
-            sensor=SensorModel(self.sensor_range),
-            limits=self.limits,
-            gain=LinearGain(self.alpha_slope),
-            shaping=self.resolve_shaping(),
-        )
+        return FilterConfig(self.barrier, SensorModel(self.sensor_range), self.limits,
+                            LinearGain(self.alpha_slope), self.resolve_shaping())
 
     def controllers(self) -> list[Controller]:
         return list(self._controllers)

@@ -23,7 +23,7 @@ from typing import Protocol
 import numpy as np
 
 from .dynamics import ControlInput, VehicleState, step_rk4, wrap_angle
-from .safety_filter import FilterConfig, filter_controls, pair_index
+from .safety_filter import FilterConfig, FilterRun, filter_controls
 
 
 class Controller(Protocol):
@@ -149,15 +149,10 @@ class Simulation:
         self.t = 0.0
         self.states: list[VehicleState] = list(states)
         self.controllers = list(controllers)
-        self.fconfig = fconfig
-        self.mode = mode
-        self.dt = dt
+        self.mode, self.dt = mode, dt
         n = len(self.states)
-        ii, jj = pair_index(n)
-        self.pairs = list(zip(ii.tolist(), jj.tolist()))
-        # each vehicle's pairs in pair order, one run of n - 1 per vehicle
-        self._gather = np.argsort(np.stack([ii, jj], axis=1).ravel(), kind="stable") // 2
-        self._starts = np.arange(n) * (n - 1)
+        self.run = FilterRun(fconfig, n)
+        self.pairs = list(zip(*self.run.pairs.tolist()))
         try:
             self._times = np.empty(n_steps)
             self._states = np.empty((n_steps, n, 4))
@@ -169,21 +164,19 @@ class Simulation:
             raise ValueError(f"cannot record a run of {n_steps:.6g} steps: {err}") from None
         self._step = 0  # steps recorded so far
         self._events: list[tuple[int, str]] = []
-        self._active: list[int] = []  # the last step's QP active set, warm-starts the next
 
     def step(self):
-        k, states, t = self._step, self.states, self.t
+        k, states, t, run = self._step, self.states, self.t, self.run
         if k == len(self._times):
             raise IndexError(f"all {k} steps of this run are recorded")
         nominal = [c.control(s, t) for c, s in zip(self.controllers, states)]
-        res = filter_controls(states, nominal, self.fconfig, mode=self.mode, hint=self._active)
-        self._active = res.active
+        res = filter_controls(states, nominal, run.config, mode=self.mode, run=run)
         self.states = [step_rk4(s, u, self.dt) for s, u in zip(states, res.controls.tolist())]
         self._states[k].flat = np.fromiter(chain.from_iterable(states), float, 4 * len(states))
         self._nominal[k] = res.nominal
         self._filtered[k] = res.controls
         if self.pairs:
-            np.fmin.reduceat(res.h_shaped.take(self._gather), self._starts, out=self._min_h[k])
+            np.fmin.reduceat(res.h_shaped.take(run.gather), run.starts, out=self._min_h[k])
         self._events.extend((k, e) for e in res.events)
         self._times[k] = t
         self._step = k + 1

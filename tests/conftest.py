@@ -19,7 +19,7 @@ from wingsafe.barrier import (
 )
 from wingsafe.dynamics import ActuatorLimits, ControlInput, VehicleState
 from wingsafe.qp import QPInfeasibleError, QPProblem, solve_qp
-from wingsafe.safety_filter import FilterConfig, filter_controls, pair_index, pair_pass
+from wingsafe.safety_filter import FilterConfig, FilterRun, filter_controls, pair_index, pair_pass
 from wingsafe.shaping import SensorModel
 
 # Examples run whole solves and simulations whose time varies with the host,
@@ -124,8 +124,9 @@ def replay_pairs(trace, fconfig):
     with the filter's array pass: the values the run's filter saw."""
     shape = (trace.n_steps, len(trace.pairs))
     h, h_shaped, in_sensor = np.empty(shape), np.empty(shape), np.empty(shape, bool)
+    run = FilterRun(fconfig, trace.states.shape[1])
     for k, world in enumerate(trace.states.tolist()):
-        p = pair_pass([RecordedState(*s) for s in world], fconfig)
+        p = pair_pass([RecordedState(*s) for s in world], run)
         h[k], h_shaped[k], in_sensor[k] = p.h, p.h_shaped, p.in_sensor
     return h, h_shaped, in_sensor
 

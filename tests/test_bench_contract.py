@@ -153,7 +153,11 @@ def test_filter_world_and_qp_rows_are_readable(monkeypatch):
     # so solve_qp runs (rows that share none are solved in closed form)
     config = replace(scenario_circle20(start_radius=90.0), duration=1.0)
     run_scenario(config)
-    assert filter_calls and qp_calls
+    # the tracer spans each step's one filter_controls call and reads the
+    # sensor range off its positional argument 2
+    assert len(filter_calls) == config.n_steps and qp_calls
+    for args in filter_calls:
+        assert args[2].sensor.range_m == config.sensor_range
     for args in filter_calls[:10]:
         world = args[0]
         pos = np.array([[s.px, s.py] for s in world])

@@ -37,3 +37,14 @@ def test_scipy_is_a_test_dependency():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [re.match(r"[\w.-]+", d).group() for d in project["dependencies"]] == ["numpy"]
     assert any(re.match(r"scipy\b", d) for d in project["optional-dependencies"]["test"])
+
+
+def test_tier1_job_installs_pyyaml():
+    # the workflow tests above skip without PyYAML, so this one reads the
+    # tier-1 job's lines as text: from its key to the next job's
+    text = (ROOT / ".github/workflows/tier1.yml").read_text()
+    job = re.search(r"^  tier1:\n(.*?)(?=^  \S|\Z)", text, re.M | re.S).group(1)
+    installs = [line for line in job.splitlines() if "pip install" in line]
+    assert installs and all(re.search(r"\bpyyaml\b", line) for line in installs)
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert any(re.match(r"pyyaml\b", d) for d in project["optional-dependencies"]["test"])

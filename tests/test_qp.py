@@ -368,6 +368,19 @@ class TestRowBatch:
             solve_qp(block_problem(u_hat, coeffs, np.array([-26.0]), ROW_LOWER, ROW_UPPER))
 
 
+@pytest.mark.parametrize("path", ["loop", "guess", "row batch"])
+def test_an_entry_no_active_row_acts_on_keeps_its_bits(path):
+    # one row acting on entry 0 alone: u_hat + t * 0.0 would turn the -0.0
+    # of entry 1 into 0.0, so both zeros must come out as given
+    u_hat, coeffs, offsets = np.array([0.0, -0.0, 0.0]), np.array([[1.0, 0.0, -0.0]]), [-1.0]
+    if path == "row batch":
+        u = solve_row_batch(u_hat[None], coeffs, np.array(offsets), np.full(3, -np.inf),
+                            np.full(3, np.inf))[0][0]
+    else:
+        u, _ = solve_qp(QPProblem(u_hat, coeffs, offsets), guess=[0] if path == "guess" else ())
+    assert u.view(np.int64).tolist() == np.array([1.0, -0.0, 0.0]).view(np.int64).tolist()
+
+
 def reference_stacked(u_hat, rows, lower, upper):
     """A u >= b built one (coeffs, offset) row at a time, with each check in
     the order a per-row builder makes it: every row's offset (finite, and not

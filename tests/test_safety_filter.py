@@ -20,10 +20,10 @@ from wingsafe.barrier import (
     lie_derivatives,
 )
 from wingsafe import safety_filter, sim
-from wingsafe.dynamics import ActuatorLimits, ControlInput, VehicleState
+from wingsafe.dynamics import ActuatorLimits, ControlInput, VehicleState, step_rk4
 from wingsafe.qp import solve_qp, solve_row_batch
-from wingsafe.safety_filter import (FilterConfig, _shaped_rows, filter_controls, pair_index,
-                                    pair_pass)
+from wingsafe.safety_filter import (FilterConfig, FilterRun, _shaped_rows, filter_controls,
+                                    pair_index, pair_pass)
 from wingsafe.scenarios import run_scenario, scenario_circle20
 from wingsafe.shaping import SensorModel, make_quadratic_psi, psi_deriv_batch, xi_from_range
 
@@ -47,11 +47,19 @@ def vehicle(x, y, th):
     return VehicleState(x, y, th, 0.0)
 
 
+def filtered(world, nominal, config, mode="centralized", active=()):
+    """filter_controls on a fresh run that starts from the given active set:
+    the result, and the run's active set after the step."""
+    run = FilterRun(config, len(world))
+    run.active = list(active)
+    return filter_controls(world, nominal, config, mode, run), run.active
+
+
 class TestAssemblePairConstraint:
     """The pair rows of the filter's array pass: pair_pass and _shaped_rows."""
 
     def test_outside_sensing_returns_none(self, fconfig):
-        p = pair_pass([vehicle(0, 0, 0), vehicle(400, 0, math.pi)], fconfig)
+        p = pair_pass([vehicle(0, 0, 0), vehicle(400, 0, math.pi)], FilterRun(fconfig, 2))
         assert not p.in_sensor[0]
 
     def test_plateau_row_vacuous(self, fconfig):
@@ -60,7 +68,7 @@ class TestAssemblePairConstraint:
         pair = PairState(vehicle(0, 0, math.pi / 2), vehicle(349, 0, math.pi / 2))
         h = h_value(pair, fconfig.barrier).value
         assert h >= fconfig.shaping.xi
-        p = pair_pass([pair.a, pair.b], fconfig)
+        p = pair_pass([pair.a, pair.b], FilterRun(fconfig, 2))
         assert p.in_sensor[0] and p.h[0] == h
         assert not p.lie[0]
         assert fconfig.gain(p.h_shaped[0]) > 0
@@ -73,7 +81,7 @@ class TestAssemblePairConstraint:
             h = h_value(pair, turn_config).value
             if not (0 < h < fconfig.shaping.xi):
                 continue
-            p = pair_pass([pair.a, pair.b], fconfig)
+            p = pair_pass([pair.a, pair.b], FilterRun(fconfig, 2))
             assert p.in_sensor[0] and p.lie[0]
             _, lg = lie_derivatives(pair, turn_config)
             want = psi_deriv_batch(h, fconfig.shaping) * lg
@@ -208,8 +216,8 @@ class TestFilterControls:
 
     def test_qp_leaves_clamped_nominal(self, fconfig, limits):
         nominal = [ControlInput(30, 0, 0), ControlInput(20, 0, -9)]
-        res = filter_controls(self.HEAD_ON, nominal, fconfig)
-        assert res.active  # the QP ran and wrote the filtered controls
+        res, active = filtered(self.HEAD_ON, nominal, fconfig)
+        assert active  # the QP ran and wrote the filtered controls
         assert res.controls is not res.nominal
         assert np.array_equal(res.nominal, [reference_clamp(u, limits) for u in nominal])
 
@@ -243,7 +251,8 @@ class TestFilterControls:
 
 
 class TestWarmStartHint:
-    """The previous step's active set only warm-starts the centralized QP."""
+    """The previous step's active set, FilterRun.active, only warm-starts
+    the centralized QP."""
 
     @staticmethod
     def worlds(seed, count):
@@ -259,15 +268,15 @@ class TestWarmStartHint:
         nominal = [ControlInput(25, 0, 0)] * 4
         hinted = 0
         for world in self.worlds(44, 40):
-            cold = filter_controls(world, nominal, fconfig)
-            if not cold.active:
+            cold, cold_active = filtered(world, nominal, fconfig)
+            if not cold_active:
                 continue
             # the exact active set, a stale one and ids naming nothing
-            for hint in (cold.active, cold.active[:1], [-1, 10**6] + cold.active):
-                warm = filter_controls(world, nominal, fconfig, hint=hint)
+            for hint in (cold_active, cold_active[:1], [-1, 10**6] + cold_active):
+                warm, warm_active = filtered(world, nominal, fconfig, active=hint)
                 np.testing.assert_allclose(warm.controls, cold.controls, rtol=0, atol=1e-9)
                 np.testing.assert_allclose(warm.margin, cold.margin, rtol=0, atol=1e-9)
-                assert warm.active == cold.active
+                assert warm_active == cold_active
                 assert warm.events == cold.events and warm.fallback == cold.fallback
             hinted += 1
         assert hinted >= 10
@@ -288,10 +297,10 @@ class TestWarmStartHint:
         checked = 0
         for world in self.worlds(47, 40):
             solves.clear()
-            cold = filter_controls(world, nominal, fconfig)
-            if not cold.active or not solves:
+            _, cold_active = filtered(world, nominal, fconfig)
+            if not cold_active or not solves:
                 continue
-            filter_controls(world, nominal, fconfig, hint=[-1, 30, 10**6] + cold.active)
+            filtered(world, nominal, fconfig, active=[-1, 30, 10**6] + cold_active)
             (_, mult), (guess, _) = solves
             assert guess == np.flatnonzero(mult > 0.0).tolist()
             checked += 1
@@ -304,11 +313,11 @@ class TestWarmStartHint:
         faces = lo + hi  # stacked box faces: lower, then upper
         n_pairs = 6
         for world in self.worlds(45, 40):
-            res = filter_controls(world, nominal, fconfig)
+            res, active = filtered(world, nominal, fconfig)
             if res.fallback:
                 continue  # the margins are those of the evading maneuver
             u = res.controls.ravel()
-            for i in res.active:
+            for i in active:
                 if i < n_pairs:
                     assert res.margin[i] == pytest.approx(0.0, abs=1e-8)
                 else:
@@ -318,11 +327,60 @@ class TestWarmStartHint:
     def test_no_active_set_without_centralized_qp(self, fconfig):
         nominal = [ControlInput(25, 0, 0)] * 4
         for world in self.worlds(46, 20):
-            hint = filter_controls(world, nominal, fconfig).active
+            _, hint = filtered(world, nominal, fconfig)
             for mode in ("split", "off"):
-                assert filter_controls(world, nominal, fconfig, mode, hint).active == []
+                assert filtered(world, nominal, fconfig, mode, hint)[1] == []
         far = [vehicle(0, 0, 0), vehicle(1000, 0, math.pi)]
-        assert filter_controls(far, nominal[:2], fconfig, hint=[0]).active == []
+        assert filtered(far, nominal[:2], fconfig, active=[0])[1] == []
+
+
+class TestFilterRun:
+    """One FilterRun carries a run's filter state from step to step; a
+    step on it gives the bits of a fresh run that starts from the previous
+    step's active set."""
+
+    def test_run_of_another_config_or_vehicle_count_rejected(self, fconfig):
+        world = [vehicle(0, 0, 0), vehicle(1000, 0, math.pi)]
+        nominal = [ControlInput(20, 0, 0)] * 2
+        twin = replace(fconfig)  # equal, but its own object
+        assert twin == fconfig
+        for run in (FilterRun(twin, 2), FilterRun(fconfig, 3)):
+            with pytest.raises(ValueError, match="another FilterConfig or vehicle count"):
+                filter_controls(world, nominal, fconfig, run=run)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_reused_run_matches_fresh_runs(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        mode = data.draw(st.sampled_from(["centralized", "split"]), label="mode")
+        man = TurnManeuver(1.0, 16.0, 0.2)
+        safety = SafetyParams(0.01, 5.0)
+        shaping = data.draw(st.sampled_from([None, make_quadratic_psi(
+            xi_from_range(350.0, man, safety), 0.9)]), label="shaping")
+        config = FilterConfig(BarrierConfig(man, safety), SensorModel(350.0),
+                              ActuatorLimits(15.0, 25.0, 0.2269, 5.0), shaping=shaping)
+        world = data.draw(st.lists(_near, min_size=n, max_size=n), label="world")
+        nominal = data.draw(st.lists(st.builds(ControlInput, st.floats(10.0, 30.0),
+                                               st.floats(-0.5, 0.5), st.floats(-7.0, 7.0)),
+                                     min_size=n, max_size=n), label="nominal")
+        run, active = FilterRun(config, n), []
+
+        def fields(res):
+            arrays = (res.nominal, res.controls, res.h, res.h_shaped, res.margin)
+            return ([_bits(a) for a in arrays], res.in_sensor.tolist(), res.events,
+                    sorted(res.fallback))
+
+        for _ in range(data.draw(st.integers(1, 10), label="steps")):
+            # some steps see the world spread 20-fold, where few rows bind
+            seen = world if data.draw(st.booleans(), label="near") else [
+                s._replace(px=20.0 * s.px, py=20.0 * s.py) for s in world]
+            got = filter_controls(seen, nominal, config, mode, run)
+            want, active = filtered(seen, nominal, config, mode, active)
+            assert fields(got) == fields(want)
+            assert run.active == active
+            if mode == "split" or got.controls is got.nominal:  # no centralized QP ran
+                assert active == []
+            world = [step_rk4(s, u, 0.1) for s, u in zip(world, got.controls.tolist())]
 
 
 class TestClosedForm:
@@ -356,7 +414,7 @@ class TestClosedForm:
         for _ in range(120):
             world, nominal = self.isolated_pairs(rng)
             closed.clear()
-            res = filter_controls(world, nominal, fconfig)
+            res, active = filtered(world, nominal, fconfig)
             with monkeypatch.context() as m:
                 m.setattr(safety_filter, "solve_row_batch", lambda *args: None)
                 ref = filter_controls(world, nominal, fconfig)
@@ -372,8 +430,8 @@ class TestClosedForm:
             faces = [limits.v_min, -limits.omega_max, -limits.zeta_max] * n + [
                 limits.v_max, limits.omega_max, limits.zeta_max] * n
             u = res.controls.ravel()
-            assert res.active == sorted(res.active)
-            for i in res.active:
+            assert active == sorted(active)
+            for i in active:
                 if i < n_pairs:
                     assert res.margin[i] == pytest.approx(0.0, abs=1e-8)
                 else:
@@ -488,7 +546,7 @@ class TestTwinConfigsShareNothing:
         cols = np.array([(s.px, s.py, s.heading) for s in world]).T
 
         def run(cfg):
-            res = filter_controls(world, nominal, cfg, mode=mode)
+            res, active = filtered(world, nominal, cfg, mode)
             clamped = [reference_clamp(u, cfg.limits) for u in nominal]
             assert _bits(res.nominal) == _bits(clamped)
             # h_batch builds its pair rows from the maneuver's own fields
@@ -498,7 +556,7 @@ class TestTwinConfigsShareNothing:
                 assert _bits(res.controls[v]) in (_bits(evading[0]), _bits(evading[1]))
             arrays = (res.nominal, res.controls, res.h, res.h_shaped, res.margin)
             return ([_bits(a) for a in arrays], res.in_sensor.tolist(), res.events,
-                    sorted(res.fallback), res.active)
+                    sorted(res.fallback), active)
 
         first, twin = config(zero), config(-zero)
         assert first == twin and hash(first) == hash(twin)
@@ -677,7 +735,7 @@ class TestUnusableRows:
                                                st.floats(-0.5, 0.5), st.floats(-8.0, 8.0)),
                                      min_size=3, max_size=3), label="nominal")
         i, j = sorted(where[:2])
-        p = pair_pass(world, config)
+        p = pair_pass(world, FilterRun(config, 3))
         k = pair_index(3)[0].tolist().index(i) + j - i - 1
         assert np.flatnonzero(p.in_sensor).tolist() == [k]
         unusable = not p.barrier.s[k] > 0.0  # undefined, or no gradient at s = 0
@@ -731,3 +789,19 @@ def test_optima_keep_their_zero_signs(mode, zeta_max, radius, monkeypatch):
         else:  # the vehicle whose nominal the problem holds (the speeds differ)
             want[res.nominal[:, 0].tolist().index(u_hat[0])] = u_star[2]
     assert _bits(res.controls[:, 2]) == _bits(want)
+
+
+@pytest.mark.parametrize("mode", ["centralized", "split"])
+@pytest.mark.parametrize("closed_form", [True, False], ids=["closed form", "solve_qp"])
+def test_a_zero_no_row_acts_on_keeps_its_sign(mode, closed_form, monkeypatch):
+    """With a zero climb box, a raw straight pair's row acts on no climb: the
+    filtered climbs keep the bits of the nominal ones, -0.0 too, on every
+    solver path."""
+    if not closed_form:
+        monkeypatch.setattr(safety_filter, "solve_row_batch", lambda *args: None)
+    config = FilterConfig(BarrierConfig(StraightManeuver(16.0, 24.0), SafetyParams(0.01, 5.0)),
+                          SensorModel(350.0), ActuatorLimits(15.0, 25.0, 0.2269, 0.0))
+    world = [vehicle(0, 0, 0), vehicle(30, 0, math.pi)]
+    res = filter_controls(world, [ControlInput(20.0, 0.0, -0.0)] * 2, config, mode=mode)
+    assert not res.fallback and not np.array_equal(res.controls, res.nominal)  # a QP ran
+    assert _bits(res.controls[:, 2]) == _bits([-0.0, -0.0])
