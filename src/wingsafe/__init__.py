@@ -1,6 +1,21 @@
 """Barrier-function safety filtering for fixed-wing collision avoidance
 under limited-range sensing."""
 
+import os
+import sys
+
+# One BLAS thread, set before any submodule imports numpy.  wingsafe's largest
+# BLAS call (a 310 x 60 matrix-vector product at N = 20) and its `A @ u`,
+# `N N^T` and `solve` take as long on one OpenBLAS thread as on two, yet
+# starting OpenBLAS's thread pool added about 65 ms to `import numpy` on a
+# 2-core x86-64 host (137-157 ms against 60-93 ms).  Where the pool does
+# engage it changes the rounding: an 80-vehicle circle wrote a different trace
+# on two threads (min_distance 5.009868394757866) than on one
+# (5.00986839475782).  A value the user set wins, and a program that imported
+# numpy first keeps its BLAS as it was.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .dynamics import (
     ActuatorLimits,
     ControlInput,

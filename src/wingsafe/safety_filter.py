@@ -234,7 +234,8 @@ def filter_controls(
     rows = np.flatnonzero(need)
     lg = _shaped_rows(p, rows, config)
     pairs, row_offset = idx.take(rows, 1), offset.take(rows)  # pairs: (2, rows) vehicles
-    margin = _row_margins(lg, row_offset, u_hat, pairs)
+    with np.errstate(invalid="ignore"):  # inf * 0 on a non-finite row: a NaN margin
+        margin = _row_margins(lg, row_offset, u_hat, pairs)
     if (mode == "split" or failed_rows
             or not 0.0 <= np.minimum.reduce(margin) <= np.maximum.reduce(margin) < np.inf):
         # a negative or non-finite margin (as on every row the rule fails); else the centralized

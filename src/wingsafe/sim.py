@@ -199,19 +199,22 @@ class Simulation:
 
 
 METRIC_BLOCK_ELEMS = 1 << 13  # pair distances compute_metrics holds in one temporary
+METRIC_BLOCK_MIN_STEPS = 32  # fewest steps per block, whatever the pair count
 
 
 def metric_block_steps(n_pairs: int) -> int:
     """Steps per compute_metrics block: METRIC_BLOCK_ELEMS pair distances,
-    so its temporaries do not grow with the pair count."""
-    return max(1, METRIC_BLOCK_ELEMS // max(n_pairs, 1))
+    but at least METRIC_BLOCK_MIN_STEPS, since each block pays a fixed cost
+    over all P pairs (about 170 us at P = 3,160)."""
+    return max(METRIC_BLOCK_MIN_STEPS, METRIC_BLOCK_ELEMS // max(n_pairs, 1))
 
 
 def compute_metrics(trace: SimTrace, ds: float) -> Metrics:
     """Metrics over all recorded states plus the final state.
 
-    Pair distances and control jumps are computed metric_block_steps(P)
-    steps at a time, so memory grows neither with the run's length nor with
+    Control jumps are computed metric_block_steps(P) steps at a time, and
+    pair distances as many steps for at most METRIC_BLOCK_ELEMS // steps
+    pairs at a time, so memory grows neither with the run's length nor with
     its P pairs.  Each pair's least distance in a block replaces its running
     one where an argmin over (running, block) would pick the block: the
     earlier step wins ties and a NaN wins, as one argmin over all steps
@@ -222,6 +225,7 @@ def compute_metrics(trace: SimTrace, ds: float) -> Metrics:
     at = np.zeros(len(cols), int)  # the step of it
     jumps = np.zeros(trace.filtered.shape[1])
     block_steps = metric_block_steps(len(cols))
+    chunk = max(1, METRIC_BLOCK_ELEMS // block_steps)  # one chunk while P <= 256
     for b0 in range(0, trace.n_steps + 1, block_steps):
         b1 = b0 + block_steps
         # the jump into each of the block's steps, so blocks overlap by one row
@@ -232,16 +236,19 @@ def compute_metrics(trace: SimTrace, ds: float) -> Metrics:
             block = np.concatenate([block, trace.final_states[None, :, 0:2]])
         # pairs by steps, so that each pair's steps are one contiguous row
         x, y = block.T
-        dx = x.take(ii, 0)
-        dx -= x.take(jj, 0)
-        dy = y.take(ii, 0)
-        dy -= y.take(jj, 0)
-        dist = np.hypot(dx, dy, out=dx)
-        steps = dist.argmin(axis=1)
-        least = dist[cols, steps]
-        take = ~(best <= least) & (best == best)
-        np.copyto(best, least, where=take)
-        np.copyto(at, steps + b0, where=take)
+        for c0 in range(0, len(cols), chunk):
+            c = slice(c0, c0 + chunk)
+            dx = x.take(ii[c], 0)
+            dx -= x.take(jj[c], 0)
+            dy = y.take(ii[c], 0)
+            dy -= y.take(jj[c], 0)
+            dist = np.hypot(dx, dy, out=dx)
+            steps = dist.argmin(axis=1)
+            least = dist[cols[:len(dist)], steps]
+            best_c, at_c = best[c], at[c]
+            take = ~(best_c <= least) & (best_c == best_c)
+            np.copyto(best_c, least, where=take)
+            np.copyto(at_c, steps + b0, where=take)
     min_distance = float(best.min(initial=math.inf))
     min_h_shaped = float(np.fmin.reduce(trace.min_pair_h_shaped, axis=None, initial=math.inf))
     times = np.append(trace.times, trace.final_time)[at].tolist()

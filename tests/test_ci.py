@@ -1,5 +1,6 @@
 """The CI workflow and the packaging metadata: the tier-1 job runs the
-command that ROADMAP.md names, and the program needs numpy alone."""
+command that ROADMAP.md names, every job has a time limit, and the program
+needs numpy alone."""
 
 import re
 import tomllib
@@ -21,6 +22,15 @@ def test_workflow_runs_the_roadmap_tier1_command():
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", roadmap).group(1)
     assert steps[-1]["run"] == command
     assert "perfbench" not in command
+
+
+def test_every_job_sets_a_timeout():
+    # without one, a hung job runs until GitHub's 6-hour default
+    jobs = workflow_jobs()
+    assert jobs
+    for name, job in jobs.items():
+        minutes = job.get("timeout-minutes")
+        assert isinstance(minutes, int) and 0 < minutes <= 60, name
 
 
 def test_product_job_runs_without_scipy():

@@ -770,6 +770,34 @@ def test_cli_import_leaves_process_pool_out():
     assert not _loaded_by_cli_import("concurrent.futures.process")
 
 
+def _fresh_lines(probe: str, blas_threads: str | None = None) -> list[str]:
+    """What a fresh interpreter prints for probe, with OPENBLAS_NUM_THREADS
+    unset (this process may have set it) or set to blas_threads."""
+    env = {k: v for k, v in SRC_ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.split()
+
+
+def test_wingsafe_starts_numpy_with_one_blas_thread():
+    # OpenBLAS reads the variable when numpy loads it: one thread starts no pool
+    probe = ("import os, sys, wingsafe; print(os.environ.get('OPENBLAS_NUM_THREADS'));"
+             "print(len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1)")
+    assert _fresh_lines(probe) == ["1", "1"]
+
+
+def test_a_preset_blas_thread_count_wins():
+    probe = "import os, wingsafe; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _fresh_lines(probe, blas_threads="2") == ["2"]
+
+
+def test_numpy_imported_first_keeps_its_blas():
+    probe = "import os, numpy, wingsafe; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _fresh_lines(probe) == ["None"]
+
+
 @pytest.mark.parametrize("argv", [
     ("run", "--scenario", "sweep"),
     ("sweep", "--scenario", "sweep", "--range", "350"),

@@ -696,7 +696,11 @@ class TestUnusableRows:
         # 2.2e-309 m apart: lie_rows overflows, the row is not finite
         ([vehicle(0, 0, 0), vehicle(2.2e-309, 0, 0)],
          "domain-error pair=(0,1) non-finite constraint row"),
-    ], ids=["zero row", "non-finite row"])
+        # the same on crossing headings: the row holds an infinity, which
+        # meets a zero turn rate
+        ([vehicle(0, 0, 0), vehicle(2.2e-309, 0, 2.0)],
+         "domain-error pair=(0,1) non-finite constraint row"),
+    ], ids=["zero row", "non-finite row", "infinite row"])
     def test_reproductions(self, mode, world, event):
         config = self.config(StraightManeuver(16.0, 24.0))
         with warnings.catch_warnings():

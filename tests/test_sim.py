@@ -24,6 +24,7 @@ from wingsafe.scenarios import (
 import wingsafe.sim
 from wingsafe.sim import (
     METRIC_BLOCK_ELEMS,
+    METRIC_BLOCK_MIN_STEPS,
     CircleController,
     GoalController,
     Metrics,
@@ -389,12 +390,14 @@ B = 256  # the block length test_blocked_equals_unblocked sets compute_metrics t
 
 class TestBlockedMetrics:
     def test_block_length_from_pair_count(self):
-        # a block holds at most METRIC_BLOCK_ELEMS pair distances, at any P
+        # a block holds at least 32 steps, and at most METRIC_BLOCK_ELEMS
+        # pair distances where that leaves room for 32 steps
         for n_pairs in (0, 1, 10, 190, 780, 3160, METRIC_BLOCK_ELEMS, 10 * METRIC_BLOCK_ELEMS):
             steps = metric_block_steps(n_pairs)
-            assert steps >= 1
-            assert steps * n_pairs <= max(METRIC_BLOCK_ELEMS, n_pairs)
-            assert (steps + 1) * max(n_pairs, 1) > METRIC_BLOCK_ELEMS
+            assert steps >= 32
+            assert steps * n_pairs <= max(METRIC_BLOCK_ELEMS, 32 * n_pairs)
+            assert steps == 32 or (steps + 1) * max(n_pairs, 1) > METRIC_BLOCK_ELEMS
+        assert metric_block_steps(190) == 43  # circle20's blocks, as before the floor
 
     @pytest.mark.parametrize("plant", ["none", "grid", "boundary", "final", "nan"])
     # around the first block boundary and a later one, and across many blocks
@@ -442,6 +445,10 @@ class TestBlockedMetrics:
         with mock.patch.object(wingsafe.sim, "METRIC_BLOCK_ELEMS", B * max(len(pairs), 1)):
             assert metric_block_steps(len(pairs)) == B
             m = compute_metrics(trace, DS)
+        # a budget below the block-length floor: blocks of 32 or 64 steps
+        # whose distances are taken one or two pairs at a time
+        with mock.patch.object(wingsafe.sim, "METRIC_BLOCK_ELEMS", 2 * METRIC_BLOCK_MIN_STEPS):
+            assert repr(compute_metrics(trace, DS)) == repr(m)
         reference = unblocked_metrics(trace, DS, pair_h_shaped)
         if plant == "nan":  # NaN != NaN; repr still tells every other float apart
             assert repr(m) == repr(reference)
