@@ -41,7 +41,6 @@ from .shaping import (
     ShapingParams,
     check_sensor_compatible,
     in_sensor_set,
-    make_quadratic_psi,
     min_sensing_range,
     shape_h,
     xi_from_range,
@@ -104,7 +103,6 @@ __all__ = [
     "in_sensor_set",
     "lie_derivatives",
     "load_config",
-    "make_quadratic_psi",
     "min_sensing_range",
     "run_scenario",
     "shape_h",

@@ -40,9 +40,9 @@ from .scenarios import (
 )
 from .shaping import (
     SensorModel,
+    ShapingParams,
     analytic_compatible,
     check_sensor_compatible,
-    make_quadratic_psi,
     xi_from_range,
 )
 
@@ -193,7 +193,7 @@ def _sweep_one(args) -> dict:
     }
 
 
-def cmd_sweep(manifest: RunManifest, ranges: list[float], workers: int | None = None) -> int:
+def cmd_sweep(manifest: RunManifest, ranges: list[float]) -> int:
     if not ranges:
         print("error: --range list must be nonempty", file=sys.stderr)
         return EXIT_CONFIG
@@ -216,8 +216,7 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float], workers: int | None = 
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if workers is None:
-        workers = min(4, len(jobs), os.cpu_count() or 1)
+    workers = min(4, len(jobs), os.cpu_count() or 1)
 
     def write_sweep(fh):
         w = csv.writer(fh)
@@ -280,9 +279,9 @@ def _check(cfg: ScenarioConfig, samples: int) -> int:
                 print(f"no positive xi exists ({err})")
                 print("sensor compatible: no")
                 return EXIT_INCOMPATIBLE
-            shaping = make_quadratic_psi(xi, cfg.shaping_beta)
+            shaping = ShapingParams(xi, cfg.shaping_beta)
     else:
-        shaping = cfg.resolve_shaping() or make_quadratic_psi(1.0, cfg.shaping_beta)
+        shaping = cfg.resolve_shaping() or ShapingParams(1.0, cfg.shaping_beta)
 
     print(f"xi: {shaping.xi!r}")
     print(f"beta: {shaping.beta!r}")
@@ -353,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xi", type=float, help="shaping threshold override")
         p.add_argument("--beta", type=float, help="shaping blend factor override")
         p.add_argument("--alpha", type=float, help="linear class-K slope override")
-        if name == "sweep":
-            p.add_argument("--workers", type=int, help="sweep worker processes")
         if name == "check":
             p.add_argument("--samples", type=int, default=100_000,
                            help="sample count for the compatibility check")
@@ -362,10 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is not None and args.workers < 1:
-        parser.error(f"argument --workers: must be at least 1, got {args.workers}")
+    args = build_parser().parse_args(argv)
     try:
         manifest = _manifest_from_args(args)
     except ValueError as err:
@@ -374,7 +368,7 @@ def main(argv=None) -> int:
     if args.command == "run":
         return cmd_run(manifest)
     if args.command == "sweep":
-        return cmd_sweep(manifest, _parse_ranges(args.range or ""), args.workers)
+        return cmd_sweep(manifest, _parse_ranges(args.range or ""))
     if args.command == "check":
         return cmd_check(manifest, args.samples)
     raise AssertionError(f"unhandled command {args.command}")

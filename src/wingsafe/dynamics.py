@@ -99,11 +99,11 @@ class ActuatorLimits:
         if not self.zeta_max >= 0.0:
             raise ValueError("require zeta_max >= 0")
 
-    def contains(self, u: ControlInput, tol: float = 0.0) -> bool:
+    def contains(self, u: ControlInput) -> bool:
         return (
-            self.v_min - tol <= u.speed <= self.v_max + tol
-            and abs(u.turn_rate) <= self.omega_max + tol
-            and abs(u.climb_rate) <= self.zeta_max + tol
+            self.v_min <= u.speed <= self.v_max
+            and abs(u.turn_rate) <= self.omega_max
+            and abs(u.climb_rate) <= self.zeta_max
         )
 
 

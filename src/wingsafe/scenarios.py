@@ -46,8 +46,7 @@ from .barrier import (
 )
 from .dynamics import ActuatorLimits, VehicleState
 from .safety_filter import FilterConfig
-from .shaping import (SensorModel, ShapingParams, make_quadratic_psi, min_sensing_range,
-                      xi_from_range)
+from .shaping import SensorModel, ShapingParams, min_sensing_range, xi_from_range
 from .sim import (
     CircleController,
     Controller,
@@ -82,9 +81,10 @@ class VehicleSpec:
 class ScenarioConfig:
     """A scenario.  Construction checks config_to_dict(self) against SCHEMA,
     alpha_slope * dt <= 1 and the maneuver against the box (FilterConfig),
-    then computes n_steps, r_min (NaN for the straight barrier) and the
-    controllers once.  R <= R_min with "auto" shaping is left to
-    resolve_shaping: `check` reports it as incompatibility, not a bad config."""
+    then computes n_steps (at least 1), r_min (NaN for the straight
+    barrier) and the controllers once.  R <= R_min with "auto" shaping is
+    left to resolve_shaping: `check` reports it as incompatibility, not a
+    bad config."""
 
     vehicles: tuple[VehicleSpec, ...]
     barrier: BarrierConfig
@@ -111,7 +111,7 @@ class ScenarioConfig:
         _build("barrier, limits", FilterConfig, self.barrier, SensorModel(self.sensor_range),
                self.limits)
         if self.shaping_xi not in (None, "auto"):  # "auto" waits for resolve_shaping
-            _build("shaping", make_quadratic_psi, self.shaping_xi, self.shaping_beta)
+            _build("shaping", ShapingParams, self.shaping_xi, self.shaping_beta)
         derived = {  # name: (the fields it comes from, its value)
             "n_steps": ("dt, duration", lambda: round(self.duration / self.dt)),
             "r_min": ("barrier", lambda: math.nan if self.barrier.kind != "turn"
@@ -122,6 +122,9 @@ class ScenarioConfig:
                 object.__setattr__(self, name, value())
             except (OverflowError, ValueError):  # min_sensing_range raises ValueError
                 raise ValueError(f"config field {involved}: {name} overflows") from None
+        if self.n_steps < 1:  # else a run writes a header-only trace and exits 0
+            raise ValueError("config field dt, duration: require round(duration / dt) >= 1, "
+                             f"got {self.n_steps}")
         controllers = tuple(_controller(v["controller"]) for v in checked["vehicles"])
         object.__setattr__(self, "_controllers", controllers)
 
@@ -134,7 +137,7 @@ class ScenarioConfig:
             xi = xi_from_range(self.sensor_range, self.barrier.maneuver, self.barrier.safety)
         else:
             xi = float(self.shaping_xi)
-        return make_quadratic_psi(xi, self.shaping_beta)
+        return ShapingParams(xi, self.shaping_beta)
 
     def filter_config(self) -> FilterConfig:
         return FilterConfig(self.barrier, SensorModel(self.sensor_range), self.limits,

@@ -33,7 +33,7 @@ set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,36 +69,34 @@ def in_sensor_set(pair: PairState, sensor: SensorModel) -> bool:
 
 @dataclass(frozen=True)
 class ShapingParams:
-    """Quadratic interpolant coefficients for given (xi, beta).
-
-    Use make_quadratic_psi to construct; the stored coefficients are derived
-    from xi and beta and are not independent degrees of freedom.
-    """
+    """The quadratic interpolant for (xi, beta): its coefficients c1, c2, c3
+    are derived at construction so that psi meets the blending conditions at
+    beta*xi and xi (see module docstring).  They take no part in comparison,
+    and must be finite floats, which rules out an xi so small that
+    2*xi*(1 - beta) underflows."""
 
     xi: float
     beta: float
-    c1: float
-    c2: float
-    c3: float
+    c1: float = field(init=False, compare=False)
+    c2: float = field(init=False, compare=False)
+    c3: float = field(init=False, compare=False)
 
-
-def make_quadratic_psi(xi: float, beta: float) -> ShapingParams:
-    """Quadratic interpolant satisfying the blending constraints at beta*xi
-    and xi (see module docstring).  Its coefficients must be finite floats,
-    which rules out an xi so small that 2*xi*(1 - beta) underflows."""
-    if not 0.0 < xi < math.inf:  # also rejects NaN
-        raise ValueError("require 0 < xi < inf")
-    if not (0.0 < beta < 1.0):
-        raise ValueError("require 0 < beta < 1")
-    span = 2.0 * xi * (1.0 - beta)
-    c1 = -1.0 / span if span else -math.inf
-    c2 = -2.0 * xi * c1
-    bx = beta * xi
-    c3 = bx - c1 * bx * bx - c2 * bx
-    if not all(map(math.isfinite, (c1, c2, c3))):
-        raise ValueError(f"require finite psi coefficients, got c1={c1!r} c2={c2!r} c3={c3!r} "
-                         f"for xi={xi!r} beta={beta!r}")
-    return ShapingParams(xi=xi, beta=beta, c1=c1, c2=c2, c3=c3)
+    def __post_init__(self):
+        xi, beta = self.xi, self.beta
+        if not 0.0 < xi < math.inf:  # also rejects NaN
+            raise ValueError("require 0 < xi < inf")
+        if not (0.0 < beta < 1.0):
+            raise ValueError("require 0 < beta < 1")
+        span = 2.0 * xi * (1.0 - beta)
+        c1 = -1.0 / span if span else -math.inf
+        c2 = -2.0 * xi * c1
+        bx = beta * xi
+        c3 = bx - c1 * bx * bx - c2 * bx
+        if not all(map(math.isfinite, (c1, c2, c3))):
+            raise ValueError(f"require finite psi coefficients, got c1={c1!r} c2={c2!r} "
+                             f"c3={c3!r} for xi={xi!r} beta={beta!r}")
+        # frozen: the derived fields are set past the dataclass's __setattr__
+        vars(self).update(c1=c1, c2=c2, c3=c3)
 
 
 def shape_h(h: float, params: ShapingParams) -> float:

@@ -36,7 +36,8 @@ class Controller(Protocol):
 @dataclass(frozen=True)
 class CircleController:
     """Track a circle: exact feed-forward turn rate on the circle, heading
-    correction toward the tangent otherwise.
+    correction (unit gain) toward the tangent otherwise, tilted by
+    atan(2 * relative radial error).
 
     direction +1 = counterclockwise, -1 = clockwise.  A vehicle placed on the
     circle with tangent heading receives exactly (speed, direction*speed/radius, 0).
@@ -47,8 +48,6 @@ class CircleController:
     radius: float
     direction: int
     speed: float
-    k_heading: float = 1.0
-    k_radial: float = 2.0
 
     def control(self, state: VehicleState, t: float) -> ControlInput:
         dx = state.px - self.center_x
@@ -57,10 +56,8 @@ class CircleController:
         bearing = math.atan2(dy, dx)
         tangent = bearing + self.direction * math.pi / 2
         err_radial = (dist - self.radius) / self.radius
-        desired = tangent + self.direction * math.atan(self.k_radial * err_radial)
-        turn = self.direction * self.speed / self.radius + self.k_heading * wrap_angle(
-            desired - state.heading
-        )
+        desired = tangent + self.direction * math.atan(2.0 * err_radial)
+        turn = self.direction * self.speed / self.radius + wrap_angle(desired - state.heading)
         return ControlInput(self.speed, turn, 0.0)
 
 
@@ -68,10 +65,10 @@ class CircleController:
 class GoalController:
     """Steer toward a fixed goal point.
 
-    Heading: proportional correction toward the goal bearing.  Speed:
-    remaining distance over remaining time when an arrival time is set, else
-    the cruise speed.  Altitude: proportional correction toward the goal
-    altitude.  The command is raw: the filter saturates it at the actuator
+    Heading: proportional correction (unit gain) toward the goal bearing.
+    Speed: remaining distance over remaining time when an arrival time is
+    set, else the cruise speed.  Altitude: proportional correction (unit
+    gain) toward the goal altitude.  The command is raw: the filter saturates it at the actuator
     box (the turn-rate limit, the speed box).
     """
 
@@ -80,8 +77,6 @@ class GoalController:
     goal_z: float = 0.0
     cruise_speed: float = 20.0
     arrival_time: float | None = None
-    k_heading: float = 1.0
-    k_climb: float = 1.0
 
     def control(self, state: VehicleState, t: float) -> ControlInput:
         dx = self.goal_x - state.px
@@ -90,13 +85,13 @@ class GoalController:
         if dist < 1e-12:
             turn = 0.0
         else:
-            turn = self.k_heading * wrap_angle(math.atan2(dy, dx) - state.heading)
+            turn = wrap_angle(math.atan2(dy, dx) - state.heading)
         if self.arrival_time is not None:
             remaining = max(self.arrival_time - t, 1e-9)
             speed = dist / remaining
         else:
             speed = self.cruise_speed
-        climb = self.k_climb * (self.goal_z - state.pz)
+        climb = self.goal_z - state.pz
         return ControlInput(speed, turn, climb)
 
 

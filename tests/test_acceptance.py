@@ -22,7 +22,7 @@ from wingsafe.scenarios import (
     scenario_sweep,
 )
 from wingsafe.shaping import (
-    make_quadratic_psi,
+    ShapingParams,
     min_sensing_range,
     psi_deriv_batch,
     shape_h,
@@ -151,7 +151,7 @@ def test_criterion_7_gradient_checks(turn_config):
 
         # shaped-barrier gradients away from the interpolation joints: 1000
         # smooth samples in one pass (about 5% of the draws qualify)
-        shaping = make_quadratic_psi(
+        shaping = ShapingParams(
             xi_from_range(350.0, turn_config.maneuver, turn_config.safety), 0.9
         )
         bx = shaping.beta * shaping.xi
@@ -170,7 +170,7 @@ def test_criterion_7_gradient_checks(turn_config):
         for _ in range(100):
             xi = rng.uniform(0.05, 100.0)
             beta = rng.uniform(0.05, 0.95)
-            p = make_quadratic_psi(xi, beta)
+            p = ShapingParams(xi, beta)
             bxp = beta * xi
             quad = lambda e: (p.c1 * e + p.c2) * e + p.c3
             dquad = lambda e: 2 * p.c1 * e + p.c2
@@ -182,7 +182,7 @@ def test_criterion_7_gradient_checks(turn_config):
 def test_criterion_8_containment_and_gain(turn_config, limits):
     with criterion(8, "K(x) subset of shaped K(x) on 1e4 samples; alpha2 >= alpha"):
         rng = np.random.default_rng(8001)
-        shaping = make_quadratic_psi(
+        shaping = ShapingParams(
             xi_from_range(350.0, turn_config.maneuver, turn_config.safety), 0.9
         )
         gain = LinearGain(1.0)

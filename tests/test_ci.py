@@ -41,6 +41,7 @@ def test_product_job_runs_without_scipy():
     assert "scipy" not in commands
     assert "wingsafe.cli run --scenario sweep" in commands
     assert "wingsafe.cli check --scenario sweep" in commands
+    assert "wingsafe.cli sweep --scenario sweep --range 330,350" in commands
 
 
 def test_scipy_is_a_test_dependency():

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import csv
@@ -10,6 +11,7 @@ import re
 import stat
 import subprocess
 import sys
+import tokenize
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from wingsafe.scenarios import (
     scenario_circle20,
     scenario_sweep,
 )
-from wingsafe.shaping import SensorModel, make_quadratic_psi
+from wingsafe.shaping import SensorModel, ShapingParams
 from wingsafe.sim import Metrics, SimTrace
 
 from conftest import replay_pairs
@@ -233,12 +235,6 @@ class TestCmdRun:
         assert metrics_json["min_distance"] == metrics.min_distance
         assert metrics_json["min_h_tilde"] == metrics.min_h_shaped
 
-    def test_zero_steps_header_only_trace(self, tmp_path):
-        out = tmp_path / "out"
-        assert run_cli("run", "--scenario", "sweep", "--out", str(out), "--dt", "100",
-                       "--alpha", "0.01") == 0
-        assert (out / "trace.csv").read_text().splitlines() == [",".join(TRACE_COLUMNS)]
-
     def test_event_times_match_trace_rows(self, tmp_path):
         out = tmp_path / "out"
         run_cli("run", "--scenario", "example2", "--mode", "off", "--out", str(out))
@@ -265,7 +261,7 @@ class TestCmdSweep:
         out = tmp_path / "out"
         code = run_cli(
             "sweep", "--scenario", "sweep", "--range", "330,350,400",
-            "--out", str(out), "--dt", "0.05", "--workers", "1",
+            "--out", str(out), "--dt", "0.05",
         )
         assert code == 0
         with open(out / "sweep.csv", newline="") as fh:
@@ -282,12 +278,14 @@ class TestCmdSweep:
         assert float(rows[0]["min_distance"]) == m330["min_distance"]
         assert float(rows[0]["min_h_tilde"]) == m330["min_h_tilde"]
 
-    def test_workers_do_not_change_outputs(self, tmp_path):
+    def test_workers_do_not_change_outputs(self, tmp_path, monkeypatch):
+        # the pool takes min(4, ranges, cores) processes: one core runs serially
         outputs = []
-        for workers in ("1", "2"):
-            out = tmp_path / workers
+        for cores in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            out = tmp_path / str(cores)
             assert run_cli("sweep", "--scenario", "sweep", "--range", "330,400", "--out", str(out),
-                           "--dt", "0.05", "--workers", workers) == 0
+                           "--dt", "0.05") == 0
             outputs.append({p.relative_to(out): p.read_bytes()
                             for p in sorted(out.rglob("*")) if p.is_file()})
         assert outputs[0] == outputs[1]
@@ -304,7 +302,7 @@ class TestCmdSweep:
         # one directory and the later run would overwrite the earlier one
         out = tmp_path / "o"
         code = run_cli("sweep", "--scenario", "sweep", "--range", ranges, "--out", str(out),
-                       "--dt", "0.05", "--workers", "1")
+                       "--dt", "0.05")
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and all(v in err for v in values)
@@ -313,7 +311,7 @@ class TestCmdSweep:
     def test_below_rmin_exit_one(self, tmp_path):
         code = run_cli(
             "sweep", "--scenario", "sweep", "--range", "300,350",
-            "--out", str(tmp_path / "o"), "--workers", "1",
+            "--out", str(tmp_path / "o"),
         )
         assert code == 1
 
@@ -488,7 +486,7 @@ class TestOutputs:
         out.mkdir()
         (out / "R_330").write_text("not a directory")
         code = run_cli("sweep", "--scenario", "sweep", "--range", "330,350", "--out", str(out),
-                       "--dt", "0.05", "--workers", "1")
+                       "--dt", "0.05")
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -509,7 +507,7 @@ def _controller(d, spec=None, **fields):
 class TestInputValidation:
     @pytest.mark.parametrize("build", [
         pytest.param(lambda: SensorModel(NAN), id="SensorModel.range_m"),
-        pytest.param(lambda: make_quadratic_psi(NAN, 0.9), id="make_quadratic_psi.xi"),
+        pytest.param(lambda: ShapingParams(NAN, 0.9), id="ShapingParams.xi"),
         pytest.param(lambda: replace(scenario_sweep(), dt=NAN), id="ScenarioConfig.dt"),
         pytest.param(lambda: replace(scenario_sweep(), duration=NAN), id="ScenarioConfig.duration"),
         pytest.param(lambda: replace(scenario_sweep(), shaping_xi=NAN).resolve_shaping(),
@@ -531,8 +529,8 @@ class TestInputValidation:
         pytest.param(lambda: replace(scenario_sweep(), dt=math.inf), id="ScenarioConfig.dt=inf"),
         pytest.param(lambda: replace(scenario_sweep(), duration=math.inf),
                      id="ScenarioConfig.duration=inf"),
-        pytest.param(lambda: make_quadratic_psi(math.inf, 0.9), id="make_quadratic_psi.xi=inf"),
-        pytest.param(lambda: make_quadratic_psi(5e-324, 0.9), id="make_quadratic_psi.xi=5e-324"),
+        pytest.param(lambda: ShapingParams(math.inf, 0.9), id="ShapingParams.xi=inf"),
+        pytest.param(lambda: ShapingParams(5e-324, 0.9), id="ShapingParams.xi=5e-324"),
         # the raw barrier's config has no shaping section, yet check reads beta
         pytest.param(lambda: replace(builtin_scenarios()["example1"], shaping_beta=5.0),
                      id="ScenarioConfig.shaping_beta-raw"),
@@ -558,7 +556,7 @@ class TestInputValidation:
     ])
     def test_nan_override_exit_one(self, flag, value, field, tmp_path, capsys):
         # an override is checked as the config field it sets, by every command
-        for command, extra in (("run", []), ("sweep", ["--range", "350", "--workers", "1"]),
+        for command, extra in (("run", []), ("sweep", ["--range", "350"]),
                                ("check", ["--samples", "100"])):
             if flag == "--range" and command == "sweep":
                 extra = []
@@ -573,7 +571,7 @@ class TestInputValidation:
                              ids=["alpha=150", "dt=0.1,alpha=20"])
     def test_alpha_dt_above_one_exit_one(self, argv, tmp_path, capsys):
         # a held step would let the class-K row drive h past zero
-        for command, extra in (("run", []), ("sweep", ["--range", "350", "--workers", "1"]),
+        for command, extra in (("run", []), ("sweep", ["--range", "350"]),
                                ("check", ["--samples", "100"])):
             code = run_cli(command, "--scenario", "sweep", *argv, *extra,
                            "--out", str(tmp_path / "o"))
@@ -611,9 +609,20 @@ class TestInputValidation:
         assert code == 1
         assert "duration must be finite" in capsys.readouterr().err
 
+    def test_zero_step_config_exit_one(self, tmp_path, capsys):
+        # round(0.04 / 0.1) is 0: the run would write a header-only trace and exit 0
+        d = config_to_dict(scenario_sweep())
+        d.update(dt=0.1, duration=0.04)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        code = run_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: config field dt, duration: ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["run"], id="run"),
-        pytest.param(["sweep", "--range", "330", "--workers", "1"], id="sweep"),
+        pytest.param(["sweep", "--range", "330"], id="sweep"),
     ])
     def test_unrecordable_step_count_exit_one(self, argv, tmp_path, capsys):
         # 3e301 steps: numpy rejects the recording arrays' shape before
@@ -724,7 +733,7 @@ class TestInputValidation:
         edit(d)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(d))
-        extra = ["--range", "350", "--workers", "1"] if command == "sweep" else []
+        extra = ["--range", "350"] if command == "sweep" else []
         # an exception escaping main is what the command line prints as a traceback
         code = run_cli(command, "--config", str(path), "--out", str(tmp_path / "o"), *extra)
         err = capsys.readouterr().err
@@ -733,11 +742,12 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_sweep_workers_below_one_exit_one(self, workers, tmp_path, capsys):
+        # --workers is an unknown flag: the pool size follows the ranges and the cores
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--scenario", "sweep", "--range", "350", "--workers", workers,
                   "--out", str(tmp_path / "o")])
         assert exc.value.code == 1
-        assert "--workers" in capsys.readouterr().err
+        assert f"unrecognized arguments: --workers {workers}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_check_zero_samples_exit_one(self, tmp_path, capsys):
@@ -796,6 +806,19 @@ def test_a_preset_blas_thread_count_wins():
 def test_numpy_imported_first_keeps_its_blas():
     probe = "import os, numpy, wingsafe; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     assert _fresh_lines(probe) == ["None"]
+
+
+def test_every_export_has_a_caller():
+    # a name of __all__ must be used, besides defined, in the package's own
+    # modules; the four below are kept only for the benchmark tracer
+    counts = collections.Counter()
+    for path in Path(wingsafe.__file__).resolve().parent.glob("*.py"):
+        if path.name != "__init__.py":
+            with tokenize.open(path) as fh:
+                counts.update(tok.string for tok in tokenize.generate_tokens(fh.readline)
+                              if tok.type == tokenize.NAME)
+    lonely = {name for name in wingsafe.__all__ if counts[name] < 2}
+    assert lonely == {"h_value", "lie_derivatives", "in_sensor_set", "shape_h"}
 
 
 @pytest.mark.parametrize("argv", [

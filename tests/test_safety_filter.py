@@ -25,7 +25,7 @@ from wingsafe.qp import solve_qp, solve_row_batch
 from wingsafe.safety_filter import (FilterConfig, FilterRun, _shaped_rows, filter_controls,
                                     pair_index, pair_pass)
 from wingsafe.scenarios import run_scenario, scenario_circle20
-from wingsafe.shaping import SensorModel, make_quadratic_psi, psi_deriv_batch, xi_from_range
+from wingsafe.shaping import SensorModel, ShapingParams, psi_deriv_batch, xi_from_range
 
 import conftest
 from conftest import random_valid_pair, reference_clamp, reference_split
@@ -39,7 +39,7 @@ def fconfig(turn_config, limits):
         sensor=SensorModel(350.0),
         limits=limits,
         gain=LinearGain(1.0),
-        shaping=make_quadratic_psi(xi, 0.9),
+        shaping=ShapingParams(xi, 0.9),
     )
 
 
@@ -118,7 +118,7 @@ class TestFilterControls:
             ]
             res = filter_controls(world, nominal, fconfig)
             for u in res.controls.tolist():
-                assert limits.contains(ControlInput(*u), tol=1e-9)
+                assert limits.contains(ControlInput(*u))
 
     def test_centralized_margins_nonnegative(self, fconfig):
         rng = np.random.default_rng(42)
@@ -143,7 +143,7 @@ class TestFilterControls:
         cfg = BarrierConfig(man, SafetyParams(delta=1e-13, ds=5.0))
         xi = xi_from_range(350.0, man, cfg.safety)
         fc = FilterConfig(cfg, SensorModel(350.0), limits, LinearGain(1.0),
-                          make_quadratic_psi(xi, 0.9))
+                          ShapingParams(xi, 0.9))
         world = [vehicle(-40, 0, 0), vehicle(40, 0, math.pi)]
         nominal = [ControlInput(20, 0, 0), ControlInput(20, 0, 0)]
         res = filter_controls(world, nominal, fc)
@@ -355,7 +355,7 @@ class TestFilterRun:
         mode = data.draw(st.sampled_from(["centralized", "split"]), label="mode")
         man = TurnManeuver(1.0, 16.0, 0.2)
         safety = SafetyParams(0.01, 5.0)
-        shaping = data.draw(st.sampled_from([None, make_quadratic_psi(
+        shaping = data.draw(st.sampled_from([None, ShapingParams(
             xi_from_range(350.0, man, safety), 0.9)]), label="shaping")
         config = FilterConfig(BarrierConfig(man, safety), SensorModel(350.0),
                               ActuatorLimits(15.0, 25.0, 0.2269, 5.0), shaping=shaping)
@@ -534,7 +534,7 @@ class TestTwinConfigsShareNothing:
                    else TurnManeuver(1.0, 16.0, 0.2))
             return FilterConfig(BarrierConfig(man, SafetyParams(0.01, 5.0)), SensorModel(350.0),
                                 ActuatorLimits(15.0, 25.0, 0.2269, z),
-                                shaping=None if xi is None else make_quadratic_psi(xi, 0.9))
+                                shaping=None if xi is None else ShapingParams(xi, 0.9))
 
         world = data.draw(st.lists(_near, min_size=2, max_size=4), label="world")
         climb = st.sampled_from([0.0, -0.0, 1.0, -1.0])
@@ -583,7 +583,7 @@ def _split_config(data) -> FilterConfig:
     xi = data.draw(st.sampled_from([None, 10.0]), label="xi")
     return FilterConfig(BarrierConfig(man, SafetyParams(0.01, 5.0)), SensorModel(350.0),
                         ActuatorLimits(15.0, 25.0, 0.2269, zeta),
-                        shaping=None if xi is None else make_quadratic_psi(xi, 0.9))
+                        shaping=None if xi is None else ShapingParams(xi, 0.9))
 
 
 class TestSplitMatchesReference:
@@ -686,7 +686,7 @@ class TestUnusableRows:
     def config(man, zeta_max=5.0, xi=None):
         return FilterConfig(BarrierConfig(man, SafetyParams(0.01, 5.0)), SensorModel(350.0),
                             ActuatorLimits(15.0, 25.0, 0.2269, zeta_max),
-                            shaping=None if xi is None else make_quadratic_psi(xi, 0.9))
+                            shaping=None if xi is None else ShapingParams(xi, 0.9))
 
     @pytest.mark.parametrize("mode", ["centralized", "split"])
     @pytest.mark.parametrize("world, event", [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wingsafe.barrier import (
     BarrierConfig,
@@ -16,10 +18,10 @@ from wingsafe.barrier import (
 from wingsafe.dynamics import VehicleState
 from wingsafe.shaping import (
     SensorModel,
+    ShapingParams,
     analytic_compatible,
     check_sensor_compatible,
     in_sensor_set,
-    make_quadratic_psi,
     min_sensing_range,
     psi_deriv_batch,
     shape_h,
@@ -55,17 +57,17 @@ class TestSensorSet:
 
 class TestQuadraticPsi:
     def test_reference_coefficients(self):
-        p = make_quadratic_psi(1.0, 0.5)
+        p = ShapingParams(1.0, 0.5)
         assert (p.c1, p.c2, p.c3) == (-1.0, 2.0, -0.25)
 
     def test_blending_constraints(self):
-        p = make_quadratic_psi(1.0, 0.5)
+        p = ShapingParams(1.0, 0.5)
         assert shape_h(0.5, p) == pytest.approx(0.5, abs=1e-15)
         assert psi_deriv_batch(0.5 + 1e-15, p) == pytest.approx(1.0, abs=1e-12)
         assert psi_deriv_batch(1.0, p) == pytest.approx(0.0, abs=1e-15)
 
     def test_plateau_value(self):
-        p = make_quadratic_psi(1.0, 0.5)
+        p = ShapingParams(1.0, 0.5)
         assert shape_h(1.0, p) == pytest.approx(0.75, abs=1e-15)
 
     def test_constraints_random_parameters(self):
@@ -74,7 +76,7 @@ class TestQuadraticPsi:
         for _ in range(100):
             xi = rng.uniform(0.05, 500.0)
             beta = rng.uniform(0.05, 0.95)
-            p = make_quadratic_psi(xi, beta)
+            p = ShapingParams(xi, beta)
             bx = beta * xi
             quad = lambda e: (p.c1 * e + p.c2) * e + p.c3
             dquad = lambda e: 2 * p.c1 * e + p.c2
@@ -88,15 +90,43 @@ class TestQuadraticPsi:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            make_quadratic_psi(-1.0, 0.5)
+            ShapingParams(-1.0, 0.5)
         with pytest.raises(ValueError):
-            make_quadratic_psi(1.0, 1.0)
+            ShapingParams(1.0, 1.0)
         with pytest.raises(ValueError):
-            make_quadratic_psi(1.0, 0.0)
+            ShapingParams(1.0, 0.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(xi=st.floats() | st.floats(1e-3, 1e3), beta=st.floats() | st.floats(0.0, 1.0))
+    def test_params_derive_a_blending_psi(self, xi, beta):
+        # any (xi, beta) is rejected, naming the bad value, or gives the C1 psi
+        try:
+            p = ShapingParams(xi, beta)
+        except ValueError as err:
+            if not 0.0 < xi < math.inf:
+                assert "xi" in str(err)
+            elif not 0.0 < beta < 1.0:
+                assert "beta" in str(err)
+            else:  # the coefficients overflow
+                assert f"xi={xi!r}" in str(err) and f"beta={beta!r}" in str(err)
+            return
+        c1, c2, c3, bx = p.c1, p.c2, p.c3, beta * xi
+        assert all(map(math.isfinite, (c1, c2, c3)))
+        # each condition to rounding: a few ulps of the largest term it sums
+        eps = 8 * np.finfo(float).eps
+        scale = abs(c1) * bx * bx + abs(c2) * bx + abs(c3)
+        assert abs((c1 * bx + c2) * bx + c3 - bx) <= eps * scale + 1e-300
+        assert abs(2.0 * c1 * bx + c2 - 1.0) <= eps * (abs(2.0 * c1 * bx) + abs(c2))
+        assert abs(2.0 * c1 * xi + c2) <= eps * (abs(2.0 * c1 * xi) + abs(c2))
+        # the coefficients are derived, not settable, and take no part in equality
+        q = ShapingParams(xi, beta)
+        assert q == p and hash(q) == hash(p)
+        with pytest.raises(TypeError):
+            ShapingParams(xi, beta, c1=c1)
 
 
 class TestPsiEval:
-    P = make_quadratic_psi(1.0, 0.5)
+    P = ShapingParams(1.0, 0.5)
 
     def test_identity_branch(self):
         assert shape_h(0.3, self.P) == 0.3
@@ -113,7 +143,7 @@ class TestPsiEval:
 
 
 class TestShapeH:
-    P = make_quadratic_psi(1.0, 0.5)
+    P = ShapingParams(1.0, 0.5)
 
     def test_pass_through(self):
         assert shape_h(0.3, self.P) == 0.3
@@ -141,7 +171,7 @@ class TestShapeH:
     def test_nondecreasing_positive_plateau(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            p = make_quadratic_psi(rng.uniform(0.1, 100), rng.uniform(0.1, 0.9))
+            p = ShapingParams(rng.uniform(0.1, 100), rng.uniform(0.1, 0.9))
             hs = np.linspace(-p.xi, 3 * p.xi, 301)
             vals = shape_h_batch(hs, p)
             assert np.all(np.diff(vals) >= -1e-12)
@@ -159,7 +189,7 @@ class TestShapeH:
 class TestShapedGradientFiniteDifference:
     def test_fd_through_pipeline(self, turn_config):
         # d(shape_h(h(x)))/dx vs psi'(h)*grad_h away from the joints
-        p = make_quadratic_psi(30.0, 0.5)
+        p = ShapingParams(30.0, 0.5)
         rng = np.random.default_rng(22)
         checked = 0
         while checked < 40:
@@ -216,7 +246,7 @@ class TestRangeFormulas:
 
     def test_analytic_bound_not_shown_where_xi_overflows(self, turn_config):
         # xi(R) has no float value, so no xi can be shown to lie below it
-        shaping = make_quadratic_psi(5.0, 0.9)
+        shaping = ShapingParams(5.0, 0.9)
         assert analytic_compatible(turn_config, shaping, SensorModel(1e150))
         assert not analytic_compatible(turn_config, shaping, SensorModel(1e200))
 
@@ -243,7 +273,7 @@ class TestRangeFormulas:
 
 
 class TestAlpha2:
-    P = make_quadratic_psi(1.0, 0.5)
+    P = ShapingParams(1.0, 0.5)
 
     def test_identity_branch(self):
         a = LinearGain(1.3)
@@ -258,7 +288,7 @@ class TestAlpha2:
         # alpha2 >= alpha on (0, xi) for any valid shaping and linear gain
         rng = np.random.default_rng(23)
         for _ in range(20):
-            p = make_quadratic_psi(rng.uniform(0.1, 50), rng.uniform(0.1, 0.9))
+            p = ShapingParams(rng.uniform(0.1, 50), rng.uniform(0.1, 0.9))
             a = LinearGain(rng.uniform(0.1, 3.0))
             hs = rng.uniform(0.0, p.xi * (1 - 1e-12), 500)
             assert np.all(alpha2(hs, a, p) >= a(hs) - 1e-12)
@@ -280,7 +310,7 @@ def below_xi_rows(rng, config, xi, count, draws):
 
 class TestSignEquivalence:
     def test_shaped_margin_sign_matches_alpha2_form(self, turn_config):
-        p = make_quadratic_psi(20.0, 0.6)
+        p = ShapingParams(20.0, 0.6)
         a = LinearGain(1.0)
         h, lgu = below_xi_rows(np.random.default_rng(24), turn_config, p.xi, 2_000, 100_000)
         shaped = psi_deriv_batch(h, p) * lgu + a(shape_h_batch(h, p))
@@ -292,7 +322,7 @@ class TestSignEquivalence:
     def test_admissible_set_containment(self, turn_config):
         # any control admissible under (h, alpha) stays admissible under the
         # shaped barrier with the same gain
-        p = make_quadratic_psi(20.0, 0.6)
+        p = ShapingParams(20.0, 0.6)
         a = LinearGain(1.0)
         h, lgu = below_xi_rows(np.random.default_rng(25), turn_config, p.xi, 2_000, 100_000)
         checked = lgu + a(h) >= 0
@@ -306,7 +336,7 @@ class TestSensorCompatibility:
         R = 350.0
         xi = xi_from_range(R, turn_config.maneuver, turn_config.safety)
         rep = check_sensor_compatible(
-            turn_config, make_quadratic_psi(xi, 0.9), SensorModel(R), sample_count=100_000
+            turn_config, ShapingParams(xi, 0.9), SensorModel(R), sample_count=100_000
         )
         assert rep.ok and rep.analytic_ok and rep.witness is None
         assert rep.samples == 100_000
@@ -315,7 +345,7 @@ class TestSensorCompatibility:
     def test_straight_head_on_witness(self):
         cfg = BarrierConfig(StraightManeuver(16.0, 20.0), SafetyParams(DELTA, DS))
         rep = check_sensor_compatible(
-            cfg, make_quadratic_psi(1.0, 0.9), SensorModel(350.0), sample_count=1000
+            cfg, ShapingParams(1.0, 0.9), SensorModel(350.0), sample_count=1000
         )
         assert not rep.ok and rep.witness is not None
         assert rep.witness_h == pytest.approx(-DS, abs=1e-9)
@@ -323,7 +353,7 @@ class TestSensorCompatibility:
     def test_turn_below_min_range_has_witness(self, turn_config):
         # R below R_min: near-tangent geometry just outside range undercuts xi
         rep = check_sensor_compatible(
-            turn_config, make_quadratic_psi(1.0, 0.9), SensorModel(300.0), sample_count=1000
+            turn_config, ShapingParams(1.0, 0.9), SensorModel(300.0), sample_count=1000
         )
         assert not rep.ok and not rep.analytic_ok
         assert rep.witness is not None
@@ -334,6 +364,6 @@ class TestSensorCompatibility:
         R = 330.0
         xi = xi_from_range(R, turn_config.maneuver, turn_config.safety)
         rep = check_sensor_compatible(
-            turn_config, make_quadratic_psi(xi, 0.9), SensorModel(R), sample_count=50_000
+            turn_config, ShapingParams(xi, 0.9), SensorModel(R), sample_count=50_000
         )
         assert rep.ok

@@ -289,8 +289,12 @@ class TestMetrics:
         assert 0 <= t_min <= 2.0 + trace.times[1]
 
     def test_zero_steps(self):
-        cfg = replace(scenario_sweep(), dt=100.0, alpha_slope=0.01)  # alpha * dt <= 1
-        trace, m = run_scenario(cfg)
+        # a Simulation finalized before its first step (a ScenarioConfig has at least one)
+        cfg = scenario_sweep()
+        sim = Simulation([v.state for v in cfg.vehicles], cfg.controllers(), cfg.filter_config(),
+                         cfg.mode, cfg.dt, n_steps=0)
+        trace = sim.finalize()
+        m = compute_metrics(trace, cfg.barrier.safety.ds)
         assert m.n_steps == trace.n_steps == 0
         assert trace.states.shape == (0, 2, 4)
         assert trace.filtered.shape == (0, 2, 3)
