@@ -188,7 +188,7 @@ def phasor_rows(states) -> np.ndarray:
 
 
 def role_weights(config: BarrierConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-role weights of the phasor rows, for pair_rows; FilterConfig
+    """Per-role weights of the phasor rows, for pair_rows; FilterRun
     computes them once per run."""
     man = config.maneuver
     if isinstance(man, TurnManeuver):

@@ -216,7 +216,9 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float]) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    workers = min(4, len(jobs), os.cpu_count() or 1)
+    # the CPUs this process may run on, not the host's
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(4, len(jobs), cpus or 1)
 
     def write_sweep(fh):
         w = csv.writer(fh)
@@ -250,7 +252,7 @@ def cmd_sweep(manifest: RunManifest, ranges: list[float]) -> int:
     return EXIT_VIOLATION if any(r["violation"] for r in results) else EXIT_OK
 
 
-def cmd_check(manifest: RunManifest, samples: int = 100_000) -> int:
+def cmd_check(manifest: RunManifest, samples: int) -> int:
     try:
         return _check(manifest.load(), samples)
     except (ValueError, OSError) as err:

@@ -183,7 +183,10 @@ def solve_qp(problem: QPProblem, max_iter: int | None = None, guess: Sequence[in
                     )
                 t_full = math.inf
             else:
-                t_full = (b[p] - float(ap @ u)) / zz
+                # Python floats: a row too short for its offset (|z| ~ 1e-162)
+                # gives t_full = inf, not a NumPy overflow warning; the drop
+                # step, or the infeasibility below, then decides
+                t_full = (float(b[p]) - float(ap @ u)) / zz
 
             # blocking step: smallest lam_j / r_j over positive r_j,
             # ties broken by lowest constraint index

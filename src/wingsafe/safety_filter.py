@@ -70,21 +70,14 @@ def pair_index(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Everything the filter needs besides the world state, and the run's
-    constants derived from it at construction: one vehicle's box, the rows
-    lower and upper of a read-only (2, 3) array with zero signs as given;
-    the evading maneuver as the 6-vector (v1, w1, z1, v2, w2, z2); the
-    role_weights.  They take no part in comparison: equal configs compare
-    and hash equal, and share nothing."""
+    """Everything the filter needs besides the world state; FilterRun
+    derives the run's constants from it."""
 
     barrier: BarrierConfig
     sensor: SensorModel
     limits: ActuatorLimits
     gain: LinearGain = LinearGain(1.0)
     shaping: ShapingParams | None = None  # None = raw barrier (no reshaping)
-    box: np.ndarray = field(init=False, repr=False, compare=False)
-    evading: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # The barrier's guarantee is the evading maneuver; it must be an
@@ -95,34 +88,35 @@ class FilterConfig:
                 raise ValueError(
                     f"evading maneuver control {u} lies outside the actuator box"
                 )
-        lim = self.limits
-        box = np.array([[lim.v_min, -lim.omega_max, -lim.zeta_max],
-                        [lim.v_max, lim.omega_max, lim.zeta_max]])
-        evading = np.ravel(self.barrier.maneuver.controls())
-        box.flags.writeable = evading.flags.writeable = False
-        # frozen: the derived fields are set past the dataclass's __setattr__
-        vars(self).update(box=box, evading=evading, weights=role_weights(self.barrier))
 
 
 class FilterRun:
     """The filter state of one run of n vehicles under one FilterConfig,
     built once and passed to each step's filter_controls.  Read-only: pairs,
-    the (2, P) pair_index; box, the (2, 3n) box of the stacked control; face,
-    the (2, 3n) ids of each entry's lower and upper face (-1 for an infinite
-    bound); gather and starts, which reduce per-pair values per vehicle.
-    active, the ids of the constraints with a positive multiplier at the last
-    step's centralized QP optimum (a pair row's is its pair number, a box
-    face's P + its stacked index), empty if that step solved no such QP, is
-    the next step's guess of its QP's active set."""
+    the (2, P) pair_index; box, the (2, 3n) box of the stacked control, each
+    vehicle's lower and upper bounds with zero signs as the limits give them;
+    face, the (2, 3n) ids of each entry's lower and upper face (-1 for an
+    infinite bound); evading, the evading maneuver as the 6-vector
+    (v1, w1, z1, v2, w2, z2); weights, the barrier's role_weights; r2, the
+    squared sensing range; gather and starts, which reduce per-pair values
+    per vehicle.  active, the ids of the constraints with a positive
+    multiplier at the last step's centralized QP optimum (a pair row's is its
+    pair number, a box face's P + its stacked index), empty if that step
+    solved no such QP, is the next step's guess of its QP's active set."""
 
     def __init__(self, config: FilterConfig, n: int):
         self.config, self.n, self.active = config, n, []
         self.pairs = ii, jj = pair_index(n)
-        self.box = box = np.tile(config.box, n)  # np.copyto is slower with a broadcast bound
+        lim = config.limits
+        one = [[lim.v_min, -lim.omega_max, -lim.zeta_max], [lim.v_max, lim.omega_max, lim.zeta_max]]
+        self.box = box = np.tile(one, n)  # np.copyto is slower with a broadcast bound
         finite = np.isfinite(box)
         # box faces follow the pair rows in QPProblem.stacked order
         self.face = np.where(finite, n * (n - 1) // 2 - 1 + np.cumsum(finite).reshape(2, -1), -1)
-        box.flags.writeable = self.face.flags.writeable = False
+        self.evading = np.ravel(config.barrier.maneuver.controls())
+        box.flags.writeable = self.face.flags.writeable = self.evading.flags.writeable = False
+        self.weights = role_weights(config.barrier)
+        self.r2 = config.sensor.range_m * config.sensor.range_m
         # each vehicle's pairs in pair order, one run of n - 1 per vehicle: an
         # np.fmin.reduceat of values.take(gather) at starts is each one's least
         self.gather = np.argsort(np.stack([ii, jj], axis=1).ravel(), kind="stable") // 2
@@ -164,14 +158,13 @@ class PairPass(NamedTuple):
 def pair_pass(world: list[VehicleState], run: FilterRun) -> PairPass:
     config = run.config
     g = phasor_rows(world).take(run.pairs, 1).transpose(1, 0, 2)
-    b = barrier_pass(pair_rows(g, config.weights), config.barrier)
+    b = barrier_pass(pair_rows(g, run.weights), config.barrier)
     h = b.s - config.barrier.safety.ds
     if config.shaping is None:
         h_shaped, lie = h, b.s >= 0.0
     else:
         h_shaped, lie = shape_h_batch(h, config.shaping), h < config.shaping.xi
-    r2 = config.sensor.range_m * config.sensor.range_m
-    return PairPass(g, b, b.d2 <= r2, h, h_shaped, lie)
+    return PairPass(g, b, b.d2 <= run.r2, h, h_shaped, lie)
 
 
 def _shaped_rows(p: PairPass, rows, config: FilterConfig) -> np.ndarray:
@@ -250,14 +243,14 @@ def filter_controls(
         if mode == "centralized":
             _filter_centralized(run, result, u, rows, pairs, lg, row_offset, hint)
         else:
-            _filter_split(config, result, u, pairs, lg, row_offset)
+            _filter_split(run, result, u, pairs, lg, row_offset)
         if result.fallback:
             # each vehicle's role in the lowest-indexed sensed pair containing
             # it, else in the lowest-indexed pair that could not be evaluated
             order = np.flatnonzero(ok).tolist() + failed_rows
             for v in sorted(result.fallback):
                 first = next(k for k in order if v in (ii[k], jj[k]))
-                u[v] = config.evading[:3] if ii[first] == v else config.evading[3:]
+                u[v] = run.evading[:3] if ii[first] == v else run.evading[3:]
         if np.count_nonzero(np.isfinite(u)) < u.size:
             v = int(np.flatnonzero(~np.isfinite(u))[0]) // 3
             raise ValueError(f"non-finite filtered control for vehicle {v}: {u[v].tolist()!r}")
@@ -334,7 +327,7 @@ def _filter_centralized(run, result, u, rows, pairs, lg, offset, hint):
     u[:] = _clamp(u_star, lo, hi).reshape(n, 3)
 
 
-def _filter_split(config, result, u, pairs, lg, offset):
+def _filter_split(run, result, u, pairs, lg, offset):
     """Per-vehicle QPs over the pair rows divided half-and-half, one for
     each vehicle with a half-row violated at u; each overwrites its
     vehicle's row of the controls u with its optimum.
@@ -348,10 +341,10 @@ def _filter_split(config, result, u, pairs, lg, offset):
     recovers exactly the full pair row, and each vehicle row evaluated at
     the vehicle's own evading control equals (lg . g + off)/2 >= 0 whenever
     the pair is safe, so the halves are individually satisfiable."""
-    lo, hi = config.box
+    lo, hi = run.box[:, :3]
     # the role shares lg_i . g_i and lg_j . g_j of each row; a matmul gives
     # the bits of each one-row product a @ b
-    share = (lg.reshape(-1, 2, 1, 3) @ config.evading.reshape(2, 3, 1))[..., 0, 0]
+    share = (lg.reshape(-1, 2, 1, 3) @ run.evading.reshape(2, 3, 1))[..., 0, 0]
     half = 0.5 * offset[:, None] + 0.5 * (share[:, ::-1] - share)
     order = np.argsort(pairs.T.ravel(), kind="stable")  # the half-rows by vehicle, in row order
     who, coeffs, half = pairs.T.ravel()[order], lg.reshape(-1, 3)[order], half.ravel()[order]

@@ -179,7 +179,6 @@ class CompatibilityReport:
     """
 
     ok: bool
-    kind: str
     samples: int
     analytic_ok: bool
     witness: PairState | None = None
@@ -248,13 +247,12 @@ def check_sensor_compatible(
     if sample_count < 1:
         raise ValueError("require sample_count >= 1")
     R = sensor.range_m
-    kind = config.kind
     analytic_ok = analytic_compatible(config, shaping, sensor)
 
     probe_h, probe_pair = _worst_case_probe(config, R)
     min_h = probe_h
     if not (probe_h > shaping.xi):  # also triggers on -inf (h undefined)
-        return CompatibilityReport(False, kind, 0, analytic_ok, probe_pair, probe_h, min_h)
+        return CompatibilityReport(False, 0, analytic_ok, probe_pair, probe_h, min_h)
 
     rng = np.random.default_rng(seed)
     checked = 0
@@ -283,10 +281,8 @@ def check_sensor_compatible(
             finite = hs[np.isfinite(hs)]
             if finite.size:
                 min_h = min(min_h, float(np.min(finite)))
-            return CompatibilityReport(
-                False, kind, checked + n, analytic_ok, pair, hv, min_h
-            )
+            return CompatibilityReport(False, checked + n, analytic_ok, pair, hv, min_h)
         min_h = min(min_h, float(np.min(hs)))
         checked += n
 
-    return CompatibilityReport(analytic_ok, kind, checked, analytic_ok, None, None, min_h)
+    return CompatibilityReport(analytic_ok, checked, analytic_ok, None, None, min_h)

@@ -163,7 +163,7 @@ def filter_clamp(controls, limits: ActuatorLimits) -> np.ndarray:
     return filter_controls(world, list(controls), fc, mode="off").nominal
 
 
-def reference_split(config, result, u, pairs, lg, offset):
+def reference_split(run, result, u, pairs, lg, offset):
     """Split mode from the binding rows on, one scalar row at a time and one
     QP for every vehicle with a nonzero half-row: the reference that
     safety_filter._usable_rows followed by _filter_split on the usable rows
@@ -171,8 +171,13 @@ def reference_split(config, result, u, pairs, lg, offset):
     _filter_split's, with the rows before that rule: a pair row with a
     non-finite entry, or a zero pair row with a negative offset, fails (an
     event names the pair and both vehicles fall back), and other zero pair
-    rows hold for every control."""
-    gamma, (lo, hi) = config.evading, config.box
+    rows hold for every control.  The box and the evading controls come from
+    run.config's fields, not from the run."""
+    config = run.config
+    lim = config.limits
+    lo = np.array([lim.v_min, -lim.omega_max, -lim.zeta_max])
+    hi = np.array([lim.v_max, lim.omega_max, lim.zeta_max])
+    gamma = np.array([x for control in config.barrier.maneuver.controls() for x in control])
     ri, rj = pairs
     usable = []
     for k in range(len(offset)):

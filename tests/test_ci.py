@@ -42,6 +42,12 @@ def test_product_job_runs_without_scipy():
     assert "wingsafe.cli run --scenario sweep" in commands
     assert "wingsafe.cli check --scenario sweep" in commands
     assert "wingsafe.cli sweep --scenario sweep --range 330,350" in commands
+    lines = [line.strip() for line in commands.splitlines()]
+    # the failure demo exits 2 and R = 300 < R_min exits 3; rc keeps each code under bash -e
+    for command, code in (("run --scenario example1", 2),
+                          ("check --scenario sweep --range 300", 3)):
+        assert any(line.startswith("rc=0; PYTHONPATH=src python -m wingsafe.cli " + command)
+                   and line.endswith(f'|| rc=$?; test "$rc" -eq {code}') for line in lines), command
 
 
 def test_scipy_is_a_test_dependency():

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import contextlib
 import copy
 import csv
@@ -279,16 +280,28 @@ class TestCmdSweep:
         assert float(rows[0]["min_h_tilde"]) == m330["min_h_tilde"]
 
     def test_workers_do_not_change_outputs(self, tmp_path, monkeypatch):
-        # the pool takes min(4, ranges, cores) processes: one core runs serially
+        # the pool takes min(4, ranges, usable CPUs) processes: one CPU runs serially
         outputs = []
         for cores in (1, 2):
-            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                                raising=False)
             out = tmp_path / str(cores)
             assert run_cli("sweep", "--scenario", "sweep", "--range", "330,400", "--out", str(out),
                            "--dt", "0.05") == 0
             outputs.append({p.relative_to(out): p.read_bytes()
                             for p in sorted(out.rglob("*")) if p.is_file()})
         assert outputs[0] == outputs[1]
+
+    def test_one_usable_cpu_builds_no_pool(self, tmp_path, monkeypatch):
+        # the affinity mask, not the host's CPU count, sizes the pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert run_cli("sweep", "--scenario", "sweep", "--range", "330,400",
+                       "--out", str(tmp_path / "o"), "--dt", "0.05") == 0
 
     def test_empty_range_exit_one(self, tmp_path):
         assert run_cli("sweep", "--scenario", "sweep", "--out", str(tmp_path / "o")) == 1

@@ -1,11 +1,11 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wingsafe.barrier import (
@@ -18,6 +18,7 @@ from wingsafe.barrier import (
     h_batch,
     h_value,
     lie_derivatives,
+    role_weights,
 )
 from wingsafe import safety_filter, sim
 from wingsafe.dynamics import ActuatorLimits, ControlInput, VehicleState, step_rk4
@@ -339,6 +340,45 @@ class TestFilterRun:
     step on it gives the bits of a fresh run that starts from the previous
     step's active set."""
 
+    def test_config_is_its_five_fields(self):
+        # the run constants (box, evading controls, role weights, R^2) are FilterRun's
+        assert [f.name for f in fields(FilterConfig)] == [
+            "barrier", "sensor", "limits", "gain", "shaping"]
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_run_derives_its_constants_from_the_config(self, data):
+        v_min = data.draw(st.floats(5.0, 20.0), label="v_min")
+        v_max = data.draw(st.floats(v_min + 1.0, 40.0), label="v_max")
+        omega_max = data.draw(st.floats(0.05, 1.0), label="omega_max")
+        zeta_max = data.draw(st.sampled_from([0.0, -0.0, math.inf]) | st.floats(0.0, 10.0),
+                             label="zeta_max")
+        limits = ActuatorLimits(v_min, v_max, omega_max, zeta_max)
+        speed = st.floats(v_min, v_max)
+        if data.draw(st.booleans(), label="straight"):
+            climb = (st.floats(-min(zeta_max, 10.0), min(zeta_max, 10.0)) if zeta_max > 0.0
+                     else st.sampled_from([0.0, -0.0]))
+            v1, v2 = data.draw(st.lists(speed, min_size=2, max_size=2, unique=True), label="v")
+            man = StraightManeuver(v1, v2, data.draw(climb, label="zeta1"),
+                                   data.draw(climb, label="zeta2"))
+        else:
+            v = data.draw(speed, label="speed")
+            sigma = data.draw(st.floats(v_min / v, 1.0), label="sigma")
+            assume(sigma * v >= v_min)  # vehicle 1's speed, which can round below v_min
+            man = TurnManeuver(sigma, v, data.draw(st.floats(0.01, omega_max), label="rate"))
+        config = FilterConfig(BarrierConfig(man, SafetyParams(0.01, 5.0)), SensorModel(350.0),
+                              limits)
+        n = data.draw(st.integers(1, 4), label="n")
+        run = FilterRun(config, n)
+        one = [[v_min, -omega_max, -zeta_max], [v_max, omega_max, zeta_max]]
+        assert _bits(run.box) == _bits([row * n for row in one])
+        assert _bits(run.evading) == _bits([x for u in man.controls() for x in u])
+        assert [w.view(np.int64).tolist() for w in run.weights] == [
+            w.view(np.int64).tolist() for w in role_weights(config.barrier)]
+        for a in (run.box, run.evading):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
     def test_run_of_another_config_or_vehicle_count_rejected(self, fconfig):
         world = [vehicle(0, 0, 0), vehicle(1000, 0, math.pi)]
         nominal = [ControlInput(20, 0, 0)] * 2
@@ -514,8 +554,8 @@ _near = st.builds(lambda x, y, th: VehicleState(x, y, th, 0.0),
 
 
 class TestTwinConfigsShareNothing:
-    """FilterConfig derives its box, maneuver vector and role weights per
-    instance.  Two configs that differ only in the sign of a zero compare
+    """FilterRun derives its box, maneuver vector and role weights per
+    run.  Two configs that differ only in the sign of a zero compare
     and hash equal, so a module cache keyed on config values would hand one
     the other's constants.  Every run must give the same bits before and
     after its twin runs, and each filter run must match references that
@@ -597,6 +637,7 @@ class TestSplitMatchesReference:
     def test_synthetic_rows(self, data):
         config = _split_config(data)
         n = data.draw(st.integers(1, 5), label="n")
+        run = FilterRun(config, n)
         # any subset of the pairs, k = 0 included (reached with failed rows only)
         rows = data.draw(st.lists(st.integers(0, n * (n - 1) // 2 - 1), unique=True,
                                   max_size=8).map(sorted), label="rows") if n > 1 else []
@@ -613,15 +654,15 @@ class TestSplitMatchesReference:
         # a clamped nominal: inside the box, with zeros of either sign where it has them
         entry = [st.floats(min(a, b), max(a, b)) | (st.sampled_from([0.0, -0.0]) if a <= 0.0
                                                     else st.nothing())
-                 for a, b in config.box.T.tolist()]
+                 for a, b in run.box[:, :3].T.tolist()]
         u = np.array([[data.draw(e, label="u") for e in entry] for _ in range(n)])
         got, want = (SimpleNamespace(events=[], fallback=set()) for _ in range(2))
         u_got, u_want = u.copy(), u.copy()
         usable, failed = safety_filter._usable_rows(got, "split", pairs, lg, offset)
         got.fallback.update(pairs[:, failed].ravel().tolist())
-        safety_filter._filter_split(config, got, u_got, pairs[:, usable], lg[usable],
+        safety_filter._filter_split(run, got, u_got, pairs[:, usable], lg[usable],
                                     offset[usable])
-        reference_split(config, want, u_want, pairs, lg, offset)
+        reference_split(run, want, u_want, pairs, lg, offset)
         assert _bits(u_got) == _bits(u_want)
         assert got.events == want.events and got.fallback == want.fallback
 
@@ -708,7 +749,7 @@ class TestUnusableRows:
             res = filter_controls(world, [ControlInput(20.0, 0.0, 0.0)] * 2, config, mode=mode)
         assert res.events == [event.format(mode=mode)]
         assert res.fallback == {0, 1}
-        assert np.array_equal(res.controls, config.evading.reshape(2, 3))
+        assert np.array_equal(res.controls, FilterRun(config, 2).evading.reshape(2, 3))
         assert np.isnan(res.margin).all()
 
     @settings(max_examples=200)
