@@ -180,11 +180,11 @@ class BarrierValue(NamedTuple):
 
 def phasor_rows(states) -> np.ndarray:
     """Phasor rows (4, N) of vehicle states."""
-    rows = []
-    for s in states:
-        c, sn = math.cos(s.heading), math.sin(s.heading)
-        rows.append((s.px, s.py, c, sn, c, -sn, c - sn, -(sn + c)))
-    return np.array(rows, dtype=float).reshape(len(rows), 8).view(complex).T
+    flat = []  # each vehicle's 8 floats in turn: one np.array call, not one per row
+    for px, py, th, _ in states:
+        c, sn = math.cos(th), math.sin(th)
+        flat += (px, py, c, sn, c, -sn, c - sn, -(sn + c))
+    return np.array(flat, dtype=float).reshape(-1, 8).view(complex).T
 
 
 def role_weights(config: BarrierConfig) -> tuple[np.ndarray, np.ndarray]:

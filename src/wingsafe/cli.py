@@ -24,7 +24,6 @@ import argparse
 import csv
 import json
 import os
-import secrets
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -90,7 +89,7 @@ def _atomic_write(path: Path, write_fn) -> None:
     """Write via a temp file in the same directory, then rename.  The temp
     file is created with mode 0o666 filtered by the umask, as open() would."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f"{path.name}{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import isfinite
+from math import cos, isfinite, sin
 from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
@@ -118,16 +118,17 @@ def step_rk4(state: VehicleState, u: Sequence[float], dt: float) -> VehicleState
     # heading evolves linearly (heading_dot = omega is state-independent),
     # so the RK4 stage headings are exact samples of the true heading.
     v, om, ze = u
-    th = state.heading
+    px, py, th, pz = state
     th2 = th + 0.5 * dt * om
     th4 = th + dt * om
 
-    k1x, k1y = v * math.cos(th), v * math.sin(th)
-    k2x, k2y = v * math.cos(th2), v * math.sin(th2)
+    k1x, k1y = v * cos(th), v * sin(th)
+    k2x, k2y = v * cos(th2), v * sin(th2)
     k3x, k3y = k2x, k2y
-    k4x, k4y = v * math.cos(th4), v * math.sin(th4)
+    k4x, k4y = v * cos(th4), v * sin(th4)
 
-    px = state.px + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    py = state.py + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    pz = state.pz + dt * ze
-    return VehicleState(px, py, th4, pz)  # VehicleState wraps the heading
+    px = px + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    py = py + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+    pz = pz + dt * ze
+    # VehicleState's own checks and heading wrap, without the class call
+    return VehicleState.__new__(VehicleState, px, py, th4, pz)

@@ -89,18 +89,18 @@ class QPProblem:
         off = self.offsets
         bad = ~np.isfinite(off)
         negative = off < 0.0
-        if negative.any():
+        if np.count_nonzero(negative):
             bad |= negative & ~self.coeffs.any(axis=1)
-        if bad.any():
+        if np.count_nonzero(bad):
             if not math.isfinite(off[bad.argmax()]):
                 raise ValueError("non-finite constraint row")
             raise ValueError("zero row with negative offset is infeasible by construction")
-        if not (self.lower <= self.upper).all():  # False for a NaN bound too
+        if not np.logical_and.reduce(self.lower <= self.upper):  # False for a NaN bound too
             for name, bound in (("lower", self.lower), ("upper", self.upper)):
                 if np.isnan(bound).any():
                     raise ValueError(f"NaN {name} bound at entry {np.isnan(bound).argmax()}")
             raise ValueError("empty box (lower > upper)")
-        if not np.isfinite(self.coeffs).all():
+        if np.count_nonzero(np.isfinite(self.coeffs)) < self.coeffs.size:
             k = (~np.isfinite(self.coeffs).all(axis=1)).argmax()
             raise ValueError(f"non-finite constraint row {k}")
 
@@ -151,7 +151,8 @@ def solve_qp(problem: QPProblem, max_iter: int | None = None, guess: Sequence[in
             mult = np.zeros(m)
             for j, lj in zip(active, lam):
                 mult[j] = lj
-            np.copyto(u, problem.u_hat, where=~A[active].any(axis=0))  # no active row acts on
+            # the entries no active row acts on
+            np.copyto(u, problem.u_hat, where=~np.logical_or.reduce(A[active], axis=0))
             return u, mult
 
         # episode: bring constraint p to equality, dropping blockers as
@@ -177,7 +178,7 @@ def solve_qp(problem: QPProblem, max_iter: int | None = None, guess: Sequence[in
             zz = float(z @ z)
             dependent = zz <= 1e-10 * float(ap @ ap)
             if dependent:
-                if r.size == 0 or np.all(r <= STOP_TOL):
+                if r.size == 0 or np.logical_and.reduce(r <= STOP_TOL):
                     raise QPInfeasibleError(
                         f"constraint {p} inconsistent with active set {active}"
                     )
@@ -238,12 +239,12 @@ def _active_set_optimum(A, b, norms, u_hat, W):
         lam = np.linalg.solve(N @ N.T, b[W] - N @ u_hat)
     except np.linalg.LinAlgError:  # dependent rows
         return None
-    if not lam.min() >= 0.0:
+    if not np.minimum.reduce(lam) >= 0.0:
         return None
     # u_hat + lam @ N, where an entry no row of W acts on keeps its bits
-    u = np.add(u_hat, lam @ N, out=u_hat.copy(), where=N.any(axis=0))
+    u = np.add(u_hat, lam @ N, out=u_hat.copy(), where=np.logical_or.reduce(N, axis=0))
     viol = (b - A @ u) / norms
-    if not (viol.max() <= STOP_TOL and viol[W].min() >= -STOP_TOL):
+    if not (np.maximum.reduce(viol) <= STOP_TOL and np.minimum.reduce(viol[W]) >= -STOP_TOL):
         return None
     mult = np.zeros(len(b))
     mult[W] = lam

@@ -180,13 +180,15 @@ def _shaped_rows(p: PairPass, rows, config: FilterConfig) -> np.ndarray:
 
 def filter_controls(
     world: list[VehicleState],
-    nominal: list[ControlInput],
+    nominal: list[tuple[float, float, float]],
     config: FilterConfig,
     mode: str = "centralized",
     run: FilterRun | None = None,
 ) -> FilterResult:
-    """Clamp the nominal controls into the actuator box, once, as one (N, 3)
-    array (FilterResult.nominal), and filter them through the barrier QP.
+    """Check the nominal controls, one (speed, turn_rate, climb_rate) triple
+    per vehicle, for finiteness and clamp them into the actuator box, once,
+    as one (N, 3) array (FilterResult.nominal), and filter them through the
+    barrier QP.  A non-finite nominal raises ValueError, naming the vehicle.
 
     Barrier values are computed for every pair (the simulator is omniscient
     even where the vehicles are not), but only sensed pairs constrain the QP.
@@ -205,7 +207,11 @@ def filter_controls(
     hint, run.active = run.active, []
     idx, (lo, hi) = run.pairs, run.box
     ii, jj = idx
-    u_hat = _clamp(np.fromiter(chain.from_iterable(nominal), float, 3 * n), lo, hi).reshape(n, 3)
+    u_hat = np.fromiter(chain.from_iterable(nominal), float, 3 * n)
+    if np.count_nonzero(np.isfinite(u_hat)) < u_hat.size:
+        v = int(np.flatnonzero(~np.isfinite(u_hat))[0]) // 3
+        raise ValueError(f"non-finite nominal control for vehicle {v}: {u_hat[3 * v:3 * v + 3].tolist()!r}")
+    u_hat = _clamp(u_hat, lo, hi).reshape(n, 3)
     p = pair_pass(world, run)
     result = FilterResult(u_hat, u_hat, p.h, p.h_shaped, None, p.in_sensor)  # margin set below
     ok = p.in_sensor  # sensed rows whose constraint can be evaluated

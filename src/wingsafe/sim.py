@@ -22,15 +22,17 @@ from typing import Protocol
 
 import numpy as np
 
-from .dynamics import ControlInput, VehicleState, step_rk4, wrap_angle
+from .dynamics import VehicleState, step_rk4, wrap_angle
 from .safety_filter import FilterConfig, FilterRun, filter_controls
 
 
 class Controller(Protocol):
-    """A nominal controller: the raw command for one vehicle at time t.  The
-    filter, not the controller, clamps it into the actuator box."""
+    """A nominal controller: the raw command for one vehicle at time t, as a
+    triple of floats (speed, turn_rate, climb_rate); a ControlInput is one.
+    The filter, not the controller, checks that it is finite and clamps it
+    into the actuator box."""
 
-    def control(self, state: VehicleState, t: float) -> ControlInput: ...
+    def control(self, state: VehicleState, t: float) -> tuple[float, float, float]: ...
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class CircleController:
     direction: int
     speed: float
 
-    def control(self, state: VehicleState, t: float) -> ControlInput:
+    def control(self, state: VehicleState, t: float) -> tuple[float, float, float]:
         dx = state.px - self.center_x
         dy = state.py - self.center_y
         dist = math.hypot(dx, dy)
@@ -58,7 +60,7 @@ class CircleController:
         err_radial = (dist - self.radius) / self.radius
         desired = tangent + self.direction * math.atan(2.0 * err_radial)
         turn = self.direction * self.speed / self.radius + wrap_angle(desired - state.heading)
-        return ControlInput(self.speed, turn, 0.0)
+        return self.speed, turn, 0.0
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,7 @@ class GoalController:
     cruise_speed: float = 20.0
     arrival_time: float | None = None
 
-    def control(self, state: VehicleState, t: float) -> ControlInput:
+    def control(self, state: VehicleState, t: float) -> tuple[float, float, float]:
         dx = self.goal_x - state.px
         dy = self.goal_y - state.py
         dist = math.hypot(dx, dy)
@@ -92,7 +94,7 @@ class GoalController:
         else:
             speed = self.cruise_speed
         climb = self.goal_z - state.pz
-        return ControlInput(speed, turn, climb)
+        return speed, turn, climb
 
 
 @dataclass

@@ -450,6 +450,30 @@ states = st.builds(
 )
 
 
+def _complex_bits(a) -> list:
+    """Each entry of a complex array as the bit patterns of its real and
+    imaginary parts (so -0.0 != 0.0)."""
+    return [(z.real.hex(), z.imag.hex()) for z in np.asarray(a).ravel().tolist()]
+
+
+# finite coordinates with +-0.0 and magnitudes up to 1e300
+FAR = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.builds(VehicleState, FAR, FAR, FAR, FAR), max_size=12))
+def test_phasor_rows_are_the_per_vehicle_phasors(world):
+    # each column [z, e, conj(e), (1 - i) conj(e)], built one vehicle at a time
+    want = []
+    for s in world:
+        c, sn = math.cos(s.heading), math.sin(s.heading)
+        want.append([complex(s.px, s.py), complex(c, sn), complex(c, -sn),
+                     complex(c - sn, -(sn + c))])
+    got = phasor_rows(world)
+    assert got.shape == (4, len(world))
+    assert _complex_bits(got) == _complex_bits(np.array(want, complex).reshape(-1, 4).T)
+
+
 class TestArrayPassAgreement:
     """The scalar wrappers are the array pass with one row: identical values,
     and a DomainError exactly where the pass gives NaN."""

@@ -788,6 +788,13 @@ def test_cli_import_leaves_scipy_out():
     assert not _loaded_by_cli_import("scipy")
 
 
+def test_cli_import_leaves_hashlib_out():
+    # the output writer names its temp files with os.urandom; secrets would
+    # load hmac and hashlib on every start
+    assert not _loaded_by_cli_import("hashlib")
+    assert not _loaded_by_cli_import("secrets")
+
+
 def test_cli_import_leaves_process_pool_out():
     # only a sweep with more than one worker starts processes
     assert not _loaded_by_cli_import("concurrent.futures.process")

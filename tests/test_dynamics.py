@@ -157,6 +157,36 @@ class TestStepRK4:
         with pytest.raises(ValueError):
             step_rk4(VehicleState(0, 0, 0, 0), ControlInput(1, 0, 0), -0.1)
 
+    # headings on both sides of the +-pi seam, and anywhere
+    HEADING = st.one_of(
+        st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                         math.nextafter(-math.pi, 0.0)]),
+        st.floats(math.pi - 1e-6, math.pi), st.floats(-math.pi, -math.pi + 1e-6),
+        st.floats(-math.pi, math.pi),
+    )
+
+    @settings(max_examples=300)
+    @given(st.builds(VehicleState, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), HEADING,
+                     st.floats(-1e4, 1e4)),
+           st.tuples(st.floats(0.0, 100.0), st.floats(-2.0, 2.0), st.floats(-10.0, 10.0)),
+           st.floats(1e-9, 1.0))
+    def test_result_is_a_checked_vehicle_state(self, s0, u, dt):
+        # the step builds its result through VehicleState.__new__: a
+        # VehicleState with the heading wrapped, bit for bit what the class call gives
+        s = step_rk4(s0, u, dt)
+        assert type(s) is VehicleState
+        assert bits(s) == bits(VehicleState(*s))
+        assert -math.pi < s.heading <= math.pi
+
+    @pytest.mark.parametrize("s0, u", [
+        (VehicleState(1.7e308, 0.0, 0.0, 0.0), (1e308, 0.0, 0.0)),  # px overflows
+        (VehicleState(0.0, 0.0, math.pi / 2, 0.0), (1e308, 0.0, 0.0)),  # py overflows
+        (VehicleState(0.0, 0.0, 0.0, 1e308), (20.0, 0.0, 1e308)),  # pz overflows
+    ])
+    def test_non_finite_result_rejected(self, s0, u):
+        with pytest.raises(ValueError, match="non-finite state field in VehicleState"):
+            step_rk4(s0, u, 10.0)
+
     def test_fourth_order_convergence(self):
         # single-step error against the exact arc should drop by >= 1e4
         # (O(dt^5) per step) when dt shrinks 10x

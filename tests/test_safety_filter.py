@@ -250,6 +250,15 @@ class TestFilterControls:
         with pytest.raises(ValueError, match="non-finite filtered control for vehicle 1"):
             filter_controls(self.HEAD_ON, nominal, fconfig)
 
+    @pytest.mark.parametrize("mode", ["centralized", "split", "off"])
+    @pytest.mark.parametrize("bad", [(math.nan, 0, 0), (math.inf, 0, 0), (20, -math.inf, 0)])
+    def test_non_finite_nominal_names_vehicle(self, fconfig, mode, bad):
+        # plain tuples, as the controllers return; far outside sensing range,
+        # so no row could reject them, and the clamp would map an inf into the box
+        world = [vehicle(0, 0, 0), vehicle(10_000, 0, 0)]
+        with pytest.raises(ValueError, match="non-finite nominal control for vehicle 1"):
+            filter_controls(world, [(20.0, 0.0, 0.0), bad], fconfig, mode)
+
 
 class TestWarmStartHint:
     """The previous step's active set, FilterRun.active, only warm-starts

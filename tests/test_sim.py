@@ -50,7 +50,7 @@ class TestCircleController:
         cfg = scenario_example1()
         spec = cfg.vehicles[0]
         ctrl = cfg.controllers()[0]
-        u = ctrl.control(spec.state, 0.0)
+        u = ControlInput(*ctrl.control(spec.state, 0.0))
         assert u.speed == 16.0
         assert u.turn_rate == pytest.approx(-EVADE_RATE, abs=1e-15)
         assert u.climb_rate == 0.0
@@ -58,7 +58,7 @@ class TestCircleController:
     def test_far_off_circle_saturates(self):
         # the raw command exceeds the turn-rate limit; the filter saturates it
         c = CircleController(0.0, 0.0, 50.0, 1, 10.0)
-        raw = c.control(VehicleState(500.0, 0.0, -math.pi / 2, 0), 0.0)
+        raw = ControlInput(*c.control(VehicleState(500.0, 0.0, -math.pi / 2, 0), 0.0))
         assert abs(raw.turn_rate) > self.LIMITS.omega_max
         u = ControlInput(*filter_clamp([raw], self.LIMITS)[0].tolist())
         assert abs(u.turn_rate) == self.LIMITS.omega_max
@@ -74,16 +74,16 @@ class TestGoalController:
 
     def test_timed_arrival_speed(self):
         g = GoalController(100.0, 0.0, arrival_time=5.0)
-        u = g.control(VehicleState(0, 0, 0, 0), 0.0)
+        u = ControlInput(*g.control(VehicleState(0, 0, 0, 0), 0.0))
         assert u.speed == pytest.approx(20.0)
-        raw_late = g.control(VehicleState(0, 0, 0, 0), 4.0)
+        raw_late = ControlInput(*g.control(VehicleState(0, 0, 0, 0), 4.0))
         assert raw_late.speed == 100.0  # 100 m in the last 1 s
         u_late = ControlInput(*filter_clamp([raw_late], self.LIMITS)[0].tolist())
         assert u_late.speed == 25.0  # 100/1 clamped to v_max
 
     def test_bearing_error_saturates_turn(self):
         g = GoalController(0.0, 100.0, cruise_speed=20.0)
-        raw = g.control(VehicleState(0, 0, 0, 0), 0.0)
+        raw = ControlInput(*g.control(VehicleState(0, 0, 0, 0), 0.0))
         assert raw.turn_rate == math.pi / 2  # k_heading = 1 times the bearing error
         u = ControlInput(*filter_clamp([raw], self.LIMITS)[0].tolist())
         assert u.turn_rate == self.LIMITS.omega_max
