@@ -18,7 +18,6 @@ if "numpy" not in sys.modules:
 
 from .dynamics import (
     ActuatorLimits,
-    ControlInput,
     VehicleState,
     step_rk4,
     wrap_angle,
@@ -72,7 +71,6 @@ __all__ = [
     "CircleController",
     "CompatibilityReport",
     "ConstraintRow",
-    "ControlInput",
     "DomainError",
     "FilterConfig",
     "FilterResult",

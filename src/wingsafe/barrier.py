@@ -67,7 +67,10 @@ class TurnManeuver:
     def __post_init__(self):
         if not (0.0 < self.sigma <= 1.0):
             raise ValueError("require 0 < sigma <= 1")
-        if not self.turn_rate > 0.0:  # also rejects NaN
+        for name in ("speed", "turn_rate"):
+            if not abs(getattr(self, name)) < math.inf:  # also rejects NaN
+                raise ValueError(f"require finite {name}")
+        if not self.turn_rate > 0.0:
             raise ValueError("require turn_rate > 0")
         if not self.speed > 0.0:
             raise ValueError("require speed > 0")

@@ -1,4 +1,4 @@
-"""Fixed-wing kinematic model and closed-form maneuver propagation.
+"""Fixed-wing kinematic model: vehicle state, actuator box and RK4 step.
 
 State of one vehicle: [px, py, heading, pz] with
 
@@ -58,29 +58,6 @@ class VehicleState(_VehicleStateFields):
         return cls(*iterable)
 
 
-class _ControlInputFields(NamedTuple):
-    speed: float
-    turn_rate: float
-    climb_rate: float = 0.0
-
-
-class ControlInput(_ControlInputFields):
-    """Airspeed, turn rate and climb rate command: an immutable named tuple of
-    finite fields."""
-
-    __slots__ = ()
-
-    def __new__(cls, speed, turn_rate, climb_rate=0.0):
-        if isfinite(speed) and isfinite(turn_rate) and isfinite(climb_rate):
-            return tuple.__new__(cls, (speed, turn_rate, climb_rate))
-        raw = tuple.__new__(cls, (speed, turn_rate, climb_rate))
-        raise ValueError(f"non-finite control field in {raw!r}")
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
 @dataclass(frozen=True)
 class ActuatorLimits:
     """Box bounds on the control input: v in [v_min, v_max], |omega| <= omega_max,
@@ -99,19 +76,23 @@ class ActuatorLimits:
         if not self.zeta_max >= 0.0:
             raise ValueError("require zeta_max >= 0")
 
-    def contains(self, u: ControlInput) -> bool:
+    def contains(self, u: Sequence[float]) -> bool:
+        """Whether the (speed, turn_rate, climb_rate) triple u lies in the box."""
+        speed, turn_rate, climb_rate = u
         return (
-            self.v_min <= u.speed <= self.v_max
-            and abs(u.turn_rate) <= self.omega_max
-            and abs(u.climb_rate) <= self.zeta_max
+            self.v_min <= speed <= self.v_max
+            and abs(turn_rate) <= self.omega_max
+            and abs(climb_rate) <= self.zeta_max
         )
 
 
 def step_rk4(state: VehicleState, u: Sequence[float], dt: float) -> VehicleState:
     """One classical 4th-order Runge-Kutta step with the input u = (speed,
-    turn rate, climb rate) held constant, a ControlInput or any 3-sequence.
+    turn rate, climb rate) held constant, any 3-sequence of floats.
 
-    Heading is re-wrapped after the step.  dt must be positive.
+    Heading is re-wrapped after the step.  dt must be positive.  A result
+    with a non-finite field, an overflowed heading included, raises
+    ValueError naming the state.
     """
     if not (dt > 0.0):
         raise ValueError("dt must be > 0")
@@ -122,10 +103,13 @@ def step_rk4(state: VehicleState, u: Sequence[float], dt: float) -> VehicleState
     th2 = th + 0.5 * dt * om
     th4 = th + dt * om
 
-    k1x, k1y = v * cos(th), v * sin(th)
-    k2x, k2y = v * cos(th2), v * sin(th2)
+    try:
+        k1x, k1y = v * cos(th), v * sin(th)
+        k2x, k2y = v * cos(th2), v * sin(th2)
+        k4x, k4y = v * cos(th4), v * sin(th4)
+    except ValueError:  # an overflowed heading; VehicleState rejects it by name
+        return VehicleState(math.nan, math.nan, th4, pz + dt * ze)
     k3x, k3y = k2x, k2y
-    k4x, k4y = v * cos(th4), v * sin(th4)
 
     px = px + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     py = py + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)

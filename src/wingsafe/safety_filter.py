@@ -55,7 +55,7 @@ from .barrier import (
     phasor_rows,
     role_weights,
 )
-from .dynamics import ActuatorLimits, ControlInput, VehicleState
+from .dynamics import ActuatorLimits, VehicleState
 from .qp import QPInfeasibleError, QPProblem, solve_qp, solve_row_batch
 from .shaping import SensorModel, ShapingParams, psi_deriv_batch, shape_h_batch
 
@@ -84,7 +84,7 @@ class FilterConfig:
         # actually flyable control, else the fallback silently stops being
         # the maneuver the barrier reasons about.
         for u in self.barrier.maneuver.controls():
-            if not self.limits.contains(ControlInput(*u)):
+            if not self.limits.contains(u):
                 raise ValueError(
                     f"evading maneuver control {u} lies outside the actuator box"
                 )

@@ -28,7 +28,7 @@ from .safety_filter import FilterConfig, FilterRun, filter_controls
 
 class Controller(Protocol):
     """A nominal controller: the raw command for one vehicle at time t, as a
-    triple of floats (speed, turn_rate, climb_rate); a ControlInput is one.
+    triple of floats (speed, turn_rate, climb_rate), such as a plain tuple.
     The filter, not the controller, checks that it is finite and clamps it
     into the actuator box."""
 

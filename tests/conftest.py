@@ -17,7 +17,7 @@ from wingsafe.barrier import (
     TurnManeuver,
     h_value,
 )
-from wingsafe.dynamics import ActuatorLimits, ControlInput, VehicleState
+from wingsafe.dynamics import ActuatorLimits, VehicleState
 from wingsafe.qp import QPInfeasibleError, QPProblem, solve_qp
 from wingsafe.safety_filter import FilterConfig, FilterRun, filter_controls, pair_index, pair_pass
 from wingsafe.shaping import SensorModel
@@ -141,15 +141,17 @@ def vehicle_minima(pair_values, n):
     ], axis=1)
 
 
-def reference_clamp(u: ControlInput, limits: ActuatorLimits) -> ControlInput:
-    """Scalar projection of one control onto the actuator box, u itself if
-    inside: the reference the filter's array clamp matches bit for bit."""
+def reference_clamp(u: tuple, limits: ActuatorLimits) -> tuple:
+    """Scalar projection of one (speed, turn_rate, climb_rate) control onto
+    the actuator box, u itself if inside: the reference the filter's array
+    clamp matches bit for bit."""
     if limits.contains(u):
         return u
-    return ControlInput(
-        min(max(u.speed, limits.v_min), limits.v_max),
-        min(max(u.turn_rate, -limits.omega_max), limits.omega_max),
-        min(max(u.climb_rate, -limits.zeta_max), limits.zeta_max),
+    speed, turn_rate, climb_rate = u
+    return (
+        min(max(speed, limits.v_min), limits.v_max),
+        min(max(turn_rate, -limits.omega_max), limits.omega_max),
+        min(max(climb_rate, -limits.zeta_max), limits.zeta_max),
     )
 
 
@@ -222,4 +224,4 @@ def reference_split(run, result, u, pairs, lg, offset):
         else:
             # an entry strictly outside the box moves to the bound; every
             # other keeps its bits, the sign of a zero included
-            u[v] = reference_clamp(ControlInput(*u_star.tolist()), config.limits)
+            u[v] = reference_clamp(u_star.tolist(), config.limits)

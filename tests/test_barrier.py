@@ -510,12 +510,12 @@ class TestArrayPassAgreement:
     @given(barrier_configs(), st.lists(states, min_size=2, max_size=7))
     def test_filter_pass_matches_wrappers(self, cfg, world):
         from wingsafe.safety_filter import FilterConfig, filter_controls
-        from wingsafe.dynamics import ActuatorLimits, ControlInput
+        from wingsafe.dynamics import ActuatorLimits
         from wingsafe.shaping import SensorModel
 
         limits = ActuatorLimits(0.1, 50.0, 1.5, 5.0)  # contains every drawn maneuver
         fc = FilterConfig(cfg, SensorModel(150.0), limits)
-        res = filter_controls(world, [ControlInput(10.0, 0.0)] * len(world), fc, mode="off")
+        res = filter_controls(world, [(10.0, 0.0, 0.0)] * len(world), fc, mode="off")
         want = []
         for i in range(len(world)):
             for j in range(i + 1, len(world)):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from wingsafe.dynamics import (
     ActuatorLimits,
-    ControlInput,
     VehicleState,
     step_rk4,
     wrap_angle,
@@ -29,8 +28,6 @@ def rk4_many(state, u, total, n):
 class TestDerivative:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            ControlInput(float("nan"), 0, 0)
-        with pytest.raises(ValueError):
             VehicleState(float("inf"), 0, 0, 0)
 
 
@@ -38,7 +35,7 @@ class TestDerivative:
 # values near the largest double
 FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-2**62, 2**62))
 NON_FINITE = [math.nan, math.inf, -math.inf]
-VALUE_TYPES = [(VehicleState, 4), (ControlInput, 3)]
+VALUE_TYPES = [(VehicleState, 4)]
 
 
 def bits(values):
@@ -46,15 +43,13 @@ def bits(values):
     return [(type(x), x.hex() if isinstance(x, float) else x) for x in values]
 
 
-def expected_fields(cls, values):
+def expected_fields(values):
     """The fields construction should store: the heading wrapped, the rest as given."""
-    if cls is VehicleState:
-        return [values[0], values[1], wrap_angle(values[2]), values[3]]
-    return list(values)
+    return [values[0], values[1], wrap_angle(values[2]), values[3]]
 
 
 class TestValueTypes:
-    """VehicleState and ControlInput are validating named tuples."""
+    """VehicleState is a validating named tuple."""
 
     @settings(max_examples=200)
     @given(st.sampled_from(VALUE_TYPES).flatmap(
@@ -63,7 +58,7 @@ class TestValueTypes:
         # the heading, and only it, is stored as wrap_angle(heading), bitwise
         cls, values = case
         x = cls(*values)
-        want = expected_fields(cls, values)
+        want = expected_fields(values)
         assert bits(x) == bits(want)
         assert bits(getattr(x, f) for f in cls._fields) == bits(want)
         assert bits(x[i] for i in range(len(want))) == bits(want)
@@ -107,13 +102,9 @@ class TestValueTypes:
         assert repr(VehicleState(*values)) == (
             f"VehicleState(px={px!r}, py={py!r}, heading={wrap_angle(heading)!r}, pz={pz!r})"
         )
-        assert repr(ControlInput(px, py, pz)) == (
-            f"ControlInput(speed={px!r}, turn_rate={py!r}, climb_rate={pz!r})"
-        )
 
     def test_defaults(self):
         assert VehicleState(1.0, 2.0, 0.5) == (1.0, 2.0, 0.5, 0.0)
-        assert ControlInput(20.0, 0.1) == (20.0, 0.1, 0.0)
 
     @pytest.mark.parametrize("cls, n", VALUE_TYPES)
     @pytest.mark.parametrize("bad", NON_FINITE)
@@ -134,11 +125,11 @@ class TestValueTypes:
 
 class TestStepRK4:
     def test_straight_motion_exact(self):
-        s = step_rk4(VehicleState(0, 0, 0, 0), ControlInput(1, 0, 0), 1.0)
+        s = step_rk4(VehicleState(0, 0, 0, 0), (1, 0, 0), 1.0)
         assert (s.px, s.py, s.heading, s.pz) == (1, 0, 0, 0)
 
     def test_matches_closed_form_turn(self):
-        u = ControlInput(1, 1, 0)
+        u = (1, 1, 0)
         got = rk4_many(VehicleState(0, 0, 0, 0), u, math.pi, 10_000)
         want = propagate_turn(VehicleState(0, 0, 0, 0), 1, 1, math.pi)
         np.testing.assert_allclose(
@@ -148,14 +139,14 @@ class TestStepRK4:
         assert abs(wrap_angle(got.heading - want.heading)) < 1e-6
 
     def test_altitude_decoupled(self):
-        s = step_rk4(VehicleState(3, -2, 0.7, 10), ControlInput(5, 0, -1.5), 0.25)
+        s = step_rk4(VehicleState(3, -2, 0.7, 10), (5, 0, -1.5), 0.25)
         assert s.pz == pytest.approx(10 - 1.5 * 0.25, abs=1e-15)
 
     def test_dt_must_be_positive(self):
         with pytest.raises(ValueError):
-            step_rk4(VehicleState(0, 0, 0, 0), ControlInput(1, 0, 0), 0.0)
+            step_rk4(VehicleState(0, 0, 0, 0), (1, 0, 0), 0.0)
         with pytest.raises(ValueError):
-            step_rk4(VehicleState(0, 0, 0, 0), ControlInput(1, 0, 0), -0.1)
+            step_rk4(VehicleState(0, 0, 0, 0), (1, 0, 0), -0.1)
 
     # headings on both sides of the +-pi seam, and anywhere
     HEADING = st.one_of(
@@ -182,6 +173,8 @@ class TestStepRK4:
         (VehicleState(1.7e308, 0.0, 0.0, 0.0), (1e308, 0.0, 0.0)),  # px overflows
         (VehicleState(0.0, 0.0, math.pi / 2, 0.0), (1e308, 0.0, 0.0)),  # py overflows
         (VehicleState(0.0, 0.0, 0.0, 1e308), (20.0, 0.0, 1e308)),  # pz overflows
+        (VehicleState(0.0, 0.0, 0.0, 0.0), (20.0, 1e308, 0.0)),  # the heading overflows
+        (VehicleState(0.0, 0.0, 0.0, 0.0), (20.0, math.inf, 0.0)),  # an infinite turn rate
     ])
     def test_non_finite_result_rejected(self, s0, u):
         with pytest.raises(ValueError, match="non-finite state field in VehicleState"):
@@ -191,11 +184,10 @@ class TestStepRK4:
         # single-step error against the exact arc should drop by >= 1e4
         # (O(dt^5) per step) when dt shrinks 10x
         s0 = VehicleState(0.3, -0.8, 0.9, 0)
-        u = ControlInput(2.0, 1.3, 0)
         errs = []
         for dt in (1e-1, 1e-2):
-            got = step_rk4(s0, u, dt)
-            want = propagate_turn(s0, u.speed, u.turn_rate, dt)
+            got = step_rk4(s0, (2.0, 1.3, 0), dt)
+            want = propagate_turn(s0, 2.0, 1.3, dt)
             errs.append(
                 max(abs(got.px - want.px), abs(got.py - want.py), abs(got.heading - want.heading))
             )
@@ -215,7 +207,7 @@ class TestPropagateTurn:
     def test_against_rk4_substeps(self):
         s0 = VehicleState(0, 0, math.pi / 2, 0)
         got = propagate_turn(s0, 2, -1, math.pi / 2)
-        want = rk4_many(s0, ControlInput(2, -1, 0), math.pi / 2, 15_708)
+        want = rk4_many(s0, (2, -1, 0), math.pi / 2, 15_708)
         np.testing.assert_allclose(
             (got.px, got.py, got.heading), (want.px, want.py, want.heading), atol=1e-6
         )
@@ -261,23 +253,23 @@ class TestClampInput:
 
     LIMITS = ActuatorLimits(v_min=15, v_max=25, omega_max=0.2042, zeta_max=2)
 
-    def clamp(self, u: ControlInput) -> ControlInput:
-        return ControlInput(*filter_clamp([u], self.LIMITS)[0].tolist())
+    def clamp(self, u: tuple) -> tuple:
+        return tuple(filter_clamp([u], self.LIMITS)[0].tolist())
 
     def test_speed_clamped(self):
-        u = self.clamp(ControlInput(30, 0, 0))
-        assert u == ControlInput(25, 0, 0)
+        u = self.clamp((30, 0, 0))
+        assert u == (25, 0, 0)
 
     def test_turn_rate_clamped(self):
-        u = self.clamp(ControlInput(20, 0.5, 0))
-        assert u == ControlInput(20, 0.2042, 0)
+        u = self.clamp((20, 0.5, 0))
+        assert u == (20, 0.2042, 0)
 
     def test_inside_box_unchanged(self):
-        u0 = ControlInput(20, -0.1, 1)
+        u0 = (20, -0.1, 1)
         assert self.clamp(u0) == u0
 
     def test_idempotent(self):
-        u = self.clamp(ControlInput(5, -3, 9))
+        u = self.clamp((5, -3, 9))
         assert self.clamp(u) == u
 
     @settings(max_examples=200)
@@ -295,7 +287,7 @@ class TestClampInput:
             edges = [0.0, -0.0, *bounds, *(-b for b in bounds)]
             return st.one_of(st.sampled_from(edges), st.floats(-100.0, 100.0))
 
-        control = st.builds(ControlInput, field(v_min, v_max), field(omega_max),
+        control = st.tuples(field(v_min, v_max), field(omega_max),
                             field(zeta_max))
         controls = data.draw(st.lists(control, min_size=1, max_size=6), label="controls")
         got = filter_clamp(controls, limits)
@@ -306,7 +298,7 @@ class TestClampInput:
         # 0.0 and -0.0 make equal limits; each clamps to its own zero
         for zeta_max in (0.0, -0.0, 0.0):
             limits = ActuatorLimits(0.5, 0.5, 0.5, zeta_max)
-            controls = [ControlInput(0.0, 0.0, 1.0), ControlInput(0.0, 0.0, -1.0)]
+            controls = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
             got = filter_clamp(controls, limits)
             want = np.array([reference_clamp(u, limits) for u in controls], dtype=float)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (zeta_max, got)

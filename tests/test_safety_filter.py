@@ -21,7 +21,7 @@ from wingsafe.barrier import (
     role_weights,
 )
 from wingsafe import safety_filter, sim
-from wingsafe.dynamics import ActuatorLimits, ControlInput, VehicleState, step_rk4
+from wingsafe.dynamics import ActuatorLimits, VehicleState, step_rk4
 from wingsafe.qp import solve_qp, solve_row_batch
 from wingsafe.safety_filter import (FilterConfig, FilterRun, _shaped_rows, filter_controls,
                                     pair_index, pair_pass)
@@ -63,6 +63,13 @@ class TestAssemblePairConstraint:
         p = pair_pass([vehicle(0, 0, 0), vehicle(400, 0, math.pi)], FilterRun(fconfig, 2))
         assert not p.in_sensor[0]
 
+    @pytest.mark.parametrize("mode", ["centralized", "split", "off"])
+    def test_sensor_set_is_closed(self, fconfig, mode):
+        # a pair exactly at the sensing range R = 350 is sensed: d^2 == R^2
+        world = [vehicle(0, 0, math.pi / 2), vehicle(350, 0, math.pi / 2)]
+        assert pair_pass(world, FilterRun(fconfig, 2)).in_sensor[0]
+        assert filter_controls(world, [(20, 0, 0)] * 2, fconfig, mode).in_sensor[0]
+
     def test_plateau_row_vacuous(self, fconfig):
         # inside range but far from conflict: h above xi, no gradient row and
         # a positive offset
@@ -93,7 +100,7 @@ class TestAssemblePairConstraint:
 class TestFilterControls:
     def test_no_sensed_pair_passes_nominal(self, fconfig):
         world = [vehicle(0, 0, 0), vehicle(1000, 0, math.pi)]
-        nominal = [ControlInput(20, 0.1, 0), ControlInput(18, -0.05, 1)]
+        nominal = [(20, 0.1, 0), (18, -0.05, 1)]
         res = filter_controls(world, nominal, fconfig)
         assert np.array_equal(res.controls, nominal)
         assert not res.events
@@ -101,7 +108,7 @@ class TestFilterControls:
     def test_feasible_nominal_returned_exactly(self, fconfig):
         # sensed but far from conflict: plateau row is vacuous
         world = [vehicle(0, 0, math.pi / 2), vehicle(340, 0, math.pi / 2)]
-        nominal = [ControlInput(20, 0.0, 0), ControlInput(20, 0.0, 0)]
+        nominal = [(20, 0.0, 0), (20, 0.0, 0)]
         res = filter_controls(world, nominal, fconfig)
         assert np.array_equal(res.controls, nominal)
 
@@ -114,12 +121,12 @@ class TestFilterControls:
                 for _ in range(4)
             ]
             nominal = [
-                ControlInput(rng.uniform(10, 30), rng.uniform(-0.4, 0.4), rng.uniform(-8, 8))
+                (rng.uniform(10, 30), rng.uniform(-0.4, 0.4), rng.uniform(-8, 8))
                 for _ in range(4)
             ]
             res = filter_controls(world, nominal, fconfig)
             for u in res.controls.tolist():
-                assert limits.contains(ControlInput(*u))
+                assert limits.contains(u)
 
     def test_centralized_margins_nonnegative(self, fconfig):
         rng = np.random.default_rng(42)
@@ -129,7 +136,7 @@ class TestFilterControls:
                              rng.uniform(-math.pi, math.pi), 0)
                 for _ in range(3)
             ]
-            nominal = [ControlInput(25, 0, 0)] * 3
+            nominal = [(25, 0, 0)] * 3
             res = filter_controls(world, nominal, fconfig)
             if res.fallback:
                 continue  # infeasible step resolved by evading maneuver
@@ -146,16 +153,16 @@ class TestFilterControls:
         fc = FilterConfig(cfg, SensorModel(350.0), limits, LinearGain(1.0),
                           ShapingParams(xi, 0.9))
         world = [vehicle(-40, 0, 0), vehicle(40, 0, math.pi)]
-        nominal = [ControlInput(20, 0, 0), ControlInput(20, 0, 0)]
+        nominal = [(20, 0, 0), (20, 0, 0)]
         res = filter_controls(world, nominal, fc)
-        ua, ub = map(ControlInput._make, res.controls.tolist())
-        assert ua.turn_rate == pytest.approx(ub.turn_rate, abs=1e-6)
-        assert ua.speed == pytest.approx(ub.speed, abs=1e-6)
-        assert ua.turn_rate != 0  # constraint actually bit
+        (speed_a, rate_a, _), (speed_b, rate_b, _) = res.controls.tolist()
+        assert rate_a == pytest.approx(rate_b, abs=1e-6)
+        assert speed_a == pytest.approx(speed_b, abs=1e-6)
+        assert rate_a != 0  # constraint actually bit
         # equal body-frame turn rates on opposed headings deflect the two
         # velocity vectors in opposite world directions
-        da = ua.turn_rate * ua.speed * math.cos(world[0].heading + math.pi / 2)
-        db = ub.turn_rate * ub.speed * math.cos(world[1].heading + math.pi / 2)
+        da = rate_a * speed_a * math.cos(world[0].heading + math.pi / 2)
+        db = rate_b * speed_b * math.cos(world[1].heading + math.pi / 2)
         assert da * db < 0
 
     def test_split_mode_halves_imply_pair_row(self, fconfig):
@@ -166,7 +173,7 @@ class TestFilterControls:
                              rng.uniform(-math.pi, math.pi), 0)
                 for _ in range(3)
             ]
-            nominal = [ControlInput(25, 0, 0)] * 3
+            nominal = [(25, 0, 0)] * 3
             res = filter_controls(world, nominal, fconfig, mode="split")
             if res.fallback:
                 continue
@@ -175,13 +182,13 @@ class TestFilterControls:
 
     def test_off_mode_passthrough(self, fconfig):
         world = [vehicle(0, 0, 0), vehicle(30, 0, math.pi)]
-        nominal = [ControlInput(20, 0.1, 0), ControlInput(20, -0.1, 0)]
+        nominal = [(20, 0.1, 0), (20, -0.1, 0)]
         res = filter_controls(world, nominal, fconfig, mode="off")
         assert np.array_equal(res.controls, nominal)
 
     def test_single_vehicle_identity(self, fconfig):
-        res = filter_controls([vehicle(0, 0, 0)], [ControlInput(20, 0, 0)], fconfig)
-        assert np.array_equal(res.controls, [ControlInput(20, 0, 0)])
+        res = filter_controls([vehicle(0, 0, 0)], [(20, 0, 0)], fconfig)
+        assert np.array_equal(res.controls, [(20, 0, 0)])
 
     def test_unknown_mode_rejected(self, fconfig):
         with pytest.raises(ValueError):
@@ -193,7 +200,7 @@ class TestFilterControls:
         raw = FilterConfig(fconfig.barrier, SensorModel(350.0), limits,
                            LinearGain(1.0), shaping=None)
         world = [vehicle(0, 0, 0), vehicle(10, 0, math.pi)]
-        nominal = [ControlInput(25, 0, 0), ControlInput(25, 0, 0)]
+        nominal = [(25, 0, 0), (25, 0, 0)]
         res = filter_controls(world, nominal, raw)
         assert res.fallback == {0, 1}
         assert any("qp-infeasible" in e for e in res.events)
@@ -216,7 +223,7 @@ class TestFilterControls:
     HEAD_ON = [vehicle(-40, 0, 0), vehicle(40, 0, math.pi)]
 
     def test_qp_leaves_clamped_nominal(self, fconfig, limits):
-        nominal = [ControlInput(30, 0, 0), ControlInput(20, 0, -9)]
+        nominal = [(30, 0, 0), (20, 0, -9)]
         res, active = filtered(self.HEAD_ON, nominal, fconfig)
         assert active  # the QP ran and wrote the filtered controls
         assert res.controls is not res.nominal
@@ -232,7 +239,7 @@ class TestFilterControls:
         # HEAD_ON is one row: solve_qp runs only where the closed form declines
         monkeypatch.setattr(safety_filter, "solve_row_batch", lambda *args: None)
         monkeypatch.setattr(safety_filter, "solve_qp", nan_for_vehicle_1)
-        nominal = [ControlInput(20, 0, 0)] * 2
+        nominal = [(20, 0, 0)] * 2
         with pytest.raises(ValueError, match="non-finite filtered control for vehicle 1"):
             filter_controls(self.HEAD_ON, nominal, fconfig)
         # no QP, no check: mode off passes the clamped nominal through
@@ -246,7 +253,7 @@ class TestFilterControls:
             return u, lam, push
 
         monkeypatch.setattr(safety_filter, "solve_row_batch", nan_for_vehicle_1)
-        nominal = [ControlInput(20, 0, 0)] * 2
+        nominal = [(20, 0, 0)] * 2
         with pytest.raises(ValueError, match="non-finite filtered control for vehicle 1"):
             filter_controls(self.HEAD_ON, nominal, fconfig)
 
@@ -275,7 +282,7 @@ class TestWarmStartHint:
             ]
 
     def test_hinted_call_agrees_with_unhinted(self, fconfig):
-        nominal = [ControlInput(25, 0, 0)] * 4
+        nominal = [(25, 0, 0)] * 4
         hinted = 0
         for world in self.worlds(44, 40):
             cold, cold_active = filtered(world, nominal, fconfig)
@@ -303,7 +310,7 @@ class TestWarmStartHint:
             return solve_qp(problem, guess=guess)
 
         monkeypatch.setattr(safety_filter, "solve_qp", record)
-        nominal = [ControlInput(25, 0, 0)] * 4
+        nominal = [(25, 0, 0)] * 4
         checked = 0
         for world in self.worlds(47, 40):
             solves.clear()
@@ -317,7 +324,7 @@ class TestWarmStartHint:
         assert checked >= 10
 
     def test_active_ids_name_tight_constraints(self, fconfig, limits):
-        nominal = [ControlInput(25, 0, 0)] * 4
+        nominal = [(25, 0, 0)] * 4
         lo = [limits.v_min, -limits.omega_max, -limits.zeta_max] * 4
         hi = [limits.v_max, limits.omega_max, limits.zeta_max] * 4
         faces = lo + hi  # stacked box faces: lower, then upper
@@ -335,7 +342,7 @@ class TestWarmStartHint:
                     assert u[face % 12] == pytest.approx(faces[face], abs=1e-9)
 
     def test_no_active_set_without_centralized_qp(self, fconfig):
-        nominal = [ControlInput(25, 0, 0)] * 4
+        nominal = [(25, 0, 0)] * 4
         for world in self.worlds(46, 20):
             _, hint = filtered(world, nominal, fconfig)
             for mode in ("split", "off"):
@@ -390,7 +397,7 @@ class TestFilterRun:
 
     def test_run_of_another_config_or_vehicle_count_rejected(self, fconfig):
         world = [vehicle(0, 0, 0), vehicle(1000, 0, math.pi)]
-        nominal = [ControlInput(20, 0, 0)] * 2
+        nominal = [(20, 0, 0)] * 2
         twin = replace(fconfig)  # equal, but its own object
         assert twin == fconfig
         for run in (FilterRun(twin, 2), FilterRun(fconfig, 3)):
@@ -409,7 +416,7 @@ class TestFilterRun:
         config = FilterConfig(BarrierConfig(man, safety), SensorModel(350.0),
                               ActuatorLimits(15.0, 25.0, 0.2269, 5.0), shaping=shaping)
         world = data.draw(st.lists(_near, min_size=n, max_size=n), label="world")
-        nominal = data.draw(st.lists(st.builds(ControlInput, st.floats(10.0, 30.0),
+        nominal = data.draw(st.lists(st.tuples(st.floats(10.0, 30.0),
                                                st.floats(-0.5, 0.5), st.floats(-7.0, 7.0)),
                                      min_size=n, max_size=n), label="nominal")
         run, active = FilterRun(config, n), []
@@ -446,7 +453,7 @@ class TestClosedForm:
             gap = rng.uniform(10.0, 150.0)
             world += [vehicle(x0, 0.0, rng.uniform(-0.5, 0.5)),
                       vehicle(x0 + gap, rng.uniform(-20, 20), math.pi + rng.uniform(-0.5, 0.5))]
-        nominal = [ControlInput(rng.uniform(10, 30), rng.uniform(-0.4, 0.4), rng.uniform(-6, 6))
+        nominal = [(rng.uniform(10, 30), rng.uniform(-0.4, 0.4), rng.uniform(-6, 6))
                    for _ in world]
         return world, nominal
 
@@ -492,7 +499,7 @@ class TestClosedForm:
 class TestDomainErrors:
     # 0.05 m apart the turn barrier's radicand is negative: h is undefined
     WORLD = [vehicle(0, 0, 0), vehicle(0.05, 0, math.pi)]
-    NOMINAL = [ControlInput(30, 0.5, 0), ControlInput(10, -1, 2)]
+    NOMINAL = [(30, 0.5, 0), (10, -1, 2)]
 
     def test_undefined_pair_falls_back_to_maneuver(self, fconfig):
         res = filter_controls(self.WORLD, self.NOMINAL, fconfig)
@@ -517,7 +524,7 @@ class TestDomainErrors:
         fc = FilterConfig(BarrierConfig(man, fconfig.barrier.safety), SensorModel(350.0),
                           limits, LinearGain(1.0), shaping=None)
         world = [vehicle(-30, 0, 0), vehicle(0, 0, 0), vehicle(0.05, 0, math.pi)]
-        res = filter_controls(world, [ControlInput(20, 0, 0)] * 3, fc)
+        res = filter_controls(world, [(20, 0, 0)] * 3, fc)
         assert res.events[0].startswith("domain-error pair=(1,2) negative radicand ")
         assert {1, 2} <= res.fallback
         assert res.controls[1].tolist() == [17.78, man.turn_rate, 0.0]
@@ -562,6 +569,63 @@ _near = st.builds(lambda x, y, th: VehicleState(x, y, th, 0.0),
                   st.floats(-40.0, 40.0), st.floats(-40.0, 40.0), st.floats(-math.pi, math.pi))
 
 
+def _near_bounds(lo, hi, *bounds):
+    """Floats in [lo, hi], and each finite bound and the floats either side of it."""
+    edges = [e for b in bounds if math.isfinite(b)
+             for e in (b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf))]
+    return st.one_of(st.floats(lo, hi), st.sampled_from(edges)) if edges else st.floats(lo, hi)
+
+
+class TestEvadingManeuverInBox:
+    """FilterConfig accepts an evading maneuver exactly when both of its
+    controls lie in the actuator box; a turn whose speed or turn rate is not
+    finite is rejected where it is built."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_accepts_exactly_the_maneuvers_in_the_box(self, data):
+        v_min = data.draw(st.floats(0.5, 30.0), label="v_min")
+        v_max = data.draw(st.sampled_from([v_min, v_min + 10.0, math.inf]), label="v_max")
+        omega_max = data.draw(st.sampled_from([0.2, 1.5, math.inf]), label="omega_max")
+        zeta_max = data.draw(st.sampled_from([0.0, -0.0, 5.0, math.inf]), label="zeta_max")
+        limits = ActuatorLimits(v_min, v_max, omega_max, zeta_max)
+        speed = _near_bounds(max(v_min - 5.0, 0.25), v_min + 15.0, v_min, v_max)
+        if data.draw(st.booleans(), label="straight"):
+            v1, v2 = data.draw(speed, label="v1"), data.draw(speed, label="v2")
+            assume(v1 != v2)
+            climb = _near_bounds(-10.0, 10.0, zeta_max, -zeta_max, 0.0)
+            man = StraightManeuver(v1, v2, data.draw(climb, label="zeta1"),
+                                   data.draw(climb, label="zeta2"))
+        else:
+            sigma = data.draw(st.sampled_from([1.0, 0.75]), label="sigma")
+            man = TurnManeuver(sigma, data.draw(speed, label="speed"),
+                               data.draw(_near_bounds(1e-3, 2.0, omega_max), label="turn_rate"))
+
+        def in_box(speed, turn_rate, climb_rate):
+            return (v_min <= speed <= v_max and -omega_max <= turn_rate <= omega_max
+                    and -zeta_max <= climb_rate <= zeta_max)
+
+        def build():
+            return FilterConfig(BarrierConfig(man, SafetyParams(0.01, 5.0)), SensorModel(350.0),
+                                limits)
+
+        if all(in_box(*u) for u in man.controls()):
+            build()
+        else:
+            with pytest.raises(ValueError, match="outside the actuator box"):
+                build()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @settings(max_examples=20)
+    @given(name=st.sampled_from(["speed", "turn_rate"]), sigma=st.floats(0.05, 1.0),
+           speed=st.floats(0.5, 80.0), turn_rate=st.floats(1e-3, 2.0))
+    def test_non_finite_turn_rejected(self, bad, name, sigma, speed, turn_rate):
+        # even where an infinite box would contain its controls
+        fields = {"sigma": sigma, "speed": speed, "turn_rate": turn_rate, name: bad}
+        with pytest.raises(ValueError, match=f"require finite {name}"):
+            TurnManeuver(**fields)
+
+
 class TestTwinConfigsShareNothing:
     """FilterRun derives its box, maneuver vector and role weights per
     run.  Two configs that differ only in the sign of a zero compare
@@ -587,7 +651,7 @@ class TestTwinConfigsShareNothing:
 
         world = data.draw(st.lists(_near, min_size=2, max_size=4), label="world")
         climb = st.sampled_from([0.0, -0.0, 1.0, -1.0])
-        nominal = data.draw(st.lists(st.builds(ControlInput, st.floats(10.0, 30.0),
+        nominal = data.draw(st.lists(st.tuples(st.floats(10.0, 30.0),
                                                st.floats(-0.5, 0.5), climb),
                                      min_size=len(world), max_size=len(world)), label="nominal")
         mode = data.draw(st.sampled_from(["centralized", "split", "off"]), label="mode")
@@ -685,7 +749,7 @@ class TestSplitMatchesReference:
             a = world[0]
             world[1] = VehicleState(a.px + 0.05, a.py, a.heading + math.pi, 0.0)
         climb = st.sampled_from([0.0, -0.0, 1.0, -7.0])
-        nominal = data.draw(st.lists(st.builds(ControlInput, st.floats(10.0, 30.0),
+        nominal = data.draw(st.lists(st.tuples(st.floats(10.0, 30.0),
                                                st.floats(-0.5, 0.5), climb),
                                      min_size=len(world), max_size=len(world)), label="nominal")
 
@@ -755,7 +819,7 @@ class TestUnusableRows:
         config = self.config(StraightManeuver(16.0, 24.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = filter_controls(world, [ControlInput(20.0, 0.0, 0.0)] * 2, config, mode=mode)
+            res = filter_controls(world, [(20.0, 0.0, 0.0)] * 2, config, mode=mode)
         assert res.events == [event.format(mode=mode)]
         assert res.fallback == {0, 1}
         assert np.array_equal(res.controls, FilterRun(config, 2).evading.reshape(2, 3))
@@ -785,7 +849,7 @@ class TestUnusableRows:
         where = data.draw(st.permutations([0, 1, 2]), label="slots")
         world = [None] * 3
         world[where[0]], world[where[1]], world[where[2]] = a, b, vehicle(1000.0, 1000.0, 0.0)
-        nominal = data.draw(st.lists(st.builds(ControlInput, st.floats(10.0, 30.0),
+        nominal = data.draw(st.lists(st.tuples(st.floats(10.0, 30.0),
                                                st.floats(-0.5, 0.5), st.floats(-8.0, 8.0)),
                                      min_size=3, max_size=3), label="nominal")
         i, j = sorted(where[:2])
@@ -832,8 +896,8 @@ def test_optima_keep_their_zero_signs(mode, zeta_max, radius, monkeypatch):
                           SensorModel(350.0), ActuatorLimits(15.0, 25.0, 0.2269, zeta_max))
     world = [vehicle(radius * math.cos(a), radius * math.sin(a), a + math.pi)
              for a in (0.0, 2.1, 4.2)]
-    nominal = [ControlInput(25.0, 0.0, -0.0), ControlInput(24.0, 0.0, 0.0),
-               ControlInput(23.0, 0.0, -0.0)]
+    nominal = [(25.0, 0.0, -0.0), (24.0, 0.0, 0.0),
+               (23.0, 0.0, -0.0)]
     res = filter_controls(world, nominal, config, mode=mode)
     assert not res.fallback and (optima or radius == 60.0)
     want = res.nominal[:, 2].copy()
@@ -856,6 +920,6 @@ def test_a_zero_no_row_acts_on_keeps_its_sign(mode, closed_form, monkeypatch):
     config = FilterConfig(BarrierConfig(StraightManeuver(16.0, 24.0), SafetyParams(0.01, 5.0)),
                           SensorModel(350.0), ActuatorLimits(15.0, 25.0, 0.2269, 0.0))
     world = [vehicle(0, 0, 0), vehicle(30, 0, math.pi)]
-    res = filter_controls(world, [ControlInput(20.0, 0.0, -0.0)] * 2, config, mode=mode)
+    res = filter_controls(world, [(20.0, 0.0, -0.0)] * 2, config, mode=mode)
     assert not res.fallback and not np.array_equal(res.controls, res.nominal)  # a QP ran
     assert _bits(res.controls[:, 2]) == _bits([-0.0, -0.0])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wingsafe.barrier import PairState, h_value
-from wingsafe.dynamics import ActuatorLimits, ControlInput, VehicleState
+from wingsafe.dynamics import ActuatorLimits, VehicleState
 from wingsafe.scenarios import (
     VehicleSpec,
     builtin_scenarios,
@@ -44,24 +44,24 @@ class TestCircleController:
         c = CircleController(0.0, 0.0, 50.0, 1, 10.0)
         # on the circle at (50, 0) heading +y (CCW tangent)
         u = c.control(VehicleState(50.0, 0.0, math.pi / 2, 0), 0.0)
-        assert u == ControlInput(10.0, 10.0 / 50.0, 0.0)
+        assert u == (10.0, 10.0 / 50.0, 0.0)
 
     def test_example1_left_vehicle_constant(self):
         cfg = scenario_example1()
         spec = cfg.vehicles[0]
         ctrl = cfg.controllers()[0]
-        u = ControlInput(*ctrl.control(spec.state, 0.0))
-        assert u.speed == 16.0
-        assert u.turn_rate == pytest.approx(-EVADE_RATE, abs=1e-15)
-        assert u.climb_rate == 0.0
+        speed, turn_rate, climb_rate = ctrl.control(spec.state, 0.0)
+        assert speed == 16.0
+        assert turn_rate == pytest.approx(-EVADE_RATE, abs=1e-15)
+        assert climb_rate == 0.0
 
     def test_far_off_circle_saturates(self):
         # the raw command exceeds the turn-rate limit; the filter saturates it
         c = CircleController(0.0, 0.0, 50.0, 1, 10.0)
-        raw = ControlInput(*c.control(VehicleState(500.0, 0.0, -math.pi / 2, 0), 0.0))
-        assert abs(raw.turn_rate) > self.LIMITS.omega_max
-        u = ControlInput(*filter_clamp([raw], self.LIMITS)[0].tolist())
-        assert abs(u.turn_rate) == self.LIMITS.omega_max
+        raw = c.control(VehicleState(500.0, 0.0, -math.pi / 2, 0), 0.0)
+        assert abs(raw[1]) > self.LIMITS.omega_max
+        _, turn_rate, _ = filter_clamp([raw], self.LIMITS)[0].tolist()
+        assert abs(turn_rate) == self.LIMITS.omega_max
 
 
 class TestGoalController:
@@ -70,23 +70,23 @@ class TestGoalController:
     def test_aligned_heading_no_turn(self):
         g = GoalController(100.0, 0.0, cruise_speed=20.0)
         u = g.control(VehicleState(0, 0, 0, 0), 0.0)
-        assert u == ControlInput(20.0, 0.0, 0.0)
+        assert u == (20.0, 0.0, 0.0)
 
     def test_timed_arrival_speed(self):
         g = GoalController(100.0, 0.0, arrival_time=5.0)
-        u = ControlInput(*g.control(VehicleState(0, 0, 0, 0), 0.0))
-        assert u.speed == pytest.approx(20.0)
-        raw_late = ControlInput(*g.control(VehicleState(0, 0, 0, 0), 4.0))
-        assert raw_late.speed == 100.0  # 100 m in the last 1 s
-        u_late = ControlInput(*filter_clamp([raw_late], self.LIMITS)[0].tolist())
-        assert u_late.speed == 25.0  # 100/1 clamped to v_max
+        speed, _, _ = g.control(VehicleState(0, 0, 0, 0), 0.0)
+        assert speed == pytest.approx(20.0)
+        raw_late = g.control(VehicleState(0, 0, 0, 0), 4.0)
+        assert raw_late[0] == 100.0  # 100 m in the last 1 s
+        speed_late, _, _ = filter_clamp([raw_late], self.LIMITS)[0].tolist()
+        assert speed_late == 25.0  # 100/1 clamped to v_max
 
     def test_bearing_error_saturates_turn(self):
         g = GoalController(0.0, 100.0, cruise_speed=20.0)
-        raw = ControlInput(*g.control(VehicleState(0, 0, 0, 0), 0.0))
-        assert raw.turn_rate == math.pi / 2  # k_heading = 1 times the bearing error
-        u = ControlInput(*filter_clamp([raw], self.LIMITS)[0].tolist())
-        assert u.turn_rate == self.LIMITS.omega_max
+        raw = g.control(VehicleState(0, 0, 0, 0), 0.0)
+        assert raw[1] == math.pi / 2  # k_heading = 1 times the bearing error
+        _, turn_rate, _ = filter_clamp([raw], self.LIMITS)[0].tolist()
+        assert turn_rate == self.LIMITS.omega_max
 
 
 class TestStepWorld:
@@ -320,6 +320,18 @@ class TestMetrics:
         assert m.closest_approach == {}
         assert not m.violation
         assert len(m.max_control_jump) == 1
+
+    @pytest.mark.parametrize("gap, violation", [(DS, False), (math.nextafter(DS, 0.0), True)])
+    def test_violation_is_a_distance_below_ds(self, gap, violation):
+        # a least distance of exactly D_s keeps the separation the barrier promises
+        states = np.array([[[0.0, 0.0, 0.0, 0.0], [gap, 0.0, 0.0, 0.0]]])
+        trace = SimTrace(pairs=[(0, 1)], times=np.zeros(1), states=states,
+                         nominal=np.zeros((1, 2, 3)), filtered=np.zeros((1, 2, 3)),
+                         min_pair_h_shaped=np.zeros((1, 2)), events=[],
+                         final_states=states[0], final_time=1.0)
+        m = compute_metrics(trace, DS)
+        assert m.min_distance == gap
+        assert m.violation is violation
 
 
 def assert_same_floats(a, b):
