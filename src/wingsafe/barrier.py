@@ -74,6 +74,9 @@ class TurnManeuver:
             raise ValueError("require turn_rate > 0")
         if not self.speed > 0.0:
             raise ValueError("require speed > 0")
+        # the turn sweeps the pair's distance by at most 2 * (r1 + r2) (see R_min)
+        if not 2.0 * (self.r1 + self.r2) < math.inf:
+            raise ValueError(f"require finite 2 * (r1 + r2), got r1 = {self.r1!r}, r2 = {self.r2!r}")
 
     @property
     def r1(self) -> float:

@@ -12,9 +12,11 @@ evaluated - which is the whole point, since h could not be computed without
 sensing anyway.
 
 All pairs (i < j) are evaluated in one array pass in lexicographic order;
-gradients are computed only for the rows that can bind (sensed, barrier
-defined, and below the shaping threshold - or every such row of the raw
-barrier).
+gradients and offsets alpha(h_shaped) are computed only for the rows that
+can bind (sensed, barrier defined, and below the shaping threshold - or
+every such row of the raw barrier).  The result carries what a run records:
+the clamped nominal and filtered controls, each pair's h, h_shaped and
+sensing flag, and the step's events and fallbacks.
 
 Modes:
 
@@ -98,15 +100,14 @@ class FilterRun:
     face, the (2, 3n) ids of each entry's lower and upper face (-1 for an
     infinite bound); evading, the evading maneuver as the 6-vector
     (v1, w1, z1, v2, w2, z2); weights, the barrier's role_weights; r2, the
-    squared sensing range; gather and starts, which reduce per-pair values
-    per vehicle.  active, the ids of the constraints with a positive
+    squared sensing range.  active, the ids of the constraints with a positive
     multiplier at the last step's centralized QP optimum (a pair row's is its
     pair number, a box face's P + its stacked index), empty if that step
     solved no such QP, is the next step's guess of its QP's active set."""
 
     def __init__(self, config: FilterConfig, n: int):
         self.config, self.n, self.active = config, n, []
-        self.pairs = ii, jj = pair_index(n)
+        self.pairs = pair_index(n)
         lim = config.limits
         one = [[lim.v_min, -lim.omega_max, -lim.zeta_max], [lim.v_max, lim.omega_max, lim.zeta_max]]
         self.box = box = np.tile(one, n)  # np.copyto is slower with a broadcast bound
@@ -117,10 +118,6 @@ class FilterRun:
         box.flags.writeable = self.face.flags.writeable = self.evading.flags.writeable = False
         self.weights = role_weights(config.barrier)
         self.r2 = config.sensor.range_m * config.sensor.range_m
-        # each vehicle's pairs in pair order, one run of n - 1 per vehicle: an
-        # np.fmin.reduceat of values.take(gather) at starts is each one's least
-        self.gather = np.argsort(np.stack([ii, jj], axis=1).ravel(), kind="stable") // 2
-        self.starts = np.arange(n) * (n - 1)
 
 
 @dataclass
@@ -128,15 +125,14 @@ class FilterResult:
     """Clamped nominal (the QP's u_hat) and filtered controls as (N, 3)
     arrays (controls is nominal itself when nothing changed them), plus one
     entry per pair (i < j), in the order of pair_index: raw barrier h and
-    shaped barrier h_shaped (NaN outside the barrier domain), the pair-row
-    margin under the final controls (NaN where the pair constrains nothing:
-    unsensed, undefined, failed, or mode off), and whether the pair is sensed."""
+    shaped barrier h_shaped (NaN outside the barrier domain), and whether
+    the pair is sensed; then the step's events and the vehicles that fell
+    back to their evading control."""
 
     nominal: np.ndarray
     controls: np.ndarray
     h: np.ndarray
     h_shaped: np.ndarray
-    margin: np.ndarray
     in_sensor: np.ndarray
     events: list[str] = field(default_factory=list)
     fallback: set[int] = field(default_factory=set)
@@ -213,7 +209,7 @@ def filter_controls(
         raise ValueError(f"non-finite nominal control for vehicle {v}: {u_hat[3 * v:3 * v + 3].tolist()!r}")
     u_hat = _clamp(u_hat, lo, hi).reshape(n, 3)
     p = pair_pass(world, run)
-    result = FilterResult(u_hat, u_hat, p.h, p.h_shaped, None, p.in_sensor)  # margin set below
+    result = FilterResult(u_hat, u_hat, p.h, p.h_shaped, p.in_sensor)
     ok = p.in_sensor  # sensed rows whose constraint can be evaluated
     failed_rows = []  # sensed rows whose constraint cannot be evaluated or met
     if not np.minimum.reduce(p.barrier.s, initial=np.inf) > 0.0:  # some s may be NaN
@@ -221,35 +217,29 @@ def filter_controls(
         result.events += [f"domain-error pair=({ii[k]},{jj[k]}) {msg}" for k, msg in errors]
         failed_rows = [k for k, _ in errors if ok[k]]
         ok = ok & (p.barrier.s > 0.0)  # the error rows: s is NaN, or 0 (which always binds)
-    if mode == "off":
-        result.margin = np.full(p.h.shape, np.nan)
-        return result
-    offset = config.gain(p.h_shaped)
-    result.margin = np.where(ok, offset, np.nan)
     need = ok & p.lie  # rows that can bind; sensed plateau rows are vacuous
-    if not np.count_nonzero(need) and not failed_rows:
-        return result  # no row can bind: the nominal stands
+    if mode == "off" or not np.count_nonzero(need) and not failed_rows:
+        return result  # mode off, or no row can bind: the nominal stands
 
     rows = np.flatnonzero(need)
     lg = _shaped_rows(p, rows, config)
-    pairs, row_offset = idx.take(rows, 1), offset.take(rows)  # pairs: (2, rows) vehicles
+    pairs, offset = idx.take(rows, 1), config.gain(p.h_shaped.take(rows))  # pairs: (2, rows)
     with np.errstate(invalid="ignore"):  # inf * 0 on a non-finite row: a NaN margin
-        margin = _row_margins(lg, row_offset, u_hat, pairs)
+        margin = (lg.reshape(-1, 2, 3) * u_hat.take(pairs.T, 0)).sum(axis=(1, 2)) + offset
     if (mode == "split" or failed_rows
             or not 0.0 <= np.minimum.reduce(margin) <= np.maximum.reduce(margin) < np.inf):
         # a negative or non-finite margin (as on every row the rule fails); else the centralized
         # QP returns the nominal, but a split half-row can be violated while its pair row holds
         if not (lg.any(axis=1).all() and np.isfinite(lg).all()):  # a zero or non-finite row
-            keep, failed = _usable_rows(result, mode, pairs, lg, row_offset)
+            keep, failed = _usable_rows(result, mode, pairs, lg, offset)
             failed_rows += rows[failed].tolist()
-            result.margin[rows[failed]] = np.nan
-            rows, pairs, lg, row_offset = rows[keep], pairs[:, keep], lg[keep], row_offset[keep]
+            rows, pairs, lg, offset = rows[keep], pairs[:, keep], lg[keep], offset[keep]
         u = result.controls = u_hat.copy()
         result.fallback.update(idx[:, failed_rows].ravel().tolist())  # cannot be evaluated or met
         if mode == "centralized":
-            _filter_centralized(run, result, u, rows, pairs, lg, row_offset, hint)
+            _filter_centralized(run, result, u, rows, pairs, lg, offset, hint)
         else:
-            _filter_split(run, result, u, pairs, lg, row_offset)
+            _filter_split(run, result, u, pairs, lg, offset)
         if result.fallback:
             # each vehicle's role in the lowest-indexed sensed pair containing
             # it, else in the lowest-indexed pair that could not be evaluated
@@ -260,9 +250,6 @@ def filter_controls(
         if np.count_nonzero(np.isfinite(u)) < u.size:
             v = int(np.flatnonzero(~np.isfinite(u))[0]) // 3
             raise ValueError(f"non-finite filtered control for vehicle {v}: {u[v].tolist()!r}")
-        margin = _row_margins(lg, row_offset, u, pairs)
-
-    result.margin[rows] = margin  # achieved under the final controls
     return result
 
 
@@ -281,12 +268,6 @@ def _usable_rows(result, mode, pairs, lg, offset):
         result.events.append(f"qp-infeasible mode={mode} zero row pair=({i},{j})" if fin
                              else f"domain-error pair=({i},{j}) non-finite constraint row")
     return finite & live, failed
-
-
-def _row_margins(lg, offset, u, pairs) -> np.ndarray:
-    """lg . (u_i, u_j) + offset of each row under the (n, 3) controls u."""
-    u_pairs = u.take(pairs.T, 0)  # (rows, 2, 3)
-    return (lg.reshape(-1, 2, 3) * u_pairs).sum(axis=(1, 2)) + offset
 
 
 def _filter_centralized(run, result, u, rows, pairs, lg, offset, hint):

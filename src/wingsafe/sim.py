@@ -150,6 +150,10 @@ class Simulation:
         n = len(self.states)
         self.run = FilterRun(fconfig, n)
         self.pairs = list(zip(*self.run.pairs.tolist()))
+        # each vehicle's pairs in pair order, one run of n - 1 per vehicle: an
+        # np.fmin.reduceat of values.take(_gather) at _starts is each one's least
+        self._gather = np.argsort(self.run.pairs.T.ravel(), kind="stable") // 2
+        self._starts = np.arange(n) * (n - 1)
         try:
             self._times = np.empty(n_steps)
             self._states = np.empty((n_steps, n, 4))
@@ -173,7 +177,7 @@ class Simulation:
         self._nominal[k] = res.nominal
         self._filtered[k] = res.controls
         if self.pairs:
-            np.fmin.reduceat(res.h_shaped.take(run.gather), run.starts, out=self._min_h[k])
+            np.fmin.reduceat(res.h_shaped.take(self._gather), self._starts, out=self._min_h[k])
         self._events.extend((k, e) for e in res.events)
         self._times[k] = t
         self._step = k + 1

@@ -16,11 +16,12 @@ from wingsafe.barrier import (
     StraightManeuver,
     TurnManeuver,
     h_value,
+    lie_rows,
 )
 from wingsafe.dynamics import ActuatorLimits, VehicleState
 from wingsafe.qp import QPInfeasibleError, QPProblem, solve_qp
 from wingsafe.safety_filter import FilterConfig, FilterRun, filter_controls, pair_index, pair_pass
-from wingsafe.shaping import SensorModel
+from wingsafe.shaping import SensorModel, psi_deriv_batch
 
 # Examples run whole solves and simulations whose time varies with the host,
 # so no example has a deadline.
@@ -139,6 +140,25 @@ def vehicle_minima(pair_values, n):
         np.fmin.reduce(pair_values[:, (ii == v) | (jj == v)], axis=1, initial=np.nan)
         for v in range(n)
     ], axis=1)
+
+
+def achieved_margins(world, controls, config: FilterConfig) -> np.ndarray:
+    """The pair row L_g h_shaped . (u_i, u_j) + alpha(h_shaped) of each pair
+    (i < j), in pair_index order, under the (N, 3) controls: the barrier's
+    Lie rows scaled by psi'(h) below the shaping threshold (the zero row on
+    the plateau), for the sensed pairs whose barrier is defined (s > 0);
+    NaN elsewhere."""
+    n = len(world)
+    p = pair_pass(world, FilterRun(config, n))
+    idx = ii, jj = pair_index(n)
+    th = np.array([s.heading for s in world]).take(idx).T  # (P, 2)
+    u = np.asarray(controls, dtype=float)
+    with np.errstate(all="ignore"):  # the rows of undefined pairs, NaN below
+        _, lg = lie_rows(p.barrier, np.cos(th) + 1j * np.sin(th), config.barrier)
+        if config.shaping is not None:
+            lg *= np.where(p.lie, psi_deriv_batch(p.h, config.shaping), 0.0)[:, None]
+        margins = (lg * np.hstack([u[ii], u[jj]])).sum(axis=1) + config.gain(p.h_shaped)
+    return np.where(p.in_sensor & (p.barrier.s > 0.0), margins, np.nan)
 
 
 def reference_clamp(u: tuple, limits: ActuatorLimits) -> tuple:

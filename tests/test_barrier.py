@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,16 @@ class TestHTurn:
             assert rho_straight(PairState(a, b), cfg.safety.ds) == pytest.approx(
                 val.value, abs=1e-9
             )
+
+    @pytest.mark.parametrize("speed, turn_rate, radii", [
+        # radii that overflow: the filter would read h = NaN for every pair
+        (16.0, 5e-324, "r1 = inf, r2 = inf"),
+        # finite radii whose sum overflows
+        (1e308, 1.0, "r1 = 1e+308, r2 = 1e+308"),
+    ])
+    def test_radii_must_be_finite(self, speed, turn_rate, radii):
+        with pytest.raises(ValueError, match=re.escape(f"require finite 2 * (r1 + r2), got {radii}")):
+            TurnManeuver(sigma=1.0, speed=speed, turn_rate=turn_rate)
 
     def test_domain_error(self):
         # nearly coincident turn circles force a negative radicand

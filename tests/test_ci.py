@@ -43,16 +43,17 @@ def test_product_job_runs_without_scipy():
     assert "wingsafe.cli check --scenario sweep" in commands
     assert "wingsafe.cli sweep --scenario sweep --range 330,350" in commands
     lines = [line.strip() for line in commands.splitlines()]
-    # the paper's headline run in centralized and split mode, with
-    # floating-point warnings as errors
-    assert ("PYTHONPATH=src python -W error::RuntimeWarning -m wingsafe.cli run"
-            ' --scenario circle20 --out "$RUNNER_TEMP/circle20"') in lines
-    assert ("PYTHONPATH=src python -W error::RuntimeWarning -m wingsafe.cli run"
-            ' --scenario circle20 --mode split --out "$RUNNER_TEMP/circle20-split"') in lines
+    # floating-point warnings are errors in every command of the program
+    cli = "PYTHONPATH=src python -W error::RuntimeWarning -m wingsafe.cli "
+    runs = [line for line in lines if "wingsafe.cli" in line]
+    assert len(runs) == 7 and all(cli in line for line in runs), runs
+    # the paper's headline run in centralized and split mode
+    assert cli + 'run --scenario circle20 --out "$RUNNER_TEMP/circle20"' in lines
+    assert cli + 'run --scenario circle20 --mode split --out "$RUNNER_TEMP/circle20-split"' in lines
     # the failure demo exits 2 and R = 300 < R_min exits 3; rc keeps each code under bash -e
     for command, code in (("run --scenario example1", 2),
                           ("check --scenario sweep --range 300", 3)):
-        assert any(line.startswith("rc=0; PYTHONPATH=src python -m wingsafe.cli " + command)
+        assert any(line.startswith("rc=0; " + cli + command)
                    and line.endswith(f'|| rc=$?; test "$rc" -eq {code}') for line in lines), command
 
 

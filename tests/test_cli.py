@@ -656,6 +656,14 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert "barrier.v1" in err and "finite" in err
 
+    @pytest.mark.parametrize("speed, turn_rate", [(16.0, 5e-324), (1e308, 1.0)])
+    def test_turn_radii_overflow_in_config_rejected(self, speed, turn_rate):
+        d = config_to_dict(builtin_scenarios()["sweep"])
+        d["barrier"].update(speed=speed, turn_rate=turn_rate)
+        with pytest.raises(ValueError, match=re.escape(
+                "config field barrier: require finite 2 * (r1 + r2), got r1 = ")):
+            config_from_dict(d)
+
     @pytest.mark.parametrize("speed", [0, -0.0])
     @pytest.mark.parametrize("name", ["v1", "v2"])
     def test_zero_straight_speed_in_config_exit_one(self, name, speed, tmp_path, capsys):

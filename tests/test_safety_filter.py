@@ -29,7 +29,7 @@ from wingsafe.scenarios import run_scenario, scenario_circle20
 from wingsafe.shaping import SensorModel, ShapingParams, psi_deriv_batch, xi_from_range
 
 import conftest
-from conftest import random_valid_pair, reference_clamp, reference_split
+from conftest import achieved_margins, random_valid_pair, reference_clamp, reference_split
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +140,7 @@ class TestFilterControls:
             res = filter_controls(world, nominal, fconfig)
             if res.fallback:
                 continue  # infeasible step resolved by evading maneuver
-            margins = res.margin[res.in_sensor]
+            margins = achieved_margins(world, res.controls, fconfig)
             assert np.all(margins[np.isfinite(margins)] >= -1e-8)
 
     def test_symmetric_head_on_turn_rates_equal(self, limits):
@@ -177,8 +177,34 @@ class TestFilterControls:
             res = filter_controls(world, nominal, fconfig, mode="split")
             if res.fallback:
                 continue
-            margins = res.margin[res.in_sensor]
+            margins = achieved_margins(world, res.controls, fconfig)
             assert np.all(margins[np.isfinite(margins)] >= -1e-8)
+
+    @pytest.mark.parametrize("mode", ["centralized", "split"])
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_sensed_rows_hold_without_fallback(self, mode, data):
+        # the paper's row L_g h~ . u + alpha(h~) >= 0 of every sensed pair
+        # whose barrier is defined, at the filtered controls
+        config = _split_config(data)
+        scale = data.draw(st.sampled_from([1.0, 3.0]), label="spread")
+        world = [s._replace(px=scale * s.px, py=scale * s.py)
+                 for s in data.draw(st.lists(_near, min_size=2, max_size=4), label="world")]
+        nominal = data.draw(st.lists(st.tuples(st.floats(10.0, 30.0), st.floats(-0.5, 0.5),
+                                               st.floats(-8.0, 8.0)),
+                                     min_size=len(world), max_size=len(world)), label="nominal")
+        res = filter_controls(world, nominal, config, mode)
+        assume(not res.fallback)
+        margins = achieved_margins(world, res.controls, config)
+        # a NaN among them fails too: the filter would have failed its row
+        assert np.all(margins[res.in_sensor & ~np.isnan(res.h)] >= -1e-8)
+
+    def test_achieved_margins_see_the_binding_row(self, fconfig):
+        # head-on 80 m apart: the row is violated at the nominal and tight at the optimum
+        res = filter_controls(self.HEAD_ON, [(20, 0, 0)] * 2, fconfig)
+        assert achieved_margins(self.HEAD_ON, res.nominal, fconfig)[0] < 0.0
+        assert achieved_margins(self.HEAD_ON, res.controls, fconfig)[0] == pytest.approx(
+            0.0, abs=1e-8)
 
     def test_off_mode_passthrough(self, fconfig):
         world = [vehicle(0, 0, 0), vehicle(30, 0, math.pi)]
@@ -292,7 +318,6 @@ class TestWarmStartHint:
             for hint in (cold_active, cold_active[:1], [-1, 10**6] + cold_active):
                 warm, warm_active = filtered(world, nominal, fconfig, active=hint)
                 np.testing.assert_allclose(warm.controls, cold.controls, rtol=0, atol=1e-9)
-                np.testing.assert_allclose(warm.margin, cold.margin, rtol=0, atol=1e-9)
                 assert warm_active == cold_active
                 assert warm.events == cold.events and warm.fallback == cold.fallback
             hinted += 1
@@ -333,10 +358,10 @@ class TestWarmStartHint:
             res, active = filtered(world, nominal, fconfig)
             if res.fallback:
                 continue  # the margins are those of the evading maneuver
-            u = res.controls.ravel()
+            u, margins = res.controls.ravel(), achieved_margins(world, res.controls, fconfig)
             for i in active:
                 if i < n_pairs:
-                    assert res.margin[i] == pytest.approx(0.0, abs=1e-8)
+                    assert margins[i] == pytest.approx(0.0, abs=1e-8)
                 else:
                     face = i - n_pairs
                     assert u[face % 12] == pytest.approx(faces[face], abs=1e-9)
@@ -422,7 +447,7 @@ class TestFilterRun:
         run, active = FilterRun(config, n), []
 
         def fields(res):
-            arrays = (res.nominal, res.controls, res.h, res.h_shaped, res.margin)
+            arrays = (res.nominal, res.controls, res.h, res.h_shaped)
             return ([_bits(a) for a in arrays], res.in_sensor.tolist(), res.events,
                     sorted(res.fallback))
 
@@ -475,7 +500,9 @@ class TestClosedForm:
                 m.setattr(safety_filter, "solve_row_batch", lambda *args: None)
                 ref = filter_controls(world, nominal, fconfig)
             np.testing.assert_allclose(res.controls, ref.controls, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(res.margin, ref.margin, rtol=0, atol=1e-9)
+            margins = achieved_margins(world, res.controls, fconfig)
+            np.testing.assert_allclose(margins, achieved_margins(world, ref.controls, fconfig),
+                                       rtol=0, atol=1e-9)
             assert res.events == ref.events and res.fallback == ref.fallback
             if not (closed and closed[0] is not None):
                 continue
@@ -489,7 +516,7 @@ class TestClosedForm:
             assert active == sorted(active)
             for i in active:
                 if i < n_pairs:
-                    assert res.margin[i] == pytest.approx(0.0, abs=1e-8)
+                    assert margins[i] == pytest.approx(0.0, abs=1e-8)
                 else:
                     face = i - n_pairs
                     assert u[face % (3 * n)] == faces[face]
@@ -508,14 +535,12 @@ class TestDomainErrors:
         assert res.fallback == {0, 1}
         u1, u2 = fconfig.barrier.maneuver.controls()
         assert np.array_equal(res.controls, [u1, u2])
-        assert np.isnan(res.margin).all()
 
     def test_off_mode_reports_without_fallback(self, fconfig, limits):
         res = filter_controls(self.WORLD, self.NOMINAL, fconfig, mode="off")
         assert res.events == filter_controls(self.WORLD, self.NOMINAL, fconfig).events
         assert res.fallback == set()
         assert np.array_equal(res.controls, [reference_clamp(u, limits) for u in self.NOMINAL])
-        assert np.isnan(res.margin).all()
 
     def test_role_from_evaluable_pair_first(self, fconfig, limits):
         # vehicle 1 is the first vehicle of the undefined pair (1, 2) but the
@@ -667,7 +692,7 @@ class TestTwinConfigsShareNothing:
             evading = cfg.barrier.maneuver.controls()
             for v in res.fallback:
                 assert _bits(res.controls[v]) in (_bits(evading[0]), _bits(evading[1]))
-            arrays = (res.nominal, res.controls, res.h, res.h_shaped, res.margin)
+            arrays = (res.nominal, res.controls, res.h, res.h_shaped)
             return ([_bits(a) for a in arrays], res.in_sensor.tolist(), res.events,
                     sorted(res.fallback), active)
 
@@ -755,7 +780,7 @@ class TestSplitMatchesReference:
 
         def run():
             res = filter_controls(world, nominal, config, mode="split")
-            arrays = (res.nominal, res.controls, res.h, res.h_shaped, res.margin)
+            arrays = (res.nominal, res.controls, res.h, res.h_shaped)
             return [_bits(a) for a in arrays], res.events, sorted(res.fallback)
 
         got = run()
@@ -823,7 +848,6 @@ class TestUnusableRows:
         assert res.events == [event.format(mode=mode)]
         assert res.fallback == {0, 1}
         assert np.array_equal(res.controls, FilterRun(config, 2).evading.reshape(2, 3))
-        assert np.isnan(res.margin).all()
 
     @settings(max_examples=200)
     @given(data=st.data())
