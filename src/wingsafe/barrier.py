@@ -161,6 +161,15 @@ class BarrierConfig:
     maneuver: Maneuver
     safety: SafetyParams
 
+    def __post_init__(self):
+        # The turn radicand A - M is a difference of terms of size up to
+        # 4 * (r1 + r2)^2, so it carries a rounding error of up to that times
+        # 2^-52; once that reaches ds^2, h near zero is rounding noise.
+        man, ds = self.maneuver, self.safety.ds
+        if isinstance(man, TurnManeuver) and 4.0 * (r := man.r1 + man.r2) * r >= ds * ds / 2.0**-52:
+            raise ValueError(f"require 4 * (r1 + r2)^2 < ds^2 * 2^52, got r1 = {man.r1!r}, "
+                             f"r2 = {man.r2!r}, ds = {ds!r}")
+
     @property
     def kind(self) -> BarrierKind:
         return "turn" if isinstance(self.maneuver, TurnManeuver) else "straight"
@@ -176,21 +185,26 @@ class BarrierValue(NamedTuple):
 # ---------------------------------------------------------------------------
 # closed forms over arrays of pairs
 #
-# Vehicles enter as complex phasor rows [z, e, conj(e), (1 - i)*conj(e)]
-# (components first): position z = px + i*py, heading phasor e = cos(th) +
-# i*sin(th); one weighted difference of two vehicles' rows then yields every
-# row a pass reads (see pair_rows).  g, shape (2, 4, P), holds the rows of
-# every pair's first (g[0]) and second (g[1]) vehicle.  The scalar functions
-# further down wrap the same code with P = 1.
+# Vehicles enter as complex phasor rows [z, e, conj(e), (1 - i)*conj(e)]:
+# position z = px + i*py, heading phasor e = cos(th) + i*sin(th); one
+# weighted difference of two vehicles' rows then yields every row a pass
+# reads (see pair_rows).  g, shape (2, 4, P), holds the rows of every pair's
+# first (g[0]) and second (g[1]) vehicle; the straight kind reads only its
+# first two.  The scalar functions further down wrap the same code with P = 1.
+#
+# Constant operands are 0-d float64 arrays: a ufunc converts a Python float
+# afresh on every call, which costs as much as the call itself on one pair.
+_ZERO, _TINY, _NAN = np.array(0.0), np.array(5e-324), np.array(math.nan)
+_ZERO.flags.writeable = _TINY.flags.writeable = _NAN.flags.writeable = False
 
 
 def phasor_rows(states) -> np.ndarray:
-    """Phasor rows (4, N) of vehicle states."""
+    """Phasor rows (N, 4) of vehicle states, one row per vehicle."""
     flat = []  # each vehicle's 8 floats in turn: one np.array call, not one per row
     for px, py, th, _ in states:
         c, sn = math.cos(th), math.sin(th)
         flat += (px, py, c, sn, c, -sn, c - sn, -(sn + c))
-    return np.array(flat, dtype=float).reshape(-1, 8).view(complex).T
+    return np.array(flat, dtype=float).reshape(-1, 8).view(complex)
 
 
 def role_weights(config: BarrierConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -207,12 +221,13 @@ def role_weights(config: BarrierConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_rows(g, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The rows y the closed forms read, from pair phasor rows g and the
-    barrier's role_weights: for the turn [dz, i*v, 2i*conj(v),
-    delta*(1 - i)*conj(e1)] with v = r1*e1 - r2*e2, for the straight kind
-    [dz, dv] with dv = v1*e1 - v2*e2."""
+    """The rows y the closed forms read, from C-contiguous pair phasor rows
+    g (2, R, P), R at least the weights' length, and the barrier's
+    role_weights: for the turn [dz, i*v, 2i*conj(v), delta*(1 - i)*conj(e1)]
+    with v = r1*e1 - r2*e2, for the straight kind [dz, dv] with
+    dv = v1*e1 - v2*e2.  y is C-contiguous, as the passes' float views need."""
     wa, wb = weights
-    return np.subtract(g[0, : len(wa)] * wa, g[1, : len(wb)] * wb, order="C")
+    return np.subtract(g[0, : len(wa)] * wa, g[1, : len(wb)] * wb)
 
 
 def flat_pair_rows(pair_arrays, config: BarrierConfig) -> np.ndarray:
@@ -258,7 +273,7 @@ class StraightPass(NamedTuple):
     proj: np.ndarray
 
 
-def _turn_phasor(y, delta: float) -> TurnPass:
+def _turn_phasor(y, two_delta) -> TurnPass:
     """radicand(tau) = A + Re(conj(pq) * exp(i*w*tau)), infimum A - M, M = |pq|.
 
     Each turn circle's center is c_k = p_k + i*r_k*e_k; along the maneuver
@@ -266,17 +281,19 @@ def _turn_phasor(y, delta: float) -> TurnPass:
     v = r1*e1 - r2*e2, so A = |dc|^2 + |v|^2 - 2*delta and the cross term is
     2*Re(conj(dc)*(-i)*v*exp(i*w*tau)); the heading terms of the safety
     function add delta*Re(-(1 + i)*e1*exp(i*w*tau)).  In real form
-    pq = P + iQ with radicand = A + P*cos(w tau) + Q*sin(w tau).
+    pq = P + iQ with radicand = A + P*cos(w tau) + Q*sin(w tau).  two_delta
+    is 2*delta, a float or a 0-d array.
     """
     sq = np.square(y[:2].view(float))
-    d2, v2 = sq[:, 0::2] + sq[:, 1::2]  # |dz|^2, |v|^2
+    d2v2 = sq[:, 0::2] + sq[:, 1::2]
+    d2, v2 = d2v2[0], d2v2[1]  # |dz|^2, |v|^2 (indexing, not unpacking: iterating costs more)
     dc = y[0] + y[1]
     dcq = np.square(dc.view(float))
-    A = dcq[0::2] + dcq[1::2] + v2 - 2.0 * delta
+    A = dcq[0::2] + dcq[1::2] + v2 - two_delta
     pq = dc * y[2] - y[3]
     M = np.abs(pq)
     rad = A - M
-    s = np.sqrt(np.where(rad >= 0.0, rad, np.nan))
+    s = np.sqrt(np.where(rad >= _ZERO, rad, _NAN))
     return TurnPass(d2, s, rad, y, pq, M)
 
 
@@ -294,7 +311,7 @@ def barrier_pass(y, config: BarrierConfig) -> TurnPass | StraightPass:
     """The closed-form barrier of every pair from its rows y (see pair_rows):
     no minimizing time, no gradient."""
     if isinstance(config.maneuver, TurnManeuver):
-        return _turn_phasor(y, config.safety.delta)
+        return _turn_phasor(y, 2.0 * config.safety.delta)
     return _straight_relative(y)
 
 
@@ -317,25 +334,27 @@ def lie_rows(p: TurnPass | StraightPass, e, config: BarrierConfig):
     functions are planar.  By the envelope theorem the minimizing time tau*
     is stationary (interior minimizer) or locally constant (tau* = 0 with the
     distance diverging), so the gradient equals that of rho(x_hat(tau*)) with
-    tau* held fixed.  A row with s = 0, NaN or subnormal has non-finite entries.
+    tau* held fixed.  A row with s = 0, NaN or subnormal has non-finite
+    entries, and floating-point warnings unless the caller silences them with
+    np.errstate.  Of a turn pass it reads s, y[:2], pq and M; of a straight
+    one s, d and tau.
     """
     man = config.maneuver
     lg = np.zeros((len(e), 6))  # e: (P, 2) heading phasors e1, e2
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        if isinstance(p, StraightPass):
-            n = p.d / p.s
-            w = n.conj()[:, None] * e
-            lg[:, [1, 4]] = w.imag * (p.tau[:, None] * [-man.v1, man.v2])
-        else:
-            # exp(i*w*tau*) - 1, from the minimizer condition exp(i*w*tau*) = -pq/M
-            qm1 = -(p.pq + p.M) / np.maximum(p.M, 5e-324)  # 0 where M = 0 (pq = 0)
-            n = (p.y[0] - qm1 * p.y[1]) / p.s
-            w = n.conj()[:, None] * e
-            wq = (w * qm1[:, None]).real
-            lg[:, 1], lg[:, 4] = man.r1 * wq[:, 0], -man.r2 * wq[:, 1]
-            # heading term of the turn rho: delta*(cos + sin)(th1 + w tau*) / (2 s)
-            e1q = e[:, 0] + e[:, 0] * qm1
-            lg[:, 1] += (0.5 * config.safety.delta) * ((1 - 1j) * e1q).real / p.s
+    if isinstance(p, StraightPass):
+        n = p.d / p.s
+        w = n.conj()[:, None] * e
+        lg[:, [1, 4]] = w.imag * (p.tau[:, None] * [-man.v1, man.v2])
+    else:
+        # exp(i*w*tau*) - 1, from the minimizer condition exp(i*w*tau*) = -pq/M
+        qm1 = -(p.pq + p.M) / np.maximum(p.M, _TINY)  # 0 where M = 0 (pq = 0)
+        n = (p.y[0] - qm1 * p.y[1]) / p.s
+        w = n.conj()[:, None] * e
+        wq = (w * qm1[:, None]).real
+        # plus the heading term of the turn rho: delta*(cos + sin)(th1 + w tau*) / (2 s)
+        e1q = e[:, 0] + e[:, 0] * qm1
+        lg[:, 1] = man.r1 * wq[:, 0] + (0.5 * config.safety.delta) * (e1q.real + e1q.imag) / p.s
+        lg[:, 4] = -man.r2 * wq[:, 1]
     lg[:, 0], lg[:, 3] = w[:, 0].real, -w[:, 1].real
     return n, lg
 
@@ -363,7 +382,7 @@ def domain_errors(
 
 def _pair_pass(pair: PairState, config: BarrierConfig, need_grad: bool):
     """barrier_pass of one pair, and its heading phasors; raises DomainError."""
-    g = phasor_rows([pair.a, pair.b]).T.reshape(2, 4, 1)
+    g = phasor_rows([pair.a, pair.b]).reshape(2, 4, 1)
     p = barrier_pass(pair_rows(g, role_weights(config)), config)
     if not p.s[0] > 0.0:
         for _, msg in domain_errors(p, config, need_grad):
@@ -385,7 +404,8 @@ def lie_derivatives(pair: PairState, config: BarrierConfig) -> tuple[float, np.n
     """(L_f h, L_g h) of one pair; see lie_rows.  Kept for the benchmark
     tracer, until ROADMAP item 1 re-aims it."""
     p, e = _pair_pass(pair, config, need_grad=True)
-    return 0.0, lie_rows(p, e, config)[1][0]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # a subnormal s
+        return 0.0, lie_rows(p, e, config)[1][0]
 
 
 # pairs per barrier pass in h_batch: the (4, 2048) complex rows take 128 KiB,

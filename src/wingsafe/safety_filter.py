@@ -46,11 +46,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .barrier import (
+    _ZERO,
     BarrierConfig,
     LinearGain,
     StraightPass,
     TurnPass,
-    barrier_pass,
+    _straight_relative,
+    _turn_phasor,
     domain_errors,
     lie_rows,
     pair_rows,
@@ -99,11 +101,15 @@ class FilterRun:
     vehicle's lower and upper bounds with zero signs as the limits give them;
     face, the (2, 3n) ids of each entry's lower and upper face (-1 for an
     infinite bound); evading, the evading maneuver as the 6-vector
-    (v1, w1, z1, v2, w2, z2); weights, the barrier's role_weights; r2, the
-    squared sensing range.  active, the ids of the constraints with a positive
-    multiplier at the last step's centralized QP optimum (a pair row's is its
-    pair number, a box face's P + its stacked index), empty if that step
-    solved no such QP, is the next step's guess of its QP's active set."""
+    (v1, w1, z1, v2, w2, z2); weights, the barrier's role_weights; gather,
+    the (2, R, P) flat indices into phasor_rows(world) of the pair rows g
+    that pair_rows reads with those weights; and, as 0-d float64 arrays (see
+    barrier), ds, the safety distance D_s, r2, the squared sensing range,
+    and two_delta, 2*delta.  active, the ids of the constraints with a
+    positive multiplier at the last step's centralized QP optimum (a pair
+    row's is its pair number, a box face's P + its stacked index), empty if
+    that step solved no such QP, is the next step's guess of its QP's active
+    set."""
 
     def __init__(self, config: FilterConfig, n: int):
         self.config, self.n, self.active = config, n, []
@@ -115,9 +121,12 @@ class FilterRun:
         # box faces follow the pair rows in QPProblem.stacked order
         self.face = np.where(finite, n * (n - 1) // 2 - 1 + np.cumsum(finite).reshape(2, -1), -1)
         self.evading = np.ravel(config.barrier.maneuver.controls())
-        box.flags.writeable = self.face.flags.writeable = self.evading.flags.writeable = False
         self.weights = role_weights(config.barrier)
-        self.r2 = config.sensor.range_m * config.sensor.range_m
+        self.gather = 4 * self.pairs[:, None] + np.arange(len(self.weights[0]))[:, None]
+        safety, r = config.barrier.safety, config.sensor.range_m
+        self.ds, self.r2, self.two_delta = map(np.array, (safety.ds, r * r, 2.0 * safety.delta))
+        for a in (box, self.face, self.evading, self.gather, self.ds, self.r2, self.two_delta):
+            a.flags.writeable = False
 
 
 @dataclass
@@ -152,22 +161,30 @@ class PairPass(NamedTuple):
 
 
 def pair_pass(world: list[VehicleState], run: FilterRun) -> PairPass:
+    """barrier.barrier_pass over all pairs, with the run's constants."""
     config = run.config
-    g = phasor_rows(world).take(run.pairs, 1).transpose(1, 0, 2)
-    b = barrier_pass(pair_rows(g, run.weights), config.barrier)
-    h = b.s - config.barrier.safety.ds
+    g = phasor_rows(world).take(run.gather)
+    y = pair_rows(g, run.weights)
+    b = _turn_phasor(y, run.two_delta) if config.barrier.kind == "turn" else _straight_relative(y)
+    h = b.s - run.ds
     if config.shaping is None:
-        h_shaped, lie = h, b.s >= 0.0
-    else:
-        h_shaped, lie = shape_h_batch(h, config.shaping), h < config.shaping.xi
+        h_shaped, lie = h, b.s >= _ZERO
+    else:  # arrays[0] is xi
+        h_shaped, lie = shape_h_batch(h, config.shaping), h < config.shaping.arrays[0]
     return PairPass(g, b, b.d2 <= run.r2, h, h_shaped, lie)
 
 
 def _shaped_rows(p: PairPass, rows, config: FilterConfig) -> np.ndarray:
     """Constraint coefficients psi'(h) * L_g h of the given rows, all of which
-    lie below the shaping threshold."""
+    lie below the shaping threshold.  A degenerate row (see lie_rows) has
+    non-finite entries, with a RuntimeWarning unless np.errstate silences it."""
     e = p.g[:, 1].take(rows, 1).T  # heading phasors e1, e2 of the rows
-    b = type(p.barrier)(*(a.take(rows, -1) for a in p.barrier))  # the pass at the rows
+    b = p.barrier  # the fields lie_rows reads, at the rows
+    if isinstance(b, TurnPass):
+        b = TurnPass(None, b.s.take(rows), None, b.y[:2].take(rows, 1), b.pq.take(rows),
+                     b.M.take(rows))
+    else:
+        b = StraightPass(None, b.s.take(rows), b.d.take(rows), b.tau.take(rows), None)
     _, lg = lie_rows(b, e, config.barrier)
     if config.shaping is not None:
         lg *= psi_deriv_batch(p.h.take(rows), config.shaping)[:, None]
@@ -201,19 +218,19 @@ def filter_controls(
     if run.config is not config or run.n != n:
         raise ValueError("the run was built for another FilterConfig or vehicle count")
     hint, run.active = run.active, []
-    idx, (lo, hi) = run.pairs, run.box
-    ii, jj = idx
+    idx, box = run.pairs, run.box
     u_hat = np.fromiter(chain.from_iterable(nominal), float, 3 * n)
     if np.count_nonzero(np.isfinite(u_hat)) < u_hat.size:
         v = int(np.flatnonzero(~np.isfinite(u_hat))[0]) // 3
         raise ValueError(f"non-finite nominal control for vehicle {v}: {u_hat[3 * v:3 * v + 3].tolist()!r}")
-    u_hat = _clamp(u_hat, lo, hi).reshape(n, 3)
+    u_hat = _clamp(u_hat, box[0], box[1]).reshape(n, 3)
     p = pair_pass(world, run)
     result = FilterResult(u_hat, u_hat, p.h, p.h_shaped, p.in_sensor)
     ok = p.in_sensor  # sensed rows whose constraint can be evaluated
     failed_rows = []  # sensed rows whose constraint cannot be evaluated or met
-    if not np.minimum.reduce(p.barrier.s, initial=np.inf) > 0.0:  # some s may be NaN
+    if np.count_nonzero(p.barrier.s > _ZERO) < len(p.h):  # some s is 0 or NaN
         errors = domain_errors(p.barrier, config.barrier, p.lie)
+        ii, jj = idx
         result.events += [f"domain-error pair=({ii[k]},{jj[k]}) {msg}" for k, msg in errors]
         failed_rows = [k for k, _ in errors if ok[k]]
         ok = ok & (p.barrier.s > 0.0)  # the error rows: s is NaN, or 0 (which always binds)
@@ -222,20 +239,23 @@ def filter_controls(
         return result  # mode off, or no row can bind: the nominal stands
 
     rows = np.flatnonzero(need)
-    lg = _shaped_rows(p, rows, config)
     pairs, offset = idx.take(rows, 1), config.gain(p.h_shaped.take(rows))  # pairs: (2, rows)
-    with np.errstate(invalid="ignore"):  # inf * 0 on a non-finite row: a NaN margin
-        margin = (lg.reshape(-1, 2, 3) * u_hat.take(pairs.T, 0)).sum(axis=(1, 2)) + offset
+    # a degenerate row has non-finite entries (see lie_rows), and a NaN margin from inf * 0
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        lg = _shaped_rows(p, rows, config)
+        margin = np.add.reduce(lg.reshape(-1, 2, 3) * u_hat.take(pairs.T, 0), axis=(1, 2)) + offset
     if (mode == "split" or failed_rows
             or not 0.0 <= np.minimum.reduce(margin) <= np.maximum.reduce(margin) < np.inf):
         # a negative or non-finite margin (as on every row the rule fails); else the centralized
         # QP returns the nominal, but a split half-row can be violated while its pair row holds
-        if not (lg.any(axis=1).all() and np.isfinite(lg).all()):  # a zero or non-finite row
+        if (np.count_nonzero(np.logical_or.reduce(lg, axis=1)) < len(lg)  # a zero row
+                or np.count_nonzero(np.isfinite(lg)) < lg.size):  # or a non-finite one
             keep, failed = _usable_rows(result, mode, pairs, lg, offset)
             failed_rows += rows[failed].tolist()
             rows, pairs, lg, offset = rows[keep], pairs[:, keep], lg[keep], offset[keep]
         u = result.controls = u_hat.copy()
-        result.fallback.update(idx[:, failed_rows].ravel().tolist())  # cannot be evaluated or met
+        if failed_rows:  # cannot be evaluated or met
+            result.fallback.update(idx[:, failed_rows].ravel().tolist())
         if mode == "centralized":
             _filter_centralized(run, result, u, rows, pairs, lg, offset, hint)
         else:
@@ -244,6 +264,7 @@ def filter_controls(
             # each vehicle's role in the lowest-indexed sensed pair containing
             # it, else in the lowest-indexed pair that could not be evaluated
             order = np.flatnonzero(ok).tolist() + failed_rows
+            ii, jj = idx
             for v in sorted(result.fallback):
                 first = next(k for k in order if v in (ii[k], jj[k]))
                 u[v] = run.evading[:3] if ii[first] == v else run.evading[3:]
@@ -280,7 +301,7 @@ def _filter_centralized(run, result, u, rows, pairs, lg, offset, hint):
     step, and every step with a row the closed form declines (not met
     inside the box), so that it alone decides infeasibility."""
     k, n = len(offset), len(u)
-    (lo, hi), face = run.box, run.face
+    lo, hi, face = run.box[0], run.box[1], run.face
     if len(set(pairs.ravel().tolist())) == 2 * k:
         solved = solve_row_batch(u.take(pairs.T, 0).reshape(k, 6), lg, offset, lo[:6], hi[:6])
         if solved is not None:

@@ -308,7 +308,7 @@ def config_from_dict(d: dict[str, Any]) -> ScenarioConfig:
         vehicles=tuple(VehicleSpec(VehicleState(*v["state"]), raw["controller"])
                        for v, raw in zip(c["vehicles"], d["vehicles"])),
         limits=_build("limits", ActuatorLimits, **c["limits"]),
-        barrier=BarrierConfig(_build("barrier", maneuver, **barrier), safety),
+        barrier=_build("barrier", BarrierConfig, _build("barrier", maneuver, **barrier), safety),
         **{f"shaping_{key}": value for key, value in shaping.items()},
         alpha_slope=c["alpha"]["slope"],
         **{k: c[k] for k in ("sensor_range", "dt", "duration", "mode", "seed")},

@@ -73,13 +73,16 @@ class ShapingParams:
     are derived at construction so that psi meets the blending conditions at
     beta*xi and xi (see module docstring).  They take no part in comparison,
     and must be finite floats, which rules out an xi so small that
-    2*xi*(1 - beta) underflows."""
+    2*xi*(1 - beta) underflows.  arrays holds (xi, beta*xi, c1, c2, c3, 2*c1)
+    as 0-d float64 arrays, the operands of shape_h_batch and psi_deriv_batch
+    (see barrier)."""
 
     xi: float
     beta: float
     c1: float = field(init=False, compare=False)
     c2: float = field(init=False, compare=False)
     c3: float = field(init=False, compare=False)
+    arrays: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         xi, beta = self.xi, self.beta
@@ -95,8 +98,11 @@ class ShapingParams:
         if not all(map(math.isfinite, (c1, c2, c3))):
             raise ValueError(f"require finite psi coefficients, got c1={c1!r} c2={c2!r} "
                              f"c3={c3!r} for xi={xi!r} beta={beta!r}")
+        arrays = tuple(map(np.array, (xi, bx, c1, c2, c3, 2.0 * c1)))
+        for a in arrays:
+            a.flags.writeable = False
         # frozen: the derived fields are set past the dataclass's __setattr__
-        vars(self).update(c1=c1, c2=c2, c3=c3)
+        vars(self).update(c1=c1, c2=c2, c3=c3, arrays=arrays)
 
 
 def shape_h(h: float, params: ShapingParams) -> float:
@@ -108,15 +114,16 @@ def shape_h(h: float, params: ShapingParams) -> float:
 def shape_h_batch(h: np.ndarray, params: ShapingParams) -> np.ndarray:
     """Shaped barrier value: h up to beta*xi, psi(h) up to xi, and the
     plateau psi(xi) beyond (NaN passes through)."""
-    bx = params.beta * params.xi
-    e = np.minimum(h, params.xi)
-    quad = (params.c1 * e + params.c2) * e + params.c3
+    xi, bx, c1, c2, c3, _ = params.arrays
+    e = np.minimum(h, xi)
+    quad = (c1 * e + c2) * e + c3
     return np.where(e <= bx, e, quad)
 
 
 def psi_deriv_batch(eta: np.ndarray, params: ShapingParams) -> np.ndarray:
     """Interpolant slope psi'(eta): 1 up to beta*xi, 2*c1*eta + c2 beyond."""
-    return np.where(eta <= params.beta * params.xi, 1.0, 2.0 * params.c1 * eta + params.c2)
+    _, bx, _, c2, _, two_c1 = params.arrays
+    return np.where(eta <= bx, 1.0, two_c1 * eta + c2)
 
 
 def min_sensing_range(m: TurnManeuver, params: SafetyParams) -> float:

@@ -170,6 +170,23 @@ class TestHTurn:
         with pytest.raises(ValueError, match=re.escape(f"require finite 2 * (r1 + r2), got {radii}")):
             TurnManeuver(sigma=1.0, speed=speed, turn_rate=turn_rate)
 
+    @pytest.mark.parametrize("turn_rate, radius", [(1e-160, "1.6e+161"), (1e-100, "1.6e+101")])
+    def test_radii_past_the_radicand_rounding_rejected(self, turn_rate, radius):
+        # finite radii, but the radicand A - M rounds by more than ds^2: at
+        # 1e-160 the pass overflows, at 1e-100 a pair 200 m apart read h = -ds
+        m = TurnManeuver(sigma=1.0, speed=16.0, turn_rate=turn_rate)
+        with pytest.raises(ValueError, match=re.escape(
+                f"require 4 * (r1 + r2)^2 < ds^2 * 2^52, got r1 = {radius}, r2 = {radius}, ds = 5.0")):
+            BarrierConfig(m, SafetyParams(0.01, 5.0))
+
+    def test_radicand_rounding_bound_is_sharp(self):
+        # ds = 4 and speed 16 put the bound at r1 = r2 = 2^26, a turn rate of 2^-22
+        safety = SafetyParams(0.01, 4.0)
+        with pytest.raises(ValueError, match="ds = 4.0"):
+            BarrierConfig(TurnManeuver(1.0, 16.0, 2.0**-22), safety)
+        BarrierConfig(TurnManeuver(1.0, 16.0, math.nextafter(2.0**-22, 1.0)), safety)
+        BarrierConfig(StraightManeuver(16.0, 20.0), SafetyParams(0.01, 1e-300))  # turns only
+
     def test_domain_error(self):
         # nearly coincident turn circles force a negative radicand
         m = TurnManeuver(sigma=1.0, speed=10.0, turn_rate=0.2)
@@ -481,8 +498,8 @@ def test_phasor_rows_are_the_per_vehicle_phasors(world):
         want.append([complex(s.px, s.py), complex(c, sn), complex(c, -sn),
                      complex(c - sn, -(sn + c))])
     got = phasor_rows(world)
-    assert got.shape == (4, len(world))
-    assert _complex_bits(got) == _complex_bits(np.array(want, complex).reshape(-1, 4).T)
+    assert got.shape == (len(world), 4)
+    assert _complex_bits(got) == _complex_bits(np.array(want, complex).reshape(-1, 4))
 
 
 class TestArrayPassAgreement:
@@ -494,13 +511,15 @@ class TestArrayPassAgreement:
     def test_wrappers_match_array_pass(self, cfg, pairs):
         pairs = [PairState(a, b) for a, b in pairs]
         g = np.stack([phasor_rows([p.a for p in pairs]), phasor_rows([p.b for p in pairs])])
+        g = np.ascontiguousarray(g.transpose(0, 2, 1))  # (2, 4, P)
         pair_arrays = np.array(
             [(p.a.px, p.a.py, p.a.heading, p.b.px, p.b.py, p.b.heading) for p in pairs]
         ).T
         y = pair_rows(g, role_weights(cfg))
         p = barrier_pass(y, cfg)
         tau = minimizer_tau(p, cfg)
-        _, lg = lie_rows(p, g[:, 1].T, cfg)
+        with np.errstate(all="ignore"):  # the rows of undefined pairs
+            _, lg = lie_rows(p, g[:, 1].T, cfg)
         h = h_batch(pair_arrays, cfg)
         np.testing.assert_array_equal(flat_pair_rows(pair_arrays, cfg), y)
         np.testing.assert_array_equal(h, p.s - cfg.safety.ds)

@@ -1,6 +1,6 @@
 """The CI workflow and the packaging metadata: the tier-1 job runs the
-command that ROADMAP.md names, every job has a time limit, and the program
-needs numpy alone."""
+command that ROADMAP.md names and the benchmark's gate self-test, every job
+has a time limit, and the program needs numpy alone."""
 
 import re
 import tomllib
@@ -22,6 +22,12 @@ def test_workflow_runs_the_roadmap_tier1_command():
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", roadmap).group(1)
     assert steps[-1]["run"] == command
     assert "perfbench" not in command
+
+
+def test_tier1_job_runs_the_gate_selftest():
+    # the benchmark's correctness gates each trip on a known-bad input
+    runs = [step.get("run") for step in workflow_jobs()["tier1"]["steps"]]
+    assert "python3 perfbench/run.py --gate-selftest" in runs[:-1]
 
 
 def test_every_job_sets_a_timeout():

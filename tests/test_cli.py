@@ -664,6 +664,14 @@ class TestInputValidation:
                 "config field barrier: require finite 2 * (r1 + r2), got r1 = ")):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("turn_rate", [1e-160, 1e-100])
+    def test_turn_radii_past_the_radicand_rounding_in_config_rejected(self, turn_rate):
+        d = config_to_dict(builtin_scenarios()["sweep"])
+        d["barrier"].update(turn_rate=turn_rate)
+        with pytest.raises(ValueError, match=re.escape(
+                "config field barrier: require 4 * (r1 + r2)^2 < ds^2 * 2^52, got r1 = ")):
+            config_from_dict(d)
+
     @pytest.mark.parametrize("speed", [0, -0.0])
     @pytest.mark.parametrize("name", ["v1", "v2"])
     def test_zero_straight_speed_in_config_exit_one(self, name, speed, tmp_path, capsys):

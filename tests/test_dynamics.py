@@ -252,6 +252,8 @@ class TestClampInput:
     """The filter's one clamp into the actuator box (FilterResult.nominal)."""
 
     LIMITS = ActuatorLimits(v_min=15, v_max=25, omega_max=0.2042, zeta_max=2)
+    # signed zeros and the faces of the box of test_matches_the_copyto_rule_at_signed_zero_faces
+    FACES = [0.0, -0.0, 15.0, 25.0, 0.2, -0.2]
 
     def clamp(self, u: tuple) -> tuple:
         return tuple(filter_clamp([u], self.LIMITS)[0].tolist())
@@ -293,6 +295,22 @@ class TestClampInput:
         got = filter_clamp(controls, limits)
         want = np.array([reference_clamp(u, limits) for u in controls], dtype=float)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(*(st.sampled_from(FACES) | st.floats(-40.0, 40.0),) * 3),
+                    min_size=1, max_size=5))
+    def test_matches_the_copyto_rule_at_signed_zero_faces(self, controls):
+        # zeta_max = 0: the climb faces are -0.0 and 0.0.  The rule: an entry
+        # strictly below its lower face takes that face, one strictly above
+        # its upper face takes that one, and any other keeps its bits
+        limits = ActuatorLimits(15.0, 25.0, 0.2, 0.0)
+        n = len(controls)
+        lo, hi = np.tile([15.0, -0.2, -0.0], n), np.tile([25.0, 0.2, 0.0], n)
+        want = np.array(controls, dtype=float).ravel()
+        np.copyto(want, lo, where=want < lo)
+        np.copyto(want, hi, where=want > hi)
+        got = filter_clamp(controls, limits)
+        assert got.ravel().view(np.int64).tolist() == want.view(np.int64).tolist(), (got, want)
 
     def test_signed_zero_climb_bounds_kept_apart(self):
         # 0.0 and -0.0 make equal limits; each clamps to its own zero

@@ -601,6 +601,43 @@ def _near_bounds(lo, hi, *bounds):
     return st.one_of(st.floats(lo, hi), st.sampled_from(edges)) if edges else st.floats(lo, hi)
 
 
+class TestPairCountInvariance:
+    """Each pair of a world gets from the array pass the bits it gets alone:
+    pair_pass's h, h_shaped, in_sensor and lie, and its _shaped_rows row,
+    whatever the gather and the constants that group the pairs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_each_pair_as_if_alone(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        if data.draw(st.booleans(), label="turn"):
+            man = TurnManeuver(data.draw(st.floats(0.7, 1.0), label="sigma"), 16.0,
+                               data.draw(st.floats(0.05, 0.25), label="rate"))
+        else:
+            man = StraightManeuver(16.0, data.draw(st.floats(10.0, 15.0), label="v2"))
+        barrier = BarrierConfig(man, SafetyParams(0.01, 5.0))
+        shaping = data.draw(st.sampled_from([None, ShapingParams(20.0, 0.9)]), label="shaping")
+        config = FilterConfig(barrier, SensorModel(150.0), ActuatorLimits(10.0, 25.0, 0.25, 5.0),
+                              shaping=shaping)
+        coord = st.floats(-120.0, 120.0)
+        state = st.builds(lambda x, y, th: VehicleState(x, y, th, 0.0), coord, coord,
+                          st.floats(-4.0, 4.0))
+        world = data.draw(st.lists(state, min_size=n, max_size=n), label="world")
+        p = pair_pass(world, FilterRun(config, n))
+        lie = np.flatnonzero(p.lie)
+        with np.errstate(all="ignore"):  # the rows of undefined pairs
+            rows = dict(zip(lie.tolist(), _shaped_rows(p, lie, config)))
+        for k, (i, j) in enumerate(pair_index(n).T.tolist()):
+            alone = pair_pass([world[i], world[j]], FilterRun(config, 2))
+            for name in ("h", "h_shaped"):
+                assert _bits(getattr(p, name)[[k]]) == _bits(getattr(alone, name)), (k, name)
+            assert (p.in_sensor[k], p.lie[k]) == (alone.in_sensor[0], alone.lie[0]), k
+            if p.lie[k]:
+                with np.errstate(all="ignore"):
+                    row = _shaped_rows(alone, [0], config)[0]
+                assert _bits(rows[k]) == _bits(row), k
+
+
 class TestEvadingManeuverInBox:
     """FilterConfig accepts an evading maneuver exactly when both of its
     controls lie in the actuator box; a turn whose speed or turn rate is not
