@@ -31,7 +31,7 @@ exact trajectories) in tests/reference.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Union
 
 import numpy as np
@@ -39,6 +39,15 @@ import numpy as np
 from .dynamics import VehicleState
 
 BarrierKind = Literal["turn", "straight"]
+
+
+def _constant(x) -> np.ndarray:
+    """x as a read-only float64 array.  Constant operands of the array code
+    are such arrays: a ufunc converts a Python float afresh on every call,
+    which costs as much as the call itself on one pair."""
+    a = np.array(x, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 class DomainError(ValueError):
@@ -144,13 +153,15 @@ class LinearGain:
     """
 
     slope: float = 1.0
+    _slope: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.slope < math.inf:  # also rejects NaN
             raise ValueError("require 0 < slope < inf")
+        vars(self)["_slope"] = _constant(self.slope)  # frozen: set past __setattr__
 
     def __call__(self, value: float) -> float:
-        return self.slope * value
+        return self._slope * value
 
 
 @dataclass(frozen=True)
@@ -160,6 +171,9 @@ class BarrierConfig:
 
     maneuver: Maneuver
     safety: SafetyParams
+    # what lie_rows multiplies by, as float64 arrays: (r1, -r2, delta/2) of
+    # the turn, each 0-d, or [-v1, v2] of the straight kind
+    lie_constants: tuple | np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # The turn radicand A - M is a difference of terms of size up to
@@ -169,6 +183,11 @@ class BarrierConfig:
         if isinstance(man, TurnManeuver) and 4.0 * (r := man.r1 + man.r2) * r >= ds * ds / 2.0**-52:
             raise ValueError(f"require 4 * (r1 + r2)^2 < ds^2 * 2^52, got r1 = {man.r1!r}, "
                              f"r2 = {man.r2!r}, ds = {ds!r}")
+        if isinstance(man, TurnManeuver):
+            lie = tuple(map(_constant, (man.r1, -man.r2, 0.5 * self.safety.delta)))
+        else:
+            lie = _constant([-man.v1, man.v2])
+        vars(self)["lie_constants"] = lie  # frozen: set past __setattr__
 
     @property
     def kind(self) -> BarrierKind:
@@ -191,11 +210,7 @@ class BarrierValue(NamedTuple):
 # reads (see pair_rows).  g, shape (2, 4, P), holds the rows of every pair's
 # first (g[0]) and second (g[1]) vehicle; the straight kind reads only its
 # first two.  The scalar functions further down wrap the same code with P = 1.
-#
-# Constant operands are 0-d float64 arrays: a ufunc converts a Python float
-# afresh on every call, which costs as much as the call itself on one pair.
-_ZERO, _TINY, _NAN = np.array(0.0), np.array(5e-324), np.array(math.nan)
-_ZERO.flags.writeable = _TINY.flags.writeable = _NAN.flags.writeable = False
+_ZERO, _ONE, _TINY, _NAN = map(_constant, (0.0, 1.0, 5e-324, math.nan))
 
 
 def phasor_rows(states) -> np.ndarray:
@@ -226,6 +241,9 @@ def pair_rows(g, weights: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     role_weights: for the turn [dz, i*v, 2i*conj(v), delta*(1 - i)*conj(e1)]
     with v = r1*e1 - r2*e2, for the straight kind [dz, dv] with
     dv = v1*e1 - v2*e2.  y is C-contiguous, as the passes' float views need."""
+    if not g.flags.c_contiguous:
+        raise ValueError(f"pair_rows needs C-contiguous pair phasor rows g, got shape {g.shape} "
+                         f"and strides {g.strides}")
     wa, wb = weights
     return np.subtract(g[0, : len(wa)] * wa, g[1, : len(wb)] * wb)
 
@@ -339,13 +357,13 @@ def lie_rows(p: TurnPass | StraightPass, e, config: BarrierConfig):
     np.errstate.  Of a turn pass it reads s, y[:2], pq and M; of a straight
     one s, d and tau.
     """
-    man = config.maneuver
     lg = np.zeros((len(e), 6))  # e: (P, 2) heading phasors e1, e2
     if isinstance(p, StraightPass):
         n = p.d / p.s
         w = n.conj()[:, None] * e
-        lg[:, [1, 4]] = w.imag * (p.tau[:, None] * [-man.v1, man.v2])
+        lg[:, 1::3] = w.imag * (p.tau[:, None] * config.lie_constants)  # columns 1 and 4
     else:
+        r1, neg_r2, half_delta = config.lie_constants
         # exp(i*w*tau*) - 1, from the minimizer condition exp(i*w*tau*) = -pq/M
         qm1 = -(p.pq + p.M) / np.maximum(p.M, _TINY)  # 0 where M = 0 (pq = 0)
         n = (p.y[0] - qm1 * p.y[1]) / p.s
@@ -353,8 +371,8 @@ def lie_rows(p: TurnPass | StraightPass, e, config: BarrierConfig):
         wq = (w * qm1[:, None]).real
         # plus the heading term of the turn rho: delta*(cos + sin)(th1 + w tau*) / (2 s)
         e1q = e[:, 0] + e[:, 0] * qm1
-        lg[:, 1] = man.r1 * wq[:, 0] + (0.5 * config.safety.delta) * (e1q.real + e1q.imag) / p.s
-        lg[:, 4] = -man.r2 * wq[:, 1]
+        lg[:, 1] = r1 * wq[:, 0] + half_delta * (e1q.real + e1q.imag) / p.s
+        lg[:, 4] = neg_r2 * wq[:, 1]
     lg[:, 0], lg[:, 3] = w[:, 0].real, -w[:, 1].real
     return n, lg
 

@@ -6,7 +6,8 @@ Problem:
     s.t.   coeffs_i . u + offset_i >= 0   (barrier rows)
            lo <= u <= hi                  (actuator box)
 
-Both row and box constraints are handled uniformly as a_i . u >= b_i.  With
+Both row and box constraints are handled uniformly as a_i . u >= b_i, in
+one stacked order: the rows, then the finite box faces (see box_faces).  With
 an identity Hessian the solver can start from the unconstrained optimum
 u = u_hat and add violated constraints one at a time while keeping the
 current iterate optimal for the active equality set (a dual active-set
@@ -18,7 +19,10 @@ by lowest constraint index, which makes the solver fully deterministic.
 A caller that solves a sequence of nearby problems can pass the previous
 optimum's active set as a guess: one linear solve gives the KKT point of
 that set, which is returned only if it passes the loop's own optimality
-tests; otherwise the loop runs as without a guess.
+tests; otherwise the loop runs as without a guess.  The guess is built and
+tested from each row's own entries (a row may be given in pair form, over
+a few entries of u) and from the bounds: only the loop stacks every row
+and box face as a dense matrix.
 
 Infeasibility is detected exactly: when a violated normal is linearly
 dependent on the active set with no positive combination coefficient, the
@@ -37,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +64,15 @@ class ConstraintRow(NamedTuple):
     offset: float
 
 
+def box_faces(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The finite faces of the box lower <= u <= upper in the order the
+    stacked constraints take them, after the rows: the lower faces, then the
+    upper faces, each by entry.  A face is its index f into the bounds
+    concatenated, [lower, upper]: with n entries, f < n is entry f's lower
+    face (u_f >= lower_f) and f >= n entry f - n's upper face."""
+    return np.flatnonzero(np.isfinite(np.concatenate([lower, upper])))
+
+
 @dataclass
 class QPProblem:
     """Nominal control, the barrier rows coeffs @ u + offsets >= 0 as a
@@ -69,13 +82,18 @@ class QPProblem:
     offset, or a zero row with a negative offset, is rejected; then a NaN
     bound, by side and entry, or an empty box; then a row with a non-finite
     coefficient, by number.  The problem keeps the arrays it is given, so
-    they must not change afterwards."""
+    they must not change afterwards.
+
+    Row r reads entries columns[r] of u: every entry for a problem built
+    here, a few for one from pair_form.  faces is box_faces of the box."""
 
     u_hat: np.ndarray
     coeffs: np.ndarray | None = None
     offsets: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
+    columns: np.ndarray = field(init=False, repr=False)
+    faces: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.u_hat = np.asarray(self.u_hat, dtype=float)
@@ -103,20 +121,58 @@ class QPProblem:
         if np.count_nonzero(np.isfinite(self.coeffs)) < self.coeffs.size:
             k = (~np.isfinite(self.coeffs).all(axis=1)).argmax()
             raise ValueError(f"non-finite constraint row {k}")
+        self.columns = np.broadcast_to(np.arange(n), self.coeffs.shape)
+        self.faces = box_faces(self.lower, self.upper)
+
+    @classmethod
+    def pair_form(cls, u_hat, coeffs, columns, offsets, lower, upper, faces) -> QPProblem:
+        """The problem with row r = coeffs[r] . u[columns[r]] + offsets[r] >= 0,
+        coeffs and columns (k, c), and faces = box_faces(lower, upper), taken
+        as given: the caller has checked what the constructor would (finite
+        coefficients and offsets, no zero row with a negative offset, a box
+        with no NaN bound and lower <= upper) and that no row names an entry
+        twice."""
+        problem = cls.__new__(cls)
+        vars(problem).update(u_hat=u_hat, coeffs=coeffs, offsets=offsets, lower=lower,
+                             upper=upper, columns=columns, faces=faces)
+        return problem
 
     @property
     def rows(self) -> tuple[ConstraintRow, ...]:
-        """The barrier rows one at a time, built on each read."""
-        return tuple(map(ConstraintRow, self.coeffs, self.offsets.tolist()))
+        """The barrier rows one at a time as dense n-vectors, built on each read."""
+        dense, _ = self.normals(np.arange(len(self.offsets)))
+        return tuple(map(ConstraintRow, dense, self.offsets.tolist()))
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All constraints as A u >= b: barrier rows first, then finite box
-        faces (lower, then upper), preserving index order."""
-        eye = np.eye(self.u_hat.size)
-        lo, hi = np.isfinite(self.lower), np.isfinite(self.upper)
-        A = np.concatenate([self.coeffs, eye[lo], 0.0 - eye[hi]])  # 0.0 - x: no negative zeros
-        b = np.concatenate([-self.offsets, self.lower[lo], -self.upper[hi]])
-        return A, b
+        faces (see box_faces), preserving index order."""
+        return self.normals(np.arange(len(self.offsets) + len(self.faces)))
+
+    def normals(self, W) -> tuple[np.ndarray, np.ndarray]:
+        """(N, b): the stacked constraints W, as dense rows N u >= b.  A box
+        face is the unit row of its entry, negated for an upper face."""
+        k, n = len(self.offsets), self.u_hat.size
+        W = np.asarray(W, dtype=np.intp)
+        row = W < k
+        at, r = np.flatnonzero(row), W[row]
+        f = self.faces.take(W[~row] - k)
+        N = np.zeros((len(W), n))
+        flat = N.reshape(-1)
+        flat[(at * n)[:, None] + self.columns.take(r, 0)] = self.coeffs.take(r, 0)
+        flat[np.flatnonzero(~row) * n + f % n] = np.where(f < n, 1.0, -1.0)
+        b = np.empty(len(W))
+        b[at], b[~row] = -self.offsets.take(r), np.concatenate([self.lower, -self.upper]).take(f)
+        return N, b
+
+    def violations(self, u: np.ndarray) -> np.ndarray:
+        """Normalized violation of each stacked constraint at u, positive
+        where it is violated: (b_i - a_i . u) / max(||a_i||, 1), a row's from
+        its own entries and a face's from its bound."""
+        c = self.coeffs
+        norms = np.maximum(np.sqrt(np.einsum("ij,ij->i", c, c)), 1.0)
+        rows = (-self.offsets - np.einsum("ij,ij->i", c, u.take(self.columns))) / norms
+        faces = np.concatenate([self.lower - u, u - self.upper]).take(self.faces)
+        return np.concatenate([rows, faces])
 
 
 def solve_qp(problem: QPProblem, max_iter: int | None = None, guess: Sequence[int] = ()):
@@ -128,16 +184,16 @@ def solve_qp(problem: QPProblem, max_iter: int | None = None, guess: Sequence[in
     expected to be active, changes only how the optimum is found.  Entries
     no active constraint acts on keep their bits.
     """
-    A, b = problem.stacked()
-    m, n = A.shape
     u = problem.u_hat.copy()
-    if m == 0:
+    if not len(problem.offsets) + len(problem.faces):
         return u, np.zeros(0)
-    norms = np.maximum(np.sqrt(np.add.reduce(A * A, axis=1)), 1.0)  # row 2-norms
-    if 0 < len(guess) <= n:  # more than n rows cannot be independent
-        warm = _active_set_optimum(A, b, norms, u, guess)
+    if 0 < len(guess) <= u.size:  # more than n rows cannot be independent
+        warm = _active_set_optimum(problem, u, guess)
         if warm is not None:
             return warm
+    A, b = problem.stacked()
+    m, n = A.shape
+    norms = np.maximum(np.sqrt(np.add.reduce(A * A, axis=1)), 1.0)  # row 2-norms
     if max_iter is None:
         max_iter = 50 * (m + n)
 
@@ -224,29 +280,29 @@ def solve_qp(problem: QPProblem, max_iter: int | None = None, guess: Sequence[in
     raise RuntimeError("active-set iteration limit exceeded")
 
 
-def _active_set_optimum(A, b, norms, u_hat, W):
-    """(u, multipliers) of the equality problem on the rows W, or None
-    unless that is the optimum to STOP_TOL.
+def _active_set_optimum(problem, u_hat, W):
+    """(u, multipliers) of the equality problem on the stacked constraints
+    W, or None unless that is the optimum to STOP_TOL.
 
-    u = u_hat + N^T lam with N = A[W] and (N N^T) lam = b_W - N u_hat, so
-    stationarity holds by construction.  The point is accepted when lam >= 0
-    and, by the normalized test the active-set loop stops on, no constraint
-    is violated by more than STOP_TOL and no row of W is slack by more than
-    STOP_TOL.
+    u = u_hat + N^T lam with N u >= b_W the constraints W as dense rows and
+    (N N^T) lam = b_W - N u_hat, so stationarity holds by construction.  The
+    point is accepted when lam >= 0 and, by the normalized test the
+    active-set loop stops on, no constraint is violated by more than
+    STOP_TOL and no constraint of W is slack by more than STOP_TOL.
     """
-    N = A[W]
+    N, b = problem.normals(W)
     try:
-        lam = np.linalg.solve(N @ N.T, b[W] - N @ u_hat)
+        lam = np.linalg.solve(N @ N.T, b - N @ u_hat)
     except np.linalg.LinAlgError:  # dependent rows
         return None
     if not np.minimum.reduce(lam) >= 0.0:
         return None
     # u_hat + lam @ N, where an entry no row of W acts on keeps its bits
     u = np.add(u_hat, lam @ N, out=u_hat.copy(), where=np.logical_or.reduce(N, axis=0))
-    viol = (b - A @ u) / norms
+    viol = problem.violations(u)
     if not (np.maximum.reduce(viol) <= STOP_TOL and np.minimum.reduce(viol[W]) >= -STOP_TOL):
         return None
-    mult = np.zeros(len(b))
+    mult = np.zeros(len(viol))
     mult[W] = lam
     return u, mult
 

@@ -47,6 +47,7 @@ import numpy as np
 
 from .barrier import (
     _ZERO,
+    _constant,
     BarrierConfig,
     LinearGain,
     StraightPass,
@@ -60,7 +61,7 @@ from .barrier import (
     role_weights,
 )
 from .dynamics import ActuatorLimits, VehicleState
-from .qp import QPInfeasibleError, QPProblem, solve_qp, solve_row_batch
+from .qp import QPInfeasibleError, QPProblem, box_faces, solve_qp, solve_row_batch
 from .shaping import SensorModel, ShapingParams, psi_deriv_batch, shape_h_batch
 
 
@@ -97,35 +98,40 @@ class FilterConfig:
 class FilterRun:
     """The filter state of one run of n vehicles under one FilterConfig,
     built once and passed to each step's filter_controls.  Read-only: pairs,
-    the (2, P) pair_index; box, the (2, 3n) box of the stacked control, each
-    vehicle's lower and upper bounds with zero signs as the limits give them;
-    face, the (2, 3n) ids of each entry's lower and upper face (-1 for an
-    infinite bound); evading, the evading maneuver as the 6-vector
-    (v1, w1, z1, v2, w2, z2); weights, the barrier's role_weights; gather,
-    the (2, R, P) flat indices into phasor_rows(world) of the pair rows g
-    that pair_rows reads with those weights; and, as 0-d float64 arrays (see
-    barrier), ds, the safety distance D_s, r2, the squared sensing range,
-    and two_delta, 2*delta.  active, the ids of the constraints with a
-    positive multiplier at the last step's centralized QP optimum (a pair
-    row's is its pair number, a box face's P + its stacked index), empty if
-    that step solved no such QP, is the next step's guess of its QP's active
-    set."""
+    the (2, P) pair_index; columns, the (P, 6) entries of the stacked
+    control that each pair's row reads, (u_i, u_j); box, the (2, 3n) box of
+    the stacked control, each vehicle's lower and upper bounds with zero
+    signs as the limits give them; faces, its finite faces as box_faces
+    orders them; face, the (2, 3n) ids of each entry's lower and upper face
+    (-1 for an infinite bound), and face_ids, the ids of faces in order;
+    evading, the evading maneuver as the 6-vector (v1, w1, z1, v2, w2, z2);
+    weights, the barrier's role_weights; gather, the (2, R, P) flat indices
+    into phasor_rows(world) of the pair rows g that pair_rows reads with
+    those weights; and, as 0-d float64 arrays (see barrier), ds, the safety
+    distance D_s, r2, the squared sensing range, and two_delta, 2*delta.
+    active, the ids of the constraints with a positive multiplier at the
+    last step's centralized QP optimum (a pair row's is its pair number, a
+    box face's P + its place in faces), empty if that step solved no such
+    QP, is the next step's guess of its QP's active set."""
 
     def __init__(self, config: FilterConfig, n: int):
         self.config, self.n, self.active = config, n, []
         self.pairs = pair_index(n)
+        self.columns = (3 * self.pairs.T[:, :, None] + np.arange(3)).reshape(-1, 6)
         lim = config.limits
         one = [[lim.v_min, -lim.omega_max, -lim.zeta_max], [lim.v_max, lim.omega_max, lim.zeta_max]]
         self.box = box = np.tile(one, n)  # np.copyto is slower with a broadcast bound
-        finite = np.isfinite(box)
-        # box faces follow the pair rows in QPProblem.stacked order
-        self.face = np.where(finite, n * (n - 1) // 2 - 1 + np.cumsum(finite).reshape(2, -1), -1)
+        self.faces = box_faces(box[0], box[1])
+        self.face_ids = self.pairs.shape[1] + np.arange(len(self.faces))
+        self.face = np.full(box.shape, -1)
+        self.face.ravel()[self.faces] = self.face_ids
         self.evading = np.ravel(config.barrier.maneuver.controls())
         self.weights = role_weights(config.barrier)
         self.gather = 4 * self.pairs[:, None] + np.arange(len(self.weights[0]))[:, None]
         safety, r = config.barrier.safety, config.sensor.range_m
-        self.ds, self.r2, self.two_delta = map(np.array, (safety.ds, r * r, 2.0 * safety.delta))
-        for a in (box, self.face, self.evading, self.gather, self.ds, self.r2, self.two_delta):
+        self.ds, self.r2, self.two_delta = map(_constant, (safety.ds, r * r, 2.0 * safety.delta))
+        for a in (self.columns, box, self.faces, self.face_ids, self.face, self.evading,
+                  self.gather):
             a.flags.writeable = False
 
 
@@ -299,10 +305,12 @@ def _filter_centralized(run, result, u, rows, pairs, lg, offset, hint):
     When no vehicle is in two rows, each row with its vehicles' box is a
     problem of its own, solved in closed form.  solve_qp takes any other
     step, and every step with a row the closed form declines (not met
-    inside the box), so that it alone decides infeasibility."""
+    inside the box), so that it alone decides infeasibility.  Its problem
+    takes the rows in pair form, which filter_controls has checked."""
     k, n = len(offset), len(u)
     lo, hi, face = run.box[0], run.box[1], run.face
-    if len(set(pairs.ravel().tolist())) == 2 * k:
+    # more than n/2 rows always share a vehicle
+    if 2 * k <= n and len(set(pairs.ravel().tolist())) == 2 * k:
         solved = solve_row_batch(u.take(pairs.T, 0).reshape(k, 6), lg, offset, lo[:6], hi[:6])
         if solved is not None:
             u_rows, lam, push = solved
@@ -313,13 +321,12 @@ def _filter_centralized(run, result, u, rows, pairs, lg, offset, hint):
             run.active = (rows[lam > 0.0].tolist() + face[0][pushed > 0.0].tolist()
                           + face[1][pushed < 0.0].tolist())
             return
-    coeffs = np.zeros((k, n, 3))
-    coeffs[np.arange(k), pairs] = lg.reshape(k, 2, 3).transpose(1, 0, 2)
-    # a copy: the problem keeps its u_hat, and u becomes the optimum below
-    problem = QPProblem(u.flatten(), coeffs.reshape(k, 3 * n), offset, lo, hi)
+    # u.flatten(), a copy: the problem keeps its u_hat, and u becomes the optimum below
+    problem = QPProblem.pair_form(u.flatten(), lg, run.columns.take(rows, 0), offset, lo, hi,
+                                  run.faces)
     # stable id of each stacked constraint, ascending: the pair number of
     # each row, then the ids of the finite box faces
-    ids = np.concatenate([rows, face[face >= 0]])
+    ids = np.concatenate([rows, run.face_ids])
     hint = np.asarray(hint, dtype=np.intp)
     slot = np.searchsorted(ids, hint)  # the stacked index of each hinted id, if present
     guess = slot[ids.take(slot, mode="clip") == hint].tolist()

@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barrier import (
+    _ONE,
+    _constant,
     BarrierConfig,
     PairState,
     SafetyParams,
@@ -98,9 +100,7 @@ class ShapingParams:
         if not all(map(math.isfinite, (c1, c2, c3))):
             raise ValueError(f"require finite psi coefficients, got c1={c1!r} c2={c2!r} "
                              f"c3={c3!r} for xi={xi!r} beta={beta!r}")
-        arrays = tuple(map(np.array, (xi, bx, c1, c2, c3, 2.0 * c1)))
-        for a in arrays:
-            a.flags.writeable = False
+        arrays = tuple(map(_constant, (xi, bx, c1, c2, c3, 2.0 * c1)))
         # frozen: the derived fields are set past the dataclass's __setattr__
         vars(self).update(c1=c1, c2=c2, c3=c3, arrays=arrays)
 
@@ -123,7 +123,7 @@ def shape_h_batch(h: np.ndarray, params: ShapingParams) -> np.ndarray:
 def psi_deriv_batch(eta: np.ndarray, params: ShapingParams) -> np.ndarray:
     """Interpolant slope psi'(eta): 1 up to beta*xi, 2*c1*eta + c2 beyond."""
     _, bx, _, c2, _, two_c1 = params.arrays
-    return np.where(eta <= bx, 1.0, two_c1 * eta + c2)
+    return np.where(eta <= bx, _ONE, two_c1 * eta + c2)
 
 
 def min_sensing_range(m: TurnManeuver, params: SafetyParams) -> float:

@@ -11,6 +11,10 @@
 * kkt_residual, an optimality verifier for the QP: it reconstructs
   multipliers with scipy's nonnegative least squares, not the solver's own
   machinery, and reports the worst KKT violation.
+* dense_solve_qp, the QP solver as it was while it stacked every row and
+  box face densely on each call (dense_stacked) and tested a guessed
+  active set against that whole matrix: the reference the pair-form solver
+  matches bit for bit.
 
 Tests import these names as they import from conftest.
 """
@@ -18,6 +22,7 @@ Tests import these names as they import from conftest.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.optimize import nnls
@@ -30,7 +35,7 @@ from wingsafe.barrier import (
     TurnManeuver,
 )
 from wingsafe.dynamics import VehicleState
-from wingsafe.qp import QPProblem
+from wingsafe.qp import STOP_TOL, QPInfeasibleError, QPProblem
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -233,3 +238,153 @@ def kkt_residual(problem: QPProblem, u: np.ndarray, active_tol: float = 1e-6) ->
         stationarity = float(np.linalg.norm(grad, ord=np.inf))
         comp = 0.0
     return max(primal, stationarity, comp)
+
+
+# ---------------------------------------------------------------------------
+# the dense QP solver
+
+
+def dense_stacked(problem: QPProblem) -> tuple[np.ndarray, np.ndarray]:
+    """A u >= b of a problem built from a dense (k, n) coefficient matrix,
+    stacked as wingsafe.qp stacked it before rows came in pair form: barrier
+    rows first, then finite box faces (lower, then upper)."""
+    eye = np.eye(problem.u_hat.size)
+    lo, hi = np.isfinite(problem.lower), np.isfinite(problem.upper)
+    A = np.concatenate([problem.coeffs, eye[lo], 0.0 - eye[hi]])  # 0.0 - x: no negative zeros
+    b = np.concatenate([-problem.offsets, problem.lower[lo], -problem.upper[hi]])
+    return A, b
+
+
+def dense_solve_qp(problem: QPProblem, max_iter: int | None = None, guess: Sequence[int] = ()):
+    """wingsafe.qp.solve_qp as it was before rows came in pair form: every
+    row and box face stacked densely by problem.stacked() on each call, and
+    the guess tested against that whole matrix.  problem needs only u_hat
+    and stacked().
+
+    Returns (u, multipliers) with multipliers aligned to the stacked
+    constraint order of problem.stacked().  Raises QPInfeasibleError when
+    the feasible region is empty.  guess, stacked indices of constraints
+    expected to be active, changes only how the optimum is found.  Entries
+    no active constraint acts on keep their bits.
+    """
+    A, b = problem.stacked()
+    m, n = A.shape
+    u = problem.u_hat.copy()
+    if m == 0:
+        return u, np.zeros(0)
+    norms = np.maximum(np.sqrt(np.add.reduce(A * A, axis=1)), 1.0)  # row 2-norms
+    if 0 < len(guess) <= n:  # more than n rows cannot be independent
+        warm = _active_set_optimum(A, b, norms, u, guess)
+        if warm is not None:
+            return warm
+    if max_iter is None:
+        max_iter = 50 * (m + n)
+
+    active: list[int] = []
+    lam: list[float] = []
+
+    for _ in range(max_iter):
+        viol = (b - A @ u) / norms
+        p = int(np.argmax(viol))  # first maximum: lowest index on ties
+        if viol[p] <= STOP_TOL:
+            mult = np.zeros(m)
+            for j, lj in zip(active, lam):
+                mult[j] = lj
+            # the entries no active row acts on
+            np.copyto(u, problem.u_hat, where=~np.logical_or.reduce(A[active], axis=0))
+            return u, mult
+
+        # episode: bring constraint p to equality, dropping blockers as
+        # needed; lam_p accumulates over partial steps
+        ap = A[p]
+        lam_p = 0.0
+        for _ in range(m + 1):
+            if active:
+                N = A[active].T  # n x k, full column rank by construction
+                G = N.T @ N
+                try:
+                    L = np.linalg.cholesky(G)
+                    r = np.linalg.solve(L.T, np.linalg.solve(L, N.T @ ap))
+                except np.linalg.LinAlgError:
+                    # active normals numerically near-dependent: fall back to
+                    # a least-squares projection
+                    r = np.linalg.lstsq(N, ap, rcond=None)[0]
+                z = ap - N @ r
+            else:
+                r = np.zeros(0)
+                z = ap.copy()
+
+            zz = float(z @ z)
+            dependent = zz <= 1e-10 * float(ap @ ap)
+            if dependent:
+                if r.size == 0 or np.logical_and.reduce(r <= STOP_TOL):
+                    raise QPInfeasibleError(
+                        f"constraint {p} inconsistent with active set {active}"
+                    )
+                t_full = math.inf
+            else:
+                # Python floats: a row too short for its offset (|z| ~ 1e-162)
+                # gives t_full = inf, not a NumPy overflow warning; the drop
+                # step, or the infeasibility below, then decides
+                t_full = (float(b[p]) - float(ap @ u)) / zz
+
+            # blocking step: smallest lam_j / r_j over positive r_j,
+            # ties broken by lowest constraint index
+            t_drop = math.inf
+            drop_idx = -1
+            for idx, lj in enumerate(lam):
+                rj = float(r[idx])
+                if rj > STOP_TOL:
+                    tj = lj / rj
+                    if tj < t_drop - 1e-14 or (
+                        abs(tj - t_drop) <= 1e-14
+                        and drop_idx >= 0
+                        and active[idx] < active[drop_idx]
+                    ):
+                        t_drop, drop_idx = tj, idx
+
+            t = min(t_full, t_drop)
+            if not math.isfinite(t):
+                raise QPInfeasibleError(f"unbounded dual step on constraint {p}")
+
+            if not dependent:
+                u = u + t * z
+            lam = [lj - t * float(r[idx]) for idx, lj in enumerate(lam)]
+            lam_p += t
+
+            if t == t_full and not dependent:
+                active.append(p)
+                lam.append(lam_p)
+                break
+            active.pop(drop_idx)
+            lam.pop(drop_idx)
+        else:
+            raise RuntimeError("active-set inner loop failed to terminate")
+    raise RuntimeError("active-set iteration limit exceeded")
+
+
+def _active_set_optimum(A, b, norms, u_hat, W):
+    """(u, multipliers) of the equality problem on the rows W, or None
+    unless that is the optimum to STOP_TOL.
+
+    u = u_hat + N^T lam with N = A[W] and (N N^T) lam = b_W - N u_hat, so
+    stationarity holds by construction.  The point is accepted when lam >= 0
+    and, by the normalized test the active-set loop stops on, no constraint
+    is violated by more than STOP_TOL and no row of W is slack by more than
+    STOP_TOL.
+    """
+    N = A[W]
+    try:
+        lam = np.linalg.solve(N @ N.T, b[W] - N @ u_hat)
+    except np.linalg.LinAlgError:  # dependent rows
+        return None
+    if not np.minimum.reduce(lam) >= 0.0:
+        return None
+    # u_hat + lam @ N, where an entry no row of W acts on keeps its bits
+    u = np.add(u_hat, lam @ N, out=u_hat.copy(), where=np.logical_or.reduce(N, axis=0))
+    viol = (b - A @ u) / norms
+    if not (np.maximum.reduce(viol) <= STOP_TOL and np.minimum.reduce(viol[W]) >= -STOP_TOL):
+        return None
+    mult = np.zeros(len(b))
+    mult[W] = lam
+    return u, mult

@@ -554,3 +554,16 @@ class TestArrayPassAgreement:
                 except DomainError:
                     want.append(math.nan)
         np.testing.assert_array_equal(res.h, want)
+
+
+def test_pair_rows_names_a_non_contiguous_g():
+    # np.stack of transposed (N, 4) phasor rows keeps their column-major layout
+    rows = phasor_rows([VehicleState(0.0, 0.0, 0.0), VehicleState(40.0, 0.0, math.pi),
+                        VehicleState(0.0, 40.0, 1.0)])
+    g = np.stack([rows[:2].T, rows[1:].T])  # the pairs (0, 1) and (1, 2)
+    assert g.shape == (2, 4, 2) and not g.flags.c_contiguous
+    cfg = BarrierConfig(TurnManeuver(1.0, 16.0, 0.2), SafetyParams(0.01, 5.0))
+    with pytest.raises(ValueError, match=re.escape(f"shape {g.shape} and strides {g.strides}")):
+        pair_rows(g, role_weights(cfg))
+    # the same rows, laid out in C order, are accepted
+    assert pair_rows(np.ascontiguousarray(g), role_weights(cfg)).flags.c_contiguous

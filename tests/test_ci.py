@@ -30,6 +30,15 @@ def test_tier1_job_runs_the_gate_selftest():
     assert "python3 perfbench/run.py --gate-selftest" in runs[:-1]
 
 
+@pytest.mark.parametrize("workload", ["circle20", "airspace"])
+def test_tier1_job_runs_a_traced_workload_with_no_null_metric(workload):
+    # the traced run's last line is strict JSON with no null metric
+    runs = [step.get("run") or "" for step in workflow_jobs()["tier1"]["steps"]]
+    run = next(r for r in runs if f"perfbench/run.py --workload {workload} --trace 1" in r)
+    assert "parse_constant=reject" in run and '["value"] is None' in run
+    assert "tail -n 1" in run and "sys.exit(" in run
+
+
 def test_every_job_sets_a_timeout():
     # without one, a hung job runs until GitHub's 6-hour default
     jobs = workflow_jobs()

@@ -15,7 +15,7 @@ from wingsafe.qp import (
     solve_row_batch,
 )
 
-from reference import kkt_residual
+from reference import dense_solve_qp, kkt_residual
 
 
 def objective(u, u_hat):
@@ -481,7 +481,7 @@ class TestRowValidation:
                                   replace=False).tolist())
         for g in ([], guess):
             assert _outcome(lambda: solve_qp(p, guess=g)) == _outcome(
-                lambda: solve_qp(reference, guess=g))
+                lambda: dense_solve_qp(reference, guess=g))
 
     @settings(max_examples=200)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.data())
