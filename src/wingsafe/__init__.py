@@ -24,8 +24,6 @@ from .dynamics import (
 )
 from .barrier import (
     BarrierConfig,
-    BarrierValue,
-    DomainError,
     LinearGain,
     PairState,
     SafetyParams,
@@ -67,11 +65,9 @@ from .scenarios import (
 __all__ = [
     "ActuatorLimits",
     "BarrierConfig",
-    "BarrierValue",
     "CircleController",
     "CompatibilityReport",
     "ConstraintRow",
-    "DomainError",
     "FilterConfig",
     "FilterResult",
     "FilterRun",

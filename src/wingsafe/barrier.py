@@ -50,11 +50,6 @@ def _constant(x) -> np.ndarray:
     return a
 
 
-class DomainError(ValueError):
-    """Raised when a pair state lies outside the barrier's domain
-    (the radicand of the safety function is negative)."""
-
-
 @dataclass(frozen=True)
 class PairState:
     """States of the two vehicles of one pair; the (a, b) order fixes which
@@ -171,9 +166,11 @@ class BarrierConfig:
 
     maneuver: Maneuver
     safety: SafetyParams
-    # what lie_rows multiplies by, as float64 arrays: (r1, -r2, delta/2) of
-    # the turn, each 0-d, or [-v1, v2] of the straight kind
+    # what lie_derivatives multiplies by, as float64 arrays: (r1, -r2, delta/2)
+    # of the turn, each 0-d, or [-v1, v2] of the straight kind
     lie_constants: tuple | np.ndarray = field(init=False, compare=False, repr=False)
+    # 2*delta as a 0-d float64 array, the turn radicand's offset in h_value
+    two_delta: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # The turn radicand A - M is a difference of terms of size up to
@@ -187,18 +184,12 @@ class BarrierConfig:
             lie = tuple(map(_constant, (man.r1, -man.r2, 0.5 * self.safety.delta)))
         else:
             lie = _constant([-man.v1, man.v2])
-        vars(self)["lie_constants"] = lie  # frozen: set past __setattr__
+        # frozen: the derived fields are set past the dataclass's __setattr__
+        vars(self).update(lie_constants=lie, two_delta=_constant(2.0 * self.safety.delta))
 
     @property
     def kind(self) -> BarrierKind:
         return "turn" if isinstance(self.maneuver, TurnManeuver) else "straight"
-
-
-class BarrierValue(NamedTuple):
-    """Barrier value and the smallest nonnegative minimizing time."""
-
-    value: float
-    minimizer_tau: float
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +200,7 @@ class BarrierValue(NamedTuple):
 # weighted difference of two vehicles' rows then yields every row a pass
 # reads (see pair_rows).  g, shape (2, 4, P), holds the rows of every pair's
 # first (g[0]) and second (g[1]) vehicle; the straight kind reads only its
-# first two.  The scalar functions further down wrap the same code with P = 1.
+# first two.
 _ZERO, _ONE, _TINY, _NAN = map(_constant, (0.0, 1.0, 5e-324, math.nan))
 
 
@@ -291,7 +282,7 @@ class StraightPass(NamedTuple):
     proj: np.ndarray
 
 
-def _turn_phasor(y, two_delta) -> TurnPass:
+def _turn_phasor(y, two_delta: np.ndarray) -> TurnPass:
     """radicand(tau) = A + Re(conj(pq) * exp(i*w*tau)), infimum A - M, M = |pq|.
 
     Each turn circle's center is c_k = p_k + i*r_k*e_k; along the maneuver
@@ -300,7 +291,7 @@ def _turn_phasor(y, two_delta) -> TurnPass:
     2*Re(conj(dc)*(-i)*v*exp(i*w*tau)); the heading terms of the safety
     function add delta*Re(-(1 + i)*e1*exp(i*w*tau)).  In real form
     pq = P + iQ with radicand = A + P*cos(w tau) + Q*sin(w tau).  two_delta
-    is 2*delta, a float or a 0-d array.
+    is 2*delta as a 0-d array (BarrierConfig.two_delta).
     """
     sq = np.square(y[:2].view(float))
     d2v2 = sq[:, 0::2] + sq[:, 1::2]
@@ -325,24 +316,16 @@ def _straight_relative(y) -> StraightPass:
     return StraightPass(dz.real**2 + dz.imag**2, np.abs(d), d, tau, proj)
 
 
-def barrier_pass(y, config: BarrierConfig) -> TurnPass | StraightPass:
-    """The closed-form barrier of every pair from its rows y (see pair_rows):
-    no minimizing time, no gradient."""
+def h_value(y, config: BarrierConfig) -> TurnPass | StraightPass:
+    """The closed-form barrier of every pair from its rows y (see pair_rows),
+    as the pass that lie_derivatives reads: h = s - ds, with s NaN where the
+    pair lies outside the barrier's domain (see domain_errors)."""
     if isinstance(config.maneuver, TurnManeuver):
-        return _turn_phasor(y, 2.0 * config.safety.delta)
+        return _turn_phasor(y, config.two_delta)
     return _straight_relative(y)
 
 
-def minimizer_tau(p: TurnPass | StraightPass, config: BarrierConfig) -> np.ndarray:
-    """Smallest nonnegative minimizing time: for the turn the radicand's
-    minimum is first reached at tau* = ((arg(pq) + pi) mod 2pi)/w (0 when M = 0)."""
-    if isinstance(p, StraightPass):
-        return p.tau
-    w = config.maneuver.turn_rate
-    return np.where(p.M == 0.0, 0.0, np.mod(np.angle(p.pq) + np.pi, 2.0 * np.pi) / w)
-
-
-def lie_rows(p: TurnPass | StraightPass, e, config: BarrierConfig):
+def lie_derivatives(p: TurnPass | StraightPass, e, config: BarrierConfig):
     """(n, L_g h) of the pairs of a pass: n is the unit relative position at
     the minimizing time (complex), so dh/dp1 = (n.real, n.imag) = -dh/dp2,
     and L_g h is (P, 6) over the stacked control (v1, w1, zeta1, v2, w2, zeta2).
@@ -394,38 +377,6 @@ def domain_errors(
     ]
 
 
-# ---------------------------------------------------------------------------
-# scalar wrappers
-
-
-def _pair_pass(pair: PairState, config: BarrierConfig, need_grad: bool):
-    """barrier_pass of one pair, and its heading phasors; raises DomainError."""
-    g = phasor_rows([pair.a, pair.b]).reshape(2, 4, 1)
-    p = barrier_pass(pair_rows(g, role_weights(config)), config)
-    if not p.s[0] > 0.0:
-        for _, msg in domain_errors(p, config, need_grad):
-            raise DomainError(msg)
-    return p, g[:, 1].T
-
-
-def h_value(pair: PairState, config: BarrierConfig) -> BarrierValue:
-    """Closed-form barrier value and minimizing time of one pair.
-
-    Raises DomainError when the pair lies outside the barrier domain.  Kept
-    for the benchmark tracer, until ROADMAP item 1 re-aims it.
-    """
-    p, _ = _pair_pass(pair, config, need_grad=False)
-    return BarrierValue(float(p.s[0]) - config.safety.ds, float(minimizer_tau(p, config)[0]))
-
-
-def lie_derivatives(pair: PairState, config: BarrierConfig) -> tuple[float, np.ndarray]:
-    """(L_f h, L_g h) of one pair; see lie_rows.  Kept for the benchmark
-    tracer, until ROADMAP item 1 re-aims it."""
-    p, e = _pair_pass(pair, config, need_grad=True)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # a subnormal s
-        return 0.0, lie_rows(p, e, config)[1][0]
-
-
 # pairs per barrier pass in h_batch: the (4, 2048) complex rows take 128 KiB,
 # glibc's default threshold for mapping fresh pages per allocation, so the
 # pass's temporaries stay cache resident and are reused between chunks
@@ -440,5 +391,5 @@ def h_batch(pair_arrays, config: BarrierConfig) -> np.ndarray:
     h = np.empty(arrays[0].shape)
     for i in range(0, h.size, H_BATCH_CHUNK):
         chunk = [a[i : i + H_BATCH_CHUNK] for a in arrays]
-        h[i : i + H_BATCH_CHUNK] = barrier_pass(flat_pair_rows(chunk, config), config).s
+        h[i : i + H_BATCH_CHUNK] = h_value(flat_pair_rows(chunk, config), config).s
     return h - config.safety.ds

@@ -264,8 +264,8 @@ def solve_qp(problem: QPProblem, max_iter: int | None = None, guess: Sequence[in
             if not math.isfinite(t):
                 raise QPInfeasibleError(f"unbounded dual step on constraint {p}")
 
-            if not dependent:
-                u = u + t * z
+            # on a dependent row too: its z is small, not 0, and u - u_hat stays N^T lam
+            u = u + t * z
             lam = [lj - t * float(r[idx]) for idx, lj in enumerate(lam)]
             lam_p += t
 

@@ -52,17 +52,16 @@ from .barrier import (
     LinearGain,
     StraightPass,
     TurnPass,
-    _straight_relative,
-    _turn_phasor,
     domain_errors,
-    lie_rows,
+    h_value,
+    lie_derivatives,
     pair_rows,
     phasor_rows,
     role_weights,
 )
 from .dynamics import ActuatorLimits, VehicleState
 from .qp import QPInfeasibleError, QPProblem, box_faces, solve_qp, solve_row_batch
-from .shaping import SensorModel, ShapingParams, psi_deriv_batch, shape_h_batch
+from .shaping import SensorModel, ShapingParams, in_sensor_set, psi_deriv_batch, shape_h
 
 
 def pair_index(n: int) -> np.ndarray:
@@ -108,7 +107,7 @@ class FilterRun:
     weights, the barrier's role_weights; gather, the (2, R, P) flat indices
     into phasor_rows(world) of the pair rows g that pair_rows reads with
     those weights; and, as 0-d float64 arrays (see barrier), ds, the safety
-    distance D_s, r2, the squared sensing range, and two_delta, 2*delta.
+    distance D_s, and r2, the squared sensing range.
     active, the ids of the constraints with a positive multiplier at the
     last step's centralized QP optimum (a pair row's is its pair number, a
     box face's P + its place in faces), empty if that step solved no such
@@ -129,7 +128,7 @@ class FilterRun:
         self.weights = role_weights(config.barrier)
         self.gather = 4 * self.pairs[:, None] + np.arange(len(self.weights[0]))[:, None]
         safety, r = config.barrier.safety, config.sensor.range_m
-        self.ds, self.r2, self.two_delta = map(_constant, (safety.ds, r * r, 2.0 * safety.delta))
+        self.ds, self.r2 = _constant(safety.ds), _constant(r * r)
         for a in (self.columns, box, self.faces, self.face_ids, self.face, self.evading,
                   self.gather):
             a.flags.writeable = False
@@ -167,31 +166,32 @@ class PairPass(NamedTuple):
 
 
 def pair_pass(world: list[VehicleState], run: FilterRun) -> PairPass:
-    """barrier.barrier_pass over all pairs, with the run's constants."""
+    """barrier.h_value, shaping.in_sensor_set and shaping.shape_h over all
+    pairs, with the run's constants."""
     config = run.config
     g = phasor_rows(world).take(run.gather)
-    y = pair_rows(g, run.weights)
-    b = _turn_phasor(y, run.two_delta) if config.barrier.kind == "turn" else _straight_relative(y)
+    b = h_value(pair_rows(g, run.weights), config.barrier)
     h = b.s - run.ds
     if config.shaping is None:
         h_shaped, lie = h, b.s >= _ZERO
     else:  # arrays[0] is xi
-        h_shaped, lie = shape_h_batch(h, config.shaping), h < config.shaping.arrays[0]
-    return PairPass(g, b, b.d2 <= run.r2, h, h_shaped, lie)
+        h_shaped, lie = shape_h(h, config.shaping), h < config.shaping.arrays[0]
+    return PairPass(g, b, in_sensor_set(b.d2, run.r2), h, h_shaped, lie)
 
 
 def _shaped_rows(p: PairPass, rows, config: FilterConfig) -> np.ndarray:
     """Constraint coefficients psi'(h) * L_g h of the given rows, all of which
-    lie below the shaping threshold.  A degenerate row (see lie_rows) has
-    non-finite entries, with a RuntimeWarning unless np.errstate silences it."""
+    lie below the shaping threshold.  A degenerate row (see lie_derivatives)
+    has non-finite entries, with a RuntimeWarning unless np.errstate silences
+    it."""
     e = p.g[:, 1].take(rows, 1).T  # heading phasors e1, e2 of the rows
-    b = p.barrier  # the fields lie_rows reads, at the rows
+    b = p.barrier  # the fields lie_derivatives reads, at the rows
     if isinstance(b, TurnPass):
         b = TurnPass(None, b.s.take(rows), None, b.y[:2].take(rows, 1), b.pq.take(rows),
                      b.M.take(rows))
     else:
         b = StraightPass(None, b.s.take(rows), b.d.take(rows), b.tau.take(rows), None)
-    _, lg = lie_rows(b, e, config.barrier)
+    _, lg = lie_derivatives(b, e, config.barrier)
     if config.shaping is not None:
         lg *= psi_deriv_batch(p.h.take(rows), config.shaping)[:, None]
     return lg
@@ -246,7 +246,8 @@ def filter_controls(
 
     rows = np.flatnonzero(need)
     pairs, offset = idx.take(rows, 1), config.gain(p.h_shaped.take(rows))  # pairs: (2, rows)
-    # a degenerate row has non-finite entries (see lie_rows), and a NaN margin from inf * 0
+    # a degenerate row has non-finite entries (see lie_derivatives), and a NaN
+    # margin from inf * 0
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         lg = _shaped_rows(p, rows, config)
         margin = np.add.reduce(lg.reshape(-1, 2, 3) * u_hat.take(pairs.T, 0), axis=(1, 2)) + offset

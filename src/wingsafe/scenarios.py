@@ -125,7 +125,8 @@ class ScenarioConfig:
         if self.n_steps < 1:  # else a run writes a header-only trace and exits 0
             raise ValueError("config field dt, duration: require round(duration / dt) >= 1, "
                              f"got {self.n_steps}")
-        controllers = tuple(_controller(v["controller"]) for v in checked["vehicles"])
+        controllers = tuple(_build(f"vehicles[{i}].controller", _controller, v["controller"])
+                            for i, v in enumerate(checked["vehicles"]))
         object.__setattr__(self, "_controllers", controllers)
 
     def resolve_shaping(self) -> ShapingParams | None:

@@ -61,12 +61,10 @@ class SensorModel:
             raise ValueError("require range_m > 0")
 
 
-def in_sensor_set(pair: PairState, sensor: SensorModel) -> bool:
-    """Whether one pair is observable.  Kept for the benchmark tracer, until
-    ROADMAP item 1 re-aims it."""
-    dx = pair.a.px - pair.b.px
-    dy = pair.a.py - pair.b.py
-    return dx * dx + dy * dy <= sensor.range_m * sensor.range_m
+def in_sensor_set(d2: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Whether each pair is observable, from its squared planar distance d2
+    and the squared sensing range r2: the boundary is included."""
+    return d2 <= r2
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ class ShapingParams:
     beta*xi and xi (see module docstring).  They take no part in comparison,
     and must be finite floats, which rules out an xi so small that
     2*xi*(1 - beta) underflows.  arrays holds (xi, beta*xi, c1, c2, c3, 2*c1)
-    as 0-d float64 arrays, the operands of shape_h_batch and psi_deriv_batch
+    as 0-d float64 arrays, the operands of shape_h and psi_deriv_batch
     (see barrier)."""
 
     xi: float
@@ -105,13 +103,7 @@ class ShapingParams:
         vars(self).update(c1=c1, c2=c2, c3=c3, arrays=arrays)
 
 
-def shape_h(h: float, params: ShapingParams) -> float:
-    """shape_h_batch of one value.  Kept for the benchmark tracer, until
-    ROADMAP item 1 re-aims it."""
-    return float(shape_h_batch(h, params))
-
-
-def shape_h_batch(h: np.ndarray, params: ShapingParams) -> np.ndarray:
+def shape_h(h: np.ndarray, params: ShapingParams) -> np.ndarray:
     """Shaped barrier value: h up to beta*xi, psi(h) up to xi, and the
     plateau psi(xi) beyond (NaN passes through)."""
     xi, bx, c1, c2, c3, _ = params.arrays

@@ -51,6 +51,12 @@ class CircleController:
     direction: int
     speed: float
 
+    def __post_init__(self):
+        # speed / radius is the feed-forward turn rate; radius > 0 is tested first
+        if not (self.radius > 0.0 and abs(self.speed / self.radius) < math.inf):
+            raise ValueError(f"require radius > 0 and a finite speed / radius, got "
+                             f"speed = {self.speed!r}, radius = {self.radius!r}")
+
     def control(self, state: VehicleState, t: float) -> tuple[float, float, float]:
         dx = state.px - self.center_x
         dy = state.py - self.center_y

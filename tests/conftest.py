@@ -10,13 +10,16 @@ from hypothesis import settings
 
 from wingsafe.barrier import (
     BarrierConfig,
-    DomainError,
     PairState,
     SafetyParams,
     StraightManeuver,
+    StraightPass,
     TurnManeuver,
     h_value,
-    lie_rows,
+    lie_derivatives,
+    pair_rows,
+    phasor_rows,
+    role_weights,
 )
 from wingsafe.dynamics import ActuatorLimits, VehicleState
 from wingsafe.qp import QPInfeasibleError, QPProblem, solve_qp
@@ -76,15 +79,43 @@ def random_pair_columns(rng, n, span=200.0):
     return rng.uniform(-lim, lim, (n, 8)).T
 
 
+def pairs_pass(pairs, config):
+    """h_value over PairStates, from their phasor_rows through pair_rows (the
+    filter's pair pass, without its gather), and the pairs' heading phasors
+    e1, e2 as a (P, 2) array."""
+    rows = phasor_rows([s for pair in pairs for s in (pair.a, pair.b)])
+    g = np.ascontiguousarray(rows.reshape(-1, 2, 4).transpose(1, 2, 0))  # (2, 4, P)
+    return h_value(pair_rows(g, role_weights(config)), config), g[:, 1].T
+
+
+def pair_h(pair, config) -> float:
+    """The barrier value h of one pair; NaN outside the barrier's domain."""
+    return float(pairs_pass([pair], config)[0].s[0]) - config.safety.ds
+
+
+def pair_lie(pair, config) -> np.ndarray:
+    """L_g h (6,) of one pair, whose gradient is defined (s > 0)."""
+    p, e = pairs_pass([pair], config)
+    assert p.s[0] > 0.0, "gradient undefined"
+    return lie_derivatives(p, e, config)[1][0]
+
+
+def minimizer_tau(p, config) -> np.ndarray:
+    """Smallest nonnegative minimizing time of each pair of an h_value pass:
+    the turn radicand's minimum is first reached at
+    tau* = ((arg(pq) + pi) mod 2pi)/w (0 when M = 0)."""
+    if isinstance(p, StraightPass):
+        return p.tau
+    w = config.maneuver.turn_rate
+    return np.where(p.M == 0.0, 0.0, np.mod(np.angle(p.pq) + np.pi, 2.0 * np.pi) / w)
+
+
 def random_valid_pair(rng, config, span=200.0, require_safe=False):
     """Sample a pair state inside the barrier domain (rejection sampling)."""
     while True:
         pair = PairState(random_state(rng, span), random_state(rng, span))
-        try:
-            val = h_value(pair, config)
-        except DomainError:
-            continue
-        if require_safe and val.value < 0.0:
+        h = pair_h(pair, config)
+        if math.isnan(h) or require_safe and h < 0.0:
             continue
         return pair
 
@@ -154,7 +185,7 @@ def achieved_margins(world, controls, config: FilterConfig) -> np.ndarray:
     th = np.array([s.heading for s in world]).take(idx).T  # (P, 2)
     u = np.asarray(controls, dtype=float)
     with np.errstate(all="ignore"):  # the rows of undefined pairs, NaN below
-        _, lg = lie_rows(p.barrier, np.cos(th) + 1j * np.sin(th), config.barrier)
+        _, lg = lie_derivatives(p.barrier, np.cos(th) + 1j * np.sin(th), config.barrier)
         if config.shaping is not None:
             lg *= np.where(p.lie, psi_deriv_batch(p.h, config.shaping), 0.0)[:, None]
         margins = (lg * np.hstack([u[ii], u[jj]])).sum(axis=1) + config.gain(p.h_shaped)

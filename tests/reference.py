@@ -14,7 +14,8 @@
 * dense_solve_qp, the QP solver as it was while it stacked every row and
   box face densely on each call (dense_stacked) and tested a guessed
   active set against that whole matrix: the reference the pair-form solver
-  matches bit for bit.
+  matches bit for bit.  Like the solver, its loop moves u by t*z on every
+  step, on a row it takes as dependent on the active set too.
 
 Tests import these names as they import from conftest.
 """
@@ -29,7 +30,6 @@ from scipy.optimize import nnls
 
 from wingsafe.barrier import (
     BarrierConfig,
-    DomainError,
     PairState,
     SafetyParams,
     TurnManeuver,
@@ -38,6 +38,11 @@ from wingsafe.dynamics import VehicleState
 from wingsafe.qp import STOP_TOL, QPInfeasibleError, QPProblem
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+class DomainError(ValueError):
+    """Raised when a pair state lies outside the turn safety function's
+    domain (its radicand is negative)."""
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +352,8 @@ def dense_solve_qp(problem: QPProblem, max_iter: int | None = None, guess: Seque
             if not math.isfinite(t):
                 raise QPInfeasibleError(f"unbounded dual step on constraint {p}")
 
-            if not dependent:
-                u = u + t * z
+            # on a dependent row too: its z is small, not 0, and u - u_hat stays N^T lam
+            u = u + t * z
             lam = [lj - t * float(r[idx]) for idx, lj in enumerate(lam)]
             lam_p += t
 

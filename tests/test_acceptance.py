@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wingsafe.barrier import LinearGain, PairState, h_value, lie_rows
+from wingsafe.barrier import LinearGain, PairState, lie_derivatives
 from wingsafe.dynamics import VehicleState
 from wingsafe.qp import solve_qp
 from wingsafe.scenarios import (
@@ -26,12 +26,12 @@ from wingsafe.shaping import (
     min_sensing_range,
     psi_deriv_batch,
     shape_h,
-    shape_h_batch,
     xi_from_range,
 )
 
 from conftest import (
     DS,
+    pair_h,
     random_pair_columns,
     random_straight_config,
     random_turn_config,
@@ -89,7 +89,7 @@ def test_criterion_4_example2_smoothness():
             VehicleState(d_onset / 2, 0.0, -math.pi, 0.0),
             VehicleState(-d_onset / 2, 0.0, 0.0, 0.0),
         )
-        h_onset = h_value(onset_pair, cfg.barrier).value
+        h_onset = pair_h(onset_pair, cfg.barrier)
         assert h_onset > 0
 
         def onset_stats(cfg, trace):
@@ -123,11 +123,11 @@ def test_criterion_6_oracle_equivalence():
             cfg = random_turn_config(rng)
             span = 4.0 * (cfg.maneuver.r1 + cfg.maneuver.r2) + 20.0
             pair = random_valid_pair(rng, cfg, span=span)
-            assert h_value(pair, cfg).value == pytest.approx(h_oracle(pair, cfg), abs=1e-6)
+            assert pair_h(pair, cfg) == pytest.approx(h_oracle(pair, cfg), abs=1e-6)
         for _ in range(1000):
             cfg = random_straight_config(rng)
             pair = random_valid_pair(rng, cfg, span=120.0)
-            assert h_value(pair, cfg).value == pytest.approx(h_oracle(pair, cfg), abs=1e-6)
+            assert pair_h(pair, cfg) == pytest.approx(h_oracle(pair, cfg), abs=1e-6)
 
 
 def relative_errors(analytic, fd):
@@ -163,7 +163,7 @@ def test_criterion_7_gradient_checks(turn_config):
         assert cols.shape[1] == 1000
         h, g = probe(cols, turn_config)
         analytic = psi_deriv_batch(h[0], shaping)[:, None] * g
-        fd = central_difference(shape_h_batch(h, shaping))
+        fd = central_difference(shape_h(h, shaping))
         assert relative_errors(analytic, fd).max() <= 1e-5
 
         # interpolant constraints over 100 random (xi, beta)
@@ -197,12 +197,12 @@ def test_criterion_8_containment_and_gain(turn_config, limits):
         assert cols.shape[1] == 10_000
         p, e = pass_at(cols, turn_config)
         h = p.s - turn_config.safety.ds
-        _, lg = lie_rows(p, e, turn_config)
+        _, lg = lie_derivatives(p, e, turn_config)
         assert np.isfinite(lg).all()
         u = rng.uniform(lo, box, (10_000, 6))
         lgu = (lg * u).sum(axis=1)
         raw_margin = lgu + gain(h)
-        shaped_margin = psi_deriv_batch(h, shaping) * lgu + gain(shape_h_batch(h, shaping))
+        shaped_margin = psi_deriv_batch(h, shaping) * lgu + gain(shape_h(h, shaping))
         bad = (raw_margin >= 0.0) & (shaped_margin < -1e-12)
         assert not bad.any(), (h[bad], raw_margin[bad], shaped_margin[bad])
         assert np.all(alpha2(h, gain, shaping) >= gain(h) - 1e-12)
@@ -252,7 +252,7 @@ def test_criterion_9_forward_invariance(turn_config):
         for _ in range(100):
             cfg = sample_encounter(rng, base)
             va, vb = (v.state for v in cfg.vehicles)
-            h0 = h_value(PairState(va, vb), turn_config).value
+            h0 = pair_h(PairState(va, vb), turn_config)
             assert shape_h(h0, shaping) >= 0.0  # criterion premise
             _, metrics = run_scenario(cfg)
             worst = min(worst, metrics.min_h_shaped)

@@ -8,28 +8,34 @@ from hypothesis import strategies as st
 
 from wingsafe.barrier import (
     BarrierConfig,
-    DomainError,
     LinearGain,
     PairState,
     SafetyParams,
     StraightManeuver,
     StraightPass,
     TurnManeuver,
-    barrier_pass,
+    domain_errors,
     h_batch,
     h_value,
     lie_derivatives,
-    lie_rows,
-    minimizer_tau,
     flat_pair_rows,
     pair_rows,
     phasor_rows,
     role_weights,
 )
-from wingsafe.dynamics import VehicleState
+from wingsafe.dynamics import VehicleState, step_rk4
 
-from conftest import random_straight_config, random_turn_config, random_valid_pair
+from conftest import (
+    minimizer_tau,
+    pair_h,
+    pair_lie,
+    pairs_pass,
+    random_straight_config,
+    random_turn_config,
+    random_valid_pair,
+)
 from reference import (
+    DomainError,
     h_oracle,
     propagate_straight,
     propagate_turn,
@@ -41,6 +47,12 @@ from reference import (
 
 def pair_at(ax, ay, ath, bx, by, bth):
     return PairState(VehicleState(ax, ay, ath, 0), VehicleState(bx, by, bth, 0))
+
+
+def value_and_tau(pair, config):
+    """h of one pair and its smallest nonnegative minimizing time."""
+    p, _ = pairs_pass([pair], config)
+    return float(p.s[0]) - config.safety.ds, float(minimizer_tau(p, config)[0])
 
 
 class TestSafetyFunctions:
@@ -86,24 +98,24 @@ class TestHStraight:
     def test_head_on_collision_course(self):
         m = StraightManeuver(v1=1, v2=2)
         cfg = BarrierConfig(m, SafetyParams(0.01, 5.0))
-        val = h_value(pair_at(0, 0, 0, 10, 0, math.pi), cfg)
-        assert val.value == pytest.approx(-5.0, abs=1e-12)
-        assert val.minimizer_tau == pytest.approx(10 / 3, abs=1e-12)
+        h, tau = value_and_tau(pair_at(0, 0, 0, 10, 0, math.pi), cfg)
+        assert h == pytest.approx(-5.0, abs=1e-12)
+        assert tau == pytest.approx(10 / 3, abs=1e-12)
 
     def test_offset_cpa(self):
         # p0 = (-10,-5), dv = (3,0): tau* = 10/3, closest distance 5
         m = StraightManeuver(v1=2, v2=1)
         cfg = BarrierConfig(m, SafetyParams(0.01, 5.0))
-        val = h_value(pair_at(0, 0, 0, 10, 5, math.pi), cfg)
-        assert val.value == pytest.approx(0.0, abs=1e-12)
-        assert val.minimizer_tau == pytest.approx(10 / 3, abs=1e-12)
+        h, tau = value_and_tau(pair_at(0, 0, 0, 10, 5, math.pi), cfg)
+        assert h == pytest.approx(0.0, abs=1e-12)
+        assert tau == pytest.approx(10 / 3, abs=1e-12)
 
     def test_diverging_infimum_at_zero(self):
         m = StraightManeuver(v1=3, v2=1)
         p = pair_at(0, 0, 0, -10, 0, math.pi)  # opening along x
-        val = h_value(p, BarrierConfig(m, SafetyParams(0.01, 5.0)))
-        assert val.minimizer_tau == 0.0
-        assert val.value == pytest.approx(math.sqrt(squared_planar_distance(p)) - 5.0)
+        h, tau = value_and_tau(p, BarrierConfig(m, SafetyParams(0.01, 5.0)))
+        assert tau == 0.0
+        assert h == pytest.approx(math.sqrt(squared_planar_distance(p)) - 5.0)
 
     def test_equal_speeds_rejected(self):
         with pytest.raises(ValueError):
@@ -121,8 +133,8 @@ class TestHTurn:
     def test_synchronized_identical_turn_constant_distance(self):
         m = TurnManeuver(sigma=1.0, speed=1.0, turn_rate=1.0)
         p = pair_at(0, 0, 0.8, 12, -3, 0.8)
-        val = h_value(p, BarrierConfig(m, SafetyParams(delta=1e-12, ds=5.0)))
-        assert val.value == pytest.approx(
+        h = pair_h(p, BarrierConfig(m, SafetyParams(delta=1e-12, ds=5.0)))
+        assert h == pytest.approx(
             math.sqrt(squared_planar_distance(p)) - 5.0, abs=1e-5
         )
 
@@ -131,34 +143,30 @@ class TestHTurn:
         # M = sqrt(2)*delta from the heading terms alone
         m = TurnManeuver(sigma=1.0, speed=1.0, turn_rate=1.0)
         cfg = BarrierConfig(m, SafetyParams(0.01, 5.0))
-        val = h_value(pair_at(0, 0, math.pi / 2, 10, 0, math.pi / 2), cfg)
+        h = pair_h(pair_at(0, 0, math.pi / 2, 10, 0, math.pi / 2), cfg)
         want = math.sqrt(100 - 0.02 - 0.01 * math.sqrt(2)) - 5.0
-        assert val.value == pytest.approx(want, abs=1e-12)
-        assert val.value == pytest.approx(4.99829, abs=1e-5)
+        assert h == pytest.approx(want, abs=1e-12)
+        assert h == pytest.approx(4.99829, abs=1e-5)
 
     def test_minimizer_consistency(self, turn_config):
         rng = np.random.default_rng(3)
         for _ in range(100):
             pair = random_valid_pair(rng, turn_config, span=400.0)
-            val = h_value(pair, turn_config)
+            h, tau = value_and_tau(pair, turn_config)
             man = turn_config.maneuver
-            a = propagate_turn(pair.a, man.sigma * man.speed, man.turn_rate, val.minimizer_tau)
-            b = propagate_turn(pair.b, man.speed, man.turn_rate, val.minimizer_tau)
-            assert rho_turn(PairState(a, b), turn_config.safety) == pytest.approx(
-                val.value, abs=1e-9
-            )
+            a = propagate_turn(pair.a, man.sigma * man.speed, man.turn_rate, tau)
+            b = propagate_turn(pair.b, man.speed, man.turn_rate, tau)
+            assert rho_turn(PairState(a, b), turn_config.safety) == pytest.approx(h, abs=1e-9)
 
     def test_minimizer_consistency_straight(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             cfg = random_straight_config(rng)
             pair = random_valid_pair(rng, cfg, span=100.0)
-            val = h_value(pair, cfg)
-            a = propagate_straight(pair.a, cfg.maneuver.v1, cfg.maneuver.zeta1, val.minimizer_tau)
-            b = propagate_straight(pair.b, cfg.maneuver.v2, cfg.maneuver.zeta2, val.minimizer_tau)
-            assert rho_straight(PairState(a, b), cfg.safety.ds) == pytest.approx(
-                val.value, abs=1e-9
-            )
+            h, tau = value_and_tau(pair, cfg)
+            a = propagate_straight(pair.a, cfg.maneuver.v1, cfg.maneuver.zeta1, tau)
+            b = propagate_straight(pair.b, cfg.maneuver.v2, cfg.maneuver.zeta2, tau)
+            assert rho_straight(PairState(a, b), cfg.safety.ds) == pytest.approx(h, abs=1e-9)
 
     @pytest.mark.parametrize("speed, turn_rate, radii", [
         # radii that overflow: the filter would read h = NaN for every pair
@@ -188,13 +196,14 @@ class TestHTurn:
         BarrierConfig(StraightManeuver(16.0, 20.0), SafetyParams(0.01, 1e-300))  # turns only
 
     def test_domain_error(self):
-        # nearly coincident turn circles force a negative radicand
+        # nearly coincident turn circles force a negative radicand: h is NaN,
+        # and domain_errors names the pair
         m = TurnManeuver(sigma=1.0, speed=10.0, turn_rate=0.2)
-        with pytest.raises(DomainError):
-            h_value(
-                pair_at(0, 0, math.pi / 2, 0.05, 0, -math.pi / 2),
-                BarrierConfig(m, SafetyParams(0.01, 5.0)),
-            )
+        cfg = BarrierConfig(m, SafetyParams(0.01, 5.0))
+        p, _ = pairs_pass([pair_at(0, 0, math.pi / 2, 0.05, 0, -math.pi / 2)], cfg)
+        assert math.isnan(p.s[0])
+        (row, msg), = domain_errors(p, cfg, need_grad=False)
+        assert row == 0 and msg.startswith("negative radicand -")
 
 
 class TestOracleEquivalence:
@@ -204,7 +213,7 @@ class TestOracleEquivalence:
             cfg = random_turn_config(rng)
             span = 4.0 * (cfg.maneuver.r1 + cfg.maneuver.r2) + 20.0
             pair = random_valid_pair(rng, cfg, span=span)
-            closed = h_value(pair, cfg).value
+            closed = pair_h(pair, cfg)
             assert closed == pytest.approx(h_oracle(pair, cfg), abs=1e-6)
 
     def test_straight_random_pairs(self):
@@ -212,7 +221,7 @@ class TestOracleEquivalence:
         for _ in range(200):
             cfg = random_straight_config(rng)
             pair = random_valid_pair(rng, cfg, span=100.0)
-            closed = h_value(pair, cfg).value
+            closed = pair_h(pair, cfg)
             assert closed == pytest.approx(h_oracle(pair, cfg), abs=1e-6)
 
     def test_constant_distance_case(self):
@@ -244,7 +253,7 @@ class TestOracleEquivalence:
                 )
             )
             got = h_batch(arrays, cfg)
-            want = [h_value(p, cfg).value for p in pairs]
+            want = [pair_h(p, cfg) for p in pairs]
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -259,9 +268,9 @@ def pair_columns(pairs):
 
 
 def pass_at(cols, config):
-    """barrier_pass at pair columns, and the pairs' heading phasors (P, 2)."""
+    """h_value at pair columns, and the pairs' heading phasors (P, 2)."""
     th = cols[[2, 6]].T
-    return barrier_pass(flat_pair_rows(cols[PLANAR], config), config), np.cos(th) + 1j * np.sin(th)
+    return h_value(flat_pair_rows(cols[PLANAR], config), config), np.cos(th) + 1j * np.sin(th)
 
 
 def probe(cols, config, step=FD_STEP):
@@ -269,13 +278,13 @@ def probe(cols, config, step=FD_STEP):
     perturbations (+-step in each coordinate).  Returns h there, (17, P): the
     columns, then their + and - perturbations; and the analytic gradient at
     each column, (P, 8) over [p1x, p1y, th1, p1z, p2x, p2y, th2, p2z], from
-    lie_rows: dh/dp1 = n = -dh/dp2, dh/dth = L_g h in the turn rates, no
+    lie_derivatives: dh/dp1 = n = -dh/dp2, dh/dth = L_g h in the turn rates, no
     altitude term."""
     P = cols.shape[1]
     shift = step * np.eye(8)[:, :, None]
     points = np.concatenate([cols[:, None], cols[:, None] + shift, cols[:, None] - shift], 1)
     p, e = pass_at(points.reshape(8, -1), config)
-    n, lg = lie_rows(type(p)(*(a[..., :P] for a in p)), e[:P], config)
+    n, lg = lie_derivatives(type(p)(*(a[..., :P] for a in p)), e[:P], config)
     zero = np.zeros(P)
     grad = np.stack([n.real, n.imag, lg[:, 1], zero, -n.real, -n.imag, lg[:, 4], zero], axis=1)
     return (p.s - config.safety.ds).reshape(17, P), grad
@@ -309,7 +318,7 @@ def pair_margins(pairs, u, config, alpha):
     """L_f h + L_g h . u + alpha(h) of each pair (L_f h = 0); u is a stacked
     6-vector control, or one per pair."""
     p, e = pass_at(pair_columns(pairs), config)
-    _, lg = lie_rows(p, e, config)
+    _, lg = lie_derivatives(p, e, config)
     return (lg * u).sum(axis=1) + alpha(p.s - config.safety.ds)
 
 
@@ -361,9 +370,7 @@ class TestGradient:
                 VehicleState(pair.a.px + dx, pair.a.py + dy, pair.a.heading, pair.a.pz + dz),
                 VehicleState(pair.b.px + dx, pair.b.py + dy, pair.b.heading, pair.b.pz + dz),
             )
-            assert h_value(moved, turn_config).value == pytest.approx(
-                h_value(pair, turn_config).value, abs=1e-9
-            )
+            assert pair_h(moved, turn_config) == pytest.approx(pair_h(pair, turn_config), abs=1e-9)
 
     def test_h_rigid_motion_invariance_vanishing_delta(self):
         # The heading-dependent regularization of the turn safety function is
@@ -387,35 +394,34 @@ class TestGradient:
                 )
 
             moved = PairState(move(pair.a), move(pair.b))
-            assert h_value(moved, cfg).value == pytest.approx(
-                h_value(pair, cfg).value, abs=1e-9
-            )
+            assert pair_h(moved, cfg) == pytest.approx(pair_h(pair, cfg), abs=1e-9)
 
     def test_h_below_rho(self, turn_config):
         rng = np.random.default_rng(11)
         for _ in range(100):
             pair = random_valid_pair(rng, turn_config, span=400.0)
-            assert h_value(pair, turn_config).value <= rho_turn(
-                pair, turn_config.safety
-            ) + 1e-12
+            assert pair_h(pair, turn_config) <= rho_turn(pair, turn_config.safety) + 1e-12
         for _ in range(100):
             cfg = random_straight_config(rng)
             pair = random_valid_pair(rng, cfg, span=100.0)
-            assert h_value(pair, cfg).value <= rho_straight(pair, cfg.safety.ds) + 1e-12
+            assert pair_h(pair, cfg) <= rho_straight(pair, cfg.safety.ds) + 1e-12
 
 
 class TestLieDerivatives:
     def test_drift_term_zero(self, turn_config):
+        # x_dot = g(x) u has no drift term f: under the zero control the pair,
+        # and so h, stays where it is, which is L_f h = 0
         rng = np.random.default_rng(12)
         pair = random_valid_pair(rng, turn_config, span=300.0)
-        lf, _ = lie_derivatives(pair, turn_config)
-        assert lf == 0.0
+        still = PairState(*(step_rk4(s, (0.0, 0.0, 0.0), 0.1) for s in (pair.a, pair.b)))
+        assert still == pair
+        assert pair_h(still, turn_config) == pair_h(pair, turn_config)
 
     def test_zeta_columns_zero(self, turn_config):
         rng = np.random.default_rng(13)
         for _ in range(20):
             pair = random_valid_pair(rng, turn_config, span=300.0)
-            _, lg = lie_derivatives(pair, turn_config)
+            lg = pair_lie(pair, turn_config)
             assert lg[2] == 0.0 and lg[5] == 0.0
 
     def test_maneuver_is_admissible_direction(self):
@@ -425,7 +431,7 @@ class TestLieDerivatives:
             for _ in range(50):
                 cfg = make(rng)
                 pair = random_valid_pair(rng, cfg, span=span)
-                _, lg = lie_derivatives(pair, cfg)
+                lg = pair_lie(pair, cfg)
                 gamma = np.ravel(cfg.maneuver.controls())
                 assert float(lg @ gamma) >= -1e-9
 
@@ -503,8 +509,9 @@ def test_phasor_rows_are_the_per_vehicle_phasors(world):
 
 
 class TestArrayPassAgreement:
-    """The scalar wrappers are the array pass with one row: identical values,
-    and a DomainError exactly where the pass gives NaN."""
+    """Each row of the array pass is the pass of its pair alone (the tests'
+    single-pair helpers), bit for bit, NaN outside the domain included; and
+    the flat rows and h_batch agree with the phasor rows."""
 
     @settings(max_examples=150)
     @given(barrier_configs(), st.lists(st.tuples(states, states), min_size=1, max_size=12))
@@ -516,25 +523,24 @@ class TestArrayPassAgreement:
             [(p.a.px, p.a.py, p.a.heading, p.b.px, p.b.py, p.b.heading) for p in pairs]
         ).T
         y = pair_rows(g, role_weights(cfg))
-        p = barrier_pass(y, cfg)
+        p = h_value(y, cfg)
         tau = minimizer_tau(p, cfg)
         with np.errstate(all="ignore"):  # the rows of undefined pairs
-            _, lg = lie_rows(p, g[:, 1].T, cfg)
+            _, lg = lie_derivatives(p, g[:, 1].T, cfg)
         h = h_batch(pair_arrays, cfg)
         np.testing.assert_array_equal(flat_pair_rows(pair_arrays, cfg), y)
         np.testing.assert_array_equal(h, p.s - cfg.safety.ds)
         for k, pair in enumerate(pairs):
+            one, e = pairs_pass([pair], cfg)
+            np.testing.assert_array_equal(one.s, p.s[k:k + 1])
             if np.isnan(p.s[k]):
-                with pytest.raises(DomainError):
-                    h_value(pair, cfg)
+                assert math.isnan(pair_h(pair, cfg))
                 continue
-            val = h_value(pair, cfg)
-            assert val.value == h[k] and val.minimizer_tau == tau[k]
+            assert pair_h(pair, cfg) == h[k] and minimizer_tau(one, cfg)[0] == tau[k]
             if p.s[k] > 0.0:
-                np.testing.assert_array_equal(lie_derivatives(pair, cfg)[1], lg[k])
-            else:
-                with pytest.raises(DomainError):
-                    lie_derivatives(pair, cfg)
+                np.testing.assert_array_equal(lie_derivatives(one, e, cfg)[1][0], lg[k])
+            else:  # s = 0: h is defined, its gradient is not
+                assert [row for row, _ in domain_errors(one, cfg, True)] == [0]
 
     @settings(max_examples=60)
     @given(barrier_configs(), st.lists(states, min_size=2, max_size=7))
@@ -549,10 +555,7 @@ class TestArrayPassAgreement:
         want = []
         for i in range(len(world)):
             for j in range(i + 1, len(world)):
-                try:
-                    want.append(h_value(PairState(world[i], world[j]), cfg).value)
-                except DomainError:
-                    want.append(math.nan)
+                want.append(pair_h(PairState(world[i], world[j]), cfg))
         np.testing.assert_array_equal(res.h, want)
 
 

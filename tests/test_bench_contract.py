@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import wingsafe.cli
-from wingsafe.safety_filter import FilterConfig
+from wingsafe.safety_filter import FilterConfig, FilterRun, pair_pass
 from wingsafe.scenarios import config_from_dict, run_scenario, scenario_circle20
 
 WRAPPED_FUNCTIONS = [
@@ -167,3 +167,34 @@ def test_filter_world_and_qp_rows_are_readable(monkeypatch):
         coeffs = np.array([r.coeffs for r in problem.rows])
         # the tracer reads each row's coupling as (rows, vehicles, 3 controls)
         assert coeffs.reshape(len(problem.rows), -1, 3).shape[1] == len(config.vehicles)
+
+
+def test_pair_layers_stay_on_the_run_path(monkeypatch):
+    # the tracer's pair-evaluation metrics (barrier.h_calls, barrier.lie_calls,
+    # shaping.sensor_calls, shaping.shape_calls) time these four functions
+    layers = {"h_value": "wingsafe.barrier", "lie_derivatives": "wingsafe.barrier",
+              "in_sensor_set": "wingsafe.shaping", "shape_h": "wingsafe.shaping",
+              "filter_controls": "wingsafe.safety_filter"}
+    calls = {name: [] for name in layers}
+    for name, home in layers.items():
+        _record_calls(monkeypatch, home, name, calls[name])
+    config = replace(scenario_circle20(start_radius=90.0), duration=1.0)
+    run_scenario(config)
+    counts = {name: len(c) for name, c in calls.items()}
+    monkeypatch.undo()
+    pairs = len(config.vehicles) * (len(config.vehicles) - 1) // 2
+    # one array call per step over every pair
+    assert counts["filter_controls"] == config.n_steps
+    for name in ("h_value", "in_sensor_set", "shape_h"):
+        assert counts[name] == config.n_steps, name
+        assert all(np.shape(args[0])[-1] == pairs for args in calls[name]), name
+    # the Lie rows once per step with a row that can bind (sensed, defined,
+    # below the shaping threshold), over exactly those rows
+    fconfig = config.filter_config()
+    binding = [
+        np.count_nonzero(p.in_sensor & p.lie & (p.barrier.s > 0.0))
+        for p in (pair_pass(args[0], FilterRun(fconfig, len(args[0])))
+                  for args in calls["filter_controls"])
+    ]
+    assert counts["lie_derivatives"] > 0
+    assert [len(args[1]) for args in calls["lie_derivatives"]] == [k for k in binding if k]

@@ -39,6 +39,17 @@ def test_tier1_job_runs_a_traced_workload_with_no_null_metric(workload):
     assert "tail -n 1" in run and "sys.exit(" in run
 
 
+@pytest.mark.parametrize("workload", ["circle20", "airspace"])
+def test_tier1_job_fails_a_traced_workload_with_an_uncalled_pair_layer(workload):
+    # each of the four pair layers the tracer times must read a non-zero call count
+    runs = [step.get("run") or "" for step in workflow_jobs()["tier1"]["steps"]]
+    run = next(r for r in runs if f"perfbench/run.py --workload {workload} --trace 1" in r)
+    for metric in ("barrier.h_calls", "barrier.lie_calls", "shaping.sensor_calls",
+                   "shaping.shape_calls"):
+        assert f'"{metric}"' in run, metric
+    assert '["value"] == 0' in run and "uncalled pair layers" in run
+
+
 def test_every_job_sets_a_timeout():
     # without one, a hung job runs until GitHub's 6-hour default
     jobs = workflow_jobs()

@@ -664,6 +664,22 @@ class TestInputValidation:
                 "config field barrier: require finite 2 * (r1 + r2), got r1 = ")):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("radius", [5e-324, 1e-310])
+    def test_circle_turn_rate_overflow_in_config_rejected(self, radius, tmp_path, capsys):
+        # speed / radius, the controller's feed-forward turn rate, is inf: the
+        # run would stop at step 0 on a non-finite nominal control
+        d = config_to_dict(builtin_scenarios()["sweep"])
+        d["vehicles"][0]["controller"] = {**CIRCLE, "radius": radius, "speed": 16.0}
+        want = ("config field vehicles[0].controller: require radius > 0 and a finite "
+                f"speed / radius, got speed = 16.0, radius = {radius!r}")
+        with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+            config_from_dict(d)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("turn_rate", [1e-160, 1e-100])
     def test_turn_radii_past_the_radicand_rounding_in_config_rejected(self, turn_rate):
         d = config_to_dict(builtin_scenarios()["sweep"])
@@ -846,7 +862,7 @@ def test_numpy_imported_first_keeps_its_blas():
 
 def test_every_export_has_a_caller():
     # a name of __all__ must be used, besides defined, in the package's own
-    # modules; the four below are kept only for the benchmark tracer
+    # modules
     counts = collections.Counter()
     for path in Path(wingsafe.__file__).resolve().parent.glob("*.py"):
         if path.name != "__init__.py":
@@ -854,7 +870,7 @@ def test_every_export_has_a_caller():
                 counts.update(tok.string for tok in tokenize.generate_tokens(fh.readline)
                               if tok.type == tokenize.NAME)
     lonely = {name for name in wingsafe.__all__ if counts[name] < 2}
-    assert lonely == {"h_value", "lie_derivatives", "in_sensor_set", "shape_h"}
+    assert lonely == set()
 
 
 @pytest.mark.parametrize("argv", [

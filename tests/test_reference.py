@@ -7,11 +7,9 @@ import reference
 
 # the program's closed forms and fast paths that the references check
 CLOSED_FORMS = {
-    "barrier_pass",
     "pair_rows",
     "flat_pair_rows",
     "h_batch",
-    "lie_rows",
     "h_value",
     "lie_derivatives",
     "solve_row_batch",

@@ -16,8 +16,6 @@ from wingsafe.barrier import (
     StraightManeuver,
     TurnManeuver,
     h_batch,
-    h_value,
-    lie_derivatives,
     role_weights,
 )
 from wingsafe import safety_filter, sim
@@ -29,7 +27,8 @@ from wingsafe.scenarios import run_scenario, scenario_circle20
 from wingsafe.shaping import SensorModel, ShapingParams, psi_deriv_batch, xi_from_range
 
 import conftest
-from conftest import achieved_margins, random_valid_pair, reference_clamp, reference_split
+from conftest import (achieved_margins, pair_h, pair_lie, random_valid_pair, reference_clamp,
+                      reference_split)
 from reference import dense_solve_qp, dense_stacked, kkt_residual
 
 
@@ -75,7 +74,7 @@ class TestAssemblePairConstraint:
         # inside range but far from conflict: h above xi, no gradient row and
         # a positive offset
         pair = PairState(vehicle(0, 0, math.pi / 2), vehicle(349, 0, math.pi / 2))
-        h = h_value(pair, fconfig.barrier).value
+        h = pair_h(pair, fconfig.barrier)
         assert h >= fconfig.shaping.xi
         p = pair_pass([pair.a, pair.b], FilterRun(fconfig, 2))
         assert p.in_sensor[0] and p.h[0] == h
@@ -87,12 +86,12 @@ class TestAssemblePairConstraint:
         checked = 0
         while checked < 30:
             pair = random_valid_pair(rng, turn_config, span=250.0)
-            h = h_value(pair, turn_config).value
+            h = pair_h(pair, turn_config)
             if not (0 < h < fconfig.shaping.xi):
                 continue
             p = pair_pass([pair.a, pair.b], FilterRun(fconfig, 2))
             assert p.in_sensor[0] and p.lie[0]
-            _, lg = lie_derivatives(pair, turn_config)
+            lg = pair_lie(pair, turn_config)
             want = psi_deriv_batch(h, fconfig.shaping) * lg
             np.testing.assert_allclose(_shaped_rows(p, [0], fconfig)[0], want, atol=1e-9)
             checked += 1
@@ -870,7 +869,7 @@ class TestUnusableRows:
         # side by side 3 m apart (< D_s), same heading: the raw straight row
         # is zero and its offset -2
         ([vehicle(0, 0, 0), vehicle(0, 3, 0)], "qp-infeasible mode={mode} zero row pair=(0,1)"),
-        # 2.2e-309 m apart: lie_rows overflows, the row is not finite
+        # 2.2e-309 m apart: lie_derivatives overflows, the row is not finite
         ([vehicle(0, 0, 0), vehicle(2.2e-309, 0, 0)],
          "domain-error pair=(0,1) non-finite constraint row"),
         # the same on crossing headings: the row holds an infinity, which
@@ -1060,14 +1059,13 @@ class TestGoldfarbIdnaniMatchesDenseReference:
             if warm:
                 assert kkt_residual(problem, u) <= 1e-8
 
-    @pytest.mark.xfail(strict=True, reason="the loop steps the multipliers past a row it takes "
-                       "as dependent on the active set but does not move u by t*z")
     def test_loop_stays_stationary_past_a_nearly_dependent_row(self):
         # vehicles 0 and 2 coincide.  Solved cold, the loop meets a row with
         # |z|^2 = 7e-11 |a|^2 against its active set, under the 1e-10 at which
-        # it takes the row as dependent: a dual step of t = 1.28 leaves u
-        # 1.28 |z| = 6.7e-5 off stationarity, with the active set and the
-        # multipliers of the optimum (which a warm start finds to 5e-15)
+        # it takes the row as dependent: its dual step of t = 1.28 must move u
+        # by t*z too, else u ends 1.28 |z| = 6.7e-5 off stationarity (with the
+        # active set and multipliers of the optimum, which a warm start finds
+        # to 5e-15)
         config = self.config(turn=True)
         world = [VehicleState(1.0, -11.0, 1.0, 0.0), VehicleState(0.0, 0.0, 0.0, 0.0),
                  VehicleState(1.0, -11.0, 1.0, 0.0), VehicleState(2.0, -11.0, 1.0, 0.0)]

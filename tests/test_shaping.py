@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from wingsafe.barrier import (
     BarrierConfig,
     LinearGain,
-    PairState,
     SafetyParams,
     StraightManeuver,
     TurnManeuver,
-    h_value,
-    lie_rows,
+    lie_derivatives,
 )
-from wingsafe.dynamics import VehicleState
 from wingsafe.shaping import (
     SensorModel,
     ShapingParams,
@@ -25,34 +22,34 @@ from wingsafe.shaping import (
     min_sensing_range,
     psi_deriv_batch,
     shape_h,
-    shape_h_batch,
     xi_from_range,
 )
 
-from conftest import DELTA, DS, random_pair_columns, random_valid_pair
+from conftest import DELTA, DS, pair_h, random_pair_columns, random_valid_pair
 from test_barrier import central_difference, pair_columns, pass_at, probe
 
 
 def alpha2(h, alpha, params):
     """Effective gain psi'(h)^-1 * alpha(psi(h)), for h < xi (see the shaping
     module docstring)."""
-    return alpha(shape_h_batch(h, params)) / psi_deriv_batch(h, params)
+    return alpha(shape_h(h, params)) / psi_deriv_batch(h, params)
 
 
 class TestSensorSet:
-    SENSOR = SensorModel(100.0)
+    R = 100.0
 
-    def pair(self, d):
-        return PairState(VehicleState(0, 0, 0, 0), VehicleState(d, 0, 0, 0))
+    def sensed(self, d):
+        """Whether a pair d apart on the x axis is sensed at range R."""
+        return in_sensor_set(np.array([d * d]), np.array(self.R * self.R))[0]
 
     def test_inside(self):
-        assert in_sensor_set(self.pair(99.0), self.SENSOR)
+        assert self.sensed(99.0)
 
     def test_outside(self):
-        assert not in_sensor_set(self.pair(101.0), self.SENSOR)
+        assert not self.sensed(101.0)
 
     def test_boundary_included(self):
-        assert in_sensor_set(self.pair(100.0), self.SENSOR)
+        assert self.sensed(100.0)
 
 
 class TestQuadraticPsi:
@@ -156,7 +153,7 @@ class TestShapeH:
 
     def test_batch_matches_scalar(self):
         hs = np.linspace(-2.0, 3.0, 101)
-        got = shape_h_batch(hs, self.P)
+        got = shape_h(hs, self.P)
         want = [shape_h(float(h), self.P) for h in hs]
         np.testing.assert_allclose(got, want, atol=1e-15)
 
@@ -173,7 +170,7 @@ class TestShapeH:
         for _ in range(50):
             p = ShapingParams(rng.uniform(0.1, 100), rng.uniform(0.1, 0.9))
             hs = np.linspace(-p.xi, 3 * p.xi, 301)
-            vals = shape_h_batch(hs, p)
+            vals = shape_h(hs, p)
             assert np.all(np.diff(vals) >= -1e-12)
             assert shape_h(p.xi, p) > 0.0
 
@@ -194,13 +191,13 @@ class TestShapedGradientFiniteDifference:
         checked = 0
         while checked < 40:
             pair = random_valid_pair(rng, turn_config, span=400.0)
-            h = h_value(pair, turn_config).value
+            h = pair_h(pair, turn_config)
             bx = p.beta * p.xi
             if min(abs(h - bx), abs(h - p.xi)) < 0.5 or h > p.xi + 2.0:
                 continue
             hs, g = probe(pair_columns([pair]), turn_config)
             analytic = (psi_deriv_batch(h, p) if h < p.xi else 0.0) * g[0]  # 0 on the plateau
-            fd = central_difference(shape_h_batch(hs, p))[0]
+            fd = central_difference(shape_h(hs, p))[0]
             np.testing.assert_allclose(analytic, fd, rtol=2e-5, atol=1e-5)
             checked += 1
 
@@ -263,8 +260,8 @@ class TestRangeFormulas:
     def test_infinite_range_sensor_is_valid(self):
         # full sensing with the raw barrier is a real configuration
         sensor = SensorModel(math.inf)
-        pair = PairState(VehicleState(0, 0, 0, 0), VehicleState(1e300, 0, 0, 0))
-        assert in_sensor_set(pair, sensor)
+        d = 1e300
+        assert in_sensor_set(d * d, sensor.range_m * sensor.range_m)  # inf <= inf
 
     def test_xi_monotone_in_range(self, turn_maneuver, safety):
         rs = np.linspace(319, 600, 40)
@@ -303,7 +300,7 @@ def below_xi_rows(rng, config, xi, count, draws):
     cols = cols[:, h < xi][:, :count]  # NaN (outside the domain) drops out
     assert cols.shape[1] == count
     p, e = pass_at(cols, config)
-    _, lg = lie_rows(p, e, config)
+    _, lg = lie_derivatives(p, e, config)
     u = rng.uniform(-1, 1, (count, 6)) * np.array([25, 0.23, 5, 25, 0.23, 5])
     return p.s - config.safety.ds, (lg * u).sum(axis=1)
 
@@ -313,7 +310,7 @@ class TestSignEquivalence:
         p = ShapingParams(20.0, 0.6)
         a = LinearGain(1.0)
         h, lgu = below_xi_rows(np.random.default_rng(24), turn_config, p.xi, 2_000, 100_000)
-        shaped = psi_deriv_batch(h, p) * lgu + a(shape_h_batch(h, p))
+        shaped = psi_deriv_batch(h, p) * lgu + a(shape_h(h, p))
         raw_a2 = lgu + alpha2(h, a, p)
         checked = (np.abs(shaped) >= 1e-12) & (np.abs(raw_a2) >= 1e-12)
         assert np.count_nonzero(checked) >= 200
@@ -327,7 +324,7 @@ class TestSignEquivalence:
         h, lgu = below_xi_rows(np.random.default_rng(25), turn_config, p.xi, 2_000, 100_000)
         checked = lgu + a(h) >= 0
         assert np.count_nonzero(checked) >= 500
-        shaped = psi_deriv_batch(h, p) * lgu + a(shape_h_batch(h, p))
+        shaped = psi_deriv_batch(h, p) * lgu + a(shape_h(h, p))
         assert np.all(shaped[checked] >= -1e-12)
 
 

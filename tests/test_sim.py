@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wingsafe.barrier import PairState, h_value
+from wingsafe.barrier import PairState
 from wingsafe.dynamics import ActuatorLimits, VehicleState
 from wingsafe.scenarios import (
     VehicleSpec,
@@ -34,7 +34,7 @@ from wingsafe.sim import (
     metric_block_steps,
 )
 
-from conftest import DS, EVADE_RATE, filter_clamp, replay_pairs, vehicle_minima
+from conftest import DS, EVADE_RATE, filter_clamp, pair_h, replay_pairs, vehicle_minima
 
 
 class TestCircleController:
@@ -219,7 +219,7 @@ class TestFailureDemos:
         pair = PairState(
             VehicleState(d_onset / 2, 0, -math.pi, 0), VehicleState(-d_onset / 2, 0, 0, 0)
         )
-        h_onset = h_value(pair, cfg.barrier).value
+        h_onset = pair_h(pair, cfg.barrier)
         assert 0 < h_onset < 0.05
 
         def onset_jump_stats(cfg, trace):
